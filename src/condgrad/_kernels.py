@@ -1,7 +1,11 @@
-"""Hot numeric kernels.
+"""Scalar and local-oracle kernels.
 
-Every kernel exists twice: a vectorized numpy version (``*_np``) and a
-loop version compiled with numba (``*_nb``) when numba is importable.
+The curvature scalars and the local simplex oracle core exist twice: a
+numpy version (``*_np``) and a loop version compiled with numba
+(``*_nb``) when numba is importable.  The objectives themselves live in
+:mod:`condgrad.problems`, where one matrix-vector product per iteration
+dominates and a compiled loop has nothing to add.
+
 The module-level names (no suffix) point at the active implementation.
 Set ``CONDGRAD_NUMBA=0`` to force the pure-numpy path; the default is
 the jitted path whenever numba is available.
@@ -51,234 +55,6 @@ def omega_star_np(t):
             * t
         )
     return -t - math.log1p(-t)
-
-
-# ---------------------------------------------------------------------------
-# log-utility objective: f(x) = -sum_t ln(r_t . x)   (rows of `returns`)
-
-
-def log_utility_value_np(returns, x):
-    z = returns @ x
-    if np.any(z <= 0.0):
-        return np.inf
-    return -float(np.sum(np.log(z)))
-
-
-def log_utility_grad_np(returns, x):
-    z = returns @ x
-    return -(returns.T @ (1.0 / z))
-
-
-def log_utility_hessvec_np(returns, x, u):
-    z = returns @ x
-    return returns.T @ ((returns @ u) / (z * z))
-
-
-def log_utility_min_dot_np(returns, x):
-    return float(np.min(returns @ x))
-
-
-def _log_utility_value_loops(returns, x):
-    z = np.dot(returns, x)
-    total = 0.0
-    for t in range(z.shape[0]):
-        if z[t] <= 0.0:
-            return np.inf
-        total -= np.log(z[t])
-    return total
-
-
-def _log_utility_grad_loops(returns, x):
-    z = np.dot(returns, x)
-    w = np.empty_like(z)
-    for t in range(z.shape[0]):
-        w[t] = -1.0 / z[t]
-    return np.dot(returns.T, w)
-
-
-def _log_utility_hessvec_loops(returns, x, u):
-    z = np.dot(returns, x)
-    s = np.dot(returns, u)
-    for t in range(z.shape[0]):
-        s[t] = s[t] / (z[t] * z[t])
-    return np.dot(returns.T, s)
-
-
-def _log_utility_min_dot_loops(returns, x):
-    z = np.dot(returns, x)
-    best = np.inf
-    for t in range(z.shape[0]):
-        if z[t] < best:
-            best = z[t]
-    return best
-
-
-# ---------------------------------------------------------------------------
-# count objective: f(x) = sum_i w_i . x - sum_i y_i ln(w_i . x)
-# Rows with y_i = 0 contribute only the linear part and impose no
-# positivity constraint.
-
-
-def poisson_value_np(w, y, x):
-    z = w @ x
-    pos = y > 0.0
-    zp = z[pos]
-    if np.any(zp <= 0.0):
-        return np.inf
-    return float(np.sum(z) - np.sum(y[pos] * np.log(zp)))
-
-
-def poisson_grad_np(w, y, x):
-    z = w @ x
-    coef = np.ones_like(z)
-    pos = y > 0.0
-    coef[pos] -= y[pos] / z[pos]
-    return w.T @ coef
-
-
-def poisson_hessvec_np(w, y, x, u):
-    z = w @ x
-    s = w @ u
-    coef = np.zeros_like(z)
-    pos = y > 0.0
-    coef[pos] = y[pos] * s[pos] / (z[pos] * z[pos])
-    return w.T @ coef
-
-
-def poisson_min_dot_np(w, y, x):
-    pos = y > 0.0
-    if not np.any(pos):
-        return np.inf
-    return float(np.min((w @ x)[pos]))
-
-
-def _poisson_value_loops(w, y, x):
-    z = np.dot(w, x)
-    total = 0.0
-    for i in range(z.shape[0]):
-        total += z[i]
-        if y[i] > 0.0:
-            if z[i] <= 0.0:
-                return np.inf
-            total -= y[i] * np.log(z[i])
-    return total
-
-
-def _poisson_grad_loops(w, y, x):
-    z = np.dot(w, x)
-    coef = np.empty_like(z)
-    for i in range(z.shape[0]):
-        if y[i] > 0.0:
-            coef[i] = 1.0 - y[i] / z[i]
-        else:
-            coef[i] = 1.0
-    return np.dot(w.T, coef)
-
-
-def _poisson_hessvec_loops(w, y, x, u):
-    z = np.dot(w, x)
-    s = np.dot(w, u)
-    for i in range(z.shape[0]):
-        if y[i] > 0.0:
-            s[i] = y[i] * s[i] / (z[i] * z[i])
-        else:
-            s[i] = 0.0
-    return np.dot(w.T, s)
-
-
-def _poisson_min_dot_loops(w, y, x):
-    z = np.dot(w, x)
-    best = np.inf
-    for i in range(z.shape[0]):
-        if y[i] > 0.0 and z[i] < best:
-            best = z[i]
-    return best
-
-
-# ---------------------------------------------------------------------------
-# regularized logistic loss: f(x) = (1/N) sum_i l(y_i (phi_i . x + mu)) + (g/2)|x|^2
-# with l(t) = log(1 + exp(-t)).
-
-
-def _softplus_neg_scalar(t):
-    # log(1 + exp(-t)) without overflow
-    if t >= 0.0:
-        return math.log1p(math.exp(-t))
-    return -t + math.log1p(math.exp(t))
-
-
-def _sigmoid_scalar(t):
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-def logistic_value_np(feats, labels, mu, gamma, x):
-    t = labels * (feats @ x + mu)
-    loss = np.where(t >= 0.0, np.log1p(np.exp(-np.abs(t))), -t + np.log1p(np.exp(-np.abs(t))))
-    return float(np.mean(loss) + 0.5 * gamma * np.dot(x, x))
-
-
-def logistic_grad_np(feats, labels, mu, gamma, x):
-    t = labels * (feats @ x + mu)
-    sig = np.where(t >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(t))), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
-    dl = sig - 1.0  # l'(t) = -1/(1+e^t)
-    return feats.T @ (dl * labels) / feats.shape[0] + gamma * x
-
-
-def logistic_hessvec_np(feats, labels, mu, gamma, x, u):
-    t = labels * (feats @ x + mu)
-    sig = np.where(t >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(t))), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
-    ddl = sig * (1.0 - sig)
-    s = feats @ u
-    return feats.T @ (ddl * labels * labels * s) / feats.shape[0] + gamma * u
-
-
-def _logistic_value_loops(feats, labels, mu, gamma, x):
-    nobs = feats.shape[0]
-    z = np.dot(feats, x)
-    total = 0.0
-    for i in range(nobs):
-        t = labels[i] * (z[i] + mu)
-        if t >= 0.0:
-            total += np.log1p(np.exp(-t))
-        else:
-            total += -t + np.log1p(np.exp(t))
-    reg = 0.0
-    for j in range(x.shape[0]):
-        reg += x[j] * x[j]
-    return total / nobs + 0.5 * gamma * reg
-
-
-def _logistic_grad_loops(feats, labels, mu, gamma, x):
-    nobs = feats.shape[0]
-    z = np.dot(feats, x)
-    coef = np.empty_like(z)
-    for i in range(nobs):
-        t = labels[i] * (z[i] + mu)
-        if t >= 0.0:
-            sig = 1.0 / (1.0 + np.exp(-t))
-        else:
-            e = np.exp(t)
-            sig = e / (1.0 + e)
-        coef[i] = (sig - 1.0) * labels[i] / nobs
-    return np.dot(feats.T, coef) + gamma * x
-
-
-def _logistic_hessvec_loops(feats, labels, mu, gamma, x, u):
-    nobs = feats.shape[0]
-    z = np.dot(feats, x)
-    s = np.dot(feats, u)
-    for i in range(nobs):
-        t = labels[i] * (z[i] + mu)
-        if t >= 0.0:
-            sig = 1.0 / (1.0 + np.exp(-t))
-        else:
-            e = np.exp(t)
-            sig = e / (1.0 + e)
-        s[i] = sig * (1.0 - sig) * labels[i] * labels[i] * s[i] / nobs
-    return np.dot(feats.T, s) + gamma * u
 
 
 # ---------------------------------------------------------------------------
@@ -341,48 +117,15 @@ def _lloo_simplex_core_loops(x, d, c):
 if HAVE_NUMBA:
     omega_nb = njit(cache=True)(omega_np)
     omega_star_nb = njit(cache=True)(omega_star_np)
-    log_utility_value_nb = njit(cache=True)(_log_utility_value_loops)
-    log_utility_grad_nb = njit(cache=True)(_log_utility_grad_loops)
-    log_utility_hessvec_nb = njit(cache=True)(_log_utility_hessvec_loops)
-    log_utility_min_dot_nb = njit(cache=True)(_log_utility_min_dot_loops)
-    poisson_value_nb = njit(cache=True)(_poisson_value_loops)
-    poisson_grad_nb = njit(cache=True)(_poisson_grad_loops)
-    poisson_hessvec_nb = njit(cache=True)(_poisson_hessvec_loops)
-    poisson_min_dot_nb = njit(cache=True)(_poisson_min_dot_loops)
-    logistic_value_nb = njit(cache=True)(_logistic_value_loops)
-    logistic_grad_nb = njit(cache=True)(_logistic_grad_loops)
-    logistic_hessvec_nb = njit(cache=True)(_logistic_hessvec_loops)
     lloo_simplex_core_nb = njit(cache=True)(_lloo_simplex_core_loops)
 
 if USING_NUMBA:
     omega = omega_nb
     omega_star = omega_star_nb
-    log_utility_value = log_utility_value_nb
-    log_utility_grad = log_utility_grad_nb
-    log_utility_hessvec = log_utility_hessvec_nb
-    log_utility_min_dot = log_utility_min_dot_nb
-    poisson_value = poisson_value_nb
-    poisson_grad = poisson_grad_nb
-    poisson_hessvec = poisson_hessvec_nb
-    poisson_min_dot = poisson_min_dot_nb
-    logistic_value = logistic_value_nb
-    logistic_grad = logistic_grad_nb
-    logistic_hessvec = logistic_hessvec_nb
     lloo_simplex_core = lloo_simplex_core_nb
 else:
     omega = omega_np
     omega_star = omega_star_np
-    log_utility_value = log_utility_value_np
-    log_utility_grad = log_utility_grad_np
-    log_utility_hessvec = log_utility_hessvec_np
-    log_utility_min_dot = log_utility_min_dot_np
-    poisson_value = poisson_value_np
-    poisson_grad = poisson_grad_np
-    poisson_hessvec = poisson_hessvec_np
-    poisson_min_dot = poisson_min_dot_np
-    logistic_value = logistic_value_np
-    logistic_grad = logistic_grad_np
-    logistic_hessvec = logistic_hessvec_np
     lloo_simplex_core = lloo_simplex_core_np
 
 
@@ -390,22 +133,8 @@ def warm_up():
     """Trigger JIT compilation of every kernel on tiny inputs."""
     if not USING_NUMBA:
         return
-    r = np.array([[1.0, 2.0], [2.0, 1.0]])
     x = np.array([0.5, 0.5])
     u = np.array([1.0, -1.0])
-    y = np.array([1.0, 0.0])
-    lab = np.array([1.0, -1.0])
     omega(0.5)
     omega_star(0.5)
-    log_utility_value(r, x)
-    log_utility_grad(r, x)
-    log_utility_hessvec(r, x, u)
-    log_utility_min_dot(r, x)
-    poisson_value(r, y, x)
-    poisson_grad(r, y, x)
-    poisson_hessvec(r, y, x, u)
-    poisson_min_dot(r, y, x)
-    logistic_value(r, lab, 0.0, 0.5, x)
-    logistic_grad(r, lab, 0.0, 0.5, x)
-    logistic_hessvec(r, lab, 0.0, 0.5, x, u)
     lloo_simplex_core(x, 0.5, u)

@@ -129,7 +129,11 @@ def _expand_problems(cfg):
 
 
 def run_suite(cfg, out_dir):
-    """Execute a bench config; returns (summary dict, ProfileTable or None)."""
+    """Execute a bench config; returns (summary dict, ProfileTable or None).
+
+    A run that raises is listed in the summary with its `error` message
+    and `error_type`; the remaining runs go on.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     methods = cfg.get("methods", ["standard", "line_search", "analytic", "backtracking"])
@@ -148,8 +152,9 @@ def run_suite(cfg, out_dir):
             entry = {"method": method, "problem": name}
             try:
                 trace = run_one(oracle, feasible_set, method, gap_tol, max_iter, seed=int(spec.get("seed", 0)))
-            except ValueError as exc:
+            except Exception as exc:  # a failed run is recorded and the grid goes on
                 entry["error"] = str(exc)
+                entry["error_type"] = type(exc).__name__
                 runs.append(entry)
                 continue
             path = out_dir / f"{method}__{name}.csv"
@@ -233,7 +238,7 @@ def cmd_bench(args):
     out_dir = args.out or cfg.get("out_dir", "bench_out")
     summary, table = run_suite(cfg, out_dir)
     failures = [r for r in summary["runs"] if "error" in r]
-    print(f"{len(summary['runs']) - len(failures)} runs completed, {len(failures)} skipped -> {out_dir}")
+    print(f"{len(summary['runs']) - len(failures)} runs completed, {len(failures)} failed -> {out_dir}")
     return 0
 
 

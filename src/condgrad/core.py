@@ -2,12 +2,15 @@
 
 An objective enters the solvers through the :class:`ScOracle` call surface:
 value, gradient, Hessian-vector product, domain membership, and the
-curvature parameter ``M``.  This module provides the scalar curvature
-functions, local norms, the duality-gap computation against a feasible
-set's linear oracle, and the Bregman divergence.
+curvature parameter ``M``.  The drivers and step rules see it through a
+point object (:meth:`ScOracle.point`) that holds what they need at one
+iterate.  This module provides the scalar curvature functions, local
+norms, the duality-gap computation against a feasible set's linear
+oracle, and the Bregman divergence.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +53,72 @@ class ScOracle:
     def in_domain(self, x):
         raise NotImplementedError
 
+    def point(self, x):
+        """The objective at x, as the solvers use it (see :class:`OraclePoint`).
+
+        The default evaluates through the four methods above.  An oracle
+        that can carry state from one iterate to the next overrides it
+        with a point of the same surface.
+        """
+        return OraclePoint(self, x)
+
+
+class OraclePoint:
+    """What the drivers, step rules and `estimate_sigma` need at one point x.
+
+    ``f``, ``gradient`` and ``in_domain`` are evaluated once, on first
+    use.  A target is a point of the feasible set; ``norm_to(target)`` is
+    the local norm of ``target - x``, ``line(target)`` the function
+    t -> f(x + t (target - x)), and ``move(alpha, target)`` the point at
+    t = alpha.  The direction to the last target is kept, so the calls
+    of one iteration share it.  ``refreshed()`` returns a point free of
+    carried state; this one carries none.  A point belongs to one run.
+    """
+
+    def __init__(self, oracle, x):
+        self.oracle = oracle
+        self.M = oracle.M
+        self.x = np.asarray(x, dtype=float)
+        self._target = None
+
+    @cached_property
+    def f(self):
+        return float(self.oracle.value(self.x))
+
+    @cached_property
+    def in_domain(self):
+        return bool(self.oracle.in_domain(self.x))
+
+    @cached_property
+    def gradient(self):
+        return self.oracle.gradient(self.x)
+
+    def hess_vec(self, u):
+        return self.oracle.hess_vec(self.x, u)
+
+    def _direction(self, target):
+        """target - x, computed once per target."""
+        if target is not self._target:
+            self._v = np.asarray(target, dtype=float) - self.x
+            self._target = target
+        return self._v
+
+    def norm_to(self, target):
+        if not self.in_domain:
+            raise DomainError("local_norm: point outside the objective domain")
+        v = self._direction(target)
+        return _form_root(float(np.dot(self.hess_vec(v), v)), v)
+
+    def line(self, target):
+        x, v, value = self.x, self._direction(target), self.oracle.value
+        return lambda t: value(x + t * v)
+
+    def move(self, alpha, target):
+        return OraclePoint(self.oracle, self.x + alpha * self._direction(target))
+
+    def refreshed(self):
+        return self
+
 
 @dataclass
 class GapResult:
@@ -79,11 +148,8 @@ def omega_star(t):
     return float(_kernels.omega_star(float(t)))
 
 
-def local_norm(oracle, x, u):
-    """Hessian-induced norm sqrt(<hess_vec(x,u), u>) at x."""
-    if not oracle.in_domain(x):
-        raise DomainError("local_norm: point outside the objective domain")
-    q = float(np.dot(oracle.hess_vec(x, u), u))
+def _form_root(q, u):
+    """sqrt of a Hessian quadratic form q = <H u, u>, rounding noise clipped."""
     if q < 0.0:
         if q < -1e-12 * (1.0 + float(np.dot(u, u))):
             raise InvariantError(f"negative Hessian quadratic form: {q}")
@@ -91,32 +157,39 @@ def local_norm(oracle, x, u):
     return float(np.sqrt(q))
 
 
-def dist_like(oracle, x, y):
-    """Scaled local distance (M/2)*||y - x||_x."""
-    return 0.5 * oracle.M * local_norm(oracle, x, np.asarray(y) - np.asarray(x))
-
-
-def gap_and_target(oracle, feasible_set, x):
-    """Duality gap, linear-oracle target, and local step bound at x.
-
-    Requires x feasible and inside the domain.  The raw gap may round to a
-    tiny negative number; anything below -1e-12 indicates a broken linear
-    oracle and raises :class:`InvariantError`.
-    """
+def local_norm(oracle, x, u):
+    """Hessian-induced norm sqrt(<hess_vec(x,u), u>) at x."""
     if not oracle.in_domain(x):
+        raise DomainError("local_norm: point outside the objective domain")
+    return _form_root(float(np.dot(oracle.hess_vec(x, u), u)), u)
+
+
+def dist_like(point, y):
+    """Scaled local distance (M/2)*||y - x||_x from a point at x."""
+    return 0.5 * point.M * point.norm_to(y)
+
+
+def gap_and_target(feasible_set, point):
+    """Duality gap, linear-oracle target, and local step bound at a point.
+
+    Requires the point feasible and inside the domain.  The raw gap may
+    round to a tiny negative number; anything below -1e-12 indicates a
+    broken linear oracle and raises :class:`InvariantError`.
+    """
+    if not point.in_domain:
         raise DomainError("gap_and_target: point outside the objective domain")
-    if not feasible_set.contains(x):
+    if not feasible_set.contains(point.x):
         raise ValueError("gap_and_target: point outside the feasible set")
-    g = oracle.gradient(x)
+    g = point.gradient
     target = feasible_set.lmo(g)
     lmo_value = float(np.dot(g, target))
-    gap_raw = float(np.dot(g, x)) - lmo_value
+    gap_raw = float(np.dot(g, point.x)) - lmo_value
     if gap_raw < -GAP_SLACK:
         raise InvariantError(f"negative duality gap {gap_raw}: broken linear oracle?")
     return GapResult(
         target=target,
         gap=max(gap_raw, 0.0),
-        e=dist_like(oracle, x, target),
+        e=dist_like(point, target),
         lmo_value=lmo_value,
     )
 

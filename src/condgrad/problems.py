@@ -2,24 +2,190 @@
 
 Three self-concordant families: log-utility allocation over the simplex,
 count-data (Poisson-likelihood) recovery over the nonnegative l1-ball,
-and l1-constrained regularized logistic regression.  All oracles follow
-the generalized-linear-model structure, so Hessian-vector products cost
-the same as a gradient and never materialize a matrix.
+and l1-constrained regularized logistic regression.  All three are
+generalized linear models, f(x) = sum_i phi_i(a_i . x) + (gamma/2)|x|^2,
+so they share one oracle, :class:`GlmOracle`, whose point carries the
+image z = A x from one iterate to the next.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import _kernels, rng
-from .core import DomainError, ScOracle
+from . import rng
+from .core import DomainError, InvariantError, ScOracle
 from .sets import L1Ball, NonnegL1Ball, Simplex
 
 PORTFOLIO_CLAMP = 0.01
 DEFAULT_RADIUS = 10.0
 
+# z is recomputed as A x after this many carried moves ...
+REFRESH_INTERVAL = 100
+# ... and may then differ from it by at most DRIFT_RTOL * max|a_ij| * reach,
+# reach being the largest l1 norm among the last exact x and the targets
+# since (every carried value is a combination of those).
+DRIFT_RTOL = 1e-9
+# A (s - x) is gathered from the columns of s's or (s - x)'s support when
+# that support has at most n / GATHER_RATIO entries: a column read touches
+# one cache line (8 doubles) per row, a full pass one per 8 entries.
+GATHER_RATIO = 8
 
-class PortfolioOracle(ScOracle):
+
+class GlmOracle(ScOracle):
+    """f(x) = sum_i phi_i(a_i . x) + (gamma/2)|x|^2 over the rows a_i of a matrix.
+
+    Subclasses call ``_set_matrix`` (m x n data), set ``M`` and, when
+    there is a quadratic term, ``gamma``, and define phi on the image
+    z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
+    the domain only) and the per-row derivatives ``_d1(z)``, ``_d2(z)``.
+    The four :class:`ScOracle` methods evaluate through a fresh
+    :class:`GlmPoint`; the solvers move one along the run.
+    """
+
+    gamma = 0.0
+
+    def _set_matrix(self, matrix):
+        self.matrix = matrix
+        self.dim = matrix.shape[1]
+
+    @cached_property
+    def _amax(self):
+        """max |a_ij|, the scale of the drift test; read at the first refresh."""
+        return max(float(np.max(self.matrix)), -float(np.min(self.matrix)))
+
+    def point(self, x):
+        return GlmPoint(self, x)
+
+    def value(self, x):
+        return self.point(x).f
+
+    def gradient(self, x):
+        return self.point(x).gradient
+
+    def hess_vec(self, x, u):
+        return self.point(x).hess_vec(u)
+
+    def in_domain(self, x):
+        return self.point(x).in_domain
+
+
+class GlmPoint:
+    """A point of a :class:`GlmOracle` that carries z = A x.
+
+    Same surface as :class:`~condgrad.core.OraclePoint`.  A move to
+    x + alpha (s - x) updates z <- z + alpha A (s - x), with A (s - x)
+    gathered from the target's support: a vertex of the feasible set is
+    one scaled column, and a local-oracle target differs from x on a few
+    coordinates.  Domain tests, f, local norms and line probes then cost
+    O(m); the gradient's A^T phi'(z) is the one full pass over the data
+    per iterate, a Hessian product takes two.  After REFRESH_INTERVAL
+    carried moves, and on ``refreshed()``, z is recomputed as A x; a
+    carried z that drifted beyond DRIFT_RTOL raises InvariantError.
+    """
+
+    def __init__(self, oracle, x, z=None, age=0, reach=None):
+        self.oracle = oracle
+        self.M = oracle.M
+        self.x = np.asarray(x, dtype=float)
+        self.z = oracle.matrix @ self.x if z is None else z
+        self.age = age
+        self.reach = float(np.sum(np.abs(self.x))) if reach is None else reach
+        self._target = None
+
+    def _value(self, z, x):
+        if not self.oracle._domain(z):
+            return np.inf
+        f = float(self.oracle._loss(z))
+        gamma = self.oracle.gamma
+        return f + 0.5 * gamma * float(np.dot(x, x)) if gamma else f
+
+    def _require_domain(self, what):
+        if not self.in_domain:
+            raise DomainError(f"{what}: point outside the objective domain")
+
+    @cached_property
+    def in_domain(self):
+        return bool(self.oracle._domain(self.z))
+
+    @cached_property
+    def f(self):
+        return self._value(self.z, self.x)
+
+    @cached_property
+    def gradient(self):
+        self._require_domain("gradient")
+        g = self.oracle.matrix.T @ self.oracle._d1(self.z)
+        gamma = self.oracle.gamma
+        return g + gamma * self.x if gamma else g
+
+    @cached_property
+    def _d2(self):
+        return self.oracle._d2(self.z)
+
+    def hess_vec(self, u):
+        self._require_domain("hess_vec")
+        u = np.asarray(u, dtype=float)
+        a = self.oracle.matrix
+        hv = a.T @ (self._d2 * (a @ u))
+        gamma = self.oracle.gamma
+        return hv + gamma * u if gamma else hv
+
+    def _image(self, target):
+        """(v, A v, |target|_1) for v = target - x, computed once per target."""
+        if target is not self._target:
+            s = np.asarray(target, dtype=float)
+            v = s - self.x
+            a = self.oracle.matrix
+            support, moved = np.flatnonzero(s), np.flatnonzero(v)
+            if support.size <= moved.size and support.size * GATHER_RATIO <= v.size:
+                av = a[:, support] @ s[support] - self.z
+            elif moved.size * GATHER_RATIO <= v.size:
+                av = a[:, moved] @ v[moved]
+            else:
+                av = a @ v
+            self._target = target
+            self._image_of_target = (v, av, float(np.sum(np.abs(s))))
+        return self._image_of_target
+
+    def norm_to(self, target):
+        self._require_domain("local_norm")
+        v, av, _ = self._image(target)
+        q = float(np.dot(self._d2, av * av))
+        gamma = self.oracle.gamma
+        if gamma:
+            q += gamma * float(np.dot(v, v))
+        return float(np.sqrt(q))
+
+    def line(self, target):
+        v, av, _ = self._image(target)
+        x, z = self.x, self.z
+        return lambda t: self._value(z + t * av, x + t * v)
+
+    def move(self, alpha, target):
+        v, av, s_norm = self._image(target)
+        x = self.x + alpha * v
+        z = self.z + alpha * av
+        reach = max(self.reach, s_norm)
+        if self.age + 1 >= REFRESH_INTERVAL:
+            return GlmPoint(self.oracle, x, self._exact_image(x, z, reach))
+        return GlmPoint(self.oracle, x, z, self.age + 1, reach)
+
+    def refreshed(self):
+        if self.age == 0:
+            return self
+        return GlmPoint(self.oracle, self.x, self._exact_image(self.x, self.z, self.reach))
+
+    def _exact_image(self, x, z, reach):
+        exact = self.oracle.matrix @ x
+        drift = float(np.max(np.abs(z - exact)))
+        bound = DRIFT_RTOL * self.oracle._amax * reach
+        if not drift <= bound:
+            raise InvariantError(f"carried image z = A x drifted by {drift:.3e} (bound {bound:.3e})")
+        return exact
+
+
+class PortfolioOracle(GlmOracle):
     """f(x) = -sum_t ln(r_t . x) over rows of a positive returns matrix."""
 
     def __init__(self, returns):
@@ -28,31 +194,32 @@ class PortfolioOracle(ScOracle):
             raise ValueError("returns must be a T x n matrix")
         if not np.all(returns > 0.0):
             raise ValueError("returns matrix must be strictly positive")
-        self.returns = returns
-        self.dim = returns.shape[1]
+        self._set_matrix(returns)
         self.M = 2.0
 
-    def value(self, x):
-        return float(_kernels.log_utility_value(self.returns, np.asarray(x, dtype=float)))
+    @property
+    def returns(self):
+        return self.matrix
 
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.in_domain(x):
-            raise DomainError("gradient: point outside the objective domain")
-        return _kernels.log_utility_grad(self.returns, x)
+    def _domain(self, z):
+        return np.min(z) > 0.0
 
-    def hess_vec(self, x, u):
-        x = np.asarray(x, dtype=float)
-        if not self.in_domain(x):
-            raise DomainError("hess_vec: point outside the objective domain")
-        return _kernels.log_utility_hessvec(self.returns, x, np.asarray(u, dtype=float))
+    def _loss(self, z):
+        return -np.sum(np.log(z))
 
-    def in_domain(self, x):
-        return _kernels.log_utility_min_dot(self.returns, np.asarray(x, dtype=float)) > 0.0
+    def _d1(self, z):
+        return -1.0 / z
+
+    def _d2(self, z):
+        return 1.0 / (z * z)
 
 
-class PoissonOracle(ScOracle):
-    """f(x) = sum_i w_i . x - sum_i y_i ln(w_i . x) for counts y >= 0."""
+class PoissonOracle(GlmOracle):
+    """f(x) = sum_i w_i . x - sum_i y_i ln(w_i . x) for counts y >= 0.
+
+    Rows with y_i = 0 contribute only the linear part and impose no
+    positivity constraint.
+    """
 
     def __init__(self, weights, counts):
         weights = np.ascontiguousarray(weights, dtype=float)
@@ -66,32 +233,38 @@ class PoissonOracle(ScOracle):
         pos = counts > 0
         if np.any(~np.any(weights[pos] > 0.0, axis=1)):
             raise ValueError("every row with a positive count needs a positive entry")
-        self.weights = weights
+        self._set_matrix(weights)
         self.counts = counts
-        self.dim = weights.shape[1]
+        # rows with a positive count; a slice when that is every row
+        self._rows = slice(None) if np.all(pos) else np.flatnonzero(pos)
+        self._y = counts[self._rows]
         # linear objective when every count is zero; curvature then vacuous
         self.M = float(np.max(2.0 / np.sqrt(counts[pos]))) if np.any(pos) else 2.0
 
-    def value(self, x):
-        return float(_kernels.poisson_value(self.weights, self.counts, np.asarray(x, dtype=float)))
+    @property
+    def weights(self):
+        return self.matrix
 
-    def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.in_domain(x):
-            raise DomainError("gradient: point outside the objective domain")
-        return _kernels.poisson_grad(self.weights, self.counts, x)
+    def _domain(self, z):
+        zp = z[self._rows]
+        return zp.size == 0 or np.min(zp) > 0.0
 
-    def hess_vec(self, x, u):
-        x = np.asarray(x, dtype=float)
-        if not self.in_domain(x):
-            raise DomainError("hess_vec: point outside the objective domain")
-        return _kernels.poisson_hessvec(self.weights, self.counts, x, np.asarray(u, dtype=float))
+    def _loss(self, z):
+        return np.sum(z) - np.sum(self._y * np.log(z[self._rows]))
 
-    def in_domain(self, x):
-        return _kernels.poisson_min_dot(self.weights, self.counts, np.asarray(x, dtype=float)) > 0.0
+    def _d1(self, z):
+        coef = np.ones_like(z)
+        coef[self._rows] -= self._y / z[self._rows]
+        return coef
+
+    def _d2(self, z):
+        coef = np.zeros_like(z)
+        zp = z[self._rows]
+        coef[self._rows] = self._y / (zp * zp)
+        return coef
 
 
-class LogisticOracle(ScOracle):
+class LogisticOracle(GlmOracle):
     """(1/N) sum_i log(1 + exp(-y_i (phi_i . x + mu))) + (gamma/2)|x|^2."""
 
     def __init__(self, features, labels, mu=0.0, gamma=None):
@@ -103,28 +276,39 @@ class LogisticOracle(ScOracle):
             gamma = 1.0 / features.shape[0]
         if not gamma > 0:
             raise ValueError("gamma must be positive")
-        self.features = features
+        self._set_matrix(features)
         self.labels = labels
         self.mu = float(mu)
         self.gamma = float(gamma)
-        self.dim = features.shape[1]
         self.M = float(np.max(np.linalg.norm(features, axis=1)) / np.sqrt(gamma))
 
-    def value(self, x):
-        return float(
-            _kernels.logistic_value(self.features, self.labels, self.mu, self.gamma, np.asarray(x, dtype=float))
-        )
+    @property
+    def features(self):
+        return self.matrix
 
-    def gradient(self, x):
-        return _kernels.logistic_grad(self.features, self.labels, self.mu, self.gamma, np.asarray(x, dtype=float))
+    def _margins(self, z):
+        t = self.labels * (z + self.mu)
+        return t, np.exp(-np.abs(t))
 
-    def hess_vec(self, x, u):
-        return _kernels.logistic_hessvec(
-            self.features, self.labels, self.mu, self.gamma, np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        )
-
-    def in_domain(self, x):
+    def _domain(self, z):
         return True
+
+    def _loss(self, z):
+        # log(1 + exp(-t)) without overflow
+        t, e = self._margins(z)
+        return np.mean(np.maximum(-t, 0.0) + np.log1p(e))
+
+    def _sigmoid(self, z):
+        t, e = self._margins(z)
+        return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    def _d1(self, z):
+        # l'(t) = sigmoid(t) - 1, chained through t = y (z + mu)
+        return (self._sigmoid(z) - 1.0) * self.labels / z.shape[0]
+
+    def _d2(self, z):
+        sig = self._sigmoid(z)
+        return sig * (1.0 - sig) * self.labels * self.labels / z.shape[0]
 
 
 @dataclass

@@ -43,7 +43,11 @@ def relative_error(f_k, f_best):
 
 
 def build_profile_table(records):
-    """Assemble the per-(method, problem) relative-error series."""
+    """Assemble the per-(method, problem) relative-error series.
+
+    A problem whose best value is too close to zero for a relative error
+    raises ValueError naming it.
+    """
     records = list(records)
     if not records:
         raise ValueError("no runs to profile")
@@ -60,9 +64,11 @@ def build_profile_table(records):
     for p in problems:
         table.best[p] = min(attained[(m, p)] for m in methods)
     for r in records:
-        best = table.best[r.problem]
-        series = np.asarray(r.f_series, dtype=float)
-        table.rel_err[(r.method, r.problem)] = (series - best) / abs(best)
+        try:
+            rel = relative_error(np.asarray(r.f_series, dtype=float), table.best[r.problem])
+        except ValueError as exc:
+            raise ValueError(f"problem {r.problem!r}: {exc}") from None
+        table.rel_err[(r.method, r.problem)] = rel
         table.time_ns[(r.method, r.problem)] = np.asarray(r.time_ns)
     return table
 

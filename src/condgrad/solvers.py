@@ -65,10 +65,6 @@ class RunTrace:
     config: RunConfig | None = None
     init_lipschitz: float | None = None
 
-    @property
-    def iterations(self):
-        return self.records
-
     def save_csv(self, path):
         with open(path, "w") as fh:
             fh.write(format_trace_csv(self))
@@ -154,14 +150,17 @@ def fw_solve(oracle, feasible_set, config, x0=None):
     open-loop/line-search step leaving the objective domain, in which
     case `final_x` is the offending point).  Every in-domain iterate is
     recorded; under the analytic policy a failure to decrease by the
-    model amount raises :class:`InvariantError`.
+    model amount raises :class:`InvariantError`.  The iterate is the
+    oracle's point (:meth:`ScOracle.point`); a gap below `epsilon` is
+    accepted only as evaluated at a refreshed point.
     """
     if config.policy not in POLICIES:
         raise ValueError(f"fw_solve cannot run policy {config.policy!r}")
-    x = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
-    if not oracle.in_domain(x):
+    x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
+    point = oracle.point(x0)
+    if not point.in_domain:
         raise DomainError("start point outside the objective domain")
-    if not feasible_set.contains(x):
+    if not feasible_set.contains(x0):
         raise ValueError("start point outside the feasible set")
 
     records = []
@@ -175,40 +174,44 @@ def fw_solve(oracle, feasible_set, config, x0=None):
 
     while True:
         t_row = time.perf_counter_ns() - t0 if config.record_times else 0
-        f_k = float(oracle.value(x))
+        f_k = point.f
         if config.policy == "analytic" and prev_required is not None and f_k > prev_required:
             raise InvariantError(
                 f"objective rose above the guaranteed level at iteration {k}: "
                 f"{f_k} > {prev_required}"
             )
-        res = gap_and_target(oracle, feasible_set, x)
+        res = gap_and_target(feasible_set, point)
         gap, e, s = res.gap, res.e, res.target
 
         if gap <= config.epsilon:
+            exact = point.refreshed()
+            if exact is not point:
+                # accept the gap only as evaluated without carried state
+                point = exact
+                continue
             records.append(IterationRecord(k, f_k, gap, 0.0, e, None, t_row))
-            return RunTrace(records, x, "gap_below_eps", config, init_lip)
+            return RunTrace(records, point.x, "gap_below_eps", config, init_lip)
         if k >= config.max_iter:
             records.append(IterationRecord(k, f_k, gap, 0.0, e, None, t_row))
-            return RunTrace(records, x, "max_iter", config, init_lip)
+            return RunTrace(records, point.x, "max_iter", config, init_lip)
 
-        v = s - x
         lip_used = None
         evals = None
         if config.policy == "standard":
             alpha = standard_step(k)
         elif config.policy == "line_search":
-            alpha = exact_line_search(oracle, x, v, e)
+            alpha = exact_line_search(point, s, e)
         elif config.policy == "analytic":
             sr = analytic_step(gap, e, oracle.M)
             alpha = sr.alpha
             prev_required = f_k - sr.model_decrease + DESCENT_SLACK
         else:
             if state is None:
-                init_lip = init_lipschitz(oracle, x, s)
+                init_lip = init_lipschitz(point, s)
                 state = BacktrackState(init_lip)
             if prev_f is not None:
                 state.prev_decrease = prev_f - f_k
-            sr = backtrack_step(oracle, x, v, gap, state, f_x=f_k)
+            sr = backtrack_step(point, s, gap, state)
             alpha = sr.alpha
             lip_used = sr.lipschitz
             evals = sr.evals_used
@@ -217,18 +220,18 @@ def fw_solve(oracle, feasible_set, config, x0=None):
 
         tiny_steps = tiny_steps + 1 if alpha < STALL_ALPHA else 0
         if tiny_steps >= STALL_RUNS:
-            return RunTrace(records, x, "stalled", config, init_lip)
+            return RunTrace(records, point.x, "stalled", config, init_lip)
 
-        x_next = x + alpha * v
-        if not oracle.in_domain(x_next):
+        nxt = point.move(alpha, s)
+        if not nxt.in_domain:
             if config.policy in ("analytic", "backtracking"):
                 raise InvariantError(
                     f"{config.policy} step left the objective domain at iteration {k}"
                 )
             # the open-loop/line-search baselines carry no domain guarantee
-            return RunTrace(records, x_next, "stalled", config, init_lip)
+            return RunTrace(records, nxt.x, "stalled", config, init_lip)
         prev_f = f_k
-        x = x_next
+        point = nxt
         k += 1
 
 
@@ -279,10 +282,11 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
     factor used.
     """
     feasible_set = Simplex(oracle.dim)
-    x = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
-    if not oracle.in_domain(x):
+    x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
+    point = oracle.point(x0)
+    if not point.in_domain:
         raise DomainError("start point outside the objective domain")
-    if not feasible_set.contains(x):
+    if not feasible_set.contains(x0):
         raise ValueError("start point outside the feasible set")
 
     records = []
@@ -295,10 +299,10 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
 
     while True:
         t_row = time.perf_counter_ns() - t0 if config.record_times else 0
-        f_k = float(oracle.value(x))
+        f_k = point.f
         # no monotonicity check here: the locally-restricted step contracts
         # the error bound gap0 * c_k, but the raw objective may wobble up
-        res = gap_and_target(oracle, feasible_set, x)
+        res = gap_and_target(feasible_set, point)
         gap = res.gap
         if gap0 is None:
             gap0 = gap
@@ -311,18 +315,23 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
             radius = r0 * contraction
 
         if gap <= config.epsilon:
+            exact = point.refreshed()
+            if exact is not point:
+                # accept the gap only as evaluated without carried state
+                point = exact
+                continue
             records.append(
                 IterationRecord(k, f_k, gap, 0.0, res.e, None, t_row, None, radius, contraction)
             )
-            return RunTrace(records, x, "gap_below_eps", config)
+            return RunTrace(records, point.x, "gap_below_eps", config)
         if k >= config.max_iter:
             records.append(
                 IterationRecord(k, f_k, gap, 0.0, res.e, None, t_row, None, radius, contraction)
             )
-            return RunTrace(records, x, "max_iter", config)
+            return RunTrace(records, point.x, "max_iter", config)
 
-        s = lloo(x, radius, oracle.gradient(x)).point
-        e_local = dist_like(oracle, x, s)
+        s = lloo(point.x, radius, point.gradient).point
+        e_local = dist_like(point, s)
         alpha = lloo_step_size(contraction, gap0, e_local, oracle.M)
         records.append(
             IterationRecord(k, f_k, gap, alpha, e_local, None, t_row, None, radius, contraction)
@@ -330,10 +339,10 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
 
         tiny_steps = tiny_steps + 1 if alpha < STALL_ALPHA else 0
         if tiny_steps >= STALL_RUNS:
-            return RunTrace(records, x, "stalled", config)
+            return RunTrace(records, point.x, "stalled", config)
 
-        x = x + alpha * (s - x)
-        if not oracle.in_domain(x):
+        point = point.move(alpha, s)
+        if not point.in_domain:
             raise InvariantError(f"local-oracle step left the domain at iteration {k}")
         alpha_sum += alpha
         k += 1
@@ -353,11 +362,11 @@ def estimate_sigma(oracle, x, iters=30):
     Heuristic stand-in for the strong-convexity parameter over the level
     set, which is what the linear-convergence analysis actually needs.
     Each of the `iters` steps applies the inverse Hessian action through
-    conjugate gradients on the Hessian-vector product.
+    conjugate gradients on the Hessian-vector product of one point at x.
     """
     n = oracle.dim
-    x = np.asarray(x, dtype=float)
-    op = LinearOperator((n, n), matvec=lambda u: oracle.hess_vec(x, u))
+    point = oracle.point(x)
+    op = LinearOperator((n, n), matvec=point.hess_vec)
     v = np.full(n, 1.0 / np.sqrt(n))
     for _ in range(iters):
         z, _ = cg(op, v, rtol=1e-12, atol=0.0)
@@ -365,7 +374,7 @@ def estimate_sigma(oracle, x, iters=30):
         if nz == 0.0:
             break
         v = z / nz
-    return float(np.dot(v, oracle.hess_vec(x, v)))
+    return float(np.dot(v, point.hess_vec(v)))
 
 
 def lloo_rate_floor(sigma_f, lipschitz, rho, M, diam):

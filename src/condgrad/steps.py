@@ -106,47 +106,41 @@ def _golden_section(phi, lo, hi, width):
     return 0.5 * (a + b)
 
 
-def exact_line_search(oracle, x, v, e):
-    """Golden-section minimization of f(x + t*v) over t in [0, t_max].
+def exact_line_search(point, target, e):
+    """Golden-section minimization of f(x + t*(target - x)) over t in [0, t_max].
 
     t_max = min(1, 0.99/e) keeps every probe inside the domain whenever
     e is the scaled local distance of the full step; probes landing
     outside evaluate to +inf and are rejected naturally.  Returns 0 when
     no probed step improves on staying put.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     t_max = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
-
-    def phi(t):
-        return oracle.value(x + t * v)
-
+    phi = point.line(target)
     t = _golden_section(phi, 0.0, t_max, LINE_SEARCH_WIDTH)
     if not phi(t) < phi(0.0):
         return 0.0
     return t
 
 
-def backtrack_step(oracle, x, v, gap, state, f_x=None):
-    """Backtracking step against the quadratic model with estimate mu.
+def backtrack_step(point, target, gap, state):
+    """Backtracking step toward `target` against the quadratic model with estimate mu.
 
-    The trial Lipschitz value starts from a clipped curvature guess based
-    on the previous decrease, and doubles until
+    With v = target - x, the trial Lipschitz value starts from a clipped
+    curvature guess based on the previous decrease, and doubles until
     f(x + alpha*v) <= f(x) - alpha*gap + (alpha^2 mu / 2)|v|^2 holds with
     alpha = min(gap/(mu |v|^2), 1).  Probes outside the domain count as
     +inf and fail the check like any insufficient decrease.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     if not gap > 0:
         raise ValueError("backtrack_step requires a positive gap")
+    v = np.asarray(target, dtype=float) - point.x
     vv = float(np.dot(v, v))
     if vv == 0.0:
         raise ValueError("backtrack_step requires a nonzero direction")
-    if f_x is None:
-        f_x = oracle.value(x)
+    f_x = point.f
     if not np.isfinite(f_x):
         raise DomainError("backtrack_step: base point outside the objective domain")
+    phi = point.line(target)
 
     lo = state.gamma_down * state.lipschitz
     if state.prev_decrease is not None and state.prev_decrease > 0.0:
@@ -160,7 +154,7 @@ def backtrack_step(oracle, x, v, gap, state, f_x=None):
         alpha = min(gap / (mu * vv), 1.0)
         quad = f_x - alpha * gap + 0.5 * alpha * alpha * mu * vv
         evals += 1
-        if oracle.value(x + alpha * v) <= quad:
+        if phi(alpha) <= quad:
             break
         if evals > MAX_DOUBLINGS:
             raise InvariantError(
@@ -178,26 +172,22 @@ def backtrack_step(oracle, x, v, gap, state, f_x=None):
     )
 
 
-def init_lipschitz(oracle, x0, s0, eps=1e-3):
-    """Finite-difference seed for the local Lipschitz estimate.
+def init_lipschitz(point, s0, eps=1e-3):
+    """Finite-difference seed for the local Lipschitz estimate at a point x0.
 
     Measures ||grad f(x0) - grad f(x0 + eps*(s0-x0))|| / (eps*||s0-x0||),
     halving eps (up to 60 times) until the probe lies in the domain.
     """
-    x0 = np.asarray(x0, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    direction = s0 - x0
-    norm = float(np.linalg.norm(direction))
+    norm = float(np.linalg.norm(np.asarray(s0, dtype=float) - point.x))
     if norm == 0.0:
         raise ValueError("init_lipschitz: target coincides with the start point")
-    if not oracle.in_domain(x0):
+    if not point.in_domain:
         raise DomainError("init_lipschitz: start point outside the objective domain")
     for _ in range(60):
-        if oracle.in_domain(x0 + eps * direction):
+        probe = point.move(eps, s0)
+        if probe.in_domain:
             break
         eps *= 0.5
     else:
         raise DomainError("init_lipschitz: could not find an in-domain probe")
-    g0 = oracle.gradient(x0)
-    g1 = oracle.gradient(x0 + eps * direction)
-    return float(np.linalg.norm(g0 - g1)) / (eps * norm)
+    return float(np.linalg.norm(point.gradient - probe.gradient)) / (eps * norm)

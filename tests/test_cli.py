@@ -216,6 +216,47 @@ class TestBench:
         errors = [r for r in summary["runs"] if "error" in r]
         assert len(errors) == 1 and errors[0]["method"] == "lloo"
 
+    def test_failed_run_recorded_and_grid_goes_on(self, tmp_path, monkeypatch):
+        from condgrad import cli
+        from condgrad.core import InvariantError
+        from condgrad.problems import PortfolioOracle
+
+        real_run_one = cli.run_one
+
+        def failing_run_one(oracle, feasible_set, method, *args, **kwargs):
+            if method == "analytic" and isinstance(oracle, PortfolioOracle):
+                raise InvariantError("injected failure")
+            return real_run_one(oracle, feasible_set, method, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_one", failing_run_one)
+        cfg = {
+            "problems": [
+                {"kind": "portfolio", "n": 5, "T": 10},
+                {"kind": "poisson", "m": 12, "n": 5, "radius": 3.0},
+            ],
+            "methods": ["analytic", "backtracking"],
+            "max_iter": 100,
+            "gap_tol": 1e-6,
+            "eps_grid": [0.1, 0.01],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 0
+        summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+        failed = [r for r in summary["runs"] if "error" in r]
+        assert len(summary["runs"]) == 4
+        assert len(failed) == 1
+        assert failed[0]["method"] == "analytic"
+        assert failed[0]["problem"].startswith("portfolio")
+        assert failed[0]["error_type"] == "InvariantError"
+        assert failed[0]["error"] == "injected failure"
+        done = [r for r in summary["runs"] if "error" not in r]
+        assert all(r["termination"] in ("gap_below_eps", "max_iter", "stalled") for r in done)
+        assert all((tmp_path / "res" / r["trace"]).exists() for r in done)
+        # the method with a trace on every problem still gets its profile
+        profiles = (tmp_path / "res" / "profiles.csv").read_text()
+        assert "backtracking" in profiles and "analytic" not in profiles
+
     def test_profile_handles_partial_method_coverage(self, tmp_path):
         # the simplex-only method leaves no traces on non-simplex problems;
         # recomputation must drop it instead of failing on the missing pairs

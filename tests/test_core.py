@@ -96,11 +96,11 @@ class TestLocalNorm:
 class TestDistLike:
     def test_same_point(self, log_barrier2):
         x = np.array([0.5, 0.5])
-        assert dist_like(log_barrier2, x, x) == 0.0
+        assert dist_like(log_barrier2.point(x), x) == 0.0
 
     def test_log_barrier_worked_case(self, log_barrier2):
         assert dist_like(
-            log_barrier2, np.array([0.25, 0.75]), np.array([1.0, 0.0])
+            log_barrier2.point(np.array([0.25, 0.75])), np.array([1.0, 0.0])
         ) == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
     def test_linear_in_curvature_parameter(self):
@@ -109,12 +109,12 @@ class TestDistLike:
         b.M = 4.0
         x = np.array([0.25, 0.75])
         y = np.array([0.5, 0.6])
-        assert dist_like(b, x, y) == pytest.approx(2.0 * dist_like(a, x, y))
+        assert dist_like(b.point(x), y) == pytest.approx(2.0 * dist_like(a.point(x), y))
 
 
 class TestGapAndTarget:
     def test_log_barrier_on_simplex(self, log_barrier2):
-        res = gap_and_target(log_barrier2, Simplex(2), np.array([0.25, 0.75]))
+        res = gap_and_target(Simplex(2), log_barrier2.point(np.array([0.25, 0.75])))
         assert np.array_equal(res.target, [1.0, 0.0])
         assert res.gap == pytest.approx(2.0, abs=1e-12)
         assert res.e == pytest.approx(np.sqrt(10.0), abs=1e-12)
@@ -122,22 +122,22 @@ class TestGapAndTarget:
 
     def test_constant_objective_has_zero_gap(self):
         oracle = portfolio_oracle(np.array([[1.0, 1.0]]))
-        res = gap_and_target(oracle, Simplex(2), np.array([0.5, 0.5]))
+        res = gap_and_target(Simplex(2), oracle.point(np.array([0.5, 0.5])))
         assert res.gap == 0.0
 
     def test_quadratic_on_simplex_vertex(self, quad2):
-        res = gap_and_target(quad2, Simplex(2), np.array([1.0, 0.0]))
+        res = gap_and_target(Simplex(2), quad2.point(np.array([1.0, 0.0])))
         assert np.array_equal(res.target, [0.0, 1.0])
         assert res.gap == pytest.approx(1.0)
 
     def test_infeasible_point_rejected(self, log_barrier2):
         with pytest.raises(ValueError):
-            gap_and_target(log_barrier2, Simplex(2), np.array([0.8, 0.8]))
+            gap_and_target(Simplex(2), log_barrier2.point(np.array([0.8, 0.8])))
 
     def test_out_of_domain_rejected(self, quad2):
         oracle = LogBarrierOracle(2)
         with pytest.raises(DomainError):
-            gap_and_target(oracle, Simplex(2), np.array([1.0, 0.0]))
+            gap_and_target(Simplex(2), oracle.point(np.array([1.0, 0.0])))
 
     def test_broken_lmo_raises_invariant_error(self, quad2):
         class WorseThanX:
@@ -151,7 +151,7 @@ class TestGapAndTarget:
                 return True
 
         with pytest.raises(InvariantError):
-            gap_and_target(quad2, WorseThanX(), np.array([0.0, 1.0]))
+            gap_and_target(WorseThanX(), quad2.point(np.array([0.0, 1.0])))
 
 
 class TestConcurrentReads:
@@ -161,9 +161,9 @@ class TestConcurrentReads:
         fs = Simplex(2)
         gen = np.random.default_rng(8)
         points = [gen.dirichlet([2.0, 2.0]) for _ in range(64)]
-        expected = [gap_and_target(log_barrier2, fs, x).gap for x in points]
+        expected = [gap_and_target(fs, log_barrier2.point(x)).gap for x in points]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda x: gap_and_target(log_barrier2, fs, x).gap, points))
+            got = list(pool.map(lambda x: gap_and_target(fs, log_barrier2.point(x)).gap, points))
         assert got == expected
 
 

@@ -5,89 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from condgrad import _kernels, rng
+from condgrad import _kernels
 
 pytestmark = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
 
 
-@pytest.fixture(scope="module")
-def glm_data():
-    T, n = 23, 7
-    returns = np.maximum(1.0 + 0.1 * rng.normals(1, T * n).reshape(T, n), 0.01)
-    x = np.abs(rng.normals(2, n)) + 0.1
-    u = rng.normals(3, n)
-    counts = np.floor(rng.uniforms(4, T) * 3)
-    labels = np.where(rng.uniforms(5, T) < 0.5, 1.0, -1.0)
-    return returns, x, u, counts, labels
-
-
 class TestImplementationParity:
-    def test_log_utility(self, glm_data):
-        returns, x, u, _, _ = glm_data
-        assert _kernels.log_utility_value_nb(returns, x) == pytest.approx(
-            _kernels.log_utility_value_np(returns, x), rel=1e-13
-        )
-        assert np.allclose(
-            _kernels.log_utility_grad_nb(returns, x),
-            _kernels.log_utility_grad_np(returns, x),
-            rtol=1e-13,
-        )
-        assert np.allclose(
-            _kernels.log_utility_hessvec_nb(returns, x, u),
-            _kernels.log_utility_hessvec_np(returns, x, u),
-            rtol=1e-13,
-        )
-        assert _kernels.log_utility_min_dot_nb(returns, x) == pytest.approx(
-            _kernels.log_utility_min_dot_np(returns, x), rel=1e-14
-        )
-
-    def test_poisson(self, glm_data):
-        returns, x, u, counts, _ = glm_data
-        assert _kernels.poisson_value_nb(returns, counts, x) == pytest.approx(
-            _kernels.poisson_value_np(returns, counts, x), rel=1e-13
-        )
-        assert np.allclose(
-            _kernels.poisson_grad_nb(returns, counts, x),
-            _kernels.poisson_grad_np(returns, counts, x),
-            rtol=1e-13,
-        )
-        assert np.allclose(
-            _kernels.poisson_hessvec_nb(returns, counts, x, u),
-            _kernels.poisson_hessvec_np(returns, counts, x, u),
-            rtol=1e-13,
-        )
-        assert _kernels.poisson_min_dot_nb(returns, counts, x) == pytest.approx(
-            _kernels.poisson_min_dot_np(returns, counts, x), rel=1e-14
-        )
-
-    def test_logistic(self, glm_data):
-        returns, x, u, _, labels = glm_data
-        args = (returns, labels, 0.3, 0.05)
-        assert _kernels.logistic_value_nb(*args, x) == pytest.approx(
-            _kernels.logistic_value_np(*args, x), rel=1e-13
-        )
-        assert np.allclose(
-            _kernels.logistic_grad_nb(*args, x),
-            _kernels.logistic_grad_np(*args, x),
-            rtol=1e-12,
-            atol=1e-15,
-        )
-        assert np.allclose(
-            _kernels.logistic_hessvec_nb(*args, x, u),
-            _kernels.logistic_hessvec_np(*args, x, u),
-            rtol=1e-12,
-            atol=1e-15,
-        )
-
-    def test_domain_sentinels(self, glm_data):
-        returns, x, _, counts, _ = glm_data
-        bad = -np.ones_like(x)
-        assert _kernels.log_utility_value_nb(returns, bad) == np.inf
-        assert _kernels.log_utility_value_np(returns, bad) == np.inf
-        counts = np.maximum(counts, 1.0)
-        assert _kernels.poisson_value_nb(returns, counts, bad) == np.inf
-        assert _kernels.poisson_value_np(returns, counts, bad) == np.inf
-
     def test_curvature_scalars(self):
         for t in (-0.5, -1e-5, 0.0, 1e-6, 9e-5, 2e-4, 0.5, 3.0):
             assert _kernels.omega_nb(t) == pytest.approx(_kernels.omega_np(t), rel=1e-12, abs=1e-18)
@@ -124,7 +47,7 @@ class TestEnvFlagSelection:
         code = (
             "from condgrad import _kernels; import numpy as np;"
             "print(_kernels.USING_NUMBA,"
-            " _kernels.log_utility_value is _kernels.log_utility_value_np)"
+            " _kernels.omega is _kernels.omega_np)"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -129,6 +129,16 @@ class TestTableProperties:
         with pytest.raises(ValueError):
             build_profile_table(records)
 
+    def test_zero_reference_rejected_naming_the_problem(self):
+        records = [
+            RunRecord("a", "p1", np.array([2.0, 1.0]), np.array([0, 10])),
+            RunRecord("b", "p1", np.array([2.0, 1.5]), np.array([0, 10])),
+            RunRecord("a", "crosses_zero", np.array([1.0, 0.0]), np.array([0, 10])),
+            RunRecord("b", "crosses_zero", np.array([1.0, 0.5]), np.array([0, 10])),
+        ]
+        with pytest.raises(ValueError, match="crosses_zero"):
+            build_profile_table(records)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_profile_table([])

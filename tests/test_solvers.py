@@ -383,7 +383,7 @@ class TestTraceBookkeeping:
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         seen = []
 
-        class Spy:
+        class Spy(ScOracle):
             dim = oracle.dim
             M = oracle.M
 

@@ -68,19 +68,19 @@ class TestExactLineSearch:
             def value(self, x):
                 return float((x[0] - 0.3) ** 2)
 
-        t = exact_line_search(Shifted(np.ones(1)), np.zeros(1), np.ones(1), e=0.0)
+        t = exact_line_search(Shifted(np.ones(1)).point(np.zeros(1)), np.ones(1), e=0.0)
         assert t == pytest.approx(0.3, abs=1e-9)
 
     def test_no_descent_returns_zero(self, quad2):
         # moving away from the minimizer of 0.5|x|^2
-        t = exact_line_search(quad2, np.array([1.0, 1.0]), np.array([1.0, 1.0]), e=0.0)
+        t = exact_line_search(quad2.point(np.array([1.0, 1.0])), np.array([2.0, 2.0]), e=0.0)
         assert t == 0.0
 
     def test_log_barrier_stays_in_domain(self, log_barrier2):
         x = np.array([0.25, 0.75])
         v = np.array([1.0, 0.0]) - x
         e = np.sqrt(10.0)
-        t = exact_line_search(log_barrier2, x, v, e)
+        t = exact_line_search(log_barrier2.point(x), x + v, e)
         assert t <= 0.99 / e + 1e-12
         assert np.isfinite(log_barrier2.value(x + t * v))
 
@@ -90,7 +90,7 @@ class TestBacktrackStep:
         # start estimate clipped up to 1.0 by a small previous decrease
         state = BacktrackState(lipschitz=1.0, prev_decrease=0.1)
         res = backtrack_step(
-            quad2, np.array([1.0, 0.0]), np.array([-1.0, 1.0]), gap=1.0, state=state
+            quad2.point(np.array([1.0, 0.0])), np.array([0.0, 1.0]), gap=1.0, state=state
         )
         assert res.alpha == 0.5
         assert res.lipschitz == 1.0
@@ -100,7 +100,7 @@ class TestBacktrackStep:
     def test_doubles_until_sufficient_decrease(self, quad2):
         state = BacktrackState(lipschitz=0.25, prev_decrease=0.1)
         res = backtrack_step(
-            quad2, np.array([1.0, 0.0]), np.array([-1.0, 1.0]), gap=1.0, state=state
+            quad2.point(np.array([1.0, 0.0])), np.array([0.0, 1.0]), gap=1.0, state=state
         )
         # 0.25 fails at alpha=1, 0.5 fails at alpha=1, 1.0 accepts at alpha=0.5
         assert (res.alpha, res.lipschitz) == (0.5, 1.0)
@@ -113,7 +113,7 @@ class TestBacktrackStep:
         x = np.array([0.25, 0.75])
         v = np.array([1.0, 0.0]) - x
         state = BacktrackState(lipschitz=1e-3)
-        res = backtrack_step(log_barrier2, x, v, gap=2.0, state=state)
+        res = backtrack_step(log_barrier2.point(x), x + v, gap=2.0, state=state)
         assert np.isfinite(log_barrier2.value(x + res.alpha * v))
         assert res.evals_used > 1
 
@@ -122,11 +122,12 @@ class TestBacktrackStep:
         x = np.array([0.3, 0.7])
         state = BacktrackState(lipschitz=2.0)
         for _ in range(20):
-            v = gen.normal(size=2) * 0.2
+            target = x + gen.normal(size=2) * 0.2
+            v = target - x
             g = float(np.dot(log_barrier2.gradient(x), -v))
             if g <= 0:
                 continue
-            res = backtrack_step(log_barrier2, x, v, gap=g, state=state)
+            res = backtrack_step(log_barrier2.point(x), target, gap=g, state=state)
             fx = log_barrier2.value(x)
             quad = fx - res.alpha * g + 0.5 * res.alpha**2 * res.lipschitz * float(np.dot(v, v))
             assert log_barrier2.value(x + res.alpha * v) <= quad
@@ -136,14 +137,15 @@ class TestBacktrackStep:
         gen = np.random.default_rng(9)
         for _ in range(50):
             x = gen.normal(size=2)
-            v = gen.normal(size=2)
+            target = x + gen.normal(size=2)
+            v = target - x
             g = -float(np.dot(oracle.gradient(x), v))
             if g <= 0:
                 continue
             seg = float(np.dot(v, oracle.hess_vec(x, v)) / np.dot(v, v))
             # start strictly below the segment curvature to force doubling
             state = BacktrackState(lipschitz=seg / 8.0)
-            res = backtrack_step(oracle, x, v, gap=g, state=state)
+            res = backtrack_step(oracle.point(x), target, gap=g, state=state)
             assert res.lipschitz <= 2.0 * seg + 1e-12
 
     def test_nontermination_guard(self):
@@ -154,38 +156,38 @@ class TestBacktrackStep:
 
         state = BacktrackState(lipschitz=1.0)
         with pytest.raises(InvariantError):
-            backtrack_step(Hostile(np.ones(2)), np.zeros(2), np.ones(2), gap=1.0, state=state)
+            backtrack_step(Hostile(np.ones(2)).point(np.zeros(2)), np.ones(2), gap=1.0, state=state)
 
     def test_rejects_bad_inputs(self, quad2):
         state = BacktrackState(lipschitz=1.0)
         with pytest.raises(ValueError):
-            backtrack_step(quad2, np.zeros(2), np.zeros(2), gap=1.0, state=state)
+            backtrack_step(quad2.point(np.zeros(2)), np.zeros(2), gap=1.0, state=state)
         with pytest.raises(ValueError):
-            backtrack_step(quad2, np.zeros(2), np.ones(2), gap=0.0, state=state)
+            backtrack_step(quad2.point(np.zeros(2)), np.ones(2), gap=0.0, state=state)
 
 
 class TestInitLipschitz:
     def test_identity_quadratic(self):
         oracle = QuadOracle(np.ones(3))
-        L = init_lipschitz(oracle, np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0, 0.0]))
+        L = init_lipschitz(oracle.point(np.array([0.2, 0.3, 0.5])), np.array([1.0, 0.0, 0.0]))
         assert L == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal_quadratic_picks_direction_curvature(self):
         oracle = QuadOracle(np.array([1.0, 4.0]))
-        L = init_lipschitz(oracle, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        L = init_lipschitz(oracle.point(np.array([1.0, 1.0])), np.array([1.0, 0.0]))
         assert L == pytest.approx(4.0, rel=1e-12)
 
     def test_log_barrier_finite_positive(self, log_barrier2):
-        L = init_lipschitz(log_barrier2, np.array([0.25, 0.75]), np.array([1.0, 0.0]))
+        L = init_lipschitz(log_barrier2.point(np.array([0.25, 0.75])), np.array([1.0, 0.0]))
         assert np.isfinite(L) and L > 0.0
 
     def test_degenerate_direction(self, quad2):
         with pytest.raises(ValueError):
-            init_lipschitz(quad2, np.ones(2), np.ones(2))
+            init_lipschitz(quad2.point(np.ones(2)), np.ones(2))
 
     def test_halves_eps_until_in_domain(self, log_barrier2):
         # probe from a point so close to the boundary that eps=1e-3 exits
         x0 = np.array([1e-4, 1.0])
         s0 = np.array([-1.0, 1.0])
-        L = init_lipschitz(log_barrier2, x0, s0)
+        L = init_lipschitz(log_barrier2.point(x0), s0)
         assert np.isfinite(L) and L > 0.0
