@@ -5,7 +5,6 @@ a locally-restricted linearly convergent variant on the simplex,
 benchmark problem oracles, and a performance-profile harness.
 """
 
-from ._kernels import USING_NUMBA
 from .core import DomainError, GapResult, InvariantError, OraclePoint, ScOracle, bregman, dist_like, gap_and_target, local_norm, omega, omega_star
 from .lloo import LlooResult, lloo_simplex
 from .problems import (
@@ -42,8 +41,10 @@ from .steps import BacktrackState, StepResult, analytic_step, backtrack_step, ex
 
 __version__ = "0.1.0"
 
+# no compiled kernels exist; perfbench/run.py still writes this flag into its environment record
+USING_NUMBA = False
+
 __all__ = [
-    "USING_NUMBA",
     "DomainError",
     "GapResult",
     "InvariantError",

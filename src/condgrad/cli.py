@@ -78,9 +78,8 @@ def parse_libsvm_path(path):
         return prob.parse_libsvm(fh)
 
 
-def run_one(oracle, feasible_set, method, eps, max_iter, seed=0, record_times=True):
-    config = RunConfig(epsilon=eps, max_iter=max_iter, policy=method,
-                       record_times=record_times, seed=seed)
+def run_one(oracle, feasible_set, method, eps, max_iter, seed=0):
+    config = RunConfig(epsilon=eps, max_iter=max_iter, policy=method, seed=seed)
     if method == "lloo":
         if feasible_set.kind != "simplex":
             raise ValueError("the lloo method runs on simplex problems only")

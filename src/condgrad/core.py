@@ -9,14 +9,16 @@ norms, the duality-gap computation against a feasible set's linear
 oracle, and the Bregman divergence.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
-
 GAP_SLACK = 1e-12
+# below this |t| the curvature functions use their series t^j/j, j=2..7:
+# the direct formula cancels catastrophically as t -> 0
+_SERIES_CUTOFF = 1e-4
 
 
 class DomainError(ValueError):
@@ -138,14 +140,28 @@ def omega(t):
     """t - ln(1+t) for t > -1; the lower curvature profile."""
     if not t > -1.0:
         raise DomainError(f"omega requires t > -1, got {t}")
-    return float(_kernels.omega(float(t)))
+    t = float(t)
+    if abs(t) < _SERIES_CUTOFF:
+        return (
+            (((((-t / 7.0 + 1.0 / 6.0) * t - 0.2) * t + 0.25) * t - 1.0 / 3.0) * t + 0.5)
+            * t
+            * t
+        )
+    return t - math.log1p(t)
 
 
 def omega_star(t):
     """-t - ln(1-t) for t < 1; the upper curvature profile."""
     if not t < 1.0:
         raise DomainError(f"omega_star requires t < 1, got {t}")
-    return float(_kernels.omega_star(float(t)))
+    t = float(t)
+    if abs(t) < _SERIES_CUTOFF:
+        return (
+            (((((t / 7.0 + 1.0 / 6.0) * t + 0.2) * t + 0.25) * t + 1.0 / 3.0) * t + 0.5)
+            * t
+            * t
+        )
+    return -t - math.log1p(-t)
 
 
 def _form_root(q, u):

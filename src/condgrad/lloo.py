@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 SIMPLEX_TOL = 1e-9
 
 
@@ -40,5 +38,26 @@ def lloo_simplex(x, r, c):
     if not np.all(np.isfinite(c)):
         raise ValueError("lloo_simplex cost has non-finite entries")
     d = float(np.sqrt(x.shape[0])) * float(r)
-    p = _kernels.lloo_simplex_core(x, d, c)
+    p = _lloo_simplex_core(x, d, c)
     return LlooResult(point=p, l1_moved=float(np.sum(np.abs(x - p))))
+
+
+def _lloo_simplex_core(x, d, c):
+    """Move mass m = min(d/2, 1) onto the cheapest coordinate, removing it
+    from the most expensive coordinates of x.  Equal costs keep ascending
+    index order (stable descending sort)."""
+    n = x.shape[0]
+    m = min(d / 2.0, 1.0)
+    istar = int(np.argmin(c))
+    order = np.argsort(-c, kind="stable")
+    p = x.copy()
+    p[istar] += m
+    cs = np.cumsum(x[order])
+    k = int(np.searchsorted(cs, m, side="left"))
+    if k >= n:
+        k = n - 1
+    if k > 0:
+        p[order[:k]] -= x[order[:k]]
+    prev = cs[k - 1] if k > 0 else 0.0
+    p[order[k]] -= m - prev
+    return p

@@ -1,5 +1,6 @@
 """Conditional-gradient solver drivers with full per-iteration traces.
 
+`fw_solve` and `lloo_fw_solve` are two entry points of one loop.
 `fw_solve` runs the classic target-vertex iteration under one of four
 step policies; `lloo_fw_solve` runs the locally-restricted variant on
 the simplex, whose shrinking search radius yields linear convergence
@@ -144,95 +145,21 @@ def trace_to_json_dict(trace):
 def fw_solve(oracle, feasible_set, config, x0=None):
     """Run the conditional-gradient iteration with the configured policy.
 
-    Starts from `feasible_set.start_point()` unless `x0` is given.  Stops
-    once the duality gap falls to `config.epsilon`, the iteration budget
-    runs out, or the run stalls (ten consecutive negligible steps, or an
-    open-loop/line-search step leaving the objective domain, in which
-    case `final_x` is the offending point).  Every in-domain iterate is
-    recorded; under the analytic policy a failure to decrease by the
-    model amount raises :class:`InvariantError`.  The iterate is the
-    oracle's point (:meth:`ScOracle.point`); a gap below `epsilon` is
-    accepted only as evaluated at a refreshed point.
+    Starts from `feasible_set.start_point()` unless `x0` is given and
+    steps toward the linear oracle's vertex.  Stops once the duality gap
+    falls to `config.epsilon`, the iteration budget runs out, or the run
+    stalls (ten consecutive negligible steps, or an open-loop/line-search
+    step leaving the objective domain, in which case `final_x` is the
+    offending point).  Every in-domain iterate is recorded; under the
+    analytic policy a failure to decrease by the model amount raises
+    :class:`InvariantError`, and so does an analytic or backtracking step
+    leaving the domain.  The iterate is the oracle's point
+    (:meth:`ScOracle.point`); a gap below `epsilon` is accepted only as
+    evaluated at a refreshed point.
     """
     if config.policy not in POLICIES:
         raise ValueError(f"fw_solve cannot run policy {config.policy!r}")
-    x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
-    point = oracle.point(x0)
-    if not point.in_domain:
-        raise DomainError("start point outside the objective domain")
-    if not feasible_set.contains(x0):
-        raise ValueError("start point outside the feasible set")
-
-    records = []
-    state = None
-    init_lip = None
-    prev_f = None
-    prev_required = None
-    tiny_steps = 0
-    k = 0
-    t0 = time.perf_counter_ns()
-
-    while True:
-        t_row = time.perf_counter_ns() - t0 if config.record_times else 0
-        f_k = point.f
-        if config.policy == "analytic" and prev_required is not None and f_k > prev_required:
-            raise InvariantError(
-                f"objective rose above the guaranteed level at iteration {k}: "
-                f"{f_k} > {prev_required}"
-            )
-        res = gap_and_target(feasible_set, point)
-        gap, e, s = res.gap, res.e, res.target
-
-        if gap <= config.epsilon:
-            exact = point.refreshed()
-            if exact is not point:
-                # accept the gap only as evaluated without carried state
-                point = exact
-                continue
-            records.append(IterationRecord(k, f_k, gap, 0.0, e, None, t_row))
-            return RunTrace(records, point.x, "gap_below_eps", config, init_lip)
-        if k >= config.max_iter:
-            records.append(IterationRecord(k, f_k, gap, 0.0, e, None, t_row))
-            return RunTrace(records, point.x, "max_iter", config, init_lip)
-
-        lip_used = None
-        evals = None
-        if config.policy == "standard":
-            alpha = standard_step(k)
-        elif config.policy == "line_search":
-            alpha = exact_line_search(point, s, e)
-        elif config.policy == "analytic":
-            sr = analytic_step(gap, e, oracle.M)
-            alpha = sr.alpha
-            prev_required = f_k - sr.model_decrease + DESCENT_SLACK
-        else:
-            if state is None:
-                init_lip = init_lipschitz(point, s)
-                state = BacktrackState(init_lip)
-            if prev_f is not None:
-                state.prev_decrease = prev_f - f_k
-            sr = backtrack_step(point, s, gap, state)
-            alpha = sr.alpha
-            lip_used = sr.lipschitz
-            evals = sr.evals_used
-
-        records.append(IterationRecord(k, f_k, gap, alpha, e, lip_used, t_row, evals))
-
-        tiny_steps = tiny_steps + 1 if alpha < STALL_ALPHA else 0
-        if tiny_steps >= STALL_RUNS:
-            return RunTrace(records, point.x, "stalled", config, init_lip)
-
-        nxt = point.move(alpha, s)
-        if not nxt.in_domain:
-            if config.policy in ("analytic", "backtracking"):
-                raise InvariantError(
-                    f"{config.policy} step left the objective domain at iteration {k}"
-                )
-            # the open-loop/line-search baselines carry no domain guarantee
-            return RunTrace(records, nxt.x, "stalled", config, init_lip)
-        prev_f = f_k
-        point = nxt
-        k += 1
+    return _solve(oracle, feasible_set, config, x0)
 
 
 @dataclass
@@ -240,24 +167,14 @@ class LlooConfig:
     """Parameters of the locally-restricted run.
 
     `sigma_f` is the strong-convexity parameter on the initial level set
-    (user-supplied, see :func:`estimate_sigma` for a heuristic), `rho`
-    the oracle's locality parameter (defaults to sqrt(n) for the simplex
-    oracle), and `radius_schedule` selects how the search radius decays
-    with the contraction factor c_k: "sqrt" uses r0*sqrt(c_k), "linear"
-    uses r0*c_k.
+    (user-supplied, see :func:`estimate_sigma` for a heuristic).
     """
 
     sigma_f: float
-    rho: float | None = None
-    radius_schedule: str = "sqrt"
 
     def __post_init__(self):
         if not self.sigma_f > 0:
             raise ValueError("sigma_f must be positive")
-        if self.rho is not None and self.rho < 1:
-            raise ValueError("rho must be at least 1")
-        if self.radius_schedule not in ("sqrt", "linear"):
-            raise ValueError("radius_schedule must be 'sqrt' or 'linear'")
 
 
 def lloo_step_size(contraction, gap0, e, M):
@@ -276,12 +193,29 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
     """Conditional gradient with a local linear oracle on the simplex.
 
     `lloo` is a callable (x, r, c) -> result with a `.point` attribute,
-    queried with a radius that shrinks geometrically as the accumulated
-    steps grow; the global duality gap still drives the stopping test
-    and the trace.  Rows additionally record the radius and contraction
-    factor used.
+    queried with the radius r0 * sqrt(c_k), which shrinks geometrically
+    as the accumulated steps grow (contraction c_k = exp(-sum alpha / 2));
+    the global duality gap still drives the stopping test and the trace.
+    Rows additionally record the radius and contraction factor used.
+    `config.policy` must be "lloo".  Start, stopping and stalling are
+    those of :func:`fw_solve`; a step leaving the domain raises
+    :class:`InvariantError`.
     """
-    feasible_set = Simplex(oracle.dim)
+    if config.policy != "lloo":
+        raise ValueError(f"lloo_fw_solve cannot run policy {config.policy!r}")
+    return _solve(oracle, Simplex(oracle.dim), config, x0, lloo, lloo_config.sigma_f)
+
+
+def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
+    """The conditional-gradient loop behind `fw_solve` and `lloo_fw_solve`.
+
+    Every iteration takes the gap at the linear oracle's vertex, then
+    steps under `config.policy`: toward that vertex for the four step
+    policies, or toward the local oracle's point within radius
+    r0 * sqrt(c_k) for "lloo".  Only the standard and line-search steps
+    carry no domain guarantee; when one leaves the domain the run ends
+    as stalled, while for the other policies that raises.
+    """
     x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
     point = oracle.point(x0)
     if not point.in_domain:
@@ -289,10 +223,15 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
     if not feasible_set.contains(x0):
         raise ValueError("start point outside the feasible set")
 
+    policy = config.policy
     records = []
-    alpha_sum = 0.0
+    state = None
+    init_lip = None
+    prev_f = None
+    prev_required = None
     gap0 = None
     r0 = None
+    alpha_sum = 0.0
     tiny_steps = 0
     k = 0
     t0 = time.perf_counter_ns()
@@ -300,51 +239,81 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
     while True:
         t_row = time.perf_counter_ns() - t0 if config.record_times else 0
         f_k = point.f
-        # no monotonicity check here: the locally-restricted step contracts
-        # the error bound gap0 * c_k, but the raw objective may wobble up
+        # no monotonicity check for lloo: the locally-restricted step
+        # contracts the error bound gap0 * c_k, but the raw objective may wobble up
+        if policy == "analytic" and prev_required is not None and f_k > prev_required:
+            raise InvariantError(
+                f"objective rose above the guaranteed level at iteration {k}: "
+                f"{f_k} > {prev_required}"
+            )
         res = gap_and_target(feasible_set, point)
-        gap = res.gap
-        if gap0 is None:
-            gap0 = gap
-            r0 = float(np.sqrt(6.0 * gap0 / lloo_config.sigma_f))
-
-        contraction = float(np.exp(-0.5 * alpha_sum))
-        if lloo_config.radius_schedule == "sqrt":
+        gap, e, s = res.gap, res.e, res.target
+        radius = contraction = None
+        if policy == "lloo":
+            if gap0 is None:
+                gap0 = gap
+                r0 = float(np.sqrt(6.0 * gap0 / sigma_f))
+            contraction = float(np.exp(-0.5 * alpha_sum))
             radius = r0 * float(np.sqrt(contraction))
-        else:
-            radius = r0 * contraction
 
+        termination = None
         if gap <= config.epsilon:
             exact = point.refreshed()
             if exact is not point:
                 # accept the gap only as evaluated without carried state
                 point = exact
                 continue
+            termination = "gap_below_eps"
+        elif k >= config.max_iter:
+            termination = "max_iter"
+        if termination is not None:
             records.append(
-                IterationRecord(k, f_k, gap, 0.0, res.e, None, t_row, None, radius, contraction)
+                IterationRecord(k, f_k, gap, 0.0, e, None, t_row, None, radius, contraction)
             )
-            return RunTrace(records, point.x, "gap_below_eps", config)
-        if k >= config.max_iter:
-            records.append(
-                IterationRecord(k, f_k, gap, 0.0, res.e, None, t_row, None, radius, contraction)
-            )
-            return RunTrace(records, point.x, "max_iter", config)
+            return RunTrace(records, point.x, termination, config, init_lip)
 
-        s = lloo(point.x, radius, point.gradient).point
-        e_local = dist_like(point, s)
-        alpha = lloo_step_size(contraction, gap0, e_local, oracle.M)
+        lip_used = None
+        evals = None
+        if policy == "standard":
+            alpha = standard_step(k)
+        elif policy == "line_search":
+            alpha = exact_line_search(point, s, e)
+        elif policy == "analytic":
+            sr = analytic_step(gap, e, oracle.M)
+            alpha = sr.alpha
+            prev_required = f_k - sr.model_decrease + DESCENT_SLACK
+        elif policy == "backtracking":
+            if state is None:
+                init_lip = init_lipschitz(point, s)
+                state = BacktrackState(init_lip)
+            if prev_f is not None:
+                state.prev_decrease = prev_f - f_k
+            sr = backtrack_step(point, s, gap, state)
+            alpha = sr.alpha
+            lip_used = sr.lipschitz
+            evals = sr.evals_used
+        else:
+            s = lloo(point.x, radius, point.gradient).point
+            e = dist_like(point, s)
+            alpha = lloo_step_size(contraction, gap0, e, oracle.M)
+
         records.append(
-            IterationRecord(k, f_k, gap, alpha, e_local, None, t_row, None, radius, contraction)
+            IterationRecord(k, f_k, gap, alpha, e, lip_used, t_row, evals, radius, contraction)
         )
 
         tiny_steps = tiny_steps + 1 if alpha < STALL_ALPHA else 0
         if tiny_steps >= STALL_RUNS:
-            return RunTrace(records, point.x, "stalled", config)
+            return RunTrace(records, point.x, "stalled", config, init_lip)
 
-        point = point.move(alpha, s)
-        if not point.in_domain:
-            raise InvariantError(f"local-oracle step left the domain at iteration {k}")
+        nxt = point.move(alpha, s)
+        if not nxt.in_domain:
+            if policy in ("standard", "line_search"):
+                # the open-loop/line-search baselines carry no domain guarantee
+                return RunTrace(records, nxt.x, "stalled", config, init_lip)
+            raise InvariantError(f"{policy} step left the objective domain at iteration {k}")
+        prev_f = f_k
         alpha_sum += alpha
+        point = nxt
         k += 1
 
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .core import DomainError, InvariantError
+from .core import DomainError, InvariantError, omega_star
 
 GAMMA_DOWN = 0.9
 GAMMA_UP = 2.0
@@ -79,7 +78,7 @@ def analytic_step(gap, e, M):
     alpha = min(1.0, t)
     if not alpha * e < 1.0:
         raise InvariantError(f"step {alpha} * e {e} >= 1; curvature model violated")
-    decrease = alpha * gap - (4.0 / (M * M)) * float(_kernels.omega_star(alpha * e))
+    decrease = alpha * gap - (4.0 / (M * M)) * omega_star(alpha * e)
     return StepResult(alpha=alpha, model_decrease=decrease)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from condgrad import _kernels
 from condgrad.core import DomainError, ScOracle, dist_like
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -14,12 +13,6 @@ DATA_DIR = Path(__file__).parent / "data"
 # property tests draw the same examples on every run
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile every jitted kernel up front so timed tests never measure JIT
-    _kernels.warm_up()
 
 
 class LogBarrierOracle(ScOracle):

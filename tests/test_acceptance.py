@@ -1,9 +1,8 @@
 """Acceptance gate: one test per release criterion, one printed line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL
-lines alongside the pytest verdicts.  Timed criteria exclude JIT
-compilation (kernels are warmed by the session fixture) but include all
-solver work they depend on.
+lines alongside the pytest verdicts.  Timed criteria include all solver
+work they depend on.
 """
 
 import functools

@@ -29,6 +29,13 @@ def analytic_model_decrease(record, M):
     return record.alpha * record.gap - (4.0 / M**2) * omega_star(record.alpha * record.e)
 
 
+def solve_on_simplex(oracle, config):
+    """Run `config.policy` from the simplex centre, through the entry point that serves it."""
+    if config.policy == "lloo":
+        return lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=1.0))
+    return fw_solve(oracle, Simplex(oracle.dim), config)
+
+
 @pytest.fixture(scope="module")
 def desk_portfolio():
     return portfolio_problem(gen_portfolio_data(20, 8, 3))
@@ -165,21 +172,52 @@ class TestSolverGuards:
             def in_domain(self, x):
                 return True
 
-        trace = fw_solve(
-            HugeCurvature(),
-            Simplex(2),
-            RunConfig(epsilon=1e-10, max_iter=1000, policy="analytic"),
-        )
-        assert trace.termination == "stalled"
-        assert len(trace.records) == 10
+        for policy in ("analytic", "lloo"):
+            trace = solve_on_simplex(
+                HugeCurvature(), RunConfig(epsilon=1e-10, max_iter=1000, policy=policy)
+            )
+            assert trace.termination == "stalled"
+            assert len(trace.records) == 10
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("policy", ["analytic", "backtracking", "lloo"])
+    def test_guaranteed_step_leaving_the_domain_raises(self, policy):
+        # consistent value and curvature everywhere, but a domain narrower
+        # than they allow: only the run-time check can catch the exit
+        class NarrowDomain(ScOracle):
+            dim = 2
+            M = 2.0
+
+            def value(self, x):
+                return 0.5 * float((x[0] - 1.0) ** 2 + x[1] ** 2)
+
+            def gradient(self, x):
+                return np.array([x[0] - 1.0, x[1]])
+
+            def hess_vec(self, x, u):
+                return np.asarray(u, dtype=float)
+
+            def in_domain(self, x):
+                return bool(x[1] > 0.45)
+
+        with pytest.raises(InvariantError, match="left the objective domain"):
+            solve_on_simplex(NarrowDomain(), RunConfig(epsilon=1e-10, max_iter=100, policy=policy))
+
+    def test_config_validation(self, quad2):
         with pytest.raises(ValueError):
             RunConfig(epsilon=0.0, max_iter=10)
         with pytest.raises(ValueError):
             RunConfig(epsilon=1e-6, max_iter=0)
         with pytest.raises(ValueError):
             RunConfig(epsilon=1e-6, max_iter=10, policy="newton")
+        with pytest.raises(ValueError):
+            fw_solve(quad2, Simplex(2), RunConfig(epsilon=1e-6, max_iter=10, policy="lloo"))
+        with pytest.raises(ValueError):
+            lloo_fw_solve(
+                quad2,
+                lloo_simplex,
+                RunConfig(epsilon=1e-6, max_iter=10, policy="backtracking"),
+                LlooConfig(sigma_f=1.0),
+            )
 
 
 class TestAnalyticDescentInvariants:
@@ -300,15 +338,10 @@ class TestLlooSolver:
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-6, max_iter=200, policy="lloo")
-        t_sqrt = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
-        t_lin = lloo_fw_solve(
-            oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma, radius_schedule="linear")
-        )
-        r0 = t_sqrt.records[0].radius
-        for r in t_sqrt.records:
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        r0 = trace.records[0].radius
+        for r in trace.records:
             assert r.radius == pytest.approx(r0 * np.sqrt(r.contraction), rel=1e-12)
-        for r in t_lin.records:
-            assert r.radius == pytest.approx(r0 * r.contraction, rel=1e-12)
 
     def test_iterates_stay_feasible(self, desk_portfolio):
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
