@@ -10,12 +10,10 @@ from .lloo import LlooResult, lloo_simplex
 from .problems import (
     GlmOracle,
     LogisticOracle,
-    LogisticProblem,
     ParseError,
     PoissonOracle,
-    PoissonProblem,
     PortfolioOracle,
-    PortfolioProblem,
+    Problem,
     gen_portfolio_data,
     logistic_oracle,
     parse_libsvm,
@@ -60,12 +58,10 @@ __all__ = [
     "lloo_simplex",
     "GlmOracle",
     "LogisticOracle",
-    "LogisticProblem",
     "ParseError",
     "PoissonOracle",
-    "PoissonProblem",
     "PortfolioOracle",
-    "PortfolioProblem",
+    "Problem",
     "gen_portfolio_data",
     "logistic_oracle",
     "parse_libsvm",

@@ -127,13 +127,18 @@ class GapResult:
     """Linear-oracle target and duality gap at a feasible point.
 
     ``e`` is the scaled local distance (M/2)*||target - x||_x that controls
-    how far a step may go while provably staying inside the domain.
+    how far a step may go while provably staying inside the domain.  It
+    costs a Hessian product, so it is evaluated on first read.
     """
 
     target: np.ndarray
     gap: float
-    e: float
     lmo_value: float
+    point: OraclePoint
+
+    @cached_property
+    def e(self):
+        return dist_like(self.point, self.target)
 
 
 def omega(t):
@@ -202,12 +207,7 @@ def gap_and_target(feasible_set, point):
     gap_raw = float(np.dot(g, point.x)) - lmo_value
     if gap_raw < -GAP_SLACK:
         raise InvariantError(f"negative duality gap {gap_raw}: broken linear oracle?")
-    return GapResult(
-        target=target,
-        gap=max(gap_raw, 0.0),
-        e=dist_like(point, target),
-        lmo_value=lmo_value,
-    )
+    return GapResult(target=target, gap=max(gap_raw, 0.0), lmo_value=lmo_value, point=point)
 
 
 def bregman(oracle, y, x):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .core import DomainError, InvariantError, ScOracle
-from .sets import L1Ball, NonnegL1Ball, Simplex
+from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex
 
 PORTFOLIO_CLAMP = 0.01
 DEFAULT_RADIUS = 10.0
@@ -312,30 +312,11 @@ class LogisticOracle(GlmOracle):
 
 
 @dataclass
-class PortfolioProblem:
-    returns: np.ndarray
-    oracle: PortfolioOracle
-    feasible_set: Simplex
+class Problem:
+    """An objective and the feasible set it is minimized over."""
 
-
-@dataclass
-class PoissonProblem:
-    weights: np.ndarray
-    counts: np.ndarray
-    radius: float
-    oracle: PoissonOracle
-    feasible_set: NonnegL1Ball
-
-
-@dataclass
-class LogisticProblem:
-    features: np.ndarray
-    labels: np.ndarray
-    mu: float
-    gamma: float
-    radius: float
-    oracle: LogisticOracle
-    feasible_set: L1Ball
+    oracle: GlmOracle
+    feasible_set: FeasibleSet
 
 
 def portfolio_oracle(returns):
@@ -344,14 +325,12 @@ def portfolio_oracle(returns):
 
 def portfolio_problem(returns):
     oracle = PortfolioOracle(returns)
-    return PortfolioProblem(oracle.returns, oracle, Simplex(oracle.dim))
+    return Problem(oracle, Simplex(oracle.dim))
 
 
 def poisson_oracle(weights, counts, radius=DEFAULT_RADIUS):
     oracle = PoissonOracle(weights, counts)
-    problem = PoissonProblem(
-        oracle.weights, oracle.counts, float(radius), oracle, NonnegL1Ball(oracle.dim, radius)
-    )
+    problem = Problem(oracle, NonnegL1Ball(oracle.dim, radius))
     # the canonical interior start must give a finite objective
     if not oracle.in_domain(problem.feasible_set.start_point()):
         raise ValueError("count rows leave the canonical start outside the domain")
@@ -360,15 +339,7 @@ def poisson_oracle(weights, counts, radius=DEFAULT_RADIUS):
 
 def logistic_oracle(features, labels, mu=0.0, gamma=None, radius=DEFAULT_RADIUS):
     oracle = LogisticOracle(features, labels, mu=mu, gamma=gamma)
-    return LogisticProblem(
-        oracle.features,
-        oracle.labels,
-        oracle.mu,
-        oracle.gamma,
-        float(radius),
-        oracle,
-        L1Ball(oracle.dim, radius),
-    )
+    return Problem(oracle, L1Ball(oracle.dim, radius))
 
 
 def gen_portfolio_data(T, n, seed):

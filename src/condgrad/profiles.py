@@ -88,13 +88,26 @@ def fraction_solved(table, eps):
     return out
 
 
-def _counted_problems(table, eps):
+def _mean_ratio(table, eps, cost):
+    """Average over the problems every method reaches eps of each method's
+    cost / the best method's cost; `cost(method, problem, hit)` prices
+    reaching eps at iteration `hit`."""
     counted = []
     for p in table.problems:
         hits = [first_hit(table, m, p, eps) for m in table.methods]
         if all(h is not None for h in hits):
-            counted.append((p, hits))
-    return counted
+            counted.append([cost(m, p, h) for m, h in zip(table.methods, hits)])
+    if not counted:
+        raise ValueError(f"no problem reached by every method at eps={eps}")
+    out = {m: 0.0 for m in table.methods}
+    for costs in counted:
+        floor = min(costs)
+        for m, c in zip(table.methods, costs):
+            if floor == 0:
+                out[m] += 1.0 if c == 0 else float("inf")
+            else:
+                out[m] += c / floor
+    return {m: v / len(counted) for m, v in out.items()}
 
 
 def iteration_ratio(table, eps):
@@ -103,32 +116,9 @@ def iteration_ratio(table, eps):
     Problems where some method never reaches eps are excluded; if none
     remains the average is empty and a ValueError is raised.
     """
-    counted = _counted_problems(table, eps)
-    if not counted:
-        raise ValueError(f"no problem reached by every method at eps={eps}")
-    out = {m: 0.0 for m in table.methods}
-    for _, hits in counted:
-        floor = min(hits)
-        for m, h in zip(table.methods, hits):
-            if floor == 0:
-                out[m] += 1.0 if h == 0 else float("inf")
-            else:
-                out[m] += h / floor
-    return {m: v / len(counted) for m, v in out.items()}
+    return _mean_ratio(table, eps, lambda m, p, h: h)
 
 
 def time_ratio(table, eps):
     """Average ratio of wall time-to-eps against the per-problem best."""
-    counted = _counted_problems(table, eps)
-    if not counted:
-        raise ValueError(f"no problem reached by every method at eps={eps}")
-    out = {m: 0.0 for m in table.methods}
-    for p, hits in counted:
-        times = [int(table.time_ns[(m, p)][h]) for m, h in zip(table.methods, hits)]
-        floor = min(times)
-        for m, t in zip(table.methods, times):
-            if floor == 0:
-                out[m] += 1.0 if t == 0 else float("inf")
-            else:
-                out[m] += t / floor
-    return {m: v / len(counted) for m, v in out.items()}
+    return _mean_ratio(table, eps, lambda m, p, h: int(table.time_ns[(m, p)][h]))

@@ -12,7 +12,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .core import DomainError, InvariantError, dist_like, gap_and_target
 from .sets import Simplex
@@ -247,7 +246,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
                 f"{f_k} > {prev_required}"
             )
         res = gap_and_target(feasible_set, point)
-        gap, e, s = res.gap, res.e, res.target
+        gap, s = res.gap, res.target
         radius = contraction = None
         if policy == "lloo":
             if gap0 is None:
@@ -268,12 +267,15 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
             termination = "max_iter"
         if termination is not None:
             records.append(
-                IterationRecord(k, f_k, gap, 0.0, e, None, t_row, None, radius, contraction)
+                IterationRecord(k, f_k, gap, 0.0, res.e, None, t_row, None, radius, contraction)
             )
             return RunTrace(records, point.x, termination, config, init_lip)
 
         lip_used = None
         evals = None
+        # lloo steps toward the local oracle's point, so only a termination
+        # row needs the vertex's distance
+        e = res.e if policy != "lloo" else None
         if policy == "standard":
             alpha = standard_step(k)
         elif policy == "line_search":
@@ -325,25 +327,18 @@ def certificate_lower_bound(trace):
     return max(r.f - r.gap for r in records)
 
 
-def estimate_sigma(oracle, x, iters=30):
-    """Smallest Hessian eigenvalue at x via inverse power iteration.
+def estimate_sigma(oracle, x):
+    """Smallest eigenvalue of the Hessian at x.
 
-    Heuristic stand-in for the strong-convexity parameter over the level
-    set, which is what the linear-convergence analysis actually needs.
-    Each of the `iters` steps applies the inverse Hessian action through
-    conjugate gradients on the Hessian-vector product of one point at x.
+    Stand-in for the strong-convexity parameter over the level set,
+    which is what the linear-convergence analysis actually needs.  The
+    Hessian is assembled from `dim` products of one point at x with the
+    unit vectors and symmetrized; one dense eigenvalue solve gives its
+    smallest eigenvalue.
     """
-    n = oracle.dim
     point = oracle.point(x)
-    op = LinearOperator((n, n), matvec=point.hess_vec)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(iters):
-        z, _ = cg(op, v, rtol=1e-12, atol=0.0)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            break
-        v = z / nz
-    return float(np.dot(v, point.hess_vec(v)))
+    h = np.column_stack([point.hess_vec(e) for e in np.eye(oracle.dim)])
+    return float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
 
 
 def lloo_rate_floor(sigma_f, lipschitz, rho, M, diam):

@@ -31,18 +31,12 @@ class BacktrackState:
     """
 
     lipschitz: float
-    gamma_up: float = GAMMA_UP
-    gamma_down: float = GAMMA_DOWN
     eval_count: int = 0
     prev_decrease: float | None = None
 
     def __post_init__(self):
         if self.lipschitz <= 0:
             raise ValueError("Lipschitz estimate must be positive")
-        if not self.gamma_up > 1:
-            raise ValueError("gamma_up must exceed 1")
-        if not 0 < self.gamma_down < 1:
-            raise ValueError("gamma_down must lie in (0, 1)")
 
 
 @dataclass
@@ -141,7 +135,7 @@ def backtrack_step(point, target, gap, state):
         raise DomainError("backtrack_step: base point outside the objective domain")
     phi = point.line(target)
 
-    lo = state.gamma_down * state.lipschitz
+    lo = GAMMA_DOWN * state.lipschitz
     if state.prev_decrease is not None and state.prev_decrease > 0.0:
         guess = gap * gap / (2.0 * state.prev_decrease * vv)
         mu = min(max(guess, lo), state.lipschitz)
@@ -159,7 +153,7 @@ def backtrack_step(point, target, gap, state):
             raise InvariantError(
                 "backtracking exceeded %d doublings; oracle inconsistent" % MAX_DOUBLINGS
             )
-        mu *= state.gamma_up
+        mu *= GAMMA_UP
 
     state.lipschitz = mu
     state.eval_count += evals

@@ -7,7 +7,7 @@ it is the path every custom oracle takes.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from condgrad import problems
@@ -203,6 +203,33 @@ class TestPointMatchesReference:
         assert_close(oracle.hess_vec(x, u), reference.hess_vec(x, u))
 
 
+def reference_hessian(oracle, x):
+    h = np.column_stack([oracle.hess_vec(x, e) for e in np.eye(oracle.dim)])
+    return 0.5 * (h + h.T)
+
+
+class TestSigma:
+    """`estimate_sigma` is the smallest eigenvalue of the reference Hessian,
+    relative to the spectrum's scale (a singular Hessian has lambda_min ~ 0)."""
+
+    @given(instances)
+    @example(("portfolio", 50, 20, 7))
+    @example(("portfolio", 50, 20, 1))
+    def test_smallest_hessian_eigenvalue(self, inst):
+        kind, m, n, seed = inst
+        oracle, fs = make_instance(kind, m, n, seed)
+        reference = ReferenceOracle(kind, oracle)
+        gen = np.random.default_rng(seed + 4)
+        for x in (fs.start_point(), feasible_point(kind, fs, gen)):
+            h = reference_hessian(reference, x)
+            lam = np.linalg.eigvalsh(h)
+            scale = max(float(np.max(np.abs(lam))), 1e-300)
+            sigma = estimate_sigma(oracle, x)
+            assert abs(sigma - lam[0]) <= 1e-9 * scale
+            for u in gen.normal(size=(5, n)):
+                assert sigma <= float(u @ h @ u) / float(u @ u) + 1e-12 * scale
+
+
 class TestCarriedImage:
     @given(instances, st.integers(min_value=1, max_value=2 * REFRESH_INTERVAL + 5))
     def test_drift_stays_within_tolerance(self, inst, moves):
@@ -328,5 +355,24 @@ class TestPassCounts:
 
         monkeypatch.setattr(problems.GlmPoint, "hess_vec", counted)
         estimate_sigma(oracle, fs.start_point())
-        assert calls["hess_vec"] > 30
+        assert calls["hess_vec"] == oracle.dim
         assert counts["products"] == 1 + 2 * calls["hess_vec"]
+
+    def test_one_hessian_product_per_lloo_iteration(self, desk):
+        # through the four methods: the local point's distance on every
+        # row, the vertex's on the termination row only
+        oracle, fs, _ = desk
+        sigma = estimate_sigma(oracle, fs.start_point())
+        counted = FourMethods(oracle)
+        calls = {"hess_vec": 0}
+
+        def hess_vec(x, u):
+            calls["hess_vec"] += 1
+            return oracle.hess_vec(x, u)
+
+        counted.hess_vec = hess_vec
+        iters = 300
+        config = RunConfig(epsilon=1e-14, max_iter=iters, policy="lloo")
+        trace = lloo_fw_solve(counted, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        assert trace.termination == "max_iter"
+        assert calls["hess_vec"] <= iters + 1

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condgrad
 from condgrad.core import DomainError, InvariantError, ScOracle, omega_star
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import gen_portfolio_data, poisson_oracle, portfolio_problem
@@ -475,6 +480,21 @@ class TestSigmaEstimate:
     def test_positive_on_portfolio(self, desk_portfolio):
         sigma = estimate_sigma(desk_portfolio.oracle, desk_portfolio.feasible_set.start_point())
         assert sigma > 0.0
+
+    def test_singular_hessian_rejected_by_the_lloo_config(self):
+        sigma = estimate_sigma(QuadOracle(np.array([2.0, 0.0, 1.0])), np.zeros(3))
+        assert sigma == 0.0
+        with pytest.raises(ValueError, match="sigma_f must be positive"):
+            LlooConfig(sigma_f=sigma)
+
+    def test_import_pulls_no_scipy(self):
+        src = str(Path(condgrad.__file__).resolve().parent.parent)
+        probe = "import sys, condgrad; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class DiagScaledOracle(ScOracle):
