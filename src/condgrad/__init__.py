@@ -5,8 +5,8 @@ a locally-restricted linearly convergent variant on the simplex,
 benchmark problem oracles, and a performance-profile harness.
 """
 
-from .core import DomainError, GapResult, InvariantError, OraclePoint, ScOracle, bregman, dist_like, gap_and_target, local_norm, omega, omega_star
-from .lloo import LlooResult, lloo_simplex
+from .core import DomainError, InvariantError, OraclePoint, ScOracle, bregman, dist_like, gap_and_target, local_norm, omega, omega_star
+from .lloo import lloo_simplex
 from .problems import (
     GlmOracle,
     LogisticOracle,
@@ -35,7 +35,7 @@ from .solvers import (
     lloo_fw_solve,
     lloo_rate_floor,
 )
-from .steps import BacktrackState, StepResult, analytic_step, backtrack_step, exact_line_search, init_lipschitz, standard_step
+from .steps import analytic_step, backtrack_step, exact_line_search, init_lipschitz, standard_step
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ USING_NUMBA = False
 
 __all__ = [
     "DomainError",
-    "GapResult",
     "InvariantError",
     "OraclePoint",
     "ScOracle",
@@ -54,7 +53,6 @@ __all__ = [
     "local_norm",
     "omega",
     "omega_star",
-    "LlooResult",
     "lloo_simplex",
     "GlmOracle",
     "LogisticOracle",
@@ -92,8 +90,6 @@ __all__ = [
     "fw_solve",
     "lloo_fw_solve",
     "lloo_rate_floor",
-    "BacktrackState",
-    "StepResult",
     "analytic_step",
     "backtrack_step",
     "exact_line_search",

@@ -10,7 +10,6 @@ oracle, and the Bregman divergence.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -122,25 +121,6 @@ class OraclePoint:
         return self
 
 
-@dataclass
-class GapResult:
-    """Linear-oracle target and duality gap at a feasible point.
-
-    ``e`` is the scaled local distance (M/2)*||target - x||_x that controls
-    how far a step may go while provably staying inside the domain.  It
-    costs a Hessian product, so it is evaluated on first read.
-    """
-
-    target: np.ndarray
-    gap: float
-    lmo_value: float
-    point: OraclePoint
-
-    @cached_property
-    def e(self):
-        return dist_like(self.point, self.target)
-
-
 def omega(t):
     """t - ln(1+t) for t > -1; the lower curvature profile."""
     if not t > -1.0:
@@ -191,7 +171,7 @@ def dist_like(point, y):
 
 
 def gap_and_target(feasible_set, point):
-    """Duality gap, linear-oracle target, and local step bound at a point.
+    """Duality gap and linear-oracle target (gap, target) at a point.
 
     Requires the point feasible and inside the domain.  The raw gap may
     round to a tiny negative number; anything below -1e-12 indicates a
@@ -203,11 +183,10 @@ def gap_and_target(feasible_set, point):
         raise ValueError("gap_and_target: point outside the feasible set")
     g = point.gradient
     target = feasible_set.lmo(g)
-    lmo_value = float(np.dot(g, target))
-    gap_raw = float(np.dot(g, point.x)) - lmo_value
+    gap_raw = float(np.dot(g, point.x)) - float(np.dot(g, target))
     if gap_raw < -GAP_SLACK:
         raise InvariantError(f"negative duality gap {gap_raw}: broken linear oracle?")
-    return GapResult(target=target, gap=max(gap_raw, 0.0), lmo_value=lmo_value, point=point)
+    return max(gap_raw, 0.0), target
 
 
 def bregman(oracle, y, x):

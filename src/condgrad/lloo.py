@@ -8,21 +8,13 @@ m = min(d/2, 1) moves onto the cheapest coordinate, taken from the most
 expensive coordinates of x.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SIMPLEX_TOL = 1e-9
 
 
-@dataclass
-class LlooResult:
-    point: np.ndarray
-    l1_moved: float
-
-
 def lloo_simplex(x, r, c):
-    """Run the local oracle at center x with radius r for cost c.
+    """Run the local oracle at center x with radius r for cost c; returns the point p.
 
     The output satisfies <c, p> <= <c, y> for every y in B(x, r)
     intersected with the simplex, and ||x - p||_2 <= sqrt(n)*r.
@@ -38,8 +30,7 @@ def lloo_simplex(x, r, c):
     if not np.all(np.isfinite(c)):
         raise ValueError("lloo_simplex cost has non-finite entries")
     d = float(np.sqrt(x.shape[0])) * float(r)
-    p = _lloo_simplex_core(x, d, c)
-    return LlooResult(point=p, l1_moved=float(np.sum(np.abs(x - p))))
+    return _lloo_simplex_core(x, d, c)
 
 
 def _lloo_simplex_core(x, d, c):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import DomainError, InvariantError, dist_like, gap_and_target
 from .sets import Simplex
-from .steps import BacktrackState, analytic_step, backtrack_step, exact_line_search, init_lipschitz, standard_step
+from .steps import analytic_step, backtrack_step, exact_line_search, init_lipschitz, standard_step
 
 POLICIES = ("standard", "line_search", "analytic", "backtracking")
 
@@ -115,21 +115,11 @@ def read_trace_csv(path):
 
 
 def trace_to_json_dict(trace):
-    rows = []
-    for r in trace.records:
-        row = {
-            "k": r.k,
-            "f": r.f,
-            "gap": r.gap,
-            "alpha": r.alpha,
-            "e": r.e,
-            "L": r.lipschitz,
-            "time_ns": r.time_ns,
-        }
-        if r.radius is not None:
-            row["radius"] = r.radius
-            row["contraction"] = r.contraction
-        rows.append(row)
+    """The trace as a JSON-ready dict; a row holds every record field, `lipschitz` as "L"."""
+    rows = [
+        {("L" if name == "lipschitz" else name): v for name, v in asdict(r).items()}
+        for r in trace.records
+    ]
     out = {
         "config": asdict(trace.config) if trace.config is not None else None,
         "termination": trace.termination,
@@ -191,14 +181,15 @@ def lloo_step_size(contraction, gap0, e, M):
 def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
     """Conditional gradient with a local linear oracle on the simplex.
 
-    `lloo` is a callable (x, r, c) -> result with a `.point` attribute,
-    queried with the radius r0 * sqrt(c_k), which shrinks geometrically
-    as the accumulated steps grow (contraction c_k = exp(-sum alpha / 2));
-    the global duality gap still drives the stopping test and the trace.
+    `lloo` is a callable (x, r, c) -> point of the simplex, queried with
+    the radius r0 * sqrt(c_k), which shrinks geometrically as the
+    accumulated steps grow (contraction c_k = exp(-sum alpha / 2)); the
+    global duality gap still drives the stopping test and the trace.
     Rows additionally record the radius and contraction factor used.
     `config.policy` must be "lloo".  Start, stopping and stalling are
-    those of :func:`fw_solve`; a step leaving the domain raises
-    :class:`InvariantError`.
+    those of :func:`fw_solve`; a local point equal to x is a null step
+    (alpha = 0, c_k unchanged), so a run whose gap stops falling ends as
+    stalled.  A step leaving the domain raises :class:`InvariantError`.
     """
     if config.policy != "lloo":
         raise ValueError(f"lloo_fw_solve cannot run policy {config.policy!r}")
@@ -224,8 +215,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
 
     policy = config.policy
     records = []
-    state = None
-    init_lip = None
+    init_lip = lipschitz = None
     prev_f = None
     prev_required = None
     gap0 = None
@@ -245,8 +235,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
                 f"objective rose above the guaranteed level at iteration {k}: "
                 f"{f_k} > {prev_required}"
             )
-        res = gap_and_target(feasible_set, point)
-        gap, s = res.gap, res.target
+        gap, s = gap_and_target(feasible_set, point)
         radius = contraction = None
         if policy == "lloo":
             if gap0 is None:
@@ -267,40 +256,41 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
             termination = "max_iter"
         if termination is not None:
             records.append(
-                IterationRecord(k, f_k, gap, 0.0, res.e, None, t_row, None, radius, contraction)
+                IterationRecord(
+                    k, f_k, gap, 0.0, dist_like(point, s), None, t_row, None, radius, contraction
+                )
             )
             return RunTrace(records, point.x, termination, config, init_lip)
 
-        lip_used = None
         evals = None
-        # lloo steps toward the local oracle's point, so only a termination
-        # row needs the vertex's distance
-        e = res.e if policy != "lloo" else None
-        if policy == "standard":
-            alpha = standard_step(k)
-        elif policy == "line_search":
-            alpha = exact_line_search(point, s, e)
-        elif policy == "analytic":
-            sr = analytic_step(gap, e, oracle.M)
-            alpha = sr.alpha
-            prev_required = f_k - sr.model_decrease + DESCENT_SLACK
-        elif policy == "backtracking":
-            if state is None:
-                init_lip = init_lipschitz(point, s)
-                state = BacktrackState(init_lip)
-            if prev_f is not None:
-                state.prev_decrease = prev_f - f_k
-            sr = backtrack_step(point, s, gap, state)
-            alpha = sr.alpha
-            lip_used = sr.lipschitz
-            evals = sr.evals_used
-        else:
-            s = lloo(point.x, radius, point.gradient).point
+        if policy == "lloo":
+            # the step goes toward the local oracle's point, so only a
+            # termination row reads the vertex's distance
+            s = lloo(point.x, radius, point.gradient)
             e = dist_like(point, s)
-            alpha = lloo_step_size(contraction, gap0, e, oracle.M)
+            if e == 0.0 and np.array_equal(s, point.x):
+                # the local point is x itself: a null step, which counts
+                # toward a stall and does not advance the contraction
+                alpha = 0.0
+            else:
+                alpha = lloo_step_size(contraction, gap0, e, oracle.M)
+        else:
+            e = dist_like(point, s)
+            if policy == "standard":
+                alpha = standard_step(k)
+            elif policy == "line_search":
+                alpha = exact_line_search(point, s, e)
+            elif policy == "analytic":
+                alpha, decrease = analytic_step(gap, e, oracle.M)
+                prev_required = f_k - decrease + DESCENT_SLACK
+            else:
+                if init_lip is None:
+                    init_lip = lipschitz = init_lipschitz(point, s)
+                prev_decrease = None if prev_f is None else prev_f - f_k
+                alpha, lipschitz, evals = backtrack_step(point, s, gap, lipschitz, prev_decrease)
 
         records.append(
-            IterationRecord(k, f_k, gap, alpha, e, lip_used, t_row, evals, radius, contraction)
+            IterationRecord(k, f_k, gap, alpha, e, lipschitz, t_row, evals, radius, contraction)
         )
 
         tiny_steps = tiny_steps + 1 if alpha < STALL_ALPHA else 0

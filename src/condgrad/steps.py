@@ -6,7 +6,6 @@ model, and backtracking over an adaptive local Lipschitz estimate.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,33 +19,6 @@ LINE_SEARCH_WIDTH = 1e-10
 DOMAIN_SAFETY = 0.99
 
 
-@dataclass
-class BacktrackState:
-    """Mutable per-run state of the backtracking policy.
-
-    ``lipschitz`` is the running local estimate, ``eval_count`` the
-    cumulative number of sufficient-decrease checks, ``prev_decrease``
-    the last observed drop f(x_{k-1}) - f(x_k) feeding the initial
-    guess for the next iteration.  One solver run owns one instance.
-    """
-
-    lipschitz: float
-    eval_count: int = 0
-    prev_decrease: float | None = None
-
-    def __post_init__(self):
-        if self.lipschitz <= 0:
-            raise ValueError("Lipschitz estimate must be positive")
-
-
-@dataclass
-class StepResult:
-    alpha: float
-    lipschitz: float | None = None
-    evals_used: int = 0
-    model_decrease: float = 0.0
-
-
 def standard_step(k):
     """Open-loop step 2/(k+2)."""
     if k < 0:
@@ -55,11 +27,12 @@ def standard_step(k):
 
 
 def analytic_step(gap, e, M):
-    """Closed-form step from the self-concordant upper model.
+    """Closed-form step from the self-concordant upper model: (alpha, model_decrease).
 
     Maximizes t*gap - (4/M^2)*omega_star(t*e) over the admissible range,
-    then caps at 1.  The returned alpha always satisfies alpha*e < 1, so
-    the step provably stays inside the objective domain.
+    then caps at 1; the model decrease is that objective at t = alpha.
+    The returned alpha always satisfies alpha*e < 1, so the step
+    provably stays inside the objective domain.
     """
     if not gap > 0:
         raise ValueError("analytic_step requires a positive gap")
@@ -67,13 +40,12 @@ def analytic_step(gap, e, M):
         raise ValueError("local distance e must be nonnegative")
     if e == 0.0:
         # zero local norm of the direction: defensive, degenerate problems only
-        return StepResult(alpha=1.0, model_decrease=gap)
+        return 1.0, gap
     t = gap / (e * (gap + (4.0 / (M * M)) * e))
     alpha = min(1.0, t)
     if not alpha * e < 1.0:
         raise InvariantError(f"step {alpha} * e {e} >= 1; curvature model violated")
-    decrease = alpha * gap - (4.0 / (M * M)) * omega_star(alpha * e)
-    return StepResult(alpha=alpha, model_decrease=decrease)
+    return alpha, alpha * gap - (4.0 / (M * M)) * omega_star(alpha * e)
 
 
 def _golden_section(phi, lo, hi, width):
@@ -115,15 +87,20 @@ def exact_line_search(point, target, e):
     return t
 
 
-def backtrack_step(point, target, gap, state):
-    """Backtracking step toward `target` against the quadratic model with estimate mu.
+def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
+    """Backtracking step toward `target` against the quadratic model: (alpha, mu, evals).
 
-    With v = target - x, the trial Lipschitz value starts from a clipped
-    curvature guess based on the previous decrease, and doubles until
+    With v = target - x, the trial Lipschitz value mu starts from a
+    curvature guess based on `prev_decrease` (the last drop
+    f(x_{k-1}) - f(x_k)), clipped to [GAMMA_DOWN, 1] x `lipschitz` (the
+    running estimate), and doubles until
     f(x + alpha*v) <= f(x) - alpha*gap + (alpha^2 mu / 2)|v|^2 holds with
     alpha = min(gap/(mu |v|^2), 1).  Probes outside the domain count as
-    +inf and fail the check like any insufficient decrease.
+    +inf and fail the check like any insufficient decrease.  `evals` is
+    the number of checks made; mu is the next call's `lipschitz`.
     """
+    if not lipschitz > 0:
+        raise ValueError("Lipschitz estimate must be positive")
     if not gap > 0:
         raise ValueError("backtrack_step requires a positive gap")
     v = np.asarray(target, dtype=float) - point.x
@@ -135,10 +112,10 @@ def backtrack_step(point, target, gap, state):
         raise DomainError("backtrack_step: base point outside the objective domain")
     phi = point.line(target)
 
-    lo = GAMMA_DOWN * state.lipschitz
-    if state.prev_decrease is not None and state.prev_decrease > 0.0:
-        guess = gap * gap / (2.0 * state.prev_decrease * vv)
-        mu = min(max(guess, lo), state.lipschitz)
+    lo = GAMMA_DOWN * lipschitz
+    if prev_decrease is not None and prev_decrease > 0.0:
+        guess = gap * gap / (2.0 * prev_decrease * vv)
+        mu = min(max(guess, lo), lipschitz)
     else:
         mu = lo
 
@@ -154,15 +131,7 @@ def backtrack_step(point, target, gap, state):
                 "backtracking exceeded %d doublings; oracle inconsistent" % MAX_DOUBLINGS
             )
         mu *= GAMMA_UP
-
-    state.lipschitz = mu
-    state.eval_count += evals
-    return StepResult(
-        alpha=alpha,
-        lipschitz=mu,
-        evals_used=evals,
-        model_decrease=alpha * gap - 0.5 * alpha * alpha * mu * vv,
-    )
+    return alpha, mu, evals
 
 
 def init_lipschitz(point, s0, eps=1e-3):

@@ -208,11 +208,11 @@ def test_c5_lloo_oracle_correctness():
             x = random_simplex_point(gen, n)
             r = 10.0 ** gen.uniform(-2.0, 0.2)
             c = gen.normal(size=n)
-            res = lloo_simplex(x, r, c)
-            assert np.linalg.norm(x - res.point) <= np.sqrt(n) * r + 1e-12
+            p = lloo_simplex(x, r, c)
+            assert np.linalg.norm(x - p) <= np.sqrt(n) * r + 1e-12
             ys = sample_ball_simplex(gen, x, r, 2000)
             if ys.size:
-                assert float(np.dot(c, res.point)) <= float(np.min(ys @ c)) + 1e-10
+                assert float(np.dot(c, p)) <= float(np.min(ys @ c)) + 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 20.0, f"criterion 5 took {elapsed:.2f}s"
 

@@ -114,21 +114,22 @@ class TestDistLike:
 
 class TestGapAndTarget:
     def test_log_barrier_on_simplex(self, log_barrier2):
-        res = gap_and_target(Simplex(2), log_barrier2.point(np.array([0.25, 0.75])))
-        assert np.array_equal(res.target, [1.0, 0.0])
-        assert res.gap == pytest.approx(2.0, abs=1e-12)
-        assert res.e == pytest.approx(np.sqrt(10.0), abs=1e-12)
-        assert res.lmo_value == pytest.approx(-4.0, abs=1e-12)
+        point = log_barrier2.point(np.array([0.25, 0.75]))
+        gap, target = gap_and_target(Simplex(2), point)
+        assert np.array_equal(target, [1.0, 0.0])
+        assert gap == pytest.approx(2.0, abs=1e-12)
+        assert dist_like(point, target) == pytest.approx(np.sqrt(10.0), abs=1e-12)
+        assert np.dot(point.gradient, target) == pytest.approx(-4.0, abs=1e-12)
 
     def test_constant_objective_has_zero_gap(self):
         oracle = portfolio_oracle(np.array([[1.0, 1.0]]))
-        res = gap_and_target(Simplex(2), oracle.point(np.array([0.5, 0.5])))
-        assert res.gap == 0.0
+        gap, _ = gap_and_target(Simplex(2), oracle.point(np.array([0.5, 0.5])))
+        assert gap == 0.0
 
     def test_quadratic_on_simplex_vertex(self, quad2):
-        res = gap_and_target(Simplex(2), quad2.point(np.array([1.0, 0.0])))
-        assert np.array_equal(res.target, [0.0, 1.0])
-        assert res.gap == pytest.approx(1.0)
+        gap, target = gap_and_target(Simplex(2), quad2.point(np.array([1.0, 0.0])))
+        assert np.array_equal(target, [0.0, 1.0])
+        assert gap == pytest.approx(1.0)
 
     def test_infeasible_point_rejected(self, log_barrier2):
         with pytest.raises(ValueError):
@@ -161,9 +162,9 @@ class TestConcurrentReads:
         fs = Simplex(2)
         gen = np.random.default_rng(8)
         points = [gen.dirichlet([2.0, 2.0]) for _ in range(64)]
-        expected = [gap_and_target(fs, log_barrier2.point(x)).gap for x in points]
+        expected = [gap_and_target(fs, log_barrier2.point(x))[0] for x in points]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(lambda x: gap_and_target(fs, log_barrier2.point(x)).gap, points))
+            got = list(pool.map(lambda x: gap_and_target(fs, log_barrier2.point(x))[0], points))
         assert got == expected
 
 

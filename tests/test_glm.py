@@ -146,7 +146,7 @@ def random_target(kind, fs, x, gen):
         verts = fs.vertices()
         return verts[gen.integers(len(verts))]
     if pick == 1 and kind == "portfolio":
-        return lloo_simplex(x, 10.0 ** gen.uniform(-3.0, 0.0), gen.normal(size=fs.dim)).point
+        return lloo_simplex(x, 10.0 ** gen.uniform(-3.0, 0.0), gen.normal(size=fs.dim))
     return feasible_point(kind, fs, gen)
 
 

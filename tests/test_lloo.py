@@ -31,22 +31,22 @@ class TestWorkedCases:
     def test_partial_removal(self):
         x = np.array([0.5, 0.3, 0.2])
         r = 0.6 / np.sqrt(3.0)
-        res = lloo_simplex(x, r, np.array([1.0, 0.0, -1.0]))
-        assert np.allclose(res.point, [0.2, 0.3, 0.5], atol=1e-15)
-        assert res.l1_moved == pytest.approx(0.6, abs=1e-15)
+        p = lloo_simplex(x, r, np.array([1.0, 0.0, -1.0]))
+        assert np.allclose(p, [0.2, 0.3, 0.5], atol=1e-15)
+        assert np.abs(x - p).sum() == pytest.approx(0.6, abs=1e-15)
 
     def test_large_radius_degenerates_to_global_lmo(self):
         gen = np.random.default_rng(0)
         for n in (2, 3, 5):
             x = random_simplex_point(gen, n)
             c = gen.normal(size=n)
-            res = lloo_simplex(x, 5.0, c)  # d/2 = 5 sqrt(n)/2 >= 1
-            assert np.allclose(res.point, lmo_simplex(c), atol=1e-12)
+            p = lloo_simplex(x, 5.0, c)  # d/2 = 5 sqrt(n)/2 >= 1
+            assert np.allclose(p, lmo_simplex(c), atol=1e-12)
 
     def test_constant_cost_is_a_fixed_point(self):
         x = np.array([0.5, 0.3, 0.2])
-        res = lloo_simplex(x, 0.6 / np.sqrt(3.0), np.zeros(3))
-        assert np.allclose(res.point, x, atol=1e-15)
+        p = lloo_simplex(x, 0.6 / np.sqrt(3.0), np.zeros(3))
+        assert np.allclose(p, x, atol=1e-15)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -65,11 +65,11 @@ class TestGuarantees:
             x = random_simplex_point(gen, n)
             r = 10.0 ** gen.uniform(-2.0, 0.2)
             c = gen.normal(size=n)
-            res = lloo_simplex(x, r, c)
+            p = lloo_simplex(x, r, c)
             ys = sample_ball_simplex(gen, x, r, 500)
-            assert np.linalg.norm(x - res.point) <= np.sqrt(n) * r + 1e-12
+            assert np.linalg.norm(x - p) <= np.sqrt(n) * r + 1e-12
             if ys.size:
-                assert np.dot(c, res.point) <= np.min(ys @ c) + 1e-10
+                assert np.dot(c, p) <= np.min(ys @ c) + 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_feasibility_and_budget(self, n):
@@ -78,13 +78,12 @@ class TestGuarantees:
             x = random_simplex_point(gen, n)
             r = 10.0 ** gen.uniform(-3.0, 0.3)
             c = gen.normal(size=n)
-            res = lloo_simplex(x, r, c)
-            p = res.point
+            p = lloo_simplex(x, r, c)
             assert np.all(p >= -1e-12)
             assert abs(p.sum() - 1.0) <= 1e-12
             d = np.sqrt(n) * r
             m = min(d / 2.0, 1.0)
-            assert res.l1_moved <= d + 1e-12
+            assert np.abs(x - p).sum() <= d + 1e-12
             # the l1 budget is exact whenever the removal prefix avoids the
             # destination coordinate
             order = np.argsort(-c, kind="stable")
@@ -92,18 +91,18 @@ class TestGuarantees:
             k = min(int(np.searchsorted(cs, m, side="left")), n - 1)
             istar = int(np.argmin(c))
             if m < 1.0 and istar not in order[: k + 1]:
-                assert res.l1_moved == pytest.approx(2.0 * m, abs=1e-12)
+                assert np.abs(x - p).sum() == pytest.approx(2.0 * m, abs=1e-12)
 
     def test_mass_removed_in_descending_cost_order(self):
         x = np.array([0.1, 0.2, 0.3, 0.4])
         c = np.array([4.0, 3.0, 2.0, 1.0])
         # d = 1.0 -> m = 0.5: strip x_0 and x_1 fully, 0.2 from x_2
-        res = lloo_simplex(x, 1.0 / 2.0, c)
-        assert np.allclose(res.point, [0.0, 0.0, 0.1, 0.9], atol=1e-15)
+        p = lloo_simplex(x, 1.0 / 2.0, c)
+        assert np.allclose(p, [0.0, 0.0, 0.1, 0.9], atol=1e-15)
 
     def test_tied_costs_keep_ascending_index_order(self):
         x = np.array([0.2, 0.3, 0.5])
         c = np.array([1.0, 1.0, 0.0])
         # removal prefix must start at index 0, not index 1
-        res = lloo_simplex(x, 0.5 / np.sqrt(3.0), c)  # d = 0.5, m = 0.25
-        assert np.allclose(res.point, [0.0, 0.25, 0.75], atol=1e-15)
+        p = lloo_simplex(x, 0.5 / np.sqrt(3.0), c)  # d = 0.5, m = 0.25
+        assert np.allclose(p, [0.0, 0.25, 0.75], atol=1e-15)

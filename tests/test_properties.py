@@ -1,0 +1,96 @@
+"""Properties of the gap, the step rules and the local oracle over random instances.
+
+Each example draws a small portfolio, Poisson or logistic instance and a
+feasible point strictly inside its domain (the generators of
+`test_glm.py`), then checks the guarantee the function gives there.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from condgrad.core import dist_like, gap_and_target
+from condgrad.lloo import lloo_simplex
+from condgrad.solvers import DESCENT_SLACK
+from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step
+
+from test_glm import feasible_point, instances, make_instance
+from test_lloo import random_simplex_point, sample_ball_simplex
+
+
+def draw_point(inst):
+    """(oracle, feasible set, point) of the drawn instance."""
+    kind, m, n, seed = inst
+    oracle, fs = make_instance(kind, m, n, seed)
+    x = feasible_point(kind, fs, np.random.default_rng(seed + 1))
+    point = oracle.point(x)
+    assert point.in_domain and fs.contains(x)
+    return oracle, fs, point
+
+
+class TestGapAndTarget:
+    @given(instances)
+    def test_gap_bounds_every_vertex(self, inst):
+        _, fs, point = draw_point(inst)
+        gap, target = gap_and_target(fs, point)
+        g, x = point.gradient, point.x
+        assert fs.contains(target)
+        assert gap >= 0.0
+        for v in fs.vertices():
+            below = float(np.dot(g, x - v))
+            assert gap >= below - 1e-12 * max(1.0, abs(below), abs(gap))
+
+
+class TestAnalyticStep:
+    @given(instances)
+    def test_stays_inside_and_descends_by_the_model(self, inst):
+        oracle, fs, point = draw_point(inst)
+        gap, target = gap_and_target(fs, point)
+        assume(gap > 0.0)
+        e = dist_like(point, target)
+        alpha, decrease = analytic_step(gap, e, oracle.M)
+        assert alpha * e < 1.0
+        moved = point.x + alpha * (target - point.x)
+        assert oracle.in_domain(moved)
+        assert oracle.value(moved) <= point.f - decrease + DESCENT_SLACK
+
+
+class TestBacktrackStep:
+    @given(
+        instances,
+        st.floats(min_value=-6.0, max_value=6.0),
+        st.one_of(st.none(), st.floats(min_value=-8.0, max_value=2.0)),
+    )
+    def test_sufficient_decrease_within_the_eval_bound(self, inst, log_lip, log_decrease):
+        oracle, fs, point = draw_point(inst)
+        gap, target = gap_and_target(fs, point)
+        v = target - point.x
+        assume(gap > 0.0 and np.any(v != 0.0))
+        lipschitz = 10.0**log_lip
+        prev_decrease = None if log_decrease is None else 10.0**log_decrease
+        alpha, mu, evals = backtrack_step(point, target, gap, lipschitz, prev_decrease)
+        f_x = point.f
+        quad = f_x - alpha * gap + 0.5 * alpha * alpha * mu * float(np.dot(v, v))
+        assert oracle.value(point.x + alpha * v) <= quad + 1e-12 * max(1.0, abs(f_x))
+        assert evals <= 1.0 + math.log(mu / (GAMMA_DOWN * lipschitz)) / math.log(GAMMA_UP) + 1e-9
+
+
+class TestLlooSimplex:
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.floats(min_value=-3.0, max_value=0.3),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_local_point_beats_the_ball(self, n, log_r, seed):
+        gen = np.random.default_rng(seed)
+        x = random_simplex_point(gen, n)
+        c = gen.normal(size=n)
+        r = 10.0**log_r
+        p = lloo_simplex(x, r, c)
+        assert np.all(p >= -1e-12) and abs(float(np.sum(p)) - 1.0) <= 1e-12
+        assert np.linalg.norm(x - p) <= math.sqrt(n) * r + 1e-12
+        ys = sample_ball_simplex(gen, x, r, 200)
+        if ys.size:
+            assert float(np.dot(c, p)) <= float(np.min(ys @ c)) + 1e-10

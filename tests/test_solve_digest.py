@@ -1,0 +1,44 @@
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from condgrad.sets import Simplex
+from condgrad.solvers import RunConfig, fw_solve
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "solve_digest.py"
+
+
+@pytest.fixture(scope="module")
+def digest():
+    spec = importlib.util.spec_from_file_location("solve_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.trace_digest
+
+
+@pytest.fixture
+def trace(log_barrier2):
+    config = RunConfig(epsilon=1e-8, max_iter=20, policy="analytic")
+    return fw_solve(log_barrier2, Simplex(2), config, x0=np.array([0.25, 0.75]))
+
+
+def test_equal_traces_digest_equally(digest, trace, log_barrier2):
+    config = RunConfig(epsilon=1e-8, max_iter=20, policy="analytic")
+    again = fw_solve(log_barrier2, Simplex(2), config, x0=np.array([0.25, 0.75]))
+    assert digest(again) == digest(trace)
+
+
+def test_one_ulp_in_f_changes_the_digest(digest, trace):
+    before = digest(trace)
+    r = trace.records[3]
+    trace.records[3] = dataclasses.replace(r, f=float(np.nextafter(r.f, np.inf)))
+    assert digest(trace) != before
+
+
+def test_time_ns_does_not_enter_the_digest(digest, trace):
+    before = digest(trace)
+    trace.records = [dataclasses.replace(r, time_ns=r.time_ns + 12345) for r in trace.records]
+    assert digest(trace) == before

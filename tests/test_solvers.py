@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import condgrad
+from condgrad.cli import DEFAULT_MAX_ITER, build_problem, run_one
 from condgrad.core import DomainError, InvariantError, ScOracle, omega_star
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import gen_portfolio_data, poisson_oracle, portfolio_problem
@@ -368,6 +369,31 @@ class TestLlooSolver:
                 oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma), x0=np.full(oracle.dim, 0.9)
             )
 
+    def test_flat_gap_ends_stalled_not_at_radius_zero(self):
+        # the gap plateaus near 1e-14, where the local point equals x: such
+        # null steps must stall the run, not contract the radius to 0
+        _, oracle, fs = build_problem({"kind": "portfolio", "T": 10, "n": 3, "seed": 2})
+        trace = run_one(oracle, fs, "lloo", 1e-15, DEFAULT_MAX_ITER)
+        assert trace.termination == "stalled"
+        assert all(r.radius > 0.0 for r in trace.records)
+        assert all(np.isfinite(r.f) and np.isfinite(r.gap) for r in trace.records)
+
+    def test_zero_curvature_step_moves_the_full_way(self):
+        class Linear(QuadOracle):
+            cost = np.array([1.0, 0.0, 2.0])
+
+            def value(self, x):
+                return float(np.dot(self.cost, x))
+
+            def gradient(self, x):
+                return self.cost.copy()
+
+        config = RunConfig(epsilon=1e-12, max_iter=10, policy="lloo")
+        trace = solve_on_simplex(Linear(np.zeros(3)), config)
+        assert (trace.records[0].e, trace.records[0].alpha) == (0.0, 1.0)
+        assert trace.termination == "gap_below_eps"
+        assert np.allclose(trace.final_x, [0.0, 1.0, 0.0], atol=1e-15)
+
     def test_rate_floor_diagnostic(self, desk_portfolio):
         # every accepted step beats the theoretical floor computed from the
         # visited-set spectrum extremes
@@ -377,7 +403,7 @@ class TestLlooSolver:
         trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
         xs = [fs.start_point()]
         for r in trace.records[:-1]:
-            s = lloo_simplex(xs[-1], r.radius, oracle.gradient(xs[-1])).point
+            s = lloo_simplex(xs[-1], r.radius, oracle.gradient(xs[-1]))
             xs.append(xs[-1] + r.alpha * (s - xs[-1]))
         lam_max, lam_min = 0.0, np.inf
         for x in xs[::20]:
@@ -611,3 +637,13 @@ class TestTraceExport:
         assert data["termination"] == trace.termination
         assert len(data["iterations"]) == len(trace.records)
         assert data["iterations"][0]["f"] == trace.records[0].f
+
+    def test_json_rows_carry_every_record_field(self, tmp_path, desk_portfolio):
+        config = RunConfig(epsilon=1e-8, max_iter=30, policy="backtracking")
+        trace = fw_solve(desk_portfolio.oracle, desk_portfolio.feasible_set, config)
+        path = tmp_path / "trace.json"
+        trace.save_json(path)
+        rows = json.loads(path.read_text())["iterations"]
+        assert [row["evals"] for row in rows] == [r.evals for r in trace.records]
+        assert [row["L"] for row in rows] == [r.lipschitz for r in trace.records]
+        assert all(row["radius"] is None and row["contraction"] is None for row in rows)

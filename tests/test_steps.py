@@ -3,7 +3,6 @@ import pytest
 
 from condgrad.core import InvariantError, omega_star
 from condgrad.steps import (
-    BacktrackState,
     analytic_step,
     backtrack_step,
     exact_line_search,
@@ -26,19 +25,19 @@ class TestStandardStep:
 
 class TestAnalyticStep:
     def test_log_barrier_first_step(self):
-        res = analytic_step(gap=2.0, e=np.sqrt(10.0), M=2.0)
+        alpha, _ = analytic_step(gap=2.0, e=np.sqrt(10.0), M=2.0)
         expected = 2.0 / (np.sqrt(10.0) * (2.0 + np.sqrt(10.0)))
-        assert res.alpha == pytest.approx(expected, abs=1e-12)
-        assert res.alpha == pytest.approx(0.1225148, abs=1e-6)
+        assert alpha == pytest.approx(expected, abs=1e-12)
+        assert alpha == pytest.approx(0.1225148, abs=1e-6)
 
     def test_cap_at_one(self):
-        res = analytic_step(gap=100.0, e=0.5, M=2.0)
-        assert res.alpha == 1.0
-        assert res.alpha * 0.5 < 1.0
+        alpha, _ = analytic_step(gap=100.0, e=0.5, M=2.0)
+        assert alpha == 1.0
+        assert alpha * 0.5 < 1.0
 
     def test_vanishing_gap_gives_vanishing_step(self):
-        res = analytic_step(gap=1e-14, e=1.0, M=2.0)
-        assert res.alpha < 1e-13
+        alpha, _ = analytic_step(gap=1e-14, e=1.0, M=2.0)
+        assert alpha < 1e-13
 
     def test_gap_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -50,16 +49,16 @@ class TestAnalyticStep:
             gap = 10.0 ** gen.uniform(-12, 3)
             e = 10.0 ** gen.uniform(-8, 4)
             M = 10.0 ** gen.uniform(-2, 2)
-            res = analytic_step(gap, e, M)
-            assert 0.0 < res.alpha <= 1.0
-            assert res.alpha * e < 1.0
-            assert res.model_decrease > 0.0
+            alpha, decrease = analytic_step(gap, e, M)
+            assert 0.0 < alpha <= 1.0
+            assert alpha * e < 1.0
+            assert decrease > 0.0
 
     def test_model_decrease_formula(self):
         gap, e, M = 2.0, np.sqrt(10.0), 2.0
-        res = analytic_step(gap, e, M)
-        expected = res.alpha * gap - (4.0 / M**2) * omega_star(res.alpha * e)
-        assert res.model_decrease == pytest.approx(expected, abs=1e-15)
+        alpha, decrease = analytic_step(gap, e, M)
+        expected = alpha * gap - (4.0 / M**2) * omega_star(alpha * e)
+        assert decrease == pytest.approx(expected, abs=1e-15)
 
 
 class TestExactLineSearch:
@@ -88,49 +87,52 @@ class TestExactLineSearch:
 class TestBacktrackStep:
     def test_accepts_immediately_when_model_holds(self, quad2):
         # start estimate clipped up to 1.0 by a small previous decrease
-        state = BacktrackState(lipschitz=1.0, prev_decrease=0.1)
-        res = backtrack_step(
-            quad2.point(np.array([1.0, 0.0])), np.array([0.0, 1.0]), gap=1.0, state=state
+        alpha, mu, evals = backtrack_step(
+            quad2.point(np.array([1.0, 0.0])),
+            np.array([0.0, 1.0]),
+            gap=1.0,
+            lipschitz=1.0,
+            prev_decrease=0.1,
         )
-        assert res.alpha == 0.5
-        assert res.lipschitz == 1.0
-        assert res.evals_used == 1
-        assert state.eval_count == 1
+        assert alpha == 0.5
+        assert mu == 1.0
+        assert evals == 1
 
     def test_doubles_until_sufficient_decrease(self, quad2):
-        state = BacktrackState(lipschitz=0.25, prev_decrease=0.1)
-        res = backtrack_step(
-            quad2.point(np.array([1.0, 0.0])), np.array([0.0, 1.0]), gap=1.0, state=state
+        alpha, mu, evals = backtrack_step(
+            quad2.point(np.array([1.0, 0.0])),
+            np.array([0.0, 1.0]),
+            gap=1.0,
+            lipschitz=0.25,
+            prev_decrease=0.1,
         )
         # 0.25 fails at alpha=1, 0.5 fails at alpha=1, 1.0 accepts at alpha=0.5
-        assert (res.alpha, res.lipschitz) == (0.5, 1.0)
-        assert res.evals_used == 3
-        assert state.lipschitz == 1.0
+        assert (alpha, mu) == (0.5, 1.0)
+        assert evals == 3
 
     def test_domain_probe_counts_as_failure(self, log_barrier2):
         # full step lands on the boundary; the estimate must grow until
         # the probe re-enters the domain
         x = np.array([0.25, 0.75])
         v = np.array([1.0, 0.0]) - x
-        state = BacktrackState(lipschitz=1e-3)
-        res = backtrack_step(log_barrier2.point(x), x + v, gap=2.0, state=state)
-        assert np.isfinite(log_barrier2.value(x + res.alpha * v))
-        assert res.evals_used > 1
+        alpha, _, evals = backtrack_step(log_barrier2.point(x), x + v, gap=2.0, lipschitz=1e-3)
+        assert np.isfinite(log_barrier2.value(x + alpha * v))
+        assert evals > 1
 
     def test_sufficient_decrease_holds_at_return(self, log_barrier2):
         gen = np.random.default_rng(2)
         x = np.array([0.3, 0.7])
-        state = BacktrackState(lipschitz=2.0)
+        mu = 2.0
         for _ in range(20):
             target = x + gen.normal(size=2) * 0.2
             v = target - x
             g = float(np.dot(log_barrier2.gradient(x), -v))
             if g <= 0:
                 continue
-            res = backtrack_step(log_barrier2.point(x), target, gap=g, state=state)
+            alpha, mu, _ = backtrack_step(log_barrier2.point(x), target, gap=g, lipschitz=mu)
             fx = log_barrier2.value(x)
-            quad = fx - res.alpha * g + 0.5 * res.alpha**2 * res.lipschitz * float(np.dot(v, v))
-            assert log_barrier2.value(x + res.alpha * v) <= quad
+            quad = fx - alpha * g + 0.5 * alpha**2 * mu * float(np.dot(v, v))
+            assert log_barrier2.value(x + alpha * v) <= quad
 
     def test_quadratic_estimate_never_overshoots_doubled_truth(self):
         oracle = QuadOracle(np.array([1.0, 4.0]))
@@ -144,9 +146,8 @@ class TestBacktrackStep:
                 continue
             seg = float(np.dot(v, oracle.hess_vec(x, v)) / np.dot(v, v))
             # start strictly below the segment curvature to force doubling
-            state = BacktrackState(lipschitz=seg / 8.0)
-            res = backtrack_step(oracle.point(x), target, gap=g, state=state)
-            assert res.lipschitz <= 2.0 * seg + 1e-12
+            _, mu, _ = backtrack_step(oracle.point(x), target, gap=g, lipschitz=seg / 8.0)
+            assert mu <= 2.0 * seg + 1e-12
 
     def test_nontermination_guard(self):
         class Hostile(QuadOracle):
@@ -154,16 +155,16 @@ class TestBacktrackStep:
                 # base point looks fine, every probe is infeasible
                 return 0.0 if np.array_equal(x, np.zeros(2)) else float("inf")
 
-        state = BacktrackState(lipschitz=1.0)
         with pytest.raises(InvariantError):
-            backtrack_step(Hostile(np.ones(2)).point(np.zeros(2)), np.ones(2), gap=1.0, state=state)
+            backtrack_step(Hostile(np.ones(2)).point(np.zeros(2)), np.ones(2), gap=1.0, lipschitz=1.0)
 
     def test_rejects_bad_inputs(self, quad2):
-        state = BacktrackState(lipschitz=1.0)
         with pytest.raises(ValueError):
-            backtrack_step(quad2.point(np.zeros(2)), np.zeros(2), gap=1.0, state=state)
+            backtrack_step(quad2.point(np.zeros(2)), np.zeros(2), gap=1.0, lipschitz=1.0)
         with pytest.raises(ValueError):
-            backtrack_step(quad2.point(np.zeros(2)), np.ones(2), gap=0.0, state=state)
+            backtrack_step(quad2.point(np.zeros(2)), np.ones(2), gap=0.0, lipschitz=1.0)
+        with pytest.raises(ValueError, match="Lipschitz estimate must be positive"):
+            backtrack_step(quad2.point(np.zeros(2)), np.ones(2), gap=1.0, lipschitz=0.0)
 
 
 class TestInitLipschitz:

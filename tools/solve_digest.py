@@ -1,0 +1,94 @@
+"""Digest every solve of the benchmark workloads: the same-answers check.
+
+    python tools/solve_digest.py --seed 3 [--workload desk] [--root DIR]
+
+For each workload (all three unless `--workload` names some) the tool
+writes the seed's inputs with `perfbench.workloads.write_inputs` into a
+temporary directory, runs every (instance, method) solve through
+`cli.run_one` with BLAS pinned to one thread, and prints one line per
+solve:
+
+    workload instance method termination iterations sha256
+
+The SHA-256 covers every field of every record except `time_ns`, then
+`final_x` and `init_lipschitz`, each float by its exact hex form, so it
+changes with any one-ulp change of an answer and never with timing.
+`--root DIR` imports `src/` and `perfbench/` from another checkout (a
+`git worktree` or `git archive` of the parent commit), so
+
+    python tools/solve_digest.py --seed 3 --root ../parent > parent.txt
+    python tools/solve_digest.py --seed 3 > change.txt
+    diff parent.txt change.txt
+
+checks that a change leaves every answer bit-identical.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import numbers
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("desk", "paper", "grid")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _exact(v):
+    """A value as text that round-trips: integers in decimal, floats in hex."""
+    if v is None:
+        return "None"
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
+    return float(v).hex()
+
+
+def trace_digest(trace):
+    """SHA-256 over the trace's answers: records without `time_ns`, `final_x`, `init_lipschitz`."""
+    h = hashlib.sha256()
+    for r in trace.records:
+        for field in dataclasses.fields(r):
+            if field.name != "time_ns":
+                h.update(f"{field.name}={_exact(getattr(r, field.name))};".encode())
+        h.update(b"\n")
+    h.update(" ".join(_exact(v) for v in trace.final_x).encode())
+    h.update(f"\ninit_lipschitz={_exact(trace.init_lipschitz)}".encode())
+    return h.hexdigest()
+
+
+def digest_lines(workload, seed):
+    """One line per solve of the workload on the seed's inputs."""
+    import workloads
+    from condgrad import cli
+
+    wl = workloads.WORKLOADS[workload]
+    with tempfile.TemporaryDirectory() as tmp:
+        built = workloads.build_all(workloads.write_inputs(wl, seed, tmp))
+    for name, method in wl.keys():
+        oracle, feasible_set = built[name]
+        trace = cli.run_one(oracle, feasible_set, method, wl.gap, wl.max_iter)
+        iterations = len(trace.records) - 1
+        yield f"{workload} {name} {method} {trace.termination} {iterations} {trace_digest(trace)}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--root", type=Path, default=ROOT, help="checkout to import src/ and perfbench/ from")
+    args = parser.parse_args(argv)
+    # one BLAS thread, set before numpy loads: threaded reductions may round differently
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    for workload in args.workload or WORKLOADS:
+        for line in digest_lines(workload, args.seed):
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
