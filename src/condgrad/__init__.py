@@ -5,7 +5,7 @@ a locally-restricted linearly convergent variant on the simplex,
 benchmark problem oracles, and a performance-profile harness.
 """
 
-from .core import DomainError, InvariantError, OraclePoint, ScOracle, bregman, dist_like, gap_and_target, local_norm, omega, omega_star
+from .core import DomainError, InvariantError, OraclePoint, ScOracle, bregman, dist_like, gap_and_target, omega, omega_star
 from .lloo import lloo_simplex
 from .problems import (
     GlmOracle,
@@ -15,17 +15,15 @@ from .problems import (
     PortfolioOracle,
     Problem,
     gen_portfolio_data,
-    logistic_oracle,
+    logistic_problem,
     parse_libsvm,
-    poisson_oracle,
-    portfolio_oracle,
+    poisson_problem,
     portfolio_problem,
 )
 from .profiles import ProfileTable, RunRecord, build_profile_table, fraction_solved, iteration_ratio, relative_error, time_ratio
-from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex, lmo_l1ball, lmo_nonneg_l1, lmo_simplex
+from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex
 from .solvers import (
     IterationRecord,
-    LlooConfig,
     RunConfig,
     RunTrace,
     certificate_lower_bound,
@@ -50,7 +48,6 @@ __all__ = [
     "bregman",
     "dist_like",
     "gap_and_target",
-    "local_norm",
     "omega",
     "omega_star",
     "lloo_simplex",
@@ -61,10 +58,9 @@ __all__ = [
     "PortfolioOracle",
     "Problem",
     "gen_portfolio_data",
-    "logistic_oracle",
+    "logistic_problem",
     "parse_libsvm",
-    "poisson_oracle",
-    "portfolio_oracle",
+    "poisson_problem",
     "portfolio_problem",
     "ProfileTable",
     "RunRecord",
@@ -77,11 +73,7 @@ __all__ = [
     "L1Ball",
     "NonnegL1Ball",
     "Simplex",
-    "lmo_l1ball",
-    "lmo_nonneg_l1",
-    "lmo_simplex",
     "IterationRecord",
-    "LlooConfig",
     "RunConfig",
     "RunTrace",
     "certificate_lower_bound",

@@ -18,15 +18,7 @@ import numpy as np
 from . import problems as prob
 from .profiles import RunRecord, build_profile_table, fraction_solved, iteration_ratio, time_ratio
 from .lloo import lloo_simplex
-from .solvers import (
-    LlooConfig,
-    RunConfig,
-    certificate_lower_bound,
-    estimate_sigma,
-    fw_solve,
-    lloo_fw_solve,
-    read_trace_csv,
-)
+from .solvers import RunConfig, certificate_lower_bound, estimate_sigma, fw_solve, lloo_fw_solve, read_trace_csv
 
 METHODS = ("standard", "line_search", "analytic", "backtracking", "lloo")
 DEFAULT_EPS_GRID = [10.0**-p for p in range(1, 9)]
@@ -55,7 +47,7 @@ def build_problem(spec):
             feats = prob.gen_binary_design(int(spec["m"]), int(spec["n"]), float(spec.get("density", 0.2)), seed)
             counts = np.ones(feats.shape[0])
             name = spec.get("name", f"poisson_m{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
-        p = prob.poisson_oracle(feats, counts, radius)
+        p = prob.poisson_problem(feats, counts, radius)
     elif kind == "logistic":
         radius = float(spec.get("radius", prob.DEFAULT_RADIUS))
         if "data" in spec:
@@ -65,7 +57,7 @@ def build_problem(spec):
         else:
             feats, labels = prob.gen_logistic_data(int(spec["N"]), int(spec["n"]), seed)
             name = spec.get("name", f"logistic_N{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
-        p = prob.logistic_oracle(
+        p = prob.logistic_problem(
             feats, labels, mu=float(spec.get("mu", 0.0)), gamma=spec.get("gamma"), radius=radius
         )
     else:
@@ -78,13 +70,13 @@ def parse_libsvm_path(path):
         return prob.parse_libsvm(fh)
 
 
-def run_one(oracle, feasible_set, method, eps, max_iter, seed=0):
-    config = RunConfig(epsilon=eps, max_iter=max_iter, policy=method, seed=seed)
+def run_one(oracle, feasible_set, method, eps, max_iter):
+    config = RunConfig(epsilon=eps, max_iter=max_iter, policy=method)
     if method == "lloo":
         if feasible_set.kind != "simplex":
             raise ValueError("the lloo method runs on simplex problems only")
         sigma = estimate_sigma(oracle, feasible_set.start_point())
-        return lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        return lloo_fw_solve(oracle, lloo_simplex, config, sigma)
     return fw_solve(oracle, feasible_set, config)
 
 
@@ -101,7 +93,7 @@ def cmd_solve(args):
     if args.radius is not None:
         spec["radius"] = args.radius
     name, oracle, feasible_set = build_problem(spec)
-    trace = run_one(oracle, feasible_set, args.method, args.eps, args.max_iter, seed=args.seed)
+    trace = run_one(oracle, feasible_set, args.method, args.eps, args.max_iter)
     trace.save_csv(args.out)
     if args.json:
         trace.save_json(args.json)
@@ -140,17 +132,15 @@ def run_suite(cfg, out_dir):
     gap_tol = float(cfg.get("gap_tol", DEFAULT_GAP_TOL))
     eps_grid = [float(e) for e in cfg.get("eps_grid", DEFAULT_EPS_GRID)]
 
-    instances = []
-    for spec in _expand_problems(cfg):
-        instances.append((build_problem(spec), spec))
+    instances = [build_problem(spec) for spec in _expand_problems(cfg)]
 
     runs = []
     records = []
-    for (name, oracle, feasible_set), spec in instances:
+    for name, oracle, feasible_set in instances:
         for method in methods:
             entry = {"method": method, "problem": name}
             try:
-                trace = run_one(oracle, feasible_set, method, gap_tol, max_iter, seed=int(spec.get("seed", 0)))
+                trace = run_one(oracle, feasible_set, method, gap_tol, max_iter)
             except Exception as exc:  # a failed run is recorded and the grid goes on
                 entry["error"] = str(exc)
                 entry["error_type"] = type(exc).__name__

@@ -106,7 +106,7 @@ class OraclePoint:
 
     def norm_to(self, target):
         if not self.in_domain:
-            raise DomainError("local_norm: point outside the objective domain")
+            raise DomainError("norm_to: point outside the objective domain")
         v = self._direction(target)
         return _form_root(float(np.dot(self.hess_vec(v), v)), v)
 
@@ -156,13 +156,6 @@ def _form_root(q, u):
             raise InvariantError(f"negative Hessian quadratic form: {q}")
         q = 0.0
     return float(np.sqrt(q))
-
-
-def local_norm(oracle, x, u):
-    """Hessian-induced norm sqrt(<hess_vec(x,u), u>) at x."""
-    if not oracle.in_domain(x):
-        raise DomainError("local_norm: point outside the objective domain")
-    return _form_root(float(np.dot(oracle.hess_vec(x, u), u)), u)
 
 
 def dist_like(point, y):

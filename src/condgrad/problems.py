@@ -35,7 +35,7 @@ GATHER_RATIO = 8
 class GlmOracle(ScOracle):
     """f(x) = sum_i phi_i(a_i . x) + (gamma/2)|x|^2 over the rows a_i of a matrix.
 
-    Subclasses call ``_set_matrix`` (m x n data), set ``M`` and, when
+    Subclasses call ``_set_matrix`` (m x n data, m >= 1), set ``M`` and, when
     there is a quadratic term, ``gamma``, and define phi on the image
     z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
     the domain only) and the per-row derivatives ``_d1(z)``, ``_d2(z)``.
@@ -46,6 +46,8 @@ class GlmOracle(ScOracle):
     gamma = 0.0
 
     def _set_matrix(self, matrix):
+        if matrix.shape[0] == 0:
+            raise ValueError(f"{type(self).__name__}: the data matrix has no rows")
         self.matrix = matrix
         self.dim = matrix.shape[1]
 
@@ -94,8 +96,10 @@ class GlmPoint:
         self._target = None
 
     def _value(self, z, x):
-        if not self.oracle._domain(z):
-            return np.inf
+        return self._objective(z, x) if self.oracle._domain(z) else np.inf
+
+    def _objective(self, z, x):
+        """f from z = A x; z must lie in the domain."""
         f = float(self.oracle._loss(z))
         gamma = self.oracle.gamma
         return f + 0.5 * gamma * float(np.dot(x, x)) if gamma else f
@@ -110,7 +114,7 @@ class GlmPoint:
 
     @cached_property
     def f(self):
-        return self._value(self.z, self.x)
+        return self._objective(self.z, self.x) if self.in_domain else np.inf
 
     @cached_property
     def gradient(self):
@@ -149,7 +153,7 @@ class GlmPoint:
         return self._image_of_target
 
     def norm_to(self, target):
-        self._require_domain("local_norm")
+        self._require_domain("norm_to")
         v, av, _ = self._image(target)
         q = float(np.dot(self._d2, av * av))
         gamma = self.oracle.gamma
@@ -272,11 +276,11 @@ class LogisticOracle(GlmOracle):
         labels = np.ascontiguousarray(labels, dtype=float)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be N x n with one label per row")
+        self._set_matrix(features)
         if gamma is None:
             gamma = 1.0 / features.shape[0]
         if not gamma > 0:
             raise ValueError("gamma must be positive")
-        self._set_matrix(features)
         self.labels = labels
         self.mu = float(mu)
         self.gamma = float(gamma)
@@ -319,16 +323,12 @@ class Problem:
     feasible_set: FeasibleSet
 
 
-def portfolio_oracle(returns):
-    return PortfolioOracle(returns)
-
-
 def portfolio_problem(returns):
     oracle = PortfolioOracle(returns)
     return Problem(oracle, Simplex(oracle.dim))
 
 
-def poisson_oracle(weights, counts, radius=DEFAULT_RADIUS):
+def poisson_problem(weights, counts, radius=DEFAULT_RADIUS):
     oracle = PoissonOracle(weights, counts)
     problem = Problem(oracle, NonnegL1Ball(oracle.dim, radius))
     # the canonical interior start must give a finite objective
@@ -337,7 +337,7 @@ def poisson_oracle(weights, counts, radius=DEFAULT_RADIUS):
     return problem
 
 
-def logistic_oracle(features, labels, mu=0.0, gamma=None, radius=DEFAULT_RADIUS):
+def logistic_problem(features, labels, mu=0.0, gamma=None, radius=DEFAULT_RADIUS):
     oracle = LogisticOracle(features, labels, mu=mu, gamma=gamma)
     return Problem(oracle, L1Ball(oracle.dim, radius))
 

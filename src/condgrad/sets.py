@@ -18,44 +18,6 @@ def _check_finite(c):
     return c
 
 
-def lmo_simplex(c):
-    """Vertex e_i of the unit simplex minimizing <c, .>, lowest-index ties."""
-    c = _check_finite(c)
-    out = np.zeros_like(c)
-    out[int(np.argmin(c))] = 1.0
-    return out
-
-
-def lmo_l1ball(c, radius):
-    """Vertex +-R*e_i of the l1-ball minimizing <c, .>.
-
-    The winning coordinate has maximal |c_i| (lowest-index ties) and the
-    sign opposes c_i, with sign(0) treated as +1.
-    """
-    c = _check_finite(c)
-    if radius <= 0:
-        raise ValueError("l1-ball radius must be positive")
-    i = int(np.argmax(np.abs(c)))
-    out = np.zeros_like(c)
-    out[i] = -radius if c[i] > 0 else radius
-    # c[i] == 0 only when c == 0: sign(0) = +1 gives -R * e_i
-    if c[i] == 0.0:
-        out[i] = -radius
-    return out
-
-
-def lmo_nonneg_l1(c, radius):
-    """Argmin of <c, .> over {x >= 0, |x|_1 <= R}: the origin or R*e_i."""
-    c = _check_finite(c)
-    if radius <= 0:
-        raise ValueError("l1-ball radius must be positive")
-    i = int(np.argmin(c))
-    out = np.zeros_like(c)
-    if c[i] < 0.0:
-        out[i] = radius
-    return out
-
-
 class FeasibleSet:
     """Common surface: lmo, contains, diameter, vertices, start_point."""
 
@@ -90,7 +52,11 @@ class Simplex(FeasibleSet):
         self.dim = int(dim)
 
     def lmo(self, c):
-        return lmo_simplex(c)
+        """Vertex e_i minimizing <c, .>, lowest-index ties."""
+        c = _check_finite(c)
+        out = np.zeros_like(c)
+        out[int(np.argmin(c))] = 1.0
+        return out
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
@@ -125,7 +91,17 @@ class L1Ball(FeasibleSet):
         self.radius = float(radius)
 
     def lmo(self, c):
-        return lmo_l1ball(c, self.radius)
+        """Vertex +-R*e_i minimizing <c, .>.
+
+        The winning coordinate has maximal |c_i| (lowest-index ties) and
+        the sign opposes c_i, with sign(0) treated as +1.
+        """
+        c = _check_finite(c)
+        i = int(np.argmax(np.abs(c)))
+        out = np.zeros_like(c)
+        # c[i] == 0 only when c == 0: sign(0) = +1 gives -R * e_i
+        out[i] = self.radius if c[i] < 0.0 else -self.radius
+        return out
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
@@ -157,7 +133,13 @@ class NonnegL1Ball(FeasibleSet):
         self.radius = float(radius)
 
     def lmo(self, c):
-        return lmo_nonneg_l1(c, self.radius)
+        """The origin or R*e_i, whichever minimizes <c, .>."""
+        c = _check_finite(c)
+        i = int(np.argmin(c))
+        out = np.zeros_like(c)
+        if c[i] < 0.0:
+            out[i] = self.radius
+        return out
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)

@@ -31,8 +31,6 @@ class RunConfig:
     epsilon: float
     max_iter: int
     policy: str = "analytic"
-    record_times: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -151,21 +149,6 @@ def fw_solve(oracle, feasible_set, config, x0=None):
     return _solve(oracle, feasible_set, config, x0)
 
 
-@dataclass
-class LlooConfig:
-    """Parameters of the locally-restricted run.
-
-    `sigma_f` is the strong-convexity parameter on the initial level set
-    (user-supplied, see :func:`estimate_sigma` for a heuristic).
-    """
-
-    sigma_f: float
-
-    def __post_init__(self):
-        if not self.sigma_f > 0:
-            raise ValueError("sigma_f must be positive")
-
-
 def lloo_step_size(contraction, gap0, e, M):
     """Step size of the locally-restricted iteration.
 
@@ -178,13 +161,16 @@ def lloo_step_size(contraction, gap0, e, M):
     return min(ratio, 1.0) / (1.0 + e)
 
 
-def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
+def lloo_fw_solve(oracle, lloo, config, sigma_f, x0=None):
     """Conditional gradient with a local linear oracle on the simplex.
 
     `lloo` is a callable (x, r, c) -> point of the simplex, queried with
     the radius r0 * sqrt(c_k), which shrinks geometrically as the
     accumulated steps grow (contraction c_k = exp(-sum alpha / 2)); the
     global duality gap still drives the stopping test and the trace.
+    `sigma_f` > 0 is the strong-convexity parameter on the initial level
+    set (user-supplied, see :func:`estimate_sigma` for a heuristic); it
+    sets r0 = sqrt(6 gap0 / sigma_f).
     Rows additionally record the radius and contraction factor used.
     `config.policy` must be "lloo".  Start, stopping and stalling are
     those of :func:`fw_solve`; a local point equal to x is a null step
@@ -193,7 +179,9 @@ def lloo_fw_solve(oracle, lloo, config, lloo_config, x0=None):
     """
     if config.policy != "lloo":
         raise ValueError(f"lloo_fw_solve cannot run policy {config.policy!r}")
-    return _solve(oracle, Simplex(oracle.dim), config, x0, lloo, lloo_config.sigma_f)
+    if not sigma_f > 0:
+        raise ValueError("sigma_f must be positive")
+    return _solve(oracle, Simplex(oracle.dim), config, x0, lloo, sigma_f)
 
 
 def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
@@ -207,11 +195,11 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     as stalled, while for the other policies that raises.
     """
     x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
+    if not feasible_set.contains(x0):
+        raise ValueError("start point outside the feasible set")
     point = oracle.point(x0)
     if not point.in_domain:
         raise DomainError("start point outside the objective domain")
-    if not feasible_set.contains(x0):
-        raise ValueError("start point outside the feasible set")
 
     policy = config.policy
     records = []
@@ -226,7 +214,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     t0 = time.perf_counter_ns()
 
     while True:
-        t_row = time.perf_counter_ns() - t0 if config.record_times else 0
+        t_row = time.perf_counter_ns() - t0
         f_k = point.f
         # no monotonicity check for lloo: the locally-restricted step
         # contracts the error bound gap0 * c_k, but the raw objective may wobble up
@@ -311,10 +299,9 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
 
 def certificate_lower_bound(trace):
     """Best dual certificate max_k (f_k - gap_k), a valid lower bound on f*."""
-    records = trace.records if isinstance(trace, RunTrace) else trace
-    if not records:
+    if not trace.records:
         raise ValueError("empty trace")
-    return max(r.f - r.gap for r in records)
+    return max(r.f - r.gap for r in trace.records)
 
 
 def estimate_sigma(oracle, x):

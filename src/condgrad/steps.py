@@ -17,6 +17,8 @@ MAX_DOUBLINGS = 100
 LINE_SEARCH_WIDTH = 1e-10
 # stay 1% inside the unit local-distance ball that guarantees domain membership
 DOMAIN_SAFETY = 0.99
+# first step length of init_lipschitz's finite-difference probe
+LIPSCHITZ_PROBE = 1e-3
 
 
 def standard_step(k):
@@ -134,17 +136,19 @@ def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
     return alpha, mu, evals
 
 
-def init_lipschitz(point, s0, eps=1e-3):
+def init_lipschitz(point, s0):
     """Finite-difference seed for the local Lipschitz estimate at a point x0.
 
     Measures ||grad f(x0) - grad f(x0 + eps*(s0-x0))|| / (eps*||s0-x0||),
-    halving eps (up to 60 times) until the probe lies in the domain.
+    starting from eps = LIPSCHITZ_PROBE and halving it (up to 60 times)
+    until the probe lies in the domain.
     """
     norm = float(np.linalg.norm(np.asarray(s0, dtype=float) - point.x))
     if norm == 0.0:
         raise ValueError("init_lipschitz: target coincides with the start point")
     if not point.in_domain:
         raise DomainError("init_lipschitz: start point outside the objective domain")
+    eps = LIPSCHITZ_PROBE
     for _ in range(60):
         probe = point.move(eps, s0)
         if probe.in_domain:

@@ -16,16 +16,15 @@ from condgrad.lloo import lloo_simplex
 from condgrad.problems import (
     gen_logistic_data,
     gen_portfolio_data,
-    logistic_oracle,
+    logistic_problem,
     parse_libsvm,
-    poisson_oracle,
+    poisson_problem,
     portfolio_problem,
 )
 from condgrad.profiles import fraction_solved, iteration_ratio, time_ratio
 from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
 from condgrad.solvers import (
     IterationRecord,
-    LlooConfig,
     RunConfig,
     RunTrace,
     estimate_sigma,
@@ -101,7 +100,7 @@ def portfolio_runs():
         oracle,
         lloo_simplex,
         RunConfig(epsilon=1e-8, max_iter=50000, policy="lloo"),
-        LlooConfig(sigma_f=sigma),
+        sigma,
     )
     out["times"]["lloo"] = time.perf_counter() - t0
 
@@ -166,9 +165,9 @@ def test_c2_backtracking_rate_bound(portfolio_runs):
 def test_c3_analytic_descent_all_families():
     with open(DATA_DIR / "poisson200.libsvm") as fh:
         feats, _ = parse_libsvm(fh)
-    poisson = poisson_oracle(feats, np.ones(feats.shape[0]), radius=10.0)
+    poisson = poisson_problem(feats, np.ones(feats.shape[0]), radius=10.0)
     lfeats, llabels = gen_logistic_data(200, 50, seed=11)
-    logistic = logistic_oracle(lfeats, llabels, radius=10.0)
+    logistic = logistic_problem(lfeats, llabels, radius=10.0)
     portfolio = portfolio_problem(gen_portfolio_data(50, 20, 7))
 
     cases = [
@@ -239,9 +238,9 @@ def test_c6_backtracking_accounting(portfolio_runs):
 def test_c7_oracle_calculus():
     with open(DATA_DIR / "poisson200.libsvm") as fh:
         feats, _ = parse_libsvm(fh)
-    poisson = poisson_oracle(feats[:60], np.ones(60), radius=10.0).oracle
+    poisson = poisson_problem(feats[:60], np.ones(60), radius=10.0).oracle
     lfeats, llabels = gen_logistic_data(80, 12, seed=4)
-    logistic = logistic_oracle(lfeats, llabels, gamma=0.2).oracle
+    logistic = logistic_problem(lfeats, llabels, gamma=0.2).oracle
     portfolio = portfolio_problem(gen_portfolio_data(30, 10, 5)).oracle
 
     gen = np.random.default_rng(77)

@@ -115,6 +115,12 @@ class TestSolve:
         assert rc == 0
         assert len(read_trace_csv(out)) >= 2
 
+    def test_logistic_without_rows_rejected(self, tmp_path):
+        argv = ["solve", "--problem", "logistic", "--samples", "0", "--n", "5"]
+        argv += ["--method", "analytic", "--out", str(tmp_path / "t.csv")]
+        with pytest.raises(ValueError, match="LogisticOracle: the data matrix has no rows"):
+            main(argv)
+
 
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):

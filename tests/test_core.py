@@ -7,12 +7,11 @@ from condgrad.core import (
     bregman,
     dist_like,
     gap_and_target,
-    local_norm,
     omega,
     omega_star,
 )
 from condgrad.sets import Simplex
-from condgrad.problems import portfolio_oracle
+from condgrad.problems import PortfolioOracle
 
 from conftest import LogBarrierOracle, QuadOracle
 
@@ -63,17 +62,18 @@ class TestLocalNorm:
     def test_log_barrier_worked_case(self, log_barrier2):
         x = np.array([0.25, 0.75])
         u = np.array([0.75, -0.75])
-        assert local_norm(log_barrier2, x, u) == pytest.approx(np.sqrt(10.0), abs=1e-12)
+        assert log_barrier2.point(x).norm_to(x + u) == pytest.approx(np.sqrt(10.0), abs=1e-12)
 
     def test_zero_direction(self, log_barrier2):
-        assert local_norm(log_barrier2, np.array([0.3, 0.7]), np.zeros(2)) == 0.0
+        x = np.array([0.3, 0.7])
+        assert log_barrier2.point(x).norm_to(x) == 0.0
 
     def test_identity_hessian_is_euclidean(self, quad2):
-        assert local_norm(quad2, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
+        assert quad2.point(np.zeros(2)).norm_to(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
     def test_outside_domain_raises(self, log_barrier2):
         with pytest.raises(DomainError):
-            local_norm(log_barrier2, np.array([-1.0, 1.0]), np.ones(2))
+            log_barrier2.point(np.array([-1.0, 1.0])).norm_to(np.array([0.0, 2.0]))
 
     def test_negative_quadratic_form_raises(self):
         class BadOracle(QuadOracle):
@@ -81,14 +81,16 @@ class TestLocalNorm:
                 return -np.asarray(u, dtype=float)
 
         with pytest.raises(InvariantError):
-            local_norm(BadOracle(np.ones(2)), np.zeros(2), np.ones(2))
+            BadOracle(np.ones(2)).point(np.zeros(2)).norm_to(np.ones(2))
 
     def test_definition_consistency(self, log_barrier2):
         gen = np.random.default_rng(3)
         for _ in range(50):
             x = gen.uniform(0.1, 2.0, size=2)
             u = gen.normal(size=2)
-            q = local_norm(log_barrier2, x, u) ** 2
+            target = x + u
+            u = target - x  # the direction norm_to measures
+            q = log_barrier2.point(x).norm_to(target) ** 2
             ref = float(np.dot(u, log_barrier2.hess_vec(x, u)))
             assert abs(q - ref) <= 1e-10 * (1.0 + float(np.dot(u, u)))
 
@@ -122,7 +124,7 @@ class TestGapAndTarget:
         assert np.dot(point.gradient, target) == pytest.approx(-4.0, abs=1e-12)
 
     def test_constant_objective_has_zero_gap(self):
-        oracle = portfolio_oracle(np.array([[1.0, 1.0]]))
+        oracle = PortfolioOracle(np.array([[1.0, 1.0]]))
         gap, _ = gap_and_target(Simplex(2), oracle.point(np.array([0.5, 0.5])))
         assert gap == 0.0
 

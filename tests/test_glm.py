@@ -21,11 +21,11 @@ from condgrad.problems import (
     gen_binary_design,
     gen_logistic_data,
     gen_portfolio_data,
-    logistic_oracle,
-    poisson_oracle,
+    logistic_problem,
+    poisson_problem,
     portfolio_problem,
 )
-from condgrad.solvers import LlooConfig, RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
+from condgrad.solvers import RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
 
 KINDS = ("portfolio", "poisson", "logistic")
 POLICIES = ("standard", "line_search", "analytic", "backtracking")
@@ -121,10 +121,10 @@ def make_instance(kind, m, n, seed):
         p = portfolio_problem(gen_portfolio_data(m, n, seed))
     elif kind == "poisson":
         counts = np.floor(gen.uniform(0.0, 3.0, size=m))
-        p = poisson_oracle(gen_binary_design(m, n, 0.3, seed), counts, radius=float(gen.uniform(1.0, 10.0)))
+        p = poisson_problem(gen_binary_design(m, n, 0.3, seed), counts, radius=float(gen.uniform(1.0, 10.0)))
     else:
         feats, labels = gen_logistic_data(m, n, seed)
-        p = logistic_oracle(feats, labels, mu=float(gen.normal()), radius=float(gen.uniform(1.0, 10.0)))
+        p = logistic_problem(feats, labels, mu=float(gen.normal()), radius=float(gen.uniform(1.0, 10.0)))
     return p.oracle, p.feasible_set
 
 
@@ -332,7 +332,7 @@ class TestPassCounts:
         counts["products"] = 0
         iters = 250
         config = RunConfig(epsilon=1e-14, max_iter=iters, policy="lloo")
-        trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
         assert trace.termination == "max_iter"
         assert counts["products"] <= 1 + (iters + 1) + iters // REFRESH_INTERVAL
 
@@ -358,6 +358,22 @@ class TestPassCounts:
         assert calls["hess_vec"] == oracle.dim
         assert counts["products"] == 1 + 2 * calls["hess_vec"]
 
+    def test_one_domain_test_per_iterate(self, desk, monkeypatch):
+        # f reads the flag in_domain cached; line probes test on their own
+        oracle, fs, _ = desk
+        calls = {"domain": 0}
+        original = oracle._domain
+
+        def domain(z):
+            calls["domain"] += 1
+            return original(z)
+
+        monkeypatch.setattr(oracle, "_domain", domain)
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-3, max_iter=5000, policy="analytic"))
+        assert trace.termination == "gap_below_eps"
+        # one per iterate, plus the refreshed point before the gap is accepted
+        assert calls["domain"] <= len(trace.records) + 1
+
     def test_one_hessian_product_per_lloo_iteration(self, desk):
         # through the four methods: the local point's distance on every
         # row, the vertex's on the termination row only
@@ -373,6 +389,6 @@ class TestPassCounts:
         counted.hess_vec = hess_vec
         iters = 300
         config = RunConfig(epsilon=1e-14, max_iter=iters, policy="lloo")
-        trace = lloo_fw_solve(counted, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        trace = lloo_fw_solve(counted, lloo_simplex, config, sigma)
         assert trace.termination == "max_iter"
         assert calls["hess_vec"] <= iters + 1

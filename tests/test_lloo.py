@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from condgrad.lloo import lloo_simplex
-from condgrad.sets import lmo_simplex
+from condgrad.sets import Simplex
 
 
 def sample_ball_simplex(gen, x, r, count):
@@ -41,7 +41,7 @@ class TestWorkedCases:
             x = random_simplex_point(gen, n)
             c = gen.normal(size=n)
             p = lloo_simplex(x, 5.0, c)  # d/2 = 5 sqrt(n)/2 >= 1
-            assert np.allclose(p, lmo_simplex(c), atol=1e-12)
+            assert np.allclose(p, Simplex(n).lmo(c), atol=1e-12)
 
     def test_constant_cost_is_a_fixed_point(self):
         x = np.array([0.5, 0.3, 0.2])

@@ -6,16 +6,18 @@ import pytest
 from condgrad import rng
 from condgrad.core import DomainError
 from condgrad.problems import (
+    LogisticOracle,
     ParseError,
+    PoissonOracle,
+    PortfolioOracle,
     format_libsvm,
     gen_binary_design,
     gen_logistic_data,
     gen_portfolio_data,
     load_returns_csv,
-    logistic_oracle,
+    logistic_problem,
     parse_libsvm,
-    poisson_oracle,
-    portfolio_oracle,
+    poisson_problem,
     portfolio_problem,
     save_returns_csv,
 )
@@ -32,13 +34,13 @@ from conftest import (
 
 class TestPortfolioOracle:
     def test_constant_returns_row(self):
-        oracle = portfolio_oracle(np.array([[1.0, 1.0]]))
+        oracle = PortfolioOracle(np.array([[1.0, 1.0]]))
         x = np.array([0.5, 0.5])
         assert oracle.value(x) == 0.0
         assert np.allclose(oracle.gradient(x), [-1.0, -1.0])
 
     def test_single_row_worked_case(self):
-        oracle = portfolio_oracle(np.array([[2.0, 1.0]]))
+        oracle = PortfolioOracle(np.array([[2.0, 1.0]]))
         x = np.array([0.5, 0.5])
         assert oracle.value(x) == pytest.approx(-np.log(1.5), abs=1e-15)
         assert np.allclose(oracle.gradient(x), [-4.0 / 3.0, -2.0 / 3.0])
@@ -46,7 +48,7 @@ class TestPortfolioOracle:
         assert np.allclose(oracle.hess_vec(x, [1.0, 0.0]), [16.0 / 9.0, 8.0 / 9.0])
 
     def test_hessian_symmetry(self):
-        oracle = portfolio_oracle(gen_portfolio_data(9, 4, 2))
+        oracle = PortfolioOracle(gen_portfolio_data(9, 4, 2))
         gen = np.random.default_rng(0)
         for x in interior_simplex_points(gen, 10, 4):
             u = gen.normal(size=4)
@@ -57,25 +59,25 @@ class TestPortfolioOracle:
 
     def test_value_invariant_under_row_permutation(self):
         returns = gen_portfolio_data(7, 3, 4)
-        oracle = portfolio_oracle(returns)
-        shuffled = portfolio_oracle(returns[::-1].copy())
+        oracle = PortfolioOracle(returns)
+        shuffled = PortfolioOracle(returns[::-1].copy())
         x = np.array([0.2, 0.5, 0.3])
         assert oracle.value(x) == pytest.approx(shuffled.value(x), rel=1e-14)
 
     def test_value_infinite_outside_domain(self):
-        oracle = portfolio_oracle(np.array([[1.0, 2.0]]))
+        oracle = PortfolioOracle(np.array([[1.0, 2.0]]))
         assert oracle.value(np.array([-3.0, 1.0])) == np.inf
         with pytest.raises(DomainError):
             oracle.gradient(np.array([-3.0, 1.0]))
 
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValueError):
-            portfolio_oracle(np.array([[1.0, 0.0]]))
+            PortfolioOracle(np.array([[1.0, 0.0]]))
         with pytest.raises(ValueError):
-            portfolio_oracle(np.array([[1.0, -0.5]]))
+            PortfolioOracle(np.array([[1.0, -0.5]]))
 
     def test_curvature_parameter(self):
-        assert portfolio_oracle(np.ones((3, 2))).M == 2.0
+        assert PortfolioOracle(np.ones((3, 2))).M == 2.0
 
 
 class TestGenPortfolioData:
@@ -104,24 +106,24 @@ class TestGenPortfolioData:
 
 class TestPoissonOracle:
     def test_single_row_worked_case(self):
-        problem = poisson_oracle(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
+        problem = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
         x = np.array([0.5, 0.5])
         assert problem.oracle.value(x) == pytest.approx(0.5 + np.log(2.0), abs=1e-15)
         assert np.allclose(problem.oracle.gradient(x), [-1.0, 0.0])
 
     def test_unit_counts_give_curvature_two(self):
         w = gen_binary_design(10, 4, 0.5, 3)
-        problem = poisson_oracle(w, np.ones(10))
+        problem = poisson_problem(w, np.ones(10))
         assert problem.oracle.M == 2.0
 
     def test_mixed_counts_curvature(self):
         w = np.ones((3, 2))
-        problem = poisson_oracle(w, np.array([4.0, 1.0, 0.0]))
+        problem = poisson_problem(w, np.array([4.0, 1.0, 0.0]))
         assert problem.oracle.M == 2.0  # max over positive counts of 2/sqrt(y)
 
     def test_zero_counts_reduce_to_linear(self):
         w = np.array([[1.0, 2.0], [0.5, 0.25]])
-        problem = poisson_oracle(w, np.zeros(2))
+        problem = poisson_problem(w, np.zeros(2))
         g1 = problem.oracle.gradient(np.array([0.4, 0.1]))
         g2 = problem.oracle.gradient(np.array([3.0, 2.0]))
         assert np.allclose(g1, g2)
@@ -129,44 +131,44 @@ class TestPoissonOracle:
 
     def test_rejects_empty_row_with_positive_count(self):
         with pytest.raises(ValueError):
-            poisson_oracle(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
+            poisson_problem(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1.0, 1.0]))
 
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValueError):
-            poisson_oracle(np.ones((1, 2)), np.array([0.5]))
+            poisson_problem(np.ones((1, 2)), np.array([0.5]))
 
 
 class TestLogisticOracle:
     def test_value_at_zero_is_ln_two(self):
         feats, labels = gen_logistic_data(20, 5, 1)
-        problem = logistic_oracle(feats, labels, gamma=1.0)
+        problem = logistic_problem(feats, labels, gamma=1.0)
         assert problem.oracle.value(np.zeros(5)) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_single_sample_gradient(self):
-        problem = logistic_oracle(np.array([[1.0, 0.0]]), np.array([1.0]), gamma=1.0)
+        problem = logistic_problem(np.array([[1.0, 0.0]]), np.array([1.0]), gamma=1.0)
         assert np.allclose(problem.oracle.gradient(np.zeros(2)), [-0.5, 0.0])
 
     def test_hessvec_at_zero_closed_form(self):
         feats, labels = gen_logistic_data(15, 4, 6)
         gamma = 0.3
-        problem = logistic_oracle(feats, labels, gamma=gamma)
+        problem = logistic_problem(feats, labels, gamma=gamma)
         u = np.array([0.5, -1.0, 2.0, 0.1])
         expected = 0.25 * feats.T @ (feats @ u) / feats.shape[0] + gamma * u
         assert np.allclose(problem.oracle.hess_vec(np.zeros(4), u), expected, atol=1e-12)
 
     def test_curvature_parameter(self):
         feats = np.array([[3.0, 4.0], [1.0, 0.0]])
-        problem = logistic_oracle(feats, np.array([1.0, -1.0]), gamma=0.25)
+        problem = logistic_problem(feats, np.array([1.0, -1.0]), gamma=0.25)
         assert problem.oracle.M == pytest.approx(5.0 / 0.5)
 
     def test_default_gamma_is_one_over_n(self):
         feats, labels = gen_logistic_data(40, 3, 2)
-        problem = logistic_oracle(feats, labels)
+        problem = logistic_problem(feats, labels)
         assert problem.oracle.gamma == pytest.approx(1.0 / 40.0)
 
     def test_value_sandwich(self):
         feats, labels = gen_logistic_data(30, 6, 9)
-        problem = logistic_oracle(feats, labels, gamma=0.1)
+        problem = logistic_problem(feats, labels, gamma=0.1)
         gen = np.random.default_rng(1)
         for _ in range(20):
             x = gen.normal(size=6)
@@ -174,6 +176,20 @@ class TestLogisticOracle:
             reg = 0.05 * float(np.dot(x, x))
             margins = np.abs(labels * (feats @ x))
             assert reg <= val <= np.log(2.0) + reg + float(np.max(margins))
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (PortfolioOracle, (np.ones((0, 3)),)),
+        (PoissonOracle, (np.ones((0, 3)), np.ones(0))),
+        (LogisticOracle, (np.ones((0, 3)), np.ones(0))),
+    ],
+    ids=["portfolio", "poisson", "logistic"],
+)
+def test_data_matrix_without_rows_rejected(cls, args):
+    with pytest.raises(ValueError, match=f"{cls.__name__}: the data matrix has no rows"):
+        cls(*args)
 
 
 def _interior_points(kind, oracle, count, gen):
@@ -190,8 +206,8 @@ def calculus_instances():
     feats_l, labels_l = gen_logistic_data(25, 6, 8)
     return {
         "portfolio": portfolio_problem(gen_portfolio_data(12, 5, 1)).oracle,
-        "poisson": poisson_oracle(feats_p, np.ones(feats_p.shape[0])).oracle,
-        "logistic": logistic_oracle(feats_l, labels_l, gamma=0.5).oracle,
+        "poisson": poisson_problem(feats_p, np.ones(feats_p.shape[0])).oracle,
+        "logistic": logistic_problem(feats_l, labels_l, gamma=0.5).oracle,
     }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condgrad.sets import L1Ball, NonnegL1Ball, Simplex, lmo_l1ball, lmo_nonneg_l1, lmo_simplex
+from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
 
 
 def random_convex_combinations(gen, vertices, count):
@@ -16,23 +16,23 @@ def make_sets(dim):
 
 class TestLmoExamples:
     def test_simplex(self):
-        assert np.array_equal(lmo_simplex([3.0, -1.0, 2.0]), [0.0, 1.0, 0.0])
-        assert np.array_equal(lmo_simplex([0.0, 0.0]), [1.0, 0.0])
+        assert np.array_equal(Simplex(3).lmo([3.0, -1.0, 2.0]), [0.0, 1.0, 0.0])
+        assert np.array_equal(Simplex(2).lmo([0.0, 0.0]), [1.0, 0.0])
         # gradient of the 2-d log barrier at (1/4, 3/4)
-        assert np.array_equal(lmo_simplex([-4.0, -4.0 / 3.0]), [1.0, 0.0])
+        assert np.array_equal(Simplex(2).lmo([-4.0, -4.0 / 3.0]), [1.0, 0.0])
 
     def test_l1ball(self):
-        assert np.array_equal(lmo_l1ball([1.0, -2.0, 0.5], 1.0), [0.0, 1.0, 0.0])
-        assert np.array_equal(lmo_l1ball([0.0, 0.0, 0.0], 1.0), [-1.0, 0.0, 0.0])
-        assert np.array_equal(lmo_l1ball([5.0], 2.0), [-2.0])
+        assert np.array_equal(L1Ball(3, 1.0).lmo([1.0, -2.0, 0.5]), [0.0, 1.0, 0.0])
+        assert np.array_equal(L1Ball(3, 1.0).lmo([0.0, 0.0, 0.0]), [-1.0, 0.0, 0.0])
+        assert np.array_equal(L1Ball(1, 2.0).lmo([5.0]), [-2.0])
 
     def test_nonneg_l1(self):
-        assert np.array_equal(lmo_nonneg_l1([0.5, -1.0, 2.0], 3.0), [0.0, 3.0, 0.0])
-        assert np.array_equal(lmo_nonneg_l1([1.0, 2.0], 5.0), [0.0, 0.0])
-        assert np.array_equal(lmo_nonneg_l1([-1.0, -1.0], 1.0), [1.0, 0.0])
+        assert np.array_equal(NonnegL1Ball(3, 3.0).lmo([0.5, -1.0, 2.0]), [0.0, 3.0, 0.0])
+        assert np.array_equal(NonnegL1Ball(2, 5.0).lmo([1.0, 2.0]), [0.0, 0.0])
+        assert np.array_equal(NonnegL1Ball(2, 1.0).lmo([-1.0, -1.0]), [1.0, 0.0])
 
     def test_nonfinite_rejected(self):
-        for fn in (lmo_simplex, lambda c: lmo_l1ball(c, 1.0), lambda c: lmo_nonneg_l1(c, 1.0)):
+        for fn in (Simplex(2).lmo, L1Ball(2, 1.0).lmo, NonnegL1Ball(2, 1.0).lmo):
             with pytest.raises(ValueError):
                 fn([np.nan, 1.0])
             with pytest.raises(ValueError):

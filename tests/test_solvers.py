@@ -11,10 +11,9 @@ import condgrad
 from condgrad.cli import DEFAULT_MAX_ITER, build_problem, run_one
 from condgrad.core import DomainError, InvariantError, ScOracle, omega_star
 from condgrad.lloo import lloo_simplex
-from condgrad.problems import gen_portfolio_data, poisson_oracle, portfolio_problem
+from condgrad.problems import gen_portfolio_data, poisson_problem, portfolio_problem
 from condgrad.sets import Simplex
 from condgrad.solvers import (
-    LlooConfig,
     RunConfig,
     RunTrace,
     IterationRecord,
@@ -38,7 +37,7 @@ def analytic_model_decrease(record, M):
 def solve_on_simplex(oracle, config):
     """Run `config.policy` from the simplex centre, through the entry point that serves it."""
     if config.policy == "lloo":
-        return lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=1.0))
+        return lloo_fw_solve(oracle, lloo_simplex, config, 1.0)
     return fw_solve(oracle, Simplex(oracle.dim), config)
 
 
@@ -94,7 +93,7 @@ class TestBarrierRegression:
 
 class TestPoissonToy:
     def test_first_step_numbers(self):
-        problem = poisson_oracle(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
+        problem = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
         trace = fw_solve(
             problem.oracle,
             problem.feasible_set,
@@ -108,7 +107,7 @@ class TestPoissonToy:
         assert trace.records[1].f == pytest.approx(1.0721317747748311, abs=1e-12)
 
     def test_converges_to_known_optimum(self):
-        problem = poisson_oracle(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
+        problem = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
         trace = fw_solve(
             problem.oracle,
             problem.feasible_set,
@@ -126,6 +125,18 @@ class TestSolverGuards:
                 Simplex(2),
                 RunConfig(epsilon=1e-8, max_iter=10, policy="analytic"),
                 x0=np.array([1.0, 0.0]),
+            )
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_misshapen_start_rejected_before_evaluation(self, desk_portfolio, extra):
+        # the GLM point's matvec would fail on a start of the wrong length
+        dim = desk_portfolio.oracle.dim + extra
+        with pytest.raises(ValueError, match="start point outside the feasible set"):
+            fw_solve(
+                desk_portfolio.oracle,
+                desk_portfolio.feasible_set,
+                RunConfig(epsilon=1e-8, max_iter=10, policy="analytic"),
+                x0=np.full(dim, 1.0 / dim),
             )
 
     def test_startup_outside_set(self, quad2):
@@ -222,7 +233,7 @@ class TestSolverGuards:
                 quad2,
                 lloo_simplex,
                 RunConfig(epsilon=1e-6, max_iter=10, policy="backtracking"),
-                LlooConfig(sigma_f=1.0),
+                1.0,
             )
 
 
@@ -331,7 +342,7 @@ class TestLlooSolver:
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-9, max_iter=5000, policy="lloo")
-        trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
         assert trace.termination == "gap_below_eps"
         f_ref = min(r.f for r in trace.records)
         gap0 = trace.records[0].gap
@@ -344,7 +355,7 @@ class TestLlooSolver:
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-6, max_iter=200, policy="lloo")
-        trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
         r0 = trace.records[0].radius
         for r in trace.records:
             assert r.radius == pytest.approx(r0 * np.sqrt(r.contraction), rel=1e-12)
@@ -353,7 +364,7 @@ class TestLlooSolver:
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-9, max_iter=300, policy="lloo")
-        trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
         assert all(np.isfinite(r.f) for r in trace.records)
 
     def test_custom_start_point(self, desk_portfolio):
@@ -362,11 +373,11 @@ class TestLlooSolver:
         x0 = np.zeros(oracle.dim)
         x0[0] = x0[1] = 0.5
         config = RunConfig(epsilon=1e-6, max_iter=2000, policy="lloo")
-        trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma), x0=x0)
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma, x0=x0)
         assert trace.termination == "gap_below_eps"
         with pytest.raises(ValueError):
             lloo_fw_solve(
-                oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma), x0=np.full(oracle.dim, 0.9)
+                oracle, lloo_simplex, config, sigma, x0=np.full(oracle.dim, 0.9)
             )
 
     def test_flat_gap_ends_stalled_not_at_radius_zero(self):
@@ -400,7 +411,7 @@ class TestLlooSolver:
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-9, max_iter=5000, policy="lloo")
-        trace = lloo_fw_solve(oracle, lloo_simplex, config, LlooConfig(sigma_f=sigma))
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
         xs = [fs.start_point()]
         for r in trace.records[:-1]:
             s = lloo_simplex(xs[-1], r.radius, oracle.gradient(xs[-1]))
@@ -417,15 +428,6 @@ class TestLlooSolver:
 
 
 class TestTraceBookkeeping:
-    def test_record_times_off_zeroes_the_column(self, log_barrier2):
-        trace = fw_solve(
-            log_barrier2,
-            Simplex(2),
-            RunConfig(epsilon=1e-8, max_iter=50, policy="analytic", record_times=False),
-            x0=np.array([0.25, 0.75]),
-        )
-        assert all(r.time_ns == 0 for r in trace.records)
-
     def test_recorded_times_nondecreasing(self, desk_portfolio):
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=100, policy="analytic"))
@@ -508,10 +510,11 @@ class TestSigmaEstimate:
         assert sigma > 0.0
 
     def test_singular_hessian_rejected_by_the_lloo_config(self):
-        sigma = estimate_sigma(QuadOracle(np.array([2.0, 0.0, 1.0])), np.zeros(3))
+        oracle = QuadOracle(np.array([2.0, 0.0, 1.0]))
+        sigma = estimate_sigma(oracle, np.zeros(3))
         assert sigma == 0.0
         with pytest.raises(ValueError, match="sigma_f must be positive"):
-            LlooConfig(sigma_f=sigma)
+            lloo_fw_solve(oracle, lloo_simplex, RunConfig(epsilon=1e-6, max_iter=10, policy="lloo"), sigma)
 
     def test_import_pulls_no_scipy(self):
         src = str(Path(condgrad.__file__).resolve().parent.parent)
@@ -627,13 +630,14 @@ class TestTraceExport:
         assert all(line.split(",")[5] == "" for line in body[1:])
 
     def test_json_echoes_config(self, tmp_path, log_barrier2):
-        config = RunConfig(epsilon=1e-8, max_iter=20, policy="analytic", seed=9)
+        config = RunConfig(epsilon=1e-8, max_iter=20, policy="analytic")
         trace = fw_solve(log_barrier2, Simplex(2), config, x0=np.array([0.25, 0.75]))
         path = tmp_path / "trace.json"
         trace.save_json(path)
         data = json.loads(path.read_text())
         assert data["config"]["epsilon"] == 1e-8
-        assert data["config"]["seed"] == 9
+        assert data["config"]["max_iter"] == 20
+        assert data["config"]["policy"] == "analytic"
         assert data["termination"] == trace.termination
         assert len(data["iterations"]) == len(trace.records)
         assert data["iterations"][0]["f"] == trace.records[0].f
