@@ -18,23 +18,33 @@ import numpy as np
 from . import problems as prob
 from .profiles import RunRecord, build_profile_table, fraction_solved, iteration_ratio, time_ratio
 from .lloo import lloo_simplex
-from .solvers import RunConfig, certificate_lower_bound, estimate_sigma, fw_solve, lloo_fw_solve, read_trace_csv
+from .solvers import (
+    METHODS, POLICIES, RunConfig, certificate_lower_bound, estimate_sigma, fw_solve, lloo_fw_solve, read_trace_csv
+)
 
-METHODS = ("standard", "line_search", "analytic", "backtracking", "lloo")
 DEFAULT_EPS_GRID = [10.0**-p for p in range(1, 9)]
 DEFAULT_MAX_ITER = 50000
 DEFAULT_GAP_TOL = 1e-10
 
 
+def _required(mapping, key, what):
+    """mapping[key]; a missing key is a ValueError that names it."""
+    if key not in mapping:
+        raise ValueError(f"{what} lacks the key {key!r}")
+    return mapping[key]
+
+
 def build_problem(spec):
     """Instantiate a problem from a config entry; returns (name, oracle, set)."""
-    kind = spec["kind"]
+    kind = _required(spec, "kind", "problem spec")
+    what = f"{kind} problem spec"
     seed = int(spec.get("seed", 0))
     if kind == "portfolio":
         if "data" in spec:
             returns, seed = prob.load_returns_csv(spec["data"])
         else:
-            returns = prob.gen_portfolio_data(int(spec["T"]), int(spec["n"]), seed)
+            T, n = int(_required(spec, "T", what)), int(_required(spec, "n", what))
+            returns = prob.gen_portfolio_data(T, n, seed)
         p = prob.portfolio_problem(returns)
         name = spec.get("name", f"portfolio_n{p.oracle.dim}_T{returns.shape[0]}_s{seed}")
     elif kind == "poisson":
@@ -44,7 +54,8 @@ def build_problem(spec):
             counts = np.ones(feats.shape[0])
             name = spec.get("name", f"poisson_{Path(spec['data']).stem}")
         else:
-            feats = prob.gen_binary_design(int(spec["m"]), int(spec["n"]), float(spec.get("density", 0.2)), seed)
+            m, n = int(_required(spec, "m", what)), int(_required(spec, "n", what))
+            feats = prob.gen_binary_design(m, n, float(spec.get("density", 0.2)), seed)
             counts = np.ones(feats.shape[0])
             name = spec.get("name", f"poisson_m{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
         p = prob.poisson_problem(feats, counts, radius)
@@ -55,7 +66,8 @@ def build_problem(spec):
             labels = np.where(labels > 0, 1.0, -1.0)
             name = spec.get("name", f"logistic_{Path(spec['data']).stem}")
         else:
-            feats, labels = prob.gen_logistic_data(int(spec["N"]), int(spec["n"]), seed)
+            N, n = int(_required(spec, "N", what)), int(_required(spec, "n", what))
+            feats, labels = prob.gen_logistic_data(N, n, seed)
             name = spec.get("name", f"logistic_N{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
         p = prob.logistic_problem(
             feats, labels, mu=float(spec.get("mu", 0.0)), gamma=spec.get("gamma"), radius=radius
@@ -108,7 +120,7 @@ def cmd_solve(args):
 def _expand_problems(cfg):
     seeds = cfg.get("seeds", [0])
     specs = []
-    for entry in cfg["problems"]:
+    for entry in _required(cfg, "problems", "bench config"):
         if "seed" in entry or "data" in entry:
             specs.append(dict(entry))
         else:
@@ -127,7 +139,7 @@ def run_suite(cfg, out_dir):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = cfg.get("methods", ["standard", "line_search", "analytic", "backtracking"])
+    methods = cfg.get("methods", list(POLICIES))
     max_iter = int(cfg.get("max_iter", DEFAULT_MAX_ITER))
     gap_tol = float(cfg.get("gap_tol", DEFAULT_GAP_TOL))
     eps_grid = [float(e) for e in cfg.get("eps_grid", DEFAULT_EPS_GRID)]
@@ -289,8 +301,14 @@ def make_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; bad input (a ValueError or OSError) prints one
+    line to stderr and returns 2, any other exception propagates."""
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"condgrad: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -78,7 +78,6 @@ class OraclePoint:
 
     def __init__(self, oracle, x):
         self.oracle = oracle
-        self.M = oracle.M
         self.x = np.asarray(x, dtype=float)
         self._target = None
 
@@ -160,7 +159,7 @@ def _form_root(q, u):
 
 def dist_like(point, y):
     """Scaled local distance (M/2)*||y - x||_x from a point at x."""
-    return 0.5 * point.M * point.norm_to(y)
+    return 0.5 * point.oracle.M * point.norm_to(y)
 
 
 def gap_and_target(feasible_set, point):

@@ -26,9 +26,9 @@ REFRESH_INTERVAL = 100
 # reach being the largest l1 norm among the last exact x and the targets
 # since (every carried value is a combination of those).
 DRIFT_RTOL = 1e-9
-# A (s - x) is gathered from the columns of s's or (s - x)'s support when
-# that support has at most n / GATHER_RATIO entries: a column read touches
-# one cache line (8 doubles) per row, a full pass one per 8 entries.
+# A (s - x) is gathered as A s - z from the columns of s's support when that
+# support has at most n / GATHER_RATIO entries: a column read touches one
+# cache line (8 doubles) per row, a full pass one per 8 entries.
 GATHER_RATIO = 8
 
 
@@ -76,10 +76,10 @@ class GlmPoint:
     """A point of a :class:`GlmOracle` that carries z = A x.
 
     Same surface as :class:`~condgrad.core.OraclePoint`.  A move to
-    x + alpha (s - x) updates z <- z + alpha A (s - x), with A (s - x)
-    gathered from the target's support: a vertex of the feasible set is
-    one scaled column, and a local-oracle target differs from x on a few
-    coordinates.  Domain tests, f, local norms and line probes then cost
+    x + alpha (s - x) updates z <- z + alpha A (s - x), with A s gathered
+    from the target's support: a vertex of the feasible set is one
+    scaled column, and a denser local-oracle target costs one full
+    product.  Domain tests, f, local norms and line probes then cost
     O(m); the gradient's A^T phi'(z) is the one full pass over the data
     per iterate, a Hessian product takes two.  After REFRESH_INTERVAL
     carried moves, and on ``refreshed()``, z is recomputed as A x; a
@@ -88,7 +88,6 @@ class GlmPoint:
 
     def __init__(self, oracle, x, z=None, age=0, reach=None):
         self.oracle = oracle
-        self.M = oracle.M
         self.x = np.asarray(x, dtype=float)
         self.z = oracle.matrix @ self.x if z is None else z
         self.age = age
@@ -141,11 +140,9 @@ class GlmPoint:
             s = np.asarray(target, dtype=float)
             v = s - self.x
             a = self.oracle.matrix
-            support, moved = np.flatnonzero(s), np.flatnonzero(v)
-            if support.size <= moved.size and support.size * GATHER_RATIO <= v.size:
+            support = np.flatnonzero(s)
+            if support.size * GATHER_RATIO <= v.size:
                 av = a[:, support] @ s[support] - self.z
-            elif moved.size * GATHER_RATIO <= v.size:
-                av = a[:, moved] @ v[moved]
             else:
                 av = a @ v
             self._target = target

@@ -18,6 +18,7 @@ from .sets import Simplex
 from .steps import analytic_step, backtrack_step, exact_line_search, init_lipschitz, standard_step
 
 POLICIES = ("standard", "line_search", "analytic", "backtracking")
+METHODS = POLICIES + ("lloo",)
 
 STALL_ALPHA = 1e-16
 STALL_RUNS = 10
@@ -37,7 +38,7 @@ class RunConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.policy not in POLICIES and self.policy != "lloo":
+        if self.policy not in METHODS:
             raise ValueError(f"unknown policy {self.policy!r}")
 
 
@@ -204,7 +205,6 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     policy = config.policy
     records = []
     init_lip = lipschitz = None
-    prev_f = None
     prev_required = None
     gap0 = None
     r0 = None
@@ -274,7 +274,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
             else:
                 if init_lip is None:
                     init_lip = lipschitz = init_lipschitz(point, s)
-                prev_decrease = None if prev_f is None else prev_f - f_k
+                prev_decrease = records[-1].f - f_k if records else None
                 alpha, lipschitz, evals = backtrack_step(point, s, gap, lipschitz, prev_decrease)
 
         records.append(
@@ -291,7 +291,6 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
                 # the open-loop/line-search baselines carry no domain guarantee
                 return RunTrace(records, nxt.x, "stalled", config, init_lip)
             raise InvariantError(f"{policy} step left the objective domain at iteration {k}")
-        prev_f = f_k
         alpha_sum += alpha
         point = nxt
         k += 1

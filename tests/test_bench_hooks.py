@@ -53,6 +53,30 @@ def test_patched_call_sites_resolve(spans):
     assert [getattr(owner, attr) for owner, attr, _ in spans.PATCHES] == originals
 
 
+def test_traced_solves_record_every_solver_span(spans):
+    # one tiny solve per method on a simplex and an l1-ball instance, traced
+    # the way the benchmark traces them: each span must record a call, not
+    # just wrap a name the solvers no longer look up
+    tracer = spans.Tracer()
+    problems = [
+        portfolio_problem(gen_portfolio_data(12, 4, 0)),
+        poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.ones(20)),
+    ]
+    with spans.patched(tracer):
+        for problem in problems:
+            oracle = spans.TracedOracle(tracer, problem.oracle)
+            fs = spans.TracedSet(tracer, problem.feasible_set)
+            for method in cli.METHODS:
+                if method != "lloo" or fs.kind == "simplex":
+                    cli.run_one(oracle, fs, method, 1e-6, 50)
+    calls = np.bincount(tracer.arrays()["name_id"], minlength=len(tracer.names))
+    recorded = {name for name, n in zip(tracer.names, calls) if n}
+    expected = {name for _, _, name in spans.PATCHES if name.split(".")[0] in ("solvers", "core", "steps")}
+    expected |= {f"problems.{call}" for call in spans.ORACLE_CALLS}
+    expected |= {"lloo.lloo_simplex", "sets.lmo", "sets.contains", "cli.run_one"}
+    assert sorted(expected - recorded) == []
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -115,10 +115,59 @@ class TestSolve:
         assert rc == 0
         assert len(read_trace_csv(out)) >= 2
 
-    def test_logistic_without_rows_rejected(self, tmp_path):
+    def test_logistic_without_rows_rejected(self, tmp_path, capsys):
         argv = ["solve", "--problem", "logistic", "--samples", "0", "--n", "5"]
         argv += ["--method", "analytic", "--out", str(tmp_path / "t.csv")]
-        with pytest.raises(ValueError, match="LogisticOracle: the data matrix has no rows"):
+        assert main(argv) == 2
+        assert "LogisticOracle: the data matrix has no rows" in capsys.readouterr().err
+
+
+SOLVE = ["solve", "--method", "analytic", "--out", "{tmp}/t.csv"]
+
+
+class TestUserErrors:
+    """Bad input ends in one `condgrad: error:` line on stderr and status 2
+    (a data matrix without rows: `TestSolve::test_logistic_without_rows_rejected`)."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (SOLVE + ["--problem", "portfolio"], "portfolio problem spec lacks the key 'T'"),
+            (
+                ["solve", "--problem", "poisson", "--method", "lloo", "--samples", "10", "--n", "4"]
+                + ["--out", "{tmp}/t.csv"],
+                "the lloo method runs on simplex problems only",
+            ),
+            (SOLVE + ["--problem", "portfolio", "--data", "{tmp}/missing.csv"], "No such file or directory"),
+            (["bench", "--config", "{tmp}/cfg.json"], "bench config lacks the key 'problems'"),
+            (["profile", "--traces", "{tmp}/missing"], "no complete method traces found"),
+        ],
+        ids=[
+            "portfolio-no-size",
+            "lloo-off-simplex",
+            "missing-data",
+            "bench-no-problems",
+            "profile-no-traces",
+        ],
+    )
+    def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
+        (tmp_path / "cfg.json").write_text(json.dumps({"methods": ["analytic"]}))
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("condgrad: error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_invariant_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        from condgrad import cli
+        from condgrad.core import InvariantError
+
+        def failing_run_one(*args):
+            raise InvariantError("injected failure")
+
+        monkeypatch.setattr(cli, "run_one", failing_run_one)
+        argv = ["solve", "--problem", "portfolio", "--T", "10", "--n", "4"]
+        argv += ["--method", "analytic", "--out", str(tmp_path / "t.csv")]
+        with pytest.raises(InvariantError, match="injected failure"):
             main(argv)
 
 

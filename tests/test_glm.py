@@ -25,10 +25,9 @@ from condgrad.problems import (
     poisson_problem,
     portfolio_problem,
 )
-from condgrad.solvers import RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
+from condgrad.solvers import POLICIES, RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
 
 KINDS = ("portfolio", "poisson", "logistic")
-POLICIES = ("standard", "line_search", "analytic", "backtracking")
 
 
 class ReferenceOracle(ScOracle):

@@ -2,18 +2,21 @@
 
 Each example draws a small portfolio, Poisson or logistic instance and a
 feasible point strictly inside its domain (the generators of
-`test_glm.py`), then checks the guarantee the function gives there.
+`test_glm.py`), then checks the guarantee the function gives there.  The
+last class checks the local-oracle run's linear contraction (C4) over
+whole runs on random portfolio instances.
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condgrad.core import dist_like, gap_and_target
 from condgrad.lloo import lloo_simplex
-from condgrad.solvers import DESCENT_SLACK
+from condgrad.problems import gen_portfolio_data, portfolio_problem
+from condgrad.solvers import DESCENT_SLACK, RunConfig, estimate_sigma, lloo_fw_solve
 from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step
 
 from test_glm import feasible_point, instances, make_instance
@@ -94,3 +97,25 @@ class TestLlooSimplex:
         ys = sample_ball_simplex(gen, x, r, 200)
         if ys.size:
             assert float(np.dot(c, p)) <= float(np.min(ys @ c)) + 1e-10
+
+
+class TestLlooContraction:
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=2, max_value=8).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=n, max_value=30))
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_error_within_gap0_times_contraction(self, shape, seed):
+        # T >= n: with fewer periods than assets the start Hessian is
+        # singular and lloo_fw_solve rejects the sigma
+        n, T = shape
+        problem = portfolio_problem(gen_portfolio_data(T, n, seed))
+        sigma = estimate_sigma(problem.oracle, problem.feasible_set.start_point())
+        config = RunConfig(epsilon=1e-10, max_iter=3000, policy="lloo")
+        trace = lloo_fw_solve(problem.oracle, lloo_simplex, config, sigma)
+        f_ref = min(r.f for r in trace.records)
+        gap0 = trace.records[0].gap
+        for r in trace.records:
+            assert r.f - f_ref <= gap0 * r.contraction + 1e-9
