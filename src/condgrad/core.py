@@ -107,7 +107,13 @@ class OraclePoint:
         if not self.in_domain:
             raise DomainError("norm_to: point outside the objective domain")
         v = self._direction(target)
-        return _form_root(float(np.dot(self.hess_vec(v), v)), v)
+        q = float(np.dot(self.hess_vec(v), v))
+        if q < 0.0:
+            # rounding noise is clipped; a clearly negative form is a bug
+            if q < -1e-12 * (1.0 + float(np.dot(v, v))):
+                raise InvariantError(f"negative Hessian quadratic form: {q}")
+            q = 0.0
+        return float(np.sqrt(q))
 
     def line(self, target):
         x, v, value = self.x, self._direction(target), self.oracle.value
@@ -146,15 +152,6 @@ def omega_star(t):
             * t
         )
     return -t - math.log1p(-t)
-
-
-def _form_root(q, u):
-    """sqrt of a Hessian quadratic form q = <H u, u>, rounding noise clipped."""
-    if q < 0.0:
-        if q < -1e-12 * (1.0 + float(np.dot(u, u))):
-            raise InvariantError(f"negative Hessian quadratic form: {q}")
-        q = 0.0
-    return float(np.sqrt(q))
 
 
 def dist_like(point, y):

@@ -38,7 +38,8 @@ class GlmOracle(ScOracle):
     Subclasses call ``_set_matrix`` (m x n data, m >= 1), set ``M`` and, when
     there is a quadratic term, ``gamma``, and define phi on the image
     z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
-    the domain only) and the per-row derivatives ``_d1(z)``, ``_d2(z)``.
+    the domain only) and ``_derivatives(z)``, the per-row phi' and phi''
+    as one pair (called on the domain only).
     The four :class:`ScOracle` methods evaluate through a fresh
     :class:`GlmPoint`; the solvers move one along the run.
     """
@@ -84,6 +85,8 @@ class GlmPoint:
     per iterate, a Hessian product takes two.  After REFRESH_INTERVAL
     carried moves, and on ``refreshed()``, z is recomputed as A x; a
     carried z that drifted beyond DRIFT_RTOL raises InvariantError.
+    ``in_domain`` is set when the point is made; f and the pair
+    (phi'(z), phi''(z)) are evaluated once, on first use.
     """
 
     def __init__(self, oracle, x, z=None, age=0, reach=None):
@@ -92,6 +95,7 @@ class GlmPoint:
         self.z = oracle.matrix @ self.x if z is None else z
         self.age = age
         self.reach = float(np.sum(np.abs(self.x))) if reach is None else reach
+        self.in_domain = bool(oracle._domain(self.z))
         self._target = None
 
     def _value(self, z, x):
@@ -108,29 +112,25 @@ class GlmPoint:
             raise DomainError(f"{what}: point outside the objective domain")
 
     @cached_property
-    def in_domain(self):
-        return bool(self.oracle._domain(self.z))
-
-    @cached_property
     def f(self):
         return self._objective(self.z, self.x) if self.in_domain else np.inf
 
     @cached_property
     def gradient(self):
         self._require_domain("gradient")
-        g = self.oracle.matrix.T @ self.oracle._d1(self.z)
+        g = self.oracle.matrix.T @ self._derivatives[0]
         gamma = self.oracle.gamma
         return g + gamma * self.x if gamma else g
 
     @cached_property
-    def _d2(self):
-        return self.oracle._d2(self.z)
+    def _derivatives(self):
+        return self.oracle._derivatives(self.z)
 
     def hess_vec(self, u):
         self._require_domain("hess_vec")
         u = np.asarray(u, dtype=float)
         a = self.oracle.matrix
-        hv = a.T @ (self._d2 * (a @ u))
+        hv = a.T @ (self._derivatives[1] * (a @ u))
         gamma = self.oracle.gamma
         return hv + gamma * u if gamma else hv
 
@@ -152,7 +152,7 @@ class GlmPoint:
     def norm_to(self, target):
         self._require_domain("norm_to")
         v, av, _ = self._image(target)
-        q = float(np.dot(self._d2, av * av))
+        q = float(np.dot(self._derivatives[1], av * av))
         gamma = self.oracle.gamma
         if gamma:
             q += gamma * float(np.dot(v, v))
@@ -208,11 +208,8 @@ class PortfolioOracle(GlmOracle):
     def _loss(self, z):
         return -np.sum(np.log(z))
 
-    def _d1(self, z):
-        return -1.0 / z
-
-    def _d2(self, z):
-        return 1.0 / (z * z)
+    def _derivatives(self, z):
+        return -1.0 / z, 1.0 / (z * z)
 
 
 class PoissonOracle(GlmOracle):
@@ -253,16 +250,13 @@ class PoissonOracle(GlmOracle):
     def _loss(self, z):
         return np.sum(z) - np.sum(self._y * np.log(z[self._rows]))
 
-    def _d1(self, z):
-        coef = np.ones_like(z)
-        coef[self._rows] -= self._y / z[self._rows]
-        return coef
-
-    def _d2(self, z):
-        coef = np.zeros_like(z)
+    def _derivatives(self, z):
         zp = z[self._rows]
-        coef[self._rows] = self._y / (zp * zp)
-        return coef
+        d1 = np.ones_like(z)
+        d1[self._rows] -= self._y / zp
+        d2 = np.zeros_like(z)
+        d2[self._rows] = self._y / (zp * zp)
+        return d1, d2
 
 
 class LogisticOracle(GlmOracle):
@@ -303,13 +297,12 @@ class LogisticOracle(GlmOracle):
         t, e = self._margins(z)
         return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def _d1(self, z):
-        # l'(t) = sigmoid(t) - 1, chained through t = y (z + mu)
-        return (self._sigmoid(z) - 1.0) * self.labels / z.shape[0]
-
-    def _d2(self, z):
+    def _derivatives(self, z):
+        # l'(t) = sigmoid(t) - 1 and l''(t) = sigmoid(t) (1 - sigmoid(t)),
+        # chained through t = y (z + mu)
         sig = self._sigmoid(z)
-        return sig * (1.0 - sig) * self.labels * self.labels / z.shape[0]
+        m = z.shape[0]
+        return (sig - 1.0) * self.labels / m, sig * (1.0 - sig) * self.labels * self.labels / m
 
 
 @dataclass

@@ -65,69 +65,53 @@ class RunTrace:
     init_lipschitz: float | None = None
 
     def save_csv(self, path):
+        lines = [CSV_HEADER]
+        for r in self.records:
+            lip = "" if r.lipschitz is None else f"{r.lipschitz:.17g}"
+            lines.append(f"{r.k},{r.f:.17g},{r.gap:.17g},{r.alpha:.17g},{r.e:.17g},{lip},{r.time_ns}")
         with open(path, "w") as fh:
-            fh.write(format_trace_csv(self))
+            fh.write("\n".join(lines) + "\n")
 
     def save_json(self, path):
+        """Write the trace as JSON; a row holds every record field, `lipschitz` as "L"."""
+        rows = [
+            {("L" if name == "lipschitz" else name): v for name, v in asdict(r).items()}
+            for r in self.records
+        ]
+        out = {
+            "config": asdict(self.config) if self.config is not None else None,
+            "termination": self.termination,
+            "final_x": [float(v) for v in np.asarray(self.final_x)],
+            "iterations": rows,
+        }
+        if self.init_lipschitz is not None:
+            out["init_lipschitz"] = self.init_lipschitz
         with open(path, "w") as fh:
-            json.dump(trace_to_json_dict(self), fh, indent=1)
-
-
-def _fmt(v):
-    return format(v, ".17g")
-
-
-def format_trace_csv(trace):
-    lines = [CSV_HEADER]
-    for r in trace.records:
-        lip = "" if r.lipschitz is None else _fmt(r.lipschitz)
-        lines.append(
-            f"{r.k},{_fmt(r.f)},{_fmt(r.gap)},{_fmt(r.alpha)},{_fmt(r.e)},{lip},{r.time_ns}"
-        )
-    return "\n".join(lines) + "\n"
+            json.dump(out, fh, indent=1)
 
 
 def read_trace_csv(path):
-    """Read back a trace CSV as a list of IterationRecord."""
+    """Read back a trace CSV as a list of IterationRecord.
+
+    A row of the wrong length or a cell that is not a number raises
+    ValueError naming the file and line.
+    """
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected trace header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            k, f, gap, alpha, e, lip, t = line.split(",")
-            records.append(
-                IterationRecord(
-                    k=int(k),
-                    f=float(f),
-                    gap=float(gap),
-                    alpha=float(alpha),
-                    e=float(e),
-                    lipschitz=float(lip) if lip else None,
-                    time_ns=int(t),
-                )
-            )
+            try:
+                k, f, gap, alpha, e, lip, t = line.split(",")
+                lip = float(lip) if lip else None
+                records.append(IterationRecord(int(k), float(f), float(gap), float(alpha), float(e), lip, int(t)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return records
-
-
-def trace_to_json_dict(trace):
-    """The trace as a JSON-ready dict; a row holds every record field, `lipschitz` as "L"."""
-    rows = [
-        {("L" if name == "lipschitz" else name): v for name, v in asdict(r).items()}
-        for r in trace.records
-    ]
-    out = {
-        "config": asdict(trace.config) if trace.config is not None else None,
-        "termination": trace.termination,
-        "final_x": [float(v) for v in np.asarray(trace.final_x)],
-        "iterations": rows,
-    }
-    if trace.init_lipschitz is not None:
-        out["init_lipschitz"] = trace.init_lipschitz
-    return out
 
 
 def fw_solve(oracle, feasible_set, config, x0=None):
@@ -216,9 +200,9 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     while True:
         t_row = time.perf_counter_ns() - t0
         f_k = point.f
-        # no monotonicity check for lloo: the locally-restricted step
-        # contracts the error bound gap0 * c_k, but the raw objective may wobble up
-        if policy == "analytic" and prev_required is not None and f_k > prev_required:
+        # only the analytic step sets prev_required; lloo gets no such check:
+        # its step contracts the error bound gap0 * c_k, but f may wobble up
+        if prev_required is not None and f_k > prev_required:
             raise InvariantError(
                 f"objective rose above the guaranteed level at iteration {k}: "
                 f"{f_k} > {prev_required}"

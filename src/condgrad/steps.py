@@ -50,16 +50,25 @@ def analytic_step(gap, e, M):
     return alpha, alpha * gap - (4.0 / (M * M)) * omega_star(alpha * e)
 
 
-def _golden_section(phi, lo, hi, width):
+def exact_line_search(point, target, e):
+    """Golden-section minimization of f(x + t*(target - x)) over t in [0, t_max].
+
+    t_max = min(1, 0.99/e) keeps every probe inside the domain whenever
+    e is the scaled local distance of the full step; probes landing
+    outside evaluate to +inf and are rejected naturally.  The bracket
+    narrows to LINE_SEARCH_WIDTH.  Returns 0 when the midpoint of the
+    final bracket does not improve on f(x), read from the point.
+    """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     inv2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo, hi
-    h = b - a
+    phi = point.line(target)
+    a = 0.0
+    b = h = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
     c = a + inv2 * h
     d = a + inv * h
     fc = phi(c)
     fd = phi(d)
-    while h > width:
+    while h > LINE_SEARCH_WIDTH:
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -70,21 +79,8 @@ def _golden_section(phi, lo, hi, width):
             h = b - a
             d = a + inv * h
             fd = phi(d)
-    return 0.5 * (a + b)
-
-
-def exact_line_search(point, target, e):
-    """Golden-section minimization of f(x + t*(target - x)) over t in [0, t_max].
-
-    t_max = min(1, 0.99/e) keeps every probe inside the domain whenever
-    e is the scaled local distance of the full step; probes landing
-    outside evaluate to +inf and are rejected naturally.  Returns 0 when
-    no probed step improves on staying put.
-    """
-    t_max = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
-    phi = point.line(target)
-    t = _golden_section(phi, 0.0, t_max, LINE_SEARCH_WIDTH)
-    if not phi(t) < phi(0.0):
+    t = 0.5 * (a + b)
+    if not phi(t) < point.f:
         return 0.0
     return t
 

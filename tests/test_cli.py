@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from condgrad.cli import format_profiles_csv, main, table_from_trace_dir
-from condgrad.problems import load_returns_csv
+from condgrad.cli import build_problem, format_profiles_csv, main, run_one, table_from_trace_dir
+from condgrad.problems import format_libsvm, gen_logistic_data, load_returns_csv
 from condgrad.profiles import fraction_solved, iteration_ratio, time_ratio
 from condgrad.solvers import read_trace_csv
 
@@ -122,6 +123,23 @@ class TestSolve:
         assert "LogisticOracle: the data matrix has no rows" in capsys.readouterr().err
 
 
+class TestBuildProblem:
+    def test_logistic_from_libsvm_file(self, tmp_path):
+        # the grid workload's logistic path: a LIBSVM file with labels {0, 1}
+        feats, labels = gen_logistic_data(30, 4, 2)
+        path = tmp_path / "toy.libsvm"
+        path.write_text(format_libsvm(feats, np.where(labels > 0, 1.0, 0.0)))
+        name, oracle, fs = build_problem({"kind": "logistic", "data": str(path)})
+        assert name == "logistic_toy"
+        assert np.array_equal(oracle.labels, labels)
+        assert set(oracle.labels) == {-1.0, 1.0}
+        assert np.array_equal(oracle.features, feats)
+        assert fs.kind == "l1_ball"
+        trace = run_one(oracle, fs, "analytic", 1e-4, 200)
+        assert trace.termination == "gap_below_eps"
+        assert trace.records[-1].f < trace.records[0].f
+
+
 SOLVE = ["solve", "--method", "analytic", "--out", "{tmp}/t.csv"]
 
 
@@ -141,6 +159,12 @@ class TestUserErrors:
             (SOLVE + ["--problem", "portfolio", "--data", "{tmp}/missing.csv"], "No such file or directory"),
             (["bench", "--config", "{tmp}/cfg.json"], "bench config lacks the key 'problems'"),
             (["profile", "--traces", "{tmp}/missing"], "no complete method traces found"),
+            (
+                ["solve", "--problem", "portfolio", "--T", "3", "--n", "5", "--method", "lloo"]
+                + ["--out", "{tmp}/t.csv"],
+                "the Hessian at the start point is singular",
+            ),
+            (["profile", "--traces", "{tmp}/bad"], "analytic__p.csv, line 2: not enough values to unpack"),
         ],
         ids=[
             "portfolio-no-size",
@@ -148,10 +172,14 @@ class TestUserErrors:
             "missing-data",
             "bench-no-problems",
             "profile-no-traces",
+            "lloo-singular-hessian",
+            "profile-truncated-row",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
         (tmp_path / "cfg.json").write_text(json.dumps({"methods": ["analytic"]}))
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2\n")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("condgrad: error: ") and err.count("\n") == 1
@@ -222,6 +250,14 @@ class TestBench:
         )
         assert rc == 0
         assert out.read_text() == (bench_dir / "profiles.csv").read_text()
+
+    def test_profile_to_stdout_matches_out_file(self, bench_dir, tmp_path, capsys):
+        out = tmp_path / "profiles.csv"
+        argv = ["profile", "--traces", str(bench_dir), "--eps-grid", "0.1,0.001"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_metrics_from_csv_match_in_memory(self, bench_dir):
         # loading traces back must reproduce every metric exactly

@@ -12,11 +12,16 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "solve_digest.py"
 
 
 @pytest.fixture(scope="module")
-def digest():
+def tool():
     spec = importlib.util.spec_from_file_location("solve_digest", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.trace_digest
+    return module
+
+
+@pytest.fixture(scope="module")
+def digest(tool):
+    return tool.trace_digest
 
 
 @pytest.fixture
@@ -42,3 +47,14 @@ def test_time_ns_does_not_enter_the_digest(digest, trace):
     before = digest(trace)
     trace.records = [dataclasses.replace(r, time_ns=r.time_ns + 12345) for r in trace.records]
     assert digest(trace) == before
+
+
+def test_files_digest_ignores_time_ns_and_sees_one_ulp(tool, trace):
+    times = [r.time_ns for r in trace.records]
+    before = tool.files_digest(trace)
+    assert [r.time_ns for r in trace.records] == times  # zeroed on a copy only
+    timed = [dataclasses.replace(r, time_ns=r.time_ns + 12345) for r in trace.records]
+    assert tool.files_digest(dataclasses.replace(trace, records=timed)) == before
+    r = trace.records[3]
+    trace.records[3] = dataclasses.replace(r, e=float(np.nextafter(r.e, np.inf)))
+    assert tool.files_digest(trace) != before

@@ -651,3 +651,17 @@ class TestTraceExport:
         assert [row["evals"] for row in rows] == [r.evals for r in trace.records]
         assert [row["L"] for row in rows] == [r.lipschitz for r in trace.records]
         assert all(row["radius"] is None and row["contraction"] is None for row in rows)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,2", r"line 3: not enough values to unpack \(expected 7, got 3\)"),
+            ("0,1,2,abc,4,,5", r"line 3: could not convert string to float: 'abc'"),
+        ],
+        ids=["truncated-row", "non-numeric-cell"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n{row}\n")
+        with pytest.raises(ValueError, match=f"trace.csv, {message}"):
+            read_trace_csv(path)

@@ -8,11 +8,14 @@ temporary directory, runs every (instance, method) solve through
 `cli.run_one` with BLAS pinned to one thread, and prints one line per
 solve:
 
-    workload instance method termination iterations sha256
+    workload instance method termination iterations sha256 files_sha256
 
-The SHA-256 covers every field of every record except `time_ns`, then
-`final_x` and `init_lipschitz`, each float by its exact hex form, so it
-changes with any one-ulp change of an answer and never with timing.
+The first SHA-256 covers every field of every record except `time_ns`,
+then `final_x` and `init_lipschitz`, each float by its exact hex form, so
+it changes with any one-ulp change of an answer and never with timing.
+The second covers the bytes that `RunTrace.save_csv` and then
+`RunTrace.save_json` write for a copy of the trace whose `time_ns` are
+all 0, so it also catches a change in how a trace is written.
 `--root DIR` imports `src/` and `perfbench/` from another checkout (a
 `git worktree` or `git archive` of the parent commit), so
 
@@ -59,6 +62,18 @@ def trace_digest(trace):
     return h.hexdigest()
 
 
+def files_digest(trace):
+    """SHA-256 over the CSV and JSON files of the trace, `time_ns` set to 0 on a copy."""
+    untimed = dataclasses.replace(
+        trace, records=[dataclasses.replace(r, time_ns=0) for r in trace.records]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, json_path = Path(tmp, "trace.csv"), Path(tmp, "trace.json")
+        untimed.save_csv(csv_path)
+        untimed.save_json(json_path)
+        return hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
+
+
 def digest_lines(workload, seed):
     """One line per solve of the workload on the seed's inputs."""
     import workloads
@@ -71,7 +86,10 @@ def digest_lines(workload, seed):
         oracle, feasible_set = built[name]
         trace = cli.run_one(oracle, feasible_set, method, wl.gap, wl.max_iter)
         iterations = len(trace.records) - 1
-        yield f"{workload} {name} {method} {trace.termination} {iterations} {trace_digest(trace)}"
+        yield (
+            f"{workload} {name} {method} {trace.termination} {iterations} "
+            f"{trace_digest(trace)} {files_digest(trace)}"
+        )
 
 
 def main(argv=None):
