@@ -90,8 +90,8 @@ def run_one(oracle, feasible_set, method, eps, max_iter):
         sigma = estimate_sigma(oracle, feasible_set.start_point())
         if not sigma > 0:
             raise ValueError(
-                f"the Hessian at the start point is singular (smallest eigenvalue {sigma:.3e}), "
-                "so the lloo method has no strong-convexity estimate; a portfolio needs T >= n"
+                "the Hessian at the start point is singular, so the lloo method "
+                "has no strong-convexity estimate; a portfolio needs T >= n"
             )
         return lloo_fw_solve(oracle, lloo_simplex, config, sigma)
     return fw_solve(oracle, feasible_set, config)

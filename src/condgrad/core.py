@@ -68,12 +68,14 @@ class OraclePoint:
     """What the drivers, step rules and `estimate_sigma` need at one point x.
 
     ``f``, ``gradient`` and ``in_domain`` are evaluated once, on first
-    use.  A target is a point of the feasible set; ``norm_to(target)`` is
-    the local norm of ``target - x``, ``line(target)`` the function
-    t -> f(x + t (target - x)), and ``move(alpha, target)`` the point at
-    t = alpha.  The direction to the last target is kept, so the calls
-    of one iteration share it.  ``refreshed()`` returns a point free of
-    carried state; this one carries none.  A point belongs to one run.
+    use.  A target is a point of the feasible set: a vertex (i, value),
+    meaning value * e_i, as a linear oracle returns it, or a dense array.
+    ``direction(target)`` is ``v = target - x``, ``norm_to(target)`` the
+    local norm of v, ``line(target)`` the function t -> f(x + t v), and
+    ``move(alpha, target)`` the point at t = alpha.  The direction to the
+    last target is kept, so the calls of one iteration share it.
+    ``refreshed()`` returns a point free of carried state; this one
+    carries none.  A point belongs to one run.
     """
 
     def __init__(self, oracle, x):
@@ -96,34 +98,45 @@ class OraclePoint:
     def hess_vec(self, u):
         return self.oracle.hess_vec(self.x, u)
 
-    def _direction(self, target):
+    def direction(self, target):
         """target - x, computed once per target."""
         if target is not self._target:
-            self._v = np.asarray(target, dtype=float) - self.x
+            if isinstance(target, tuple):
+                self._v = vertex_direction(self.x, target)
+            else:
+                self._v = np.asarray(target, dtype=float) - self.x
             self._target = target
         return self._v
 
     def norm_to(self, target):
         if not self.in_domain:
             raise DomainError("norm_to: point outside the objective domain")
-        v = self._direction(target)
+        v = self.direction(target)
         q = float(np.dot(self.hess_vec(v), v))
         if q < 0.0:
             # rounding noise is clipped; a clearly negative form is a bug
             if q < -1e-12 * (1.0 + float(np.dot(v, v))):
                 raise InvariantError(f"negative Hessian quadratic form: {q}")
             q = 0.0
-        return float(np.sqrt(q))
+        return math.sqrt(q)
 
     def line(self, target):
-        x, v, value = self.x, self._direction(target), self.oracle.value
+        x, v, value = self.x, self.direction(target), self.oracle.value
         return lambda t: value(x + t * v)
 
     def move(self, alpha, target):
-        return OraclePoint(self.oracle, self.x + alpha * self._direction(target))
+        return OraclePoint(self.oracle, self.x + alpha * self.direction(target))
 
     def refreshed(self):
         return self
+
+
+def vertex_direction(x, vertex):
+    """value * e_i - x for a vertex (i, value), without forming the vertex."""
+    i, value = vertex
+    v = -x
+    v[i] += value
+    return v
 
 
 def omega(t):
@@ -160,8 +173,9 @@ def dist_like(point, y):
 
 
 def gap_and_target(feasible_set, point):
-    """Duality gap and linear-oracle target (gap, target) at a point.
+    """Duality gap and linear-oracle target (gap, (i, value)) at a point.
 
+    The target is the vertex value * e_i; the gap is <g, x> - g_i value.
     Requires the point feasible and inside the domain.  The raw gap may
     round to a tiny negative number; anything below -1e-12 indicates a
     broken linear oracle and raises :class:`InvariantError`.
@@ -171,8 +185,8 @@ def gap_and_target(feasible_set, point):
     if not feasible_set.contains(point.x):
         raise ValueError("gap_and_target: point outside the feasible set")
     g = point.gradient
-    target = feasible_set.lmo(g)
-    gap_raw = float(np.dot(g, point.x)) - float(np.dot(g, target))
+    i, value = target = feasible_set.lmo(g)
+    gap_raw = float(np.dot(g, point.x)) - float(g[i]) * value
     if gap_raw < -GAP_SLACK:
         raise InvariantError(f"negative duality gap {gap_raw}: broken linear oracle?")
     return max(gap_raw, 0.0), target

@@ -8,13 +8,14 @@ so they share one oracle, :class:`GlmOracle`, whose point carries the
 image z = A x from one iterate to the next.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import rng
-from .core import DomainError, InvariantError, ScOracle
+from .core import DomainError, InvariantError, ScOracle, vertex_direction
 from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex
 
 PORTFOLIO_CLAMP = 0.01
@@ -26,9 +27,10 @@ REFRESH_INTERVAL = 100
 # reach being the largest l1 norm among the last exact x and the targets
 # since (every carried value is a combination of those).
 DRIFT_RTOL = 1e-9
-# A (s - x) is gathered as A s - z from the columns of s's support when that
-# support has at most n / GATHER_RATIO entries: a column read touches one
-# cache line (8 doubles) per row, a full pass one per 8 entries.
+# For a dense target s (the local oracle's), A (s - x) is gathered as A s - z
+# from the columns of s's support when that support has at most
+# n / GATHER_RATIO entries: a column read touches one cache line (8 doubles)
+# per row, a full pass one per 8 entries.  A vertex is always one column.
 GATHER_RATIO = 8
 
 
@@ -77,12 +79,13 @@ class GlmPoint:
     """A point of a :class:`GlmOracle` that carries z = A x.
 
     Same surface as :class:`~condgrad.core.OraclePoint`.  A move to
-    x + alpha (s - x) updates z <- z + alpha A (s - x), with A s gathered
-    from the target's support: a vertex of the feasible set is one
-    scaled column, and a denser local-oracle target costs one full
-    product.  Domain tests, f, local norms and line probes then cost
-    O(m); the gradient's A^T phi'(z) is the one full pass over the data
-    per iterate, a Hessian product takes two.  After REFRESH_INTERVAL
+    x + alpha (s - x) updates z <- z + alpha A (s - x): a vertex
+    (i, value) of the feasible set costs one scaled column, value a_i,
+    and a dense local-oracle target is gathered from its support, or
+    costs one full product when that support is large.  Domain tests,
+    f, local norms and line probes then cost O(m); the gradient's
+    A^T phi'(z) is the one full pass over the data per iterate, a
+    Hessian product takes two.  After REFRESH_INTERVAL
     carried moves, and on ``refreshed()``, z is recomputed as A x; a
     carried z that drifted beyond DRIFT_RTOL raises InvariantError.
     ``in_domain`` is set when the point is made; f and the pair
@@ -137,17 +140,27 @@ class GlmPoint:
     def _image(self, target):
         """(v, A v, |target|_1) for v = target - x, computed once per target."""
         if target is not self._target:
-            s = np.asarray(target, dtype=float)
-            v = s - self.x
             a = self.oracle.matrix
-            support = np.flatnonzero(s)
-            if support.size * GATHER_RATIO <= v.size:
-                av = a[:, support] @ s[support] - self.z
+            if isinstance(target, tuple):
+                i, value = target
+                v = vertex_direction(self.x, target)
+                av = value * a[:, i] - self.z
+                s_norm = abs(value)
             else:
-                av = a @ v
+                s = np.asarray(target, dtype=float)
+                v = s - self.x
+                support = np.flatnonzero(s)
+                if support.size * GATHER_RATIO <= v.size:
+                    av = a[:, support] @ s[support] - self.z
+                else:
+                    av = a @ v
+                s_norm = float(np.abs(s).sum())
             self._target = target
-            self._image_of_target = (v, av, float(np.sum(np.abs(s))))
+            self._image_of_target = (v, av, s_norm)
         return self._image_of_target
+
+    def direction(self, target):
+        return self._image(target)[0]
 
     def norm_to(self, target):
         self._require_domain("norm_to")
@@ -156,11 +169,14 @@ class GlmPoint:
         gamma = self.oracle.gamma
         if gamma:
             q += gamma * float(np.dot(v, v))
-        return float(np.sqrt(q))
+        return math.sqrt(q)
 
     def line(self, target):
         v, av, _ = self._image(target)
         x, z = self.x, self.z
+        if not self.oracle.gamma:
+            # x enters f only through the quadratic term
+            return lambda t: self._value(z + t * av, None)
         return lambda t: self._value(z + t * av, x + t * v)
 
     def move(self, alpha, target):
@@ -203,10 +219,10 @@ class PortfolioOracle(GlmOracle):
         return self.matrix
 
     def _domain(self, z):
-        return np.min(z) > 0.0
+        return z.min() > 0.0
 
     def _loss(self, z):
-        return -np.sum(np.log(z))
+        return -np.log(z).sum()
 
     def _derivatives(self, z):
         return -1.0 / z, 1.0 / (z * z)
@@ -245,10 +261,10 @@ class PoissonOracle(GlmOracle):
 
     def _domain(self, z):
         zp = z[self._rows]
-        return zp.size == 0 or np.min(zp) > 0.0
+        return zp.size == 0 or zp.min() > 0.0
 
     def _loss(self, z):
-        return np.sum(z) - np.sum(self._y * np.log(z[self._rows]))
+        return z.sum() - (self._y * np.log(z[self._rows])).sum()
 
     def _derivatives(self, z):
         zp = z[self._rows]

@@ -2,8 +2,10 @@
 
 Three set families cover the benchmark problems: the unit simplex, the
 l1-ball of radius R, and the nonnegative orthant intersected with an
-l1-ball.  Ties in every vertex argmin break toward the lowest index so
-that runs are fully deterministic.
+l1-ball.  Every vertex of each lies on a coordinate axis, so a linear
+oracle returns its vertex as a pair (i, value), meaning value * e_i.
+Ties in every vertex argmin break toward the lowest index so that runs
+are fully deterministic.
 """
 
 import numpy as np
@@ -13,13 +15,18 @@ CONTAINS_TOL = 1e-9
 
 def _check_finite(c):
     c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("linear oracle input has non-finite entries")
     return c
 
 
 class FeasibleSet:
-    """Common surface: lmo, contains, diameter, vertices, start_point."""
+    """Common surface: lmo, contains, diameter, vertices, start_point.
+
+    ``lmo(c)`` returns a vertex minimizing <c, .> as (i, value), the point
+    value * e_i; a set whose vertices do not all lie on coordinate axes
+    cannot use this surface.  ``contains`` returns a Python bool.
+    """
 
     dim: int
     kind: str
@@ -52,18 +59,15 @@ class Simplex(FeasibleSet):
         self.dim = int(dim)
 
     def lmo(self, c):
-        """Vertex e_i minimizing <c, .>, lowest-index ties."""
-        c = _check_finite(c)
-        out = np.zeros_like(c)
-        out[int(np.argmin(c))] = 1.0
-        return out
+        """Vertex e_i minimizing <c, .>, lowest-index ties: (i, 1.0)."""
+        return int(_check_finite(c).argmin()), 1.0
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and bool(np.all(x >= -tol))
-            and abs(float(np.sum(x)) - 1.0) <= tol
+            and bool((x >= -tol).all())
+            and abs(float(x.sum()) - 1.0) <= tol
         )
 
     @property
@@ -91,21 +95,19 @@ class L1Ball(FeasibleSet):
         self.radius = float(radius)
 
     def lmo(self, c):
-        """Vertex +-R*e_i minimizing <c, .>.
+        """Vertex +-R*e_i minimizing <c, .>: (i, +-R).
 
         The winning coordinate has maximal |c_i| (lowest-index ties) and
         the sign opposes c_i, with sign(0) treated as +1.
         """
         c = _check_finite(c)
-        i = int(np.argmax(np.abs(c)))
-        out = np.zeros_like(c)
+        i = int(np.abs(c).argmax())
         # c[i] == 0 only when c == 0: sign(0) = +1 gives -R * e_i
-        out[i] = self.radius if c[i] < 0.0 else -self.radius
-        return out
+        return i, (self.radius if c[i] < 0.0 else -self.radius)
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim,) and float(np.sum(np.abs(x))) <= self.radius + tol
+        return x.shape == (self.dim,) and float(np.abs(x).sum()) <= self.radius + tol
 
     @property
     def diameter(self):
@@ -133,20 +135,17 @@ class NonnegL1Ball(FeasibleSet):
         self.radius = float(radius)
 
     def lmo(self, c):
-        """The origin or R*e_i, whichever minimizes <c, .>."""
+        """The origin (i, 0.0) or R*e_i (i, R), whichever minimizes <c, .>."""
         c = _check_finite(c)
-        i = int(np.argmin(c))
-        out = np.zeros_like(c)
-        if c[i] < 0.0:
-            out[i] = self.radius
-        return out
+        i = int(c.argmin())
+        return i, (self.radius if c[i] < 0.0 else 0.0)
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and bool(np.all(x >= -tol))
-            and float(np.sum(x)) <= self.radius + tol
+            and bool((x >= -tol).all())
+            and float(x.sum()) <= self.radius + tol
         )
 
     @property

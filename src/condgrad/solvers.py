@@ -172,9 +172,9 @@ def lloo_fw_solve(oracle, lloo, config, sigma_f, x0=None):
 def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     """The conditional-gradient loop behind `fw_solve` and `lloo_fw_solve`.
 
-    Every iteration takes the gap at the linear oracle's vertex, then
-    steps under `config.policy`: toward that vertex for the four step
-    policies, or toward the local oracle's point within radius
+    Every iteration takes the gap at the linear oracle's vertex (i, value),
+    then steps under `config.policy`: toward that vertex for the four
+    step policies, or toward the local oracle's point within radius
     r0 * sqrt(c_k) for "lloo".  Only the standard and line-search steps
     carry no domain guarantee; when one leaves the domain the run ends
     as stalled, while for the other policies that raises.
@@ -288,17 +288,22 @@ def certificate_lower_bound(trace):
 
 
 def estimate_sigma(oracle, x):
-    """Smallest eigenvalue of the Hessian at x.
+    """Smallest eigenvalue of the Hessian at x, or 0.0 when it is singular.
 
     Stand-in for the strong-convexity parameter over the level set,
     which is what the linear-convergence analysis actually needs.  The
     Hessian is assembled from `dim` products of one point at x with the
     unit vectors and symmetrized; one dense eigenvalue solve gives its
-    smallest eigenvalue.
+    spectrum.  It counts as singular when the smallest eigenvalue is at
+    most dim * eps times the largest (numpy's `matrix_rank` tolerance):
+    rounding leaves a zero eigenvalue anywhere in that band, either sign.
     """
     point = oracle.point(x)
     h = np.column_stack([point.hess_vec(e) for e in np.eye(oracle.dim)])
-    return float(np.linalg.eigvalsh(0.5 * (h + h.T))[0])
+    lam = np.linalg.eigvalsh(0.5 * (h + h.T))
+    if lam[0] <= oracle.dim * np.finfo(float).eps * lam[-1]:
+        return 0.0
+    return float(lam[0])
 
 
 def lloo_rate_floor(sigma_f, lipschitz, rho, M, diam):

@@ -101,7 +101,7 @@ def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
         raise ValueError("Lipschitz estimate must be positive")
     if not gap > 0:
         raise ValueError("backtrack_step requires a positive gap")
-    v = np.asarray(target, dtype=float) - point.x
+    v = point.direction(target)
     vv = float(np.dot(v, v))
     if vv == 0.0:
         raise ValueError("backtrack_step requires a nonzero direction")
@@ -139,7 +139,7 @@ def init_lipschitz(point, s0):
     starting from eps = LIPSCHITZ_PROBE and halving it (up to 60 times)
     until the probe lies in the domain.
     """
-    norm = float(np.linalg.norm(np.asarray(s0, dtype=float) - point.x))
+    norm = float(np.linalg.norm(point.direction(s0)))
     if norm == 0.0:
         raise ValueError("init_lipschitz: target coincides with the start point")
     if not point.in_domain:

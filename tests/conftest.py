@@ -122,6 +122,14 @@ def check_curvature_bounds(oracle, x, x_new, slack=1e-9):
     assert f_new <= lin + scale * omega_star(d) + slack
 
 
+def dense(dim, vertex):
+    """The point value * e_i of a linear oracle's vertex (i, value)."""
+    i, value = vertex
+    out = np.zeros(dim)
+    out[i] = value
+    return out
+
+
 def scale_to_local_distance(oracle, x, direction, target=0.85):
     """Rescale `direction` so dist_like(x, x + direction) == target."""
     d = dist_like(oracle.point(x), np.asarray(x) + direction)

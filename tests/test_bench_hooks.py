@@ -5,6 +5,7 @@ itself; a rename in the library that breaks a traced or untraced run
 fails here instead.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 import condgrad
 from condgrad import cli, solvers, steps
+from condgrad.core import ScOracle
 from condgrad.problems import (
     gen_binary_design,
     gen_logistic_data,
@@ -75,6 +77,44 @@ def test_traced_solves_record_every_solver_span(spans):
     expected |= {f"problems.{call}" for call in spans.ORACLE_CALLS}
     expected |= {"lloo.lloo_simplex", "sets.lmo", "sets.contains", "cli.run_one"}
     assert sorted(expected - recorded) == []
+
+
+class FourCalls(ScOracle):
+    """The four oracle calls of `inner` alone: its point is the base
+    `OraclePoint`, the one a solve through `spans.TracedOracle` gets."""
+
+    def __init__(self, inner):
+        self.dim, self.M = inner.dim, inner.M
+        self.value, self.gradient = inner.value, inner.gradient
+        self.hess_vec, self.in_domain = inner.hess_vec, inner.in_domain
+
+
+def answers(trace):
+    """Everything a solve returns except `time_ns`, floats by their exact repr."""
+    records = [dataclasses.replace(r, time_ns=0) for r in trace.records]
+    return repr(records), trace.final_x.tobytes(), trace.termination, repr(trace.init_lipschitz)
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_traced_solve_gives_the_untraced_answers(spans, method):
+    # --trace 1 must time the program the untraced runs execute: the spans
+    # and patched call sites may add time but never change a bit of an answer
+    problems = [
+        portfolio_problem(gen_portfolio_data(12, 4, 0)),
+        poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.ones(20)),
+        logistic_problem(*gen_logistic_data(30, 10, 0)),
+    ]
+    for problem in problems:
+        oracle, fs = problem.oracle, problem.feasible_set
+        if method == "lloo" and fs.kind != "simplex":
+            continue
+        untraced = cli.run_one(FourCalls(oracle), fs, method, 1e-6, 50)
+        tracer = spans.Tracer()
+        with spans.patched(tracer):
+            traced = cli.run_one(spans.TracedOracle(tracer, oracle), spans.TracedSet(tracer, fs), method, 1e-6, 50)
+        calls = np.bincount(tracer.arrays()["name_id"], minlength=len(tracer.names))
+        assert calls[tracer.names.index("sets.lmo")] > 0
+        assert answers(traced) == answers(untraced)
 
 
 @pytest.mark.parametrize(

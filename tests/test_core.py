@@ -13,7 +13,7 @@ from condgrad.core import (
 from condgrad.sets import Simplex
 from condgrad.problems import PortfolioOracle
 
-from conftest import LogBarrierOracle, QuadOracle
+from conftest import LogBarrierOracle, QuadOracle, dense
 
 
 class TestOmega:
@@ -118,10 +118,10 @@ class TestGapAndTarget:
     def test_log_barrier_on_simplex(self, log_barrier2):
         point = log_barrier2.point(np.array([0.25, 0.75]))
         gap, target = gap_and_target(Simplex(2), point)
-        assert np.array_equal(target, [1.0, 0.0])
+        assert np.array_equal(dense(2, target), [1.0, 0.0])
         assert gap == pytest.approx(2.0, abs=1e-12)
         assert dist_like(point, target) == pytest.approx(np.sqrt(10.0), abs=1e-12)
-        assert np.dot(point.gradient, target) == pytest.approx(-4.0, abs=1e-12)
+        assert np.dot(point.gradient, dense(2, target)) == pytest.approx(-4.0, abs=1e-12)
 
     def test_constant_objective_has_zero_gap(self):
         oracle = PortfolioOracle(np.array([[1.0, 1.0]]))
@@ -130,7 +130,7 @@ class TestGapAndTarget:
 
     def test_quadratic_on_simplex_vertex(self, quad2):
         gap, target = gap_and_target(Simplex(2), quad2.point(np.array([1.0, 0.0])))
-        assert np.array_equal(target, [0.0, 1.0])
+        assert np.array_equal(dense(2, target), [0.0, 1.0])
         assert gap == pytest.approx(1.0)
 
     def test_infeasible_point_rejected(self, log_barrier2):
@@ -148,7 +148,7 @@ class TestGapAndTarget:
             kind = "rigged"
 
             def lmo(self, c):
-                return np.array([0.0, 2.0])  # strictly worse than x=(0,1) for c=(0,1)
+                return 1, 2.0  # 2 e_1 is strictly worse than x=(0,1) for c=(0,1)
 
             def contains(self, x, tol=1e-9):
                 return True

@@ -13,12 +13,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from condgrad.core import dist_like, gap_and_target
+from condgrad.core import OraclePoint, dist_like, gap_and_target
 from condgrad.lloo import lloo_simplex
-from condgrad.problems import gen_portfolio_data, portfolio_problem
+from condgrad.problems import GATHER_RATIO, gen_portfolio_data, portfolio_problem
 from condgrad.solvers import DESCENT_SLACK, RunConfig, estimate_sigma, lloo_fw_solve
 from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step
 
+from conftest import dense
 from test_glm import feasible_point, instances, make_instance
 from test_lloo import random_simplex_point, sample_ball_simplex
 
@@ -39,11 +40,42 @@ class TestGapAndTarget:
         _, fs, point = draw_point(inst)
         gap, target = gap_and_target(fs, point)
         g, x = point.gradient, point.x
-        assert fs.contains(target)
+        assert fs.contains(dense(fs.dim, target))
         assert gap >= 0.0
         for v in fs.vertices():
             below = float(np.dot(g, x - v))
             assert gap >= below - 1e-12 * max(1.0, abs(below), abs(gap))
+
+
+def index_form(v):
+    """A dense vertex of one of the three sets as (i, value); the origin is (0, 0.0)."""
+    nonzero = np.flatnonzero(v)
+    i = int(nonzero[0]) if nonzero.size else 0
+    return i, float(v[i])
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestVertexTargets:
+    @given(instances, st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    def test_index_and_dense_vertex_agree_bit_for_bit(self, inst, t, alpha):
+        oracle, fs, glm_point = draw_point(inst)
+        # below n / GATHER_RATIO a dense vertex takes the full product A v,
+        # which rounds differently from the one column an index costs
+        assume(oracle.dim >= GATHER_RATIO)
+        for make in (oracle.point, lambda x: OraclePoint(oracle, x)):
+            for v in fs.vertices():
+                by_index, by_dense = make(glm_point.x), make(glm_point.x)
+                vertex = index_form(v)
+                assert same_bits(by_index.direction(vertex), by_dense.direction(v))
+                assert same_bits(by_index.norm_to(vertex), by_dense.norm_to(v))
+                assert same_bits(by_index.line(vertex)(t), by_dense.line(v)(t))
+                moved_index, moved_dense = by_index.move(alpha, vertex), by_dense.move(alpha, v)
+                assert same_bits(moved_index.x, moved_dense.x)
+                assert same_bits(moved_index.f, moved_dense.f)
+                assert same_bits(getattr(moved_index, "z", 0.0), getattr(moved_dense, "z", 0.0))
 
 
 class TestAnalyticStep:
@@ -55,7 +87,7 @@ class TestAnalyticStep:
         e = dist_like(point, target)
         alpha, decrease = analytic_step(gap, e, oracle.M)
         assert alpha * e < 1.0
-        moved = point.x + alpha * (target - point.x)
+        moved = point.x + alpha * (dense(fs.dim, target) - point.x)
         assert oracle.in_domain(moved)
         assert oracle.value(moved) <= point.f - decrease + DESCENT_SLACK
 
@@ -69,7 +101,7 @@ class TestBacktrackStep:
     def test_sufficient_decrease_within_the_eval_bound(self, inst, log_lip, log_decrease):
         oracle, fs, point = draw_point(inst)
         gap, target = gap_and_target(fs, point)
-        v = target - point.x
+        v = dense(fs.dim, target) - point.x
         assume(gap > 0.0 and np.any(v != 0.0))
         lipschitz = 10.0**log_lip
         prev_decrease = None if log_decrease is None else 10.0**log_decrease

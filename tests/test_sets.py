@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
+
+from conftest import dense
 
 
 def random_convex_combinations(gen, vertices, count):
@@ -16,20 +20,20 @@ def make_sets(dim):
 
 class TestLmoExamples:
     def test_simplex(self):
-        assert np.array_equal(Simplex(3).lmo([3.0, -1.0, 2.0]), [0.0, 1.0, 0.0])
-        assert np.array_equal(Simplex(2).lmo([0.0, 0.0]), [1.0, 0.0])
+        assert np.array_equal(dense(3, Simplex(3).lmo([3.0, -1.0, 2.0])), [0.0, 1.0, 0.0])
+        assert np.array_equal(dense(2, Simplex(2).lmo([0.0, 0.0])), [1.0, 0.0])
         # gradient of the 2-d log barrier at (1/4, 3/4)
-        assert np.array_equal(Simplex(2).lmo([-4.0, -4.0 / 3.0]), [1.0, 0.0])
+        assert np.array_equal(dense(2, Simplex(2).lmo([-4.0, -4.0 / 3.0])), [1.0, 0.0])
 
     def test_l1ball(self):
-        assert np.array_equal(L1Ball(3, 1.0).lmo([1.0, -2.0, 0.5]), [0.0, 1.0, 0.0])
-        assert np.array_equal(L1Ball(3, 1.0).lmo([0.0, 0.0, 0.0]), [-1.0, 0.0, 0.0])
-        assert np.array_equal(L1Ball(1, 2.0).lmo([5.0]), [-2.0])
+        assert np.array_equal(dense(3, L1Ball(3, 1.0).lmo([1.0, -2.0, 0.5])), [0.0, 1.0, 0.0])
+        assert np.array_equal(dense(3, L1Ball(3, 1.0).lmo([0.0, 0.0, 0.0])), [-1.0, 0.0, 0.0])
+        assert np.array_equal(dense(1, L1Ball(1, 2.0).lmo([5.0])), [-2.0])
 
     def test_nonneg_l1(self):
-        assert np.array_equal(NonnegL1Ball(3, 3.0).lmo([0.5, -1.0, 2.0]), [0.0, 3.0, 0.0])
-        assert np.array_equal(NonnegL1Ball(2, 5.0).lmo([1.0, 2.0]), [0.0, 0.0])
-        assert np.array_equal(NonnegL1Ball(2, 1.0).lmo([-1.0, -1.0]), [1.0, 0.0])
+        assert np.array_equal(dense(3, NonnegL1Ball(3, 3.0).lmo([0.5, -1.0, 2.0])), [0.0, 3.0, 0.0])
+        assert np.array_equal(dense(2, NonnegL1Ball(2, 5.0).lmo([1.0, 2.0])), [0.0, 0.0])
+        assert np.array_equal(dense(2, NonnegL1Ball(2, 1.0).lmo([-1.0, -1.0])), [1.0, 0.0])
 
     def test_nonfinite_rejected(self):
         for fn in (Simplex(2).lmo, L1Ball(2, 1.0).lmo, NonnegL1Ball(2, 1.0).lmo):
@@ -48,7 +52,7 @@ class TestBruteForceOptimality:
             points = random_convex_combinations(gen, verts, 1000)
             for _ in range(25):
                 c = gen.normal(size=dim)
-                out = fs.lmo(c)
+                out = dense(dim, fs.lmo(c))
                 val = np.dot(c, out)
                 best_vertex = min(np.dot(c, v) for v in verts)
                 assert val <= best_vertex + 1e-12
@@ -60,7 +64,7 @@ class TestBruteForceOptimality:
         for fs in make_sets(dim):
             for _ in range(1000):
                 c = gen.normal(size=dim)
-                assert fs.contains(fs.lmo(c), tol=1e-12)
+                assert fs.contains(dense(dim, fs.lmo(c)), tol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 5])
     def test_lmo_positively_homogeneous(self, dim):
@@ -70,6 +74,41 @@ class TestBruteForceOptimality:
                 c = gen.normal(size=dim)
                 lam = gen.uniform(0.1, 10.0)
                 assert np.array_equal(fs.lmo(c), fs.lmo(lam * c))
+
+
+# costs on a grid of eighths: ties, zeros and sign changes are common, and a
+# positive scale keeps their order exactly (distinct entries differ by >= 1/8)
+eighths = st.integers(min_value=-16, max_value=16).map(lambda k: k / 8.0)
+costs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.one_of(
+        st.lists(eighths, min_size=n, max_size=n),
+        st.lists(st.integers(min_value=0, max_value=1).map(float), min_size=n, max_size=n),
+        st.lists(st.integers(min_value=1, max_value=16).map(lambda k: k / 8.0), min_size=n, max_size=n),
+    )
+)
+
+
+class TestVertexForm:
+    """`lmo(c)` returns (i, value), meaning the vertex value * e_i."""
+
+    @given(costs, st.floats(min_value=0.01, max_value=100.0))
+    def test_index_form_is_the_brute_force_argmin(self, c, scale):
+        c = np.array(c)
+        dim = c.size
+        for fs in make_sets(dim):
+            i, value = fs.lmo(c)
+            assert type(i) is int and type(value) is float
+            out = dense(dim, (i, value))
+            verts = fs.vertices()
+            vals = [float(np.dot(c, v)) for v in verts]
+            argmins = [v for v, val in zip(verts, vals) if val == min(vals)]
+            assert any(np.array_equal(out, v) for v in argmins)
+            if value != 0.0:
+                # ties break toward the lowest coordinate
+                assert i == min(int(np.flatnonzero(v)[0]) for v in argmins if v.any())
+            inside = fs.contains(out)
+            assert type(inside) is bool and inside
+            assert fs.lmo(scale * c) == (i, value)
 
 
 class TestDiameter:

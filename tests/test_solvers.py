@@ -27,7 +27,7 @@ from condgrad.solvers import (
     read_trace_csv,
 )
 
-from conftest import QuadOracle
+from conftest import QuadOracle, dense
 
 
 def analytic_model_decrease(record, M):
@@ -257,7 +257,7 @@ class TestAnalyticDescentInvariants:
         f_ref = min(r.f for r in trace.records)
         xs = [fs.start_point()]
         for r in trace.records[:-1]:
-            s = fs.lmo(oracle.gradient(xs[-1]))
+            s = dense(fs.dim, fs.lmo(oracle.gradient(xs[-1])))
             xs.append(xs[-1] + r.alpha * (s - xs[-1]))
         lam = 0.0
         for x in xs[::50]:
@@ -278,7 +278,7 @@ class TestAnalyticDescentInvariants:
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=300, policy="analytic"))
         xs = [fs.start_point()]
         for r in trace.records[:-1]:
-            res_target = fs.lmo(oracle.gradient(xs[-1]))
+            res_target = dense(fs.dim, fs.lmo(oracle.gradient(xs[-1])))
             xs.append(xs[-1] + r.alpha * (res_target - xs[-1]))
         lam_max = 0.0
         for x in xs:
@@ -516,6 +516,27 @@ class TestSigmaEstimate:
         with pytest.raises(ValueError, match="sigma_f must be positive"):
             lloo_fw_solve(oracle, lloo_simplex, RunConfig(epsilon=1e-6, max_iter=10, policy="lloo"), sigma)
 
+    @pytest.mark.parametrize(
+        "T, n, singular",
+        [(3, 5, True), (5, 8, True), (10, 20, True), (19, 20, True)]
+        + [(5, 5, False), (8, 8, False), (20, 20, False), (21, 20, False), (50, 20, False)],
+    )
+    def test_singular_start_hessian_rejected_by_run_one(self, T, n, singular):
+        # with T < n the start Hessian is singular, yet rounding leaves its zero
+        # eigenvalue positive in some cases (T=3, n=5, seed 35: 7.8e-17, which
+        # made r0 ~ 1e8); the dim * eps * lambda_max rule rejects all of them
+        # and none of the square or tall instances (smallest ratio 5.5e-15)
+        for seed in range(40):
+            problem = portfolio_problem(gen_portfolio_data(T, n, seed))
+            oracle, fs = problem.oracle, problem.feasible_set
+            if singular:
+                assert estimate_sigma(oracle, fs.start_point()) == 0.0
+                with pytest.raises(ValueError, match="the Hessian at the start point is singular"):
+                    run_one(oracle, fs, "lloo", 1e-6, 1)
+            else:
+                assert estimate_sigma(oracle, fs.start_point()) > 0.0
+                assert len(run_one(oracle, fs, "lloo", 1e-6, 1).records) >= 1
+
     def test_import_pulls_no_scipy(self):
         src = str(Path(condgrad.__file__).resolve().parent.parent)
         probe = "import sys, condgrad; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -551,7 +572,11 @@ class DiagScaledOracle(ScOracle):
 
 
 class DiagScaledSimplex:
-    """Image of the unit simplex under x -> x / scale, with matching lmo."""
+    """Image of the unit simplex under x -> x / scale, with matching lmo.
+
+    Its vertices e_i / scale_i lie on the coordinate axes, so its lmo
+    returns them as (i, 1 / scale_i).
+    """
 
     kind = "scaled_simplex"
 
@@ -561,9 +586,7 @@ class DiagScaledSimplex:
 
     def lmo(self, c):
         i = int(np.argmin(np.asarray(c) / self.scale))
-        out = np.zeros(self.dim)
-        out[i] = 1.0 / self.scale[i]
-        return out
+        return i, 1.0 / self.scale[i]
 
     def contains(self, x, tol=1e-9):
         return Simplex(self.dim).contains(self.scale * np.asarray(x, dtype=float), tol=tol)
