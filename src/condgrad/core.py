@@ -67,9 +67,11 @@ class ScOracle:
 class OraclePoint:
     """What the drivers, step rules and `estimate_sigma` need at one point x.
 
-    ``f``, ``gradient`` and ``in_domain`` are evaluated once, on first
-    use.  A target is a point of the feasible set: a vertex (i, value),
-    meaning value * e_i, as a linear oracle returns it, or a dense array.
+    ``in_domain`` and ``f`` are set when the point is made, f as +inf
+    outside the domain without a ``value`` call; ``gradient`` is
+    evaluated once, on first use.  A target is a point of the feasible
+    set: a vertex (i, value), meaning value * e_i, as a linear oracle
+    returns it, or a dense array.
     ``direction(target)`` is ``v = target - x``, ``norm_to(target)`` the
     local norm of v, ``line(target)`` the function t -> f(x + t v), and
     ``move(alpha, target)`` the point at t = alpha.  The direction to the
@@ -81,15 +83,9 @@ class OraclePoint:
     def __init__(self, oracle, x):
         self.oracle = oracle
         self.x = np.asarray(x, dtype=float)
+        self.in_domain = bool(oracle.in_domain(self.x))
+        self.f = float(oracle.value(self.x)) if self.in_domain else np.inf
         self._target = None
-
-    @cached_property
-    def f(self):
-        return float(self.oracle.value(self.x))
-
-    @cached_property
-    def in_domain(self):
-        return bool(self.oracle.in_domain(self.x))
 
     @cached_property
     def gradient(self):

@@ -51,13 +51,14 @@ class GlmOracle(ScOracle):
     def _set_matrix(self, matrix):
         if matrix.shape[0] == 0:
             raise ValueError(f"{type(self).__name__}: the data matrix has no rows")
+        # max |a_ij|, the scale of the drift test; NaN and inf propagate to it,
+        # and initial=0.0 leaves a matrix without columns to the set's check
+        amax = max(float(matrix.max(initial=0.0)), -float(matrix.min(initial=0.0)))
+        if not math.isfinite(amax):
+            raise ValueError(f"{type(self).__name__}: the data matrix has non-finite entries")
         self.matrix = matrix
         self.dim = matrix.shape[1]
-
-    @cached_property
-    def _amax(self):
-        """max |a_ij|, the scale of the drift test; read at the first refresh."""
-        return max(float(np.max(self.matrix)), -float(np.min(self.matrix)))
+        self._amax = amax
 
     def point(self, x):
         return GlmPoint(self, x)
@@ -88,8 +89,8 @@ class GlmPoint:
     Hessian product takes two.  After REFRESH_INTERVAL
     carried moves, and on ``refreshed()``, z is recomputed as A x; a
     carried z that drifted beyond DRIFT_RTOL raises InvariantError.
-    ``in_domain`` is set when the point is made; f and the pair
-    (phi'(z), phi''(z)) are evaluated once, on first use.
+    ``in_domain``, f and, inside the domain, the pair (phi'(z), phi''(z))
+    are set when the point is made; the gradient is formed on first use.
     """
 
     def __init__(self, oracle, x, z=None, age=0, reach=None):
@@ -99,6 +100,11 @@ class GlmPoint:
         self.age = age
         self.reach = float(np.sum(np.abs(self.x))) if reach is None else reach
         self.in_domain = bool(oracle._domain(self.z))
+        if self.in_domain:
+            self.f = self._objective(self.z, self.x)
+            self._derivatives = oracle._derivatives(self.z)
+        else:
+            self.f = np.inf
         self._target = None
 
     def _value(self, z, x):
@@ -115,19 +121,11 @@ class GlmPoint:
             raise DomainError(f"{what}: point outside the objective domain")
 
     @cached_property
-    def f(self):
-        return self._objective(self.z, self.x) if self.in_domain else np.inf
-
-    @cached_property
     def gradient(self):
         self._require_domain("gradient")
         g = self.oracle.matrix.T @ self._derivatives[0]
         gamma = self.oracle.gamma
         return g + gamma * self.x if gamma else g
-
-    @cached_property
-    def _derivatives(self):
-        return self.oracle._derivatives(self.z)
 
     def hess_vec(self, u):
         self._require_domain("hess_vec")
@@ -242,7 +240,7 @@ class PoissonOracle(GlmOracle):
             raise ValueError("weights must be m x n with one count per row")
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
-        if np.any(counts < 0.0) or np.any(counts != np.floor(counts)):
+        if not np.isfinite(counts).all() or np.any(counts < 0.0) or np.any(counts != np.floor(counts)):
             raise ValueError("counts must be nonnegative integers")
         pos = counts > 0
         if np.any(~np.any(weights[pos] > 0.0, axis=1)):
@@ -283,11 +281,15 @@ class LogisticOracle(GlmOracle):
         labels = np.ascontiguousarray(labels, dtype=float)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be N x n with one label per row")
+        if not np.isfinite(labels).all():
+            raise ValueError("labels must be finite")
         self._set_matrix(features)
         if gamma is None:
             gamma = 1.0 / features.shape[0]
         if not gamma > 0:
             raise ValueError("gamma must be positive")
+        if not (math.isfinite(mu) and math.isfinite(gamma)):
+            raise ValueError("mu and gamma must be finite")
         self.labels = labels
         self.mu = float(mu)
         self.gamma = float(gamma)
@@ -370,9 +372,10 @@ def parse_libsvm(stream):
     """Parse sparse `<label> <idx>:<val> ...` lines into dense rows.
 
     `stream` is an iterable of lines (an open file works).  Indices are
-    1-based and must be strictly ascending within a line; blank lines
-    and lines starting with '#' are skipped.  Returns (features, labels)
-    with features dense N x n, n the largest index seen.
+    1-based and must be strictly ascending within a line, labels and
+    values finite; blank lines and lines starting with '#' are skipped.
+    Returns (features, labels) with features dense N x n, n the largest
+    index seen.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
@@ -385,9 +388,12 @@ def parse_libsvm(stream):
             continue
         tokens = line.split()
         try:
-            labels.append(float(tokens[0]))
+            label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(f"line {lineno}: non-finite label {tokens[0]!r}")
+        labels.append(label)
         entries = []
         prev = 0
         for tok in tokens[1:]:
@@ -397,6 +403,8 @@ def parse_libsvm(stream):
                 val = float(val_s)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite value in {tok!r}")
             if idx <= 0:
                 raise ParseError(f"line {lineno}: index {idx} must be positive")
             if idx <= prev:

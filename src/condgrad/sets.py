@@ -8,6 +8,8 @@ Ties in every vertex argmin break toward the lowest index so that runs
 are fully deterministic.
 """
 
+import math
+
 import numpy as np
 
 CONTAINS_TOL = 1e-9
@@ -18,6 +20,14 @@ def _check_finite(c):
     if not np.isfinite(c).all():
         raise ValueError("linear oracle input has non-finite entries")
     return c
+
+
+def _check_radius(radius):
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    return float(radius)
 
 
 class FeasibleSet:
@@ -89,10 +99,8 @@ class L1Ball(FeasibleSet):
     def __init__(self, dim, radius):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        self.radius = _check_radius(radius)
         self.dim = int(dim)
-        self.radius = float(radius)
 
     def lmo(self, c):
         """Vertex +-R*e_i minimizing <c, .>: (i, +-R).
@@ -129,10 +137,8 @@ class NonnegL1Ball(FeasibleSet):
     def __init__(self, dim, radius):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        self.radius = _check_radius(radius)
         self.dim = int(dim)
-        self.radius = float(radius)
 
     def lmo(self, c):
         """The origin (i, 0.0) or R*e_i (i, R), whichever minimizes <c, .>."""

@@ -8,6 +8,7 @@ when a strong-convexity parameter is available.
 """
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -93,8 +94,9 @@ class RunTrace:
 def read_trace_csv(path):
     """Read back a trace CSV as a list of IterationRecord.
 
-    A row of the wrong length or a cell that is not a number raises
-    ValueError naming the file and line.
+    A row of the wrong length, a cell that is not a number or a
+    non-finite f or gap raises ValueError naming the file and line; a
+    trace without rows raises ValueError naming the file.
     """
     records = []
     with open(path) as fh:
@@ -107,10 +109,15 @@ def read_trace_csv(path):
                 continue
             try:
                 k, f, gap, alpha, e, lip, t = line.split(",")
+                f, gap = float(f), float(gap)
+                if not (math.isfinite(f) and math.isfinite(gap)):
+                    raise ValueError("non-finite f or gap")
                 lip = float(lip) if lip else None
-                records.append(IterationRecord(int(k), float(f), float(gap), float(alpha), float(e), lip, int(t)))
+                records.append(IterationRecord(int(k), f, gap, float(alpha), float(e), lip, int(t)))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    if not records:
+        raise ValueError(f"{path}: the trace has no rows")
     return records
 
 

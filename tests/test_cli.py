@@ -165,6 +165,12 @@ class TestUserErrors:
                 "the Hessian at the start point is singular",
             ),
             (["profile", "--traces", "{tmp}/bad"], "analytic__p.csv, line 2: not enough values to unpack"),
+            (
+                ["solve", "--problem", "logistic", "--samples", "30", "--n", "5", "--method", "analytic"]
+                + ["--radius", "inf", "--out", "{tmp}/t.csv"],
+                "radius must be finite",
+            ),
+            (["profile", "--traces", "{tmp}/empty"], "analytic__p2.csv: the trace has no rows"),
         ],
         ids=[
             "portfolio-no-size",
@@ -174,12 +180,17 @@ class TestUserErrors:
             "profile-no-traces",
             "lloo-singular-hessian",
             "profile-truncated-row",
+            "radius-inf",
+            "profile-empty-trace",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
         (tmp_path / "cfg.json").write_text(json.dumps({"methods": ["analytic"]}))
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2\n")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,0.5,0,1,,0\n")
+        (tmp_path / "empty" / "analytic__p2.csv").write_text("k,f,gap,alpha,e,L,time_ns\n")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("condgrad: error: ") and err.count("\n") == 1

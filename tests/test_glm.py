@@ -113,6 +113,25 @@ class FourMethods(ScOracle):
         return self.inner.in_domain(x)
 
 
+def test_oracle_point_outside_the_domain_makes_no_value_call():
+    oracle = portfolio_problem(gen_portfolio_data(6, 3, 0)).oracle
+    counted = FourMethods(oracle)
+    calls = {"value": 0}
+
+    def value(x):
+        calls["value"] += 1
+        return oracle.value(x)
+
+    counted.value = value
+    outside = counted.point(np.array([-1.0, 0.0, 0.0]))
+    assert not outside.in_domain and outside.f == np.inf
+    assert calls["value"] == 0
+    x = np.full(3, 1.0 / 3.0)
+    inside = counted.point(x)
+    assert inside.in_domain and inside.f == oracle.value(x)
+    assert calls["value"] == 1
+
+
 def make_instance(kind, m, n, seed):
     """(oracle, feasible set) of a random instance of the family."""
     gen = np.random.default_rng(seed)
@@ -372,6 +391,29 @@ class TestPassCounts:
         assert trace.termination == "gap_below_eps"
         # one per iterate, plus the refreshed point before the gap is accepted
         assert calls["domain"] <= len(trace.records) + 1
+
+    def test_one_loss_and_derivative_pair_per_point(self, desk, monkeypatch):
+        # the twin of the domain test count: f and (phi', phi'') are formed
+        # once per point made; the analytic policy makes no line probes
+        oracle, fs, _ = desk
+        calls = {"points": 0, "_loss": 0, "_derivatives": 0}
+        init = GlmPoint.__init__
+
+        def counted_init(self, *args, **kwargs):
+            calls["points"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GlmPoint, "__init__", counted_init)
+        for name in ("_loss", "_derivatives"):
+            def counted(z, name=name, original=getattr(oracle, name)):
+                calls[name] += 1
+                return original(z)
+
+            monkeypatch.setattr(oracle, name, counted)
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-3, max_iter=5000, policy="analytic"))
+        assert trace.termination == "gap_below_eps"
+        assert calls["points"] >= len(trace.records)
+        assert calls["_loss"] == calls["_derivatives"] == calls["points"]
 
     def test_one_hessian_product_per_lloo_iteration(self, desk):
         # through the four methods: the local point's distance on every

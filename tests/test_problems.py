@@ -192,6 +192,22 @@ def test_data_matrix_without_rows_rejected(cls, args):
         cls(*args)
 
 
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (PortfolioOracle, ([[1.0, np.inf]],)),
+        (PoissonOracle, ([[1.0, np.inf]], [1.0])),
+        (LogisticOracle, ([[1.0, np.inf]], [1.0])),
+        (LogisticOracle, ([[1.0, -np.inf]], [1.0])),
+        (LogisticOracle, ([[1.0, np.nan]], [1.0])),
+    ],
+    ids=["portfolio", "poisson", "logistic", "logistic-minus-inf", "logistic-nan"],
+)
+def test_data_matrix_with_non_finite_entry_rejected(cls, args):
+    with pytest.raises(ValueError, match=f"{cls.__name__}: the data matrix has non-finite entries"):
+        cls(*args)
+
+
 def _interior_points(kind, oracle, count, gen):
     if kind == "portfolio":
         return interior_simplex_points(gen, count, oracle.dim)

@@ -680,8 +680,9 @@ class TestTraceExport:
         [
             ("0,1,2", r"line 3: not enough values to unpack \(expected 7, got 3\)"),
             ("0,1,2,abc,4,,5", r"line 3: could not convert string to float: 'abc'"),
+            ("1,nan,2,0.5,4,,5", r"line 3: non-finite f or gap"),
         ],
-        ids=["truncated-row", "non-numeric-cell"],
+        ids=["truncated-row", "non-numeric-cell", "non-finite-f"],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "trace.csv"

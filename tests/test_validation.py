@@ -10,8 +10,10 @@ from condgrad.problems import (
     LogisticOracle,
     PoissonOracle,
     PortfolioOracle,
+    ParseError,
     gen_portfolio_data,
     load_returns_csv,
+    parse_libsvm,
     poisson_problem,
 )
 from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
@@ -40,6 +42,22 @@ CASES = [
     ),
     ("poisson-negative", lambda tmp: PoissonOracle([[1.0, -1.0]], [1.0]), ValueError, "weights must be nonnegative"),
     (
+        "poisson-count-inf",
+        lambda tmp: PoissonOracle([[1.0, 0.0]], [np.inf]),
+        ValueError,
+        "counts must be nonnegative integers",
+    ),
+    ("logistic-label-nan", lambda tmp: LogisticOracle([[1.0, 0.0]], [np.nan]), ValueError, "labels must be finite"),
+    ("logistic-mu-inf", lambda tmp: LogisticOracle([[1.0, 0.0]], [1.0], mu=np.inf), ValueError, "mu and gamma must be finite"),
+    (
+        "logistic-gamma-inf",
+        lambda tmp: LogisticOracle([[1.0, 0.0]], [1.0], gamma=np.inf),
+        ValueError,
+        "mu and gamma must be finite",
+    ),
+    ("libsvm-label-nan", lambda tmp: parse_libsvm("nan 1:1\n"), ParseError, "line 1: non-finite label 'nan'"),
+    ("libsvm-value-inf", lambda tmp: parse_libsvm("+1 2:-inf\n"), ParseError, "line 1: non-finite value in '2:-inf'"),
+    (
         "logistic-label-shape",
         lambda tmp: LogisticOracle([[1.0, 0.0]], [1.0, -1.0]),
         ValueError,
@@ -63,8 +81,10 @@ CASES = [
     ("simplex-dim", lambda tmp: Simplex(0), ValueError, "dimension must be >= 1"),
     ("l1-dim", lambda tmp: L1Ball(0, 1.0), ValueError, "dimension must be >= 1"),
     ("l1-radius", lambda tmp: L1Ball(2, 0.0), ValueError, "radius must be positive"),
+    ("l1-radius-inf", lambda tmp: L1Ball(2, np.inf), ValueError, "radius must be finite"),
     ("nonneg-l1-dim", lambda tmp: NonnegL1Ball(0, 1.0), ValueError, "dimension must be >= 1"),
     ("nonneg-l1-radius", lambda tmp: NonnegL1Ball(2, -1.0), ValueError, "radius must be positive"),
+    ("nonneg-l1-radius-nan", lambda tmp: NonnegL1Ball(2, np.nan), ValueError, "radius must be finite"),
     (
         "trace-header",
         lambda tmp: read_trace_csv(write(tmp, "t.csv", "k,f,gap\n")),
