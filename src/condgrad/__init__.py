@@ -5,7 +5,7 @@ a locally-restricted linearly convergent variant on the simplex,
 benchmark problem oracles, and a performance-profile harness.
 """
 
-from .core import DomainError, InvariantError, OraclePoint, ScOracle, bregman, dist_like, gap_and_target, omega, omega_star
+from .core import DomainError, InvariantError, OraclePoint, ScOracle, dist_like, gap_and_target, omega, omega_star
 from .lloo import lloo_simplex
 from .problems import (
     GlmOracle,
@@ -45,7 +45,6 @@ __all__ = [
     "InvariantError",
     "OraclePoint",
     "ScOracle",
-    "bregman",
     "dist_like",
     "gap_and_target",
     "omega",

@@ -5,8 +5,8 @@ value, gradient, Hessian-vector product, domain membership, and the
 curvature parameter ``M``.  The drivers and step rules see it through a
 point object (:meth:`ScOracle.point`) that holds what they need at one
 iterate.  This module provides the scalar curvature functions, local
-norms, the duality-gap computation against a feasible set's linear
-oracle, and the Bregman divergence.
+norms and the duality-gap computation against a feasible set's linear
+oracle.
 """
 
 import math
@@ -74,8 +74,9 @@ class OraclePoint:
     returns it, or a dense array.
     ``direction(target)`` is ``v = target - x``, ``norm_to(target)`` the
     local norm of v, ``line(target)`` the function t -> f(x + t v), and
-    ``move(alpha, target)`` the point at t = alpha.  The direction to the
-    last target is kept, so the calls of one iteration share it.
+    ``move(alpha, target)`` the point at t = alpha, and ``hessian()`` the
+    dense Hessian at x.  The direction to the last target is kept, so the
+    calls of one iteration share it.
     ``refreshed()`` returns a point free of carried state; this one
     carries none.  A point belongs to one run.
     """
@@ -93,6 +94,11 @@ class OraclePoint:
 
     def hess_vec(self, u):
         return self.oracle.hess_vec(self.x, u)
+
+    def hessian(self):
+        """`dim` Hessian products with the unit vectors, symmetrized."""
+        h = np.column_stack([self.hess_vec(e) for e in np.eye(self.oracle.dim)])
+        return 0.5 * (h + h.T)
 
     def direction(self, target):
         """target - x, computed once per target."""
@@ -186,14 +192,3 @@ def gap_and_target(feasible_set, point):
     if gap_raw < -GAP_SLACK:
         raise InvariantError(f"negative duality gap {gap_raw}: broken linear oracle?")
     return max(gap_raw, 0.0), target
-
-
-def bregman(oracle, y, x):
-    """Bregman divergence f(y) - f(x) - <grad f(x), y - x> (both points in-domain)."""
-    if not oracle.in_domain(x):
-        raise DomainError("bregman: base point outside the objective domain")
-    if not oracle.in_domain(y):
-        raise DomainError("bregman: argument outside the objective domain")
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return float(oracle.value(y) - oracle.value(x) - np.dot(oracle.gradient(x), y - x))

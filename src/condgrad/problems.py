@@ -42,8 +42,9 @@ class GlmOracle(ScOracle):
     z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
     the domain only) and ``_derivatives(z)``, the per-row phi' and phi''
     as one pair (called on the domain only).
-    The four :class:`ScOracle` methods evaluate through a fresh
-    :class:`GlmPoint`; the solvers move one along the run.
+    ``value`` and ``in_domain`` evaluate from z alone; ``gradient`` and
+    ``hess_vec`` through a fresh :class:`GlmPoint`.  The solvers move one
+    point along the run.
     """
 
     gamma = 0.0
@@ -64,7 +65,8 @@ class GlmOracle(ScOracle):
         return GlmPoint(self, x)
 
     def value(self, x):
-        return self.point(x).f
+        x = np.asarray(x, dtype=float)
+        return self._value(self.matrix @ x, x)
 
     def gradient(self, x):
         return self.point(x).gradient
@@ -73,7 +75,16 @@ class GlmOracle(ScOracle):
         return self.point(x).hess_vec(u)
 
     def in_domain(self, x):
-        return self.point(x).in_domain
+        return bool(self._domain(self.matrix @ np.asarray(x, dtype=float)))
+
+    def _value(self, z, x):
+        """f from z = A x, +inf outside the domain."""
+        return self._objective(z, x) if self._domain(z) else np.inf
+
+    def _objective(self, z, x):
+        """f from z = A x; z must lie in the domain."""
+        f = float(self._loss(z))
+        return f + 0.5 * self.gamma * float(np.dot(x, x)) if self.gamma else f
 
 
 class GlmPoint:
@@ -86,7 +97,8 @@ class GlmPoint:
     costs one full product when that support is large.  Domain tests,
     f, local norms and line probes then cost O(m); the gradient's
     A^T phi'(z) is the one full pass over the data per iterate, a
-    Hessian product takes two.  After REFRESH_INTERVAL
+    Hessian product takes two, and the dense Hessian (``hessian()``)
+    one Gram product.  After REFRESH_INTERVAL
     carried moves, and on ``refreshed()``, z is recomputed as A x; a
     carried z that drifted beyond DRIFT_RTOL raises InvariantError.
     ``in_domain``, f and, inside the domain, the pair (phi'(z), phi''(z))
@@ -101,20 +113,11 @@ class GlmPoint:
         self.reach = float(np.sum(np.abs(self.x))) if reach is None else reach
         self.in_domain = bool(oracle._domain(self.z))
         if self.in_domain:
-            self.f = self._objective(self.z, self.x)
+            self.f = oracle._objective(self.z, self.x)
             self._derivatives = oracle._derivatives(self.z)
         else:
             self.f = np.inf
         self._target = None
-
-    def _value(self, z, x):
-        return self._objective(z, x) if self.oracle._domain(z) else np.inf
-
-    def _objective(self, z, x):
-        """f from z = A x; z must lie in the domain."""
-        f = float(self.oracle._loss(z))
-        gamma = self.oracle.gamma
-        return f + 0.5 * gamma * float(np.dot(x, x)) if gamma else f
 
     def _require_domain(self, what):
         if not self.in_domain:
@@ -134,6 +137,18 @@ class GlmPoint:
         hv = a.T @ (self._derivatives[1] * (a @ u))
         gamma = self.oracle.gamma
         return hv + gamma * u if gamma else hv
+
+    def hessian(self):
+        # B^T B for B = diag(sqrt(phi'')) A (phi'' >= 0 in every family):
+        # numpy makes a product of an array with its own transpose one
+        # symmetric rank-k update, exactly symmetric at half the flops
+        self._require_domain("hessian")
+        b = self.oracle.matrix * np.sqrt(self._derivatives[1])[:, None]
+        h = b.T @ b
+        gamma = self.oracle.gamma
+        if gamma:
+            h[np.diag_indices_from(h)] += gamma
+        return h
 
     def _image(self, target):
         """(v, A v, |target|_1) for v = target - x, computed once per target."""
@@ -172,10 +187,11 @@ class GlmPoint:
     def line(self, target):
         v, av, _ = self._image(target)
         x, z = self.x, self.z
+        value = self.oracle._value
         if not self.oracle.gamma:
             # x enters f only through the quadratic term
-            return lambda t: self._value(z + t * av, None)
-        return lambda t: self._value(z + t * av, x + t * v)
+            return lambda t: value(z + t * av, None)
+        return lambda t: value(z + t * av, x + t * v)
 
     def move(self, alpha, target):
         v, av, s_norm = self._image(target)

@@ -299,15 +299,14 @@ def estimate_sigma(oracle, x):
 
     Stand-in for the strong-convexity parameter over the level set,
     which is what the linear-convergence analysis actually needs.  The
-    Hessian is assembled from `dim` products of one point at x with the
-    unit vectors and symmetrized; one dense eigenvalue solve gives its
-    spectrum.  It counts as singular when the smallest eigenvalue is at
-    most dim * eps times the largest (numpy's `matrix_rank` tolerance):
-    rounding leaves a zero eigenvalue anywhere in that band, either sign.
+    point at x forms the dense Hessian (a GLM point from one Gram
+    product, the base point from `dim` Hessian products); one dense
+    eigenvalue solve gives its spectrum.  It counts as singular when the
+    smallest eigenvalue is at most dim * eps times the largest (numpy's
+    `matrix_rank` tolerance): rounding leaves a zero eigenvalue anywhere
+    in that band, either sign.
     """
-    point = oracle.point(x)
-    h = np.column_stack([point.hess_vec(e) for e in np.eye(oracle.dim)])
-    lam = np.linalg.eigvalsh(0.5 * (h + h.T))
+    lam = np.linalg.eigvalsh(oracle.point(x).hessian())
     if lam[0] <= oracle.dim * np.finfo(float).eps * lam[-1]:
         return 0.0
     return float(lam[0])

@@ -117,6 +117,27 @@ def test_traced_solve_gives_the_untraced_answers(spans, method):
         assert answers(traced) == answers(untraced)
 
 
+def test_traced_sigma_takes_the_column_loop(spans):
+    # a traced oracle shows the four calls alone, so its sigma comes from the
+    # base point's column loop instead of the GLM point's Gram product
+    problem = portfolio_problem(gen_portfolio_data(12, 4, 0))
+    oracle, fs = problem.oracle, problem.feasible_set
+    x = fs.start_point()
+    sigma = solvers.estimate_sigma(oracle, x)
+    assert sigma > 0.0
+    tracer = spans.Tracer()
+    assert solvers.estimate_sigma(spans.TracedOracle(tracer, oracle), x) == pytest.approx(sigma, rel=1e-9)
+    calls = np.bincount(tracer.arrays()["name_id"], minlength=len(tracer.names))
+    assert calls[tracer.names.index("problems.hess_vec")] == oracle.dim
+    # each traced lloo solve records its own estimate
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        for _ in range(2):
+            cli.run_one(spans.TracedOracle(tracer, oracle), spans.TracedSet(tracer, fs), "lloo", 1e-6, 50)
+    calls = np.bincount(tracer.arrays()["name_id"], minlength=len(tracer.names))
+    assert calls[tracer.names.index("solvers.estimate_sigma")] == 2
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -4,7 +4,6 @@ import pytest
 from condgrad.core import (
     DomainError,
     InvariantError,
-    bregman,
     dist_like,
     gap_and_target,
     omega,
@@ -168,39 +167,3 @@ class TestConcurrentReads:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda x: gap_and_target(fs, log_barrier2.point(x))[0], points))
         assert got == expected
-
-
-class TestBregman:
-    def test_zero_at_equal_points(self, log_barrier2):
-        x = np.array([0.4, 0.6])
-        assert bregman(log_barrier2, x, x) == 0.0
-
-    def test_log_barrier_closed_form(self, log_barrier2):
-        # sum_i [ -ln(y_i/x_i) + y_i/x_i - 1 ] at y=(1/2,1/2), x=(1/4,3/4)
-        y = np.array([0.5, 0.5])
-        x = np.array([0.25, 0.75])
-        expected = (1.0 - np.log(2.0)) + (np.log(1.5) - 1.0 / 3.0)
-        assert bregman(log_barrier2, y, x) == pytest.approx(expected, abs=1e-12)
-
-    def test_quadratic_closed_form(self, quad2):
-        y = np.array([1.0, 0.0])
-        x = np.array([0.0, 1.0])
-        assert bregman(quad2, y, x) == pytest.approx(1.0)
-
-    def test_nonnegative_and_definite(self, log_barrier2):
-        gen = np.random.default_rng(11)
-        for _ in range(100):
-            y = gen.uniform(0.05, 3.0, size=2)
-            x = gen.uniform(0.05, 3.0, size=2)
-            d = bregman(log_barrier2, y, x)
-            assert d >= 0.0
-            if not np.allclose(y, x):
-                assert d > 1e-12 or np.linalg.norm(y - x) < 1e-6
-
-    def test_domain_errors(self, log_barrier2):
-        good = np.array([0.5, 0.5])
-        bad = np.array([-0.5, 0.5])
-        with pytest.raises(DomainError):
-            bregman(log_barrier2, bad, good)
-        with pytest.raises(DomainError):
-            bregman(log_barrier2, good, bad)

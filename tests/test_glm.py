@@ -132,6 +132,30 @@ def test_oracle_point_outside_the_domain_makes_no_value_call():
     assert calls["value"] == 1
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_value_and_domain_test_form_no_derivative_pair(kind, monkeypatch):
+    # both answer from z = A x alone; a point would also form (phi', phi'')
+    oracle, fs = make_instance(kind, 30, 6, 5)
+    inside = fs.start_point()
+    points = [(inside, True, oracle.point(inside).f)]
+    if kind != "logistic":
+        # the logistic domain is all of R^n
+        outside = -inside if kind == "portfolio" else np.zeros(fs.dim)
+        points.append((outside, False, np.inf))
+    calls = {"_derivatives": 0}
+    original = oracle._derivatives
+
+    def derivatives(z):
+        calls["_derivatives"] += 1
+        return original(z)
+
+    monkeypatch.setattr(oracle, "_derivatives", derivatives)
+    for x, in_domain, f in points:
+        assert oracle.in_domain(x) is in_domain
+        assert oracle.value(x) == f
+    assert calls["_derivatives"] == 0
+
+
 def make_instance(kind, m, n, seed):
     """(oracle, feasible set) of a random instance of the family."""
     gen = np.random.default_rng(seed)
@@ -221,9 +245,9 @@ class TestPointMatchesReference:
         assert_close(oracle.hess_vec(x, u), reference.hess_vec(x, u))
 
 
-def reference_hessian(oracle, x):
-    h = np.column_stack([oracle.hess_vec(x, e) for e in np.eye(oracle.dim)])
-    return 0.5 * (h + h.T)
+def reference_hessian(reference, x):
+    """The base point's column loop over the closed-form Hessian products."""
+    return reference.point(x).hessian()
 
 
 class TestSigma:
@@ -246,6 +270,21 @@ class TestSigma:
             assert abs(sigma - lam[0]) <= 1e-9 * scale
             for u in gen.normal(size=(5, n)):
                 assert sigma <= float(u @ h @ u) / float(u @ u) + 1e-12 * scale
+
+    @given(instances)
+    @example(("poisson", 40, 8, 4))  # rows with zero count, where phi'' = 0
+    @example(("logistic", 30, 6, 2))
+    def test_gram_hessian_matches_reference(self, inst):
+        kind, m, n, seed = inst
+        oracle, fs = make_instance(kind, m, n, seed)
+        reference = ReferenceOracle(kind, oracle)
+        gen = np.random.default_rng(seed + 5)
+        for x in (fs.start_point(), feasible_point(kind, fs, gen)):
+            h = oracle.point(x).hessian()
+            ref = reference_hessian(reference, x)
+            scale = max(float(np.max(np.abs(np.linalg.eigvalsh(ref)))), 1e-300)
+            assert np.array_equal(h, h.T)
+            assert float(np.max(np.abs(h - ref))) <= 1e-12 * scale
 
 
 class TestCarriedImage:
@@ -308,7 +347,8 @@ class TestRunsMatchFourMethodPath:
 
 def counting(matrix):
     """A view of `matrix` counting full-size products with it (either
-    orientation); returns (view, counter dict)."""
+    orientation), or with a full-size array computed from it elementwise,
+    such as a row-scaled copy; returns (view, counter dict)."""
     counts = {"products": 0}
     full = {matrix.shape, matrix.shape[::-1]}
 
@@ -317,7 +357,10 @@ def counting(matrix):
             if ufunc is np.matmul and any(isinstance(a, Counting) and a.shape in full for a in inputs):
                 counts["products"] += 1
             plain = [a.view(np.ndarray) if isinstance(a, Counting) else a for a in inputs]
-            return getattr(ufunc, method)(*plain, **kwargs)
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            if ufunc is not np.matmul and getattr(out, "shape", None) in full:
+                return out.view(Counting)
+            return out
 
     return matrix.view(Counting), counts
 
@@ -362,7 +405,7 @@ class TestPassCounts:
         # plus the exact image and its gradient before the gap is accepted
         assert counts["products"] <= 1 + (iters + 1) + iters // REFRESH_INTERVAL + 2
 
-    def test_two_passes_per_sigma_hessian_product(self, desk, monkeypatch):
+    def test_one_gram_product_per_glm_sigma(self, desk, monkeypatch):
         oracle, fs, counts = desk
         calls = {"hess_vec": 0}
         original = GlmPoint.hess_vec
@@ -373,8 +416,26 @@ class TestPassCounts:
 
         monkeypatch.setattr(problems.GlmPoint, "hess_vec", counted)
         estimate_sigma(oracle, fs.start_point())
+        assert calls["hess_vec"] == 0
+        # the start image and the Gram product
+        assert counts["products"] == 2
+
+    def test_two_passes_per_sigma_hessian_product(self, desk):
+        # the base point's column loop: a four-method Hessian product makes
+        # its own image of x, then two passes; the start point's domain test
+        # and f make one image each
+        oracle, fs, counts = desk
+        counted = FourMethods(oracle)
+        calls = {"hess_vec": 0}
+
+        def hess_vec(x, u):
+            calls["hess_vec"] += 1
+            return oracle.hess_vec(x, u)
+
+        counted.hess_vec = hess_vec
+        estimate_sigma(counted, fs.start_point())
         assert calls["hess_vec"] == oracle.dim
-        assert counts["products"] == 1 + 2 * calls["hess_vec"]
+        assert counts["products"] == 2 + (1 + 2) * calls["hess_vec"]
 
     def test_one_domain_test_per_iterate(self, desk, monkeypatch):
         # f reads the flag in_domain cached; line probes test on their own

@@ -261,8 +261,7 @@ class TestAnalyticDescentInvariants:
             xs.append(xs[-1] + r.alpha * (s - xs[-1]))
         lam = 0.0
         for x in xs[::50]:
-            h = np.column_stack([oracle.hess_vec(x, e) for e in np.eye(oracle.dim)])
-            lam = max(lam, float(np.linalg.eigvalsh((h + h.T) / 2)[-1]))
+            lam = max(lam, float(np.linalg.eigvalsh(oracle.point(x).hessian())[-1]))
         a, b = descent_constants(oracle.M, lam, fs.diameter)
         h0 = trace.records[0].f - f_ref
         for eps in (1e-2, 1e-3):
@@ -282,8 +281,7 @@ class TestAnalyticDescentInvariants:
             xs.append(xs[-1] + r.alpha * (res_target - xs[-1]))
         lam_max = 0.0
         for x in xs:
-            h = np.column_stack([oracle.hess_vec(x, e) for e in np.eye(oracle.dim)])
-            lam_max = max(lam_max, float(np.linalg.eigvalsh((h + h.T) / 2)[-1]))
+            lam_max = max(lam_max, float(np.linalg.eigvalsh(oracle.point(x).hessian())[-1]))
         a, b = descent_constants(oracle.M, lam_max, fs.diameter)
         recs = trace.records
         for prev, nxt in zip(recs, recs[1:]):
@@ -418,8 +416,7 @@ class TestLlooSolver:
             xs.append(xs[-1] + r.alpha * (s - xs[-1]))
         lam_max, lam_min = 0.0, np.inf
         for x in xs[::20]:
-            h = np.column_stack([oracle.hess_vec(x, e) for e in np.eye(oracle.dim)])
-            w = np.linalg.eigvalsh((h + h.T) / 2)
+            w = np.linalg.eigvalsh(oracle.point(x).hessian())
             lam_max = max(lam_max, float(w[-1]))
             lam_min = min(lam_min, float(w[0]))
         floor = lloo_rate_floor(lam_min, lam_max, np.sqrt(oracle.dim), oracle.M, fs.diameter)
