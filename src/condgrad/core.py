@@ -73,10 +73,11 @@ class OraclePoint:
     set: a vertex (i, value), meaning value * e_i, as a linear oracle
     returns it, or a dense array.
     ``direction(target)`` is ``v = target - x``, ``norm_to(target)`` the
-    local norm of v, ``line(target)`` the function t -> f(x + t v), and
-    ``move(alpha, target)`` the point at t = alpha, and ``hessian()`` the
-    dense Hessian at x.  The direction to the last target is kept, so the
-    calls of one iteration share it.
+    local norm of v, ``line(target)`` the function t -> f(x + t v),
+    ``slope(target)`` the function t -> (phi'(t), phi''(t)) of that line
+    (None outside the domain), ``move(alpha, target)`` the point at
+    t = alpha, and ``hessian()`` the dense Hessian at x.  The direction
+    to the last target is kept, so the calls of one iteration share it.
     ``refreshed()`` returns a point free of carried state; this one
     carries none.  A point belongs to one run.
     """
@@ -125,6 +126,18 @@ class OraclePoint:
     def line(self, target):
         x, v, value = self.x, self.direction(target), self.oracle.value
         return lambda t: value(x + t * v)
+
+    def slope(self, target):
+        x, v, oracle = self.x, self.direction(target), self.oracle
+
+        def derivatives(t):
+            y = x + t * v
+            try:
+                return float(np.dot(oracle.gradient(y), v)), float(np.dot(oracle.hess_vec(y, v), v))
+            except DomainError:
+                return None
+
+        return derivatives
 
     def move(self, alpha, target):
         return OraclePoint(self.oracle, self.x + alpha * self.direction(target))

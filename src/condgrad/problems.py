@@ -42,9 +42,8 @@ class GlmOracle(ScOracle):
     z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
     the domain only) and ``_derivatives(z)``, the per-row phi' and phi''
     as one pair (called on the domain only).
-    ``value`` and ``in_domain`` evaluate from z alone; ``gradient`` and
-    ``hess_vec`` through a fresh :class:`GlmPoint`.  The solvers move one
-    point along the run.
+    The four methods evaluate from z alone, with the arithmetic of
+    :class:`GlmPoint`; the solvers move one point along the run.
     """
 
     gamma = 0.0
@@ -69,13 +68,32 @@ class GlmOracle(ScOracle):
         return self._value(self.matrix @ x, x)
 
     def gradient(self, x):
-        return self.point(x).gradient
+        x = np.asarray(x, dtype=float)
+        return self._gradient(self._derivatives_at(x, "gradient")[0], x)
 
     def hess_vec(self, x, u):
-        return self.point(x).hess_vec(u)
+        return self._hess_vec(self._derivatives_at(np.asarray(x, dtype=float), "hess_vec")[1], u)
 
     def in_domain(self, x):
         return bool(self._domain(self.matrix @ np.asarray(x, dtype=float)))
+
+    def _derivatives_at(self, x, what):
+        z = self.matrix @ x
+        if not self._domain(z):
+            raise DomainError(f"{what}: point outside the objective domain")
+        return self._derivatives(z)
+
+    def _gradient(self, d1, x):
+        """A^T phi'(z) + gamma x."""
+        g = self.matrix.T @ d1
+        return g + self.gamma * x if self.gamma else g
+
+    def _hess_vec(self, d2, u):
+        """A^T (phi''(z) * A u) + gamma u."""
+        u = np.asarray(u, dtype=float)
+        a = self.matrix
+        hv = a.T @ (d2 * (a @ u))
+        return hv + self.gamma * u if self.gamma else hv
 
     def _value(self, z, x):
         """f from z = A x, +inf outside the domain."""
@@ -95,7 +113,8 @@ class GlmPoint:
     (i, value) of the feasible set costs one scaled column, value a_i,
     and a dense local-oracle target is gathered from its support, or
     costs one full product when that support is large.  Domain tests,
-    f, local norms and line probes then cost O(m); the gradient's
+    f, local norms and line probes of f or of its two derivatives
+    along the line then cost O(m); the gradient's
     A^T phi'(z) is the one full pass over the data per iterate, a
     Hessian product takes two, and the dense Hessian (``hessian()``)
     one Gram product.  After REFRESH_INTERVAL
@@ -126,17 +145,11 @@ class GlmPoint:
     @cached_property
     def gradient(self):
         self._require_domain("gradient")
-        g = self.oracle.matrix.T @ self._derivatives[0]
-        gamma = self.oracle.gamma
-        return g + gamma * self.x if gamma else g
+        return self.oracle._gradient(self._derivatives[0], self.x)
 
     def hess_vec(self, u):
         self._require_domain("hess_vec")
-        u = np.asarray(u, dtype=float)
-        a = self.oracle.matrix
-        hv = a.T @ (self._derivatives[1] * (a @ u))
-        gamma = self.oracle.gamma
-        return hv + gamma * u if gamma else hv
+        return self.oracle._hess_vec(self._derivatives[1], u)
 
     def hessian(self):
         # B^T B for B = diag(sqrt(phi'')) A (phi'' >= 0 in every family):
@@ -192,6 +205,26 @@ class GlmPoint:
             # x enters f only through the quadratic term
             return lambda t: value(z + t * av, None)
         return lambda t: value(z + t * av, x + t * v)
+
+    def slope(self, target):
+        v, av, _ = self._image(target)
+        oracle, z = self.oracle, self.z
+        av2 = av * av
+        gamma = oracle.gamma
+        if gamma:
+            xv, vv = float(np.dot(self.x, v)), float(np.dot(v, v))
+
+        def derivatives(t):
+            y = z + t * av
+            if not oracle._domain(y):
+                return None
+            d1, d2 = oracle._derivatives(y)
+            p1, p2 = float(np.dot(d1, av)), float(np.dot(d2, av2))
+            if gamma:
+                return p1 + gamma * (xv + t * vv), p2 + gamma * vv
+            return p1, p2
+
+        return derivatives
 
     def move(self, alpha, target):
         v, av, s_norm = self._image(target)

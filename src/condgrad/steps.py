@@ -1,8 +1,9 @@
 """Step-size policies for the conditional-gradient drivers.
 
 Four strategies: the classic open-loop 2/(k+2), exact line search by
-golden section, a closed-form step minimizing the self-concordant upper
-model, and backtracking over an adaptive local Lipschitz estimate.
+safeguarded Newton steps on the line, a closed-form step minimizing the
+self-concordant upper model, and backtracking over an adaptive local
+Lipschitz estimate.
 """
 
 import math
@@ -14,7 +15,7 @@ from .core import DomainError, InvariantError, omega_star
 GAMMA_DOWN = 0.9
 GAMMA_UP = 2.0
 MAX_DOUBLINGS = 100
-LINE_SEARCH_WIDTH = 1e-10
+EPS = float(np.finfo(float).eps)
 # stay 1% inside the unit local-distance ball that guarantees domain membership
 DOMAIN_SAFETY = 0.99
 # first step length of init_lipschitz's finite-difference probe
@@ -51,36 +52,56 @@ def analytic_step(gap, e, M):
 
 
 def exact_line_search(point, target, e):
-    """Golden-section minimization of f(x + t*(target - x)) over t in [0, t_max].
+    """Minimize phi(t) = f(x + t*(target - x)) over t in [0, t_max] by Newton steps.
 
-    t_max = min(1, 0.99/e) keeps every probe inside the domain whenever
-    e is the scaled local distance of the full step; probes landing
-    outside evaluate to +inf and are rejected naturally.  The bracket
-    narrows to LINE_SEARCH_WIDTH.  Returns 0 when the midpoint of the
-    final bracket does not improve on f(x), read from the point.
+    t_max = min(1, 0.99/e) keeps the search inside the domain whenever
+    e is the scaled local distance of the full step.  Each probe reads
+    (phi'(t), phi''(t)) from ``point.slope``.  The step is Newton's,
+    damped to step / (1 + lam), lam = (M/2)|phi'|/sqrt(phi''), while
+    lam > 1/4: that damped step stays inside the domain of a
+    self-concordant f.  A bracket [lo, hi] around the minimizer narrows
+    by the sign of phi' at each probe, and to a probe outside the domain;
+    a step leaving it bisects, except that a step past t_max probes
+    t_max once.  The search stops when the predicted decrease
+    phi'^2/phi'' is below eps * max(1, |f(x)|) or the bracket is at
+    rounding width.  Returns 0 when phi'(0) >= 0 or when f at the final
+    t does not improve on f(x), read from the point.
     """
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    inv2 = (3.0 - math.sqrt(5.0)) / 2.0
-    phi = point.line(target)
-    a = 0.0
-    b = h = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
-    c = a + inv2 * h
-    d = a + inv * h
-    fc = phi(c)
-    fd = phi(d)
-    while h > LINE_SEARCH_WIDTH:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + inv2 * h
-            fc = phi(c)
+    t_max = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
+    slope = point.slope(target)
+    d1, d2 = slope(0.0)
+    if not d1 < 0.0:
+        return 0.0
+    half_m = 0.5 * point.oracle.M
+    tol = EPS * max(1.0, abs(point.f))
+    t = lo = 0.0
+    hi = t_max
+    capped = False
+    while d1 * d1 > tol * d2:
+        if d2 > 0.0:
+            lam = half_m * abs(d1) / math.sqrt(d2)
+            step = -d1 / d2
+            nt = t + (step / (1.0 + lam) if lam > 0.25 else step)
         else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + inv * h
-            fd = phi(d)
-    t = 0.5 * (a + b)
-    if not phi(t) < point.f:
+            # no curvature here: phi is linear, so head for the downhill end
+            nt = hi if d1 < 0.0 else lo
+        if nt >= hi == t_max and not capped:
+            nt = t_max
+            capped = True
+        elif not lo < nt < hi:
+            nt = 0.5 * (lo + hi)
+            if not lo < nt < hi:
+                break
+        probe = slope(nt)
+        if probe is None:
+            hi = nt
+        else:
+            t, (d1, d2) = nt, probe
+            if d1 < 0.0:
+                lo = t
+            else:
+                hi = t
+    if not point.line(target)(t) < point.f:
         return 0.0
     return t
 

@@ -117,6 +117,27 @@ def test_traced_solve_gives_the_untraced_answers(spans, method):
         assert answers(traced) == answers(untraced)
 
 
+def test_traced_line_search_probes_derivatives(spans):
+    # the base point's slope reads the gradient and a Hessian product per
+    # probe of the line, so a traced search shows both under its span
+    problem = poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.ones(20))
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        cli.run_one(
+            spans.TracedOracle(tracer, problem.oracle),
+            spans.TracedSet(tracer, problem.feasible_set),
+            "line_search",
+            1e-6,
+            50,
+        )
+    a = tracer.arrays()
+    name_of = np.array(tracer.names)[a["name_id"]]
+    parent = a["parent"]
+    under_search = (parent >= 0) & (name_of[np.maximum(parent, 0)] == "steps.exact_line_search")
+    for call in ("problems.gradient", "problems.hess_vec"):
+        assert np.count_nonzero(under_search & (name_of == call)) > 0, call
+
+
 def test_traced_sigma_takes_the_column_loop(spans):
     # a traced oracle shows the four calls alone, so its sigma comes from the
     # base point's column loop instead of the GLM point's Gram product

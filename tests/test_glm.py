@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from condgrad import problems
 from condgrad.cli import run_one
-from condgrad.core import InvariantError, ScOracle
+from condgrad.core import DomainError, InvariantError, ScOracle
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import (
     DRIFT_RTOL,
@@ -154,6 +154,32 @@ def test_value_and_domain_test_form_no_derivative_pair(kind, monkeypatch):
         assert oracle.in_domain(x) is in_domain
         assert oracle.value(x) == f
     assert calls["_derivatives"] == 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gradient_and_hessian_product_form_no_loss(kind, monkeypatch):
+    # both answer from z = A x with the point's arithmetic; a point would also form f
+    oracle, fs = make_instance(kind, 30, 6, 5)
+    x = fs.start_point()
+    u = np.random.default_rng(5).normal(size=fs.dim)
+    point = oracle.point(x)
+    calls = {"_loss": 0}
+    original = oracle._loss
+
+    def loss(z):
+        calls["_loss"] += 1
+        return original(z)
+
+    monkeypatch.setattr(oracle, "_loss", loss)
+    assert oracle.gradient(x).tobytes() == point.gradient.tobytes()
+    assert oracle.hess_vec(x, u).tobytes() == point.hess_vec(u).tobytes()
+    assert calls["_loss"] == 0
+    if kind != "logistic":
+        outside = -x if kind == "portfolio" else np.zeros(fs.dim)
+        with pytest.raises(DomainError):
+            oracle.gradient(outside)
+        with pytest.raises(DomainError):
+            oracle.hess_vec(outside, u)
 
 
 def make_instance(kind, m, n, seed):
@@ -337,12 +363,7 @@ class TestRunsMatchFourMethodPath:
         assert len(glm.records) == len(ref.records)
         f_glm = np.array([r.f for r in glm.records])
         f_ref = np.array([r.f for r in ref.records])
-        # The golden section narrows to 1e-10, below the resolution of f
-        # along the line near its minimum (~sqrt(1e-16 |f| / f'')), so
-        # rounding picks the winning probe there and line-search runs
-        # agree to that resolution only.
-        rel = 1e-7 if method == "line_search" else 1e-10
-        assert np.all(np.abs(f_glm - f_ref) <= rel * np.maximum(1.0, np.abs(f_ref)))
+        assert np.all(np.abs(f_glm - f_ref) <= 1e-10 * np.maximum(1.0, np.abs(f_ref)))
 
 
 def counting(matrix):

@@ -17,7 +17,7 @@ from condgrad.core import OraclePoint, dist_like, gap_and_target
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import GATHER_RATIO, gen_portfolio_data, portfolio_problem
 from condgrad.solvers import DESCENT_SLACK, RunConfig, estimate_sigma, lloo_fw_solve
-from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step
+from condgrad.steps import DOMAIN_SAFETY, GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step, exact_line_search
 
 from conftest import dense
 from test_glm import feasible_point, instances, make_instance
@@ -110,6 +110,29 @@ class TestBacktrackStep:
         quad = f_x - alpha * gap + 0.5 * alpha * alpha * mu * float(np.dot(v, v))
         assert oracle.value(point.x + alpha * v) <= quad + 1e-12 * max(1.0, abs(f_x))
         assert evals <= 1.0 + math.log(mu / (GAMMA_DOWN * lipschitz)) / math.log(GAMMA_UP) + 1e-9
+
+
+class TestExactLineSearch:
+    @given(instances, st.booleans())
+    def test_beats_a_fine_grid(self, inst, vertex):
+        oracle, fs, glm_point = draw_point(inst)
+        gen = np.random.default_rng(inst[3] + 7)
+        if vertex:
+            verts = fs.vertices()
+            target = index_form(verts[gen.integers(len(verts))])
+        else:
+            target = feasible_point(inst[0], fs, gen)
+        for point in (glm_point, OraclePoint(oracle, glm_point.x)):
+            e = dist_like(point, target)
+            t_max = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
+            t = exact_line_search(point, target, e)
+            assert 0.0 <= t <= t_max
+            phi = point.line(target)
+            best = min(phi(s) for s in np.linspace(0.0, t_max, 2001))
+            slack = 1e-12 * max(1.0, abs(point.f))
+            assert phi(t) <= best + slack
+            if t == 0.0:
+                assert point.slope(target)(0.0)[0] >= 0.0 or best >= point.f - slack
 
 
 class TestLlooSimplex:

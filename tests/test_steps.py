@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from condgrad.core import InvariantError, omega_star
+from condgrad.core import InvariantError, dist_like, gap_and_target, omega_star
+from condgrad.problems import gen_binary_design, parse_libsvm, poisson_problem
+from condgrad.solvers import RunConfig, fw_solve
 from condgrad.steps import (
     analytic_step,
     backtrack_step,
@@ -10,7 +12,7 @@ from condgrad.steps import (
     standard_step,
 )
 
-from conftest import QuadOracle
+from conftest import DATA_DIR, QuadOracle
 
 
 class TestStandardStep:
@@ -64,11 +66,23 @@ class TestAnalyticStep:
 class TestExactLineSearch:
     def test_quadratic_minimum(self):
         class Shifted(QuadOracle):
+            """(x0 - 0.3)^2: its value, gradient and Hessian agree."""
+
             def value(self, x):
                 return float((x[0] - 0.3) ** 2)
 
+            def gradient(self, x):
+                g = np.zeros_like(x)
+                g[0] = 2.0 * (x[0] - 0.3)
+                return g
+
+            def hess_vec(self, x, u):
+                hu = np.zeros_like(u)
+                hu[0] = 2.0 * u[0]
+                return hu
+
         t = exact_line_search(Shifted(np.ones(1)).point(np.zeros(1)), np.ones(1), e=0.0)
-        assert t == pytest.approx(0.3, abs=1e-9)
+        assert t == pytest.approx(0.3, abs=1e-12)
 
     def test_no_descent_returns_zero(self, quad2):
         # moving away from the minimizer of 0.5|x|^2
@@ -82,6 +96,41 @@ class TestExactLineSearch:
         t = exact_line_search(log_barrier2.point(x), x + v, e)
         assert t <= 0.99 / e + 1e-12
         assert np.isfinite(log_barrier2.value(x + t * v))
+
+    def test_linear_objective_takes_the_full_step(self):
+        # all-zero counts leave f = sum(A x): phi'' = 0 and e = 0 on every line
+        problem = poisson_problem(gen_binary_design(20, 5, 0.4, 1), np.zeros(20))
+        point = problem.oracle.point(problem.feasible_set.start_point())
+        gap, target = gap_and_target(problem.feasible_set, point)
+        assert gap > 0.0
+        e = dist_like(point, target)
+        assert e == 0.0
+        assert exact_line_search(point, target, e) == 1.0
+
+    def test_few_derivative_probes_per_search(self, monkeypatch):
+        # the derivative pair is formed once per point made and once per
+        # probe of the line, t = 0 included
+        with open(DATA_DIR / "poisson200.libsvm") as fh:
+            feats, _ = parse_libsvm(fh)
+        problem = poisson_problem(feats, np.ones(feats.shape[0]))
+        oracle = problem.oracle
+        calls = {"_derivatives": 0, "searches": 0}
+        original = oracle._derivatives
+
+        def derivatives(z):
+            calls["_derivatives"] += 1
+            return original(z)
+
+        def search(point, target, e):
+            calls["searches"] += 1
+            return exact_line_search(point, target, e)
+
+        monkeypatch.setattr(oracle, "_derivatives", derivatives)
+        monkeypatch.setattr("condgrad.solvers.exact_line_search", search)
+        trace = fw_solve(oracle, problem.feasible_set, RunConfig(epsilon=1e-14, max_iter=500, policy="line_search"))
+        assert trace.termination == "max_iter"
+        assert calls["searches"] == 500
+        assert calls["_derivatives"] / calls["searches"] <= 6.0
 
 
 class TestBacktrackStep:
