@@ -308,7 +308,15 @@ def make_parser():
 def main(argv=None):
     """Run one subcommand; bad input (a ValueError or OSError) prints one
     line to stderr and returns 2, any other exception propagates."""
-    args = make_parser().parse_args(argv)
+    # argparse reads a value like "-inf" or "-1e-3" as an option name, so a
+    # value of --eps or --radius that starts with "-" is joined to it first
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--eps", "--radius") and arg[:1] == "-" and arg[1:2] != "-":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = make_parser().parse_args(joined)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -73,11 +73,13 @@ class OraclePoint:
     set: a vertex (i, value), meaning value * e_i, as a linear oracle
     returns it, or a dense array.
     ``direction(target)`` is ``v = target - x``, ``norm_to(target)`` the
-    local norm of v, ``line(target)`` the function t -> f(x + t v),
-    ``slope(target)`` the function t -> (phi'(t), phi''(t)) of that line
-    (None outside the domain), ``move(alpha, target)`` the point at
-    t = alpha, and ``hessian()`` the dense Hessian at x.  The direction
-    to the last target is kept, so the calls of one iteration share it.
+    local norm of v, ``slope(target)`` the function
+    t -> (phi'(t), phi''(t)) of phi(t) = f(x + t v) (None outside the
+    domain), ``move(alpha, target)`` the point at t = alpha, and
+    ``hessian()`` the dense Hessian at x.  The direction to the last
+    target is kept, so the calls of one iteration share it, and so is
+    the last move: a step rule tests f at a trial ``move``, and the
+    driver's ``move`` to the accepted step returns that same point.
     ``refreshed()`` returns a point free of carried state; this one
     carries none.  A point belongs to one run.
     """
@@ -87,18 +89,15 @@ class OraclePoint:
         self.x = np.asarray(x, dtype=float)
         self.in_domain = bool(oracle.in_domain(self.x))
         self.f = float(oracle.value(self.x)) if self.in_domain else np.inf
-        self._target = None
+        self._target = self._moved = None
 
     @cached_property
     def gradient(self):
         return self.oracle.gradient(self.x)
 
-    def hess_vec(self, u):
-        return self.oracle.hess_vec(self.x, u)
-
     def hessian(self):
         """`dim` Hessian products with the unit vectors, symmetrized."""
-        h = np.column_stack([self.hess_vec(e) for e in np.eye(self.oracle.dim)])
+        h = np.column_stack([self.oracle.hess_vec(self.x, e) for e in np.eye(self.oracle.dim)])
         return 0.5 * (h + h.T)
 
     def direction(self, target):
@@ -115,17 +114,13 @@ class OraclePoint:
         if not self.in_domain:
             raise DomainError("norm_to: point outside the objective domain")
         v = self.direction(target)
-        q = float(np.dot(self.hess_vec(v), v))
+        q = float(np.dot(self.oracle.hess_vec(self.x, v), v))
         if q < 0.0:
             # rounding noise is clipped; a clearly negative form is a bug
             if q < -1e-12 * (1.0 + float(np.dot(v, v))):
                 raise InvariantError(f"negative Hessian quadratic form: {q}")
             q = 0.0
         return math.sqrt(q)
-
-    def line(self, target):
-        x, v, value = self.x, self.direction(target), self.oracle.value
-        return lambda t: value(x + t * v)
 
     def slope(self, target):
         x, v, oracle = self.x, self.direction(target), self.oracle
@@ -140,7 +135,11 @@ class OraclePoint:
         return derivatives
 
     def move(self, alpha, target):
-        return OraclePoint(self.oracle, self.x + alpha * self.direction(target))
+        moved = self._moved
+        if moved is None or moved[0] != alpha or moved[1] is not target:
+            nxt = OraclePoint(self.oracle, self.x + alpha * self.direction(target))
+            self._moved = moved = (alpha, target, nxt)
+        return moved[2]
 
     def refreshed(self):
         return self

@@ -42,8 +42,8 @@ class GlmOracle(ScOracle):
     z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
     the domain only) and ``_derivatives(z)``, the per-row phi' and phi''
     as one pair (called on the domain only).
-    The four methods evaluate from z alone, with the arithmetic of
-    :class:`GlmPoint`; the solvers move one point along the run.
+    The four methods evaluate from z alone, f and the gradient with the
+    arithmetic of :class:`GlmPoint`; the solvers move one point along the run.
     """
 
     gamma = 0.0
@@ -65,14 +65,20 @@ class GlmOracle(ScOracle):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return self._value(self.matrix @ x, x)
+        z = self.matrix @ x
+        return self._objective(z, x) if self._domain(z) else np.inf
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
         return self._gradient(self._derivatives_at(x, "gradient")[0], x)
 
     def hess_vec(self, x, u):
-        return self._hess_vec(self._derivatives_at(np.asarray(x, dtype=float), "hess_vec")[1], u)
+        """A^T (phi''(z) * A u) + gamma u."""
+        d2 = self._derivatives_at(np.asarray(x, dtype=float), "hess_vec")[1]
+        u = np.asarray(u, dtype=float)
+        a = self.matrix
+        hv = a.T @ (d2 * (a @ u))
+        return hv + self.gamma * u if self.gamma else hv
 
     def in_domain(self, x):
         return bool(self._domain(self.matrix @ np.asarray(x, dtype=float)))
@@ -88,17 +94,6 @@ class GlmOracle(ScOracle):
         g = self.matrix.T @ d1
         return g + self.gamma * x if self.gamma else g
 
-    def _hess_vec(self, d2, u):
-        """A^T (phi''(z) * A u) + gamma u."""
-        u = np.asarray(u, dtype=float)
-        a = self.matrix
-        hv = a.T @ (d2 * (a @ u))
-        return hv + self.gamma * u if self.gamma else hv
-
-    def _value(self, z, x):
-        """f from z = A x, +inf outside the domain."""
-        return self._objective(z, x) if self._domain(z) else np.inf
-
     def _objective(self, z, x):
         """f from z = A x; z must lie in the domain."""
         f = float(self._loss(z))
@@ -108,18 +103,18 @@ class GlmOracle(ScOracle):
 class GlmPoint:
     """A point of a :class:`GlmOracle` that carries z = A x.
 
-    Same surface as :class:`~condgrad.core.OraclePoint`.  A move to
-    x + alpha (s - x) updates z <- z + alpha A (s - x): a vertex
-    (i, value) of the feasible set costs one scaled column, value a_i,
-    and a dense local-oracle target is gathered from its support, or
-    costs one full product when that support is large.  Domain tests,
-    f, local norms and line probes of f or of its two derivatives
-    along the line then cost O(m); the gradient's
-    A^T phi'(z) is the one full pass over the data per iterate, a
-    Hessian product takes two, and the dense Hessian (``hessian()``)
-    one Gram product.  After REFRESH_INTERVAL
-    carried moves, and on ``refreshed()``, z is recomputed as A x; a
-    carried z that drifted beyond DRIFT_RTOL raises InvariantError.
+    Same surface and last-move slot as :class:`~condgrad.core.OraclePoint`.
+    A move to x + alpha (s - x) updates z <- z + alpha A (s - x):
+    a vertex (i, value) of the feasible set costs one scaled column,
+    value a_i, and a dense local-oracle target is gathered from its
+    support, or costs one full product when that support is large.
+    Domain tests, f, local norms, trial moves and probes of the two
+    derivatives along the line then cost O(m); the gradient's
+    A^T phi'(z) is the one full pass over the data per iterate, and the
+    dense Hessian (``hessian()``) one Gram product.  After
+    REFRESH_INTERVAL carried moves, and on ``refreshed()``, z is
+    recomputed as A x; a carried z that drifted beyond DRIFT_RTOL raises
+    InvariantError.
     ``in_domain``, f and, inside the domain, the pair (phi'(z), phi''(z))
     are set when the point is made; the gradient is formed on first use.
     """
@@ -136,7 +131,7 @@ class GlmPoint:
             self._derivatives = oracle._derivatives(self.z)
         else:
             self.f = np.inf
-        self._target = None
+        self._target = self._moved = None
 
     def _require_domain(self, what):
         if not self.in_domain:
@@ -146,10 +141,6 @@ class GlmPoint:
     def gradient(self):
         self._require_domain("gradient")
         return self.oracle._gradient(self._derivatives[0], self.x)
-
-    def hess_vec(self, u):
-        self._require_domain("hess_vec")
-        return self.oracle._hess_vec(self._derivatives[1], u)
 
     def hessian(self):
         # B^T B for B = diag(sqrt(phi'')) A (phi'' >= 0 in every family):
@@ -197,15 +188,6 @@ class GlmPoint:
             q += gamma * float(np.dot(v, v))
         return math.sqrt(q)
 
-    def line(self, target):
-        v, av, _ = self._image(target)
-        x, z = self.x, self.z
-        value = self.oracle._value
-        if not self.oracle.gamma:
-            # x enters f only through the quadratic term
-            return lambda t: value(z + t * av, None)
-        return lambda t: value(z + t * av, x + t * v)
-
     def slope(self, target):
         v, av, _ = self._image(target)
         oracle, z = self.oracle, self.z
@@ -227,13 +209,17 @@ class GlmPoint:
         return derivatives
 
     def move(self, alpha, target):
-        v, av, s_norm = self._image(target)
-        x = self.x + alpha * v
-        z = self.z + alpha * av
-        reach = max(self.reach, s_norm)
-        if self.age + 1 >= REFRESH_INTERVAL:
-            return GlmPoint(self.oracle, x, self._exact_image(x, z, reach))
-        return GlmPoint(self.oracle, x, z, self.age + 1, reach)
+        moved = self._moved
+        if moved is None or moved[0] != alpha or moved[1] is not target:
+            v, av, s_norm = self._image(target)
+            x, z = self.x + alpha * v, self.z + alpha * av
+            reach = max(self.reach, s_norm)
+            if self.age + 1 >= REFRESH_INTERVAL:
+                nxt = GlmPoint(self.oracle, x, self._exact_image(x, z, reach))
+            else:
+                nxt = GlmPoint(self.oracle, x, z, self.age + 1, reach)
+            self._moved = moved = (alpha, target, nxt)
+        return moved[2]
 
     def refreshed(self):
         if self.age == 0:

@@ -35,6 +35,8 @@ class RunConfig:
     policy: str = "analytic"
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
@@ -127,14 +129,15 @@ def fw_solve(oracle, feasible_set, config, x0=None):
     Starts from `feasible_set.start_point()` unless `x0` is given and
     steps toward the linear oracle's vertex.  Stops once the duality gap
     falls to `config.epsilon`, the iteration budget runs out, or the run
-    stalls (ten consecutive negligible steps, or an open-loop/line-search
-    step leaving the objective domain, in which case `final_x` is the
+    stalls (ten consecutive negligible steps, or an open-loop step
+    leaving the objective domain, in which case `final_x` is the
     offending point).  Every in-domain iterate is recorded; under the
     analytic policy a failure to decrease by the model amount raises
-    :class:`InvariantError`, and so does an analytic or backtracking step
-    leaving the domain.  The iterate is the oracle's point
-    (:meth:`ScOracle.point`); a gap below `epsilon` is accepted only as
-    evaluated at a refreshed point.
+    :class:`InvariantError`, and so does an analytic step leaving the
+    domain.  A line-search or backtracking trial outside it has
+    f = +inf and is rejected.
+    The iterate is the oracle's point (:meth:`ScOracle.point`); a gap
+    below `epsilon` is accepted only as evaluated at a refreshed point.
     """
     if config.policy not in POLICIES:
         raise ValueError(f"fw_solve cannot run policy {config.policy!r}")
@@ -182,9 +185,9 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     Every iteration takes the gap at the linear oracle's vertex (i, value),
     then steps under `config.policy`: toward that vertex for the four
     step policies, or toward the local oracle's point within radius
-    r0 * sqrt(c_k) for "lloo".  Only the standard and line-search steps
-    carry no domain guarantee; when one leaves the domain the run ends
-    as stalled, while for the other policies that raises.
+    r0 * sqrt(c_k) for "lloo".  Only the standard step carries no domain
+    guarantee; when it leaves the domain the run ends as stalled, while
+    for the other policies that raises.
     """
     x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
     if not feasible_set.contains(x0):
@@ -278,8 +281,8 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
 
         nxt = point.move(alpha, s)
         if not nxt.in_domain:
-            if policy in ("standard", "line_search"):
-                # the open-loop/line-search baselines carry no domain guarantee
+            if policy == "standard":
+                # the open-loop baseline carries no domain guarantee
                 return RunTrace(records, nxt.x, "stalled", config, init_lip)
             raise InvariantError(f"{policy} step left the objective domain at iteration {k}")
         alpha_sum += alpha

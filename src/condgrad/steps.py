@@ -3,7 +3,8 @@
 Four strategies: the classic open-loop 2/(k+2), exact line search by
 safeguarded Newton steps on the line, a closed-form step minimizing the
 self-concordant upper model, and backtracking over an adaptive local
-Lipschitz estimate.
+Lipschitz estimate.  The adaptive rules test f at a trial point,
+``point.move(alpha, target)``, which the driver's next move returns.
 """
 
 import math
@@ -64,8 +65,9 @@ def exact_line_search(point, target, e):
     a step leaving it bisects, except that a step past t_max probes
     t_max once.  The search stops when the predicted decrease
     phi'^2/phi'' is below eps * max(1, |f(x)|) or the bracket is at
-    rounding width.  Returns 0 when phi'(0) >= 0 or when f at the final
-    t does not improve on f(x), read from the point.
+    rounding width.  Returns 0 when phi'(0) >= 0 or when f at the trial
+    point ``point.move(t, target)`` does not improve on f(x), read from
+    the point.
     """
     t_max = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
     slope = point.slope(target)
@@ -101,7 +103,7 @@ def exact_line_search(point, target, e):
                 lo = t
             else:
                 hi = t
-    if not point.line(target)(t) < point.f:
+    if not point.move(t, target).f < point.f:
         return 0.0
     return t
 
@@ -114,8 +116,9 @@ def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
     f(x_{k-1}) - f(x_k)), clipped to [GAMMA_DOWN, 1] x `lipschitz` (the
     running estimate), and doubles until
     f(x + alpha*v) <= f(x) - alpha*gap + (alpha^2 mu / 2)|v|^2 holds with
-    alpha = min(gap/(mu |v|^2), 1).  Probes outside the domain count as
-    +inf and fail the check like any insufficient decrease.  `evals` is
+    alpha = min(gap/(mu |v|^2), 1), f read at the trial point
+    ``point.move(alpha, target)``.  A trial outside the domain has f = +inf
+    and fails the check like any insufficient decrease.  `evals` is
     the number of checks made; mu is the next call's `lipschitz`.
     """
     if not lipschitz > 0:
@@ -129,7 +132,6 @@ def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
     f_x = point.f
     if not np.isfinite(f_x):
         raise DomainError("backtrack_step: base point outside the objective domain")
-    phi = point.line(target)
 
     lo = GAMMA_DOWN * lipschitz
     if prev_decrease is not None and prev_decrease > 0.0:
@@ -143,7 +145,7 @@ def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
         alpha = min(gap / (mu * vv), 1.0)
         quad = f_x - alpha * gap + 0.5 * alpha * alpha * mu * vv
         evals += 1
-        if phi(alpha) <= quad:
+        if point.move(alpha, target).f <= quad:
             break
         if evals > MAX_DOUBLINGS:
             raise InvariantError(

@@ -141,6 +141,7 @@ class TestBuildProblem:
 
 
 SOLVE = ["solve", "--method", "analytic", "--out", "{tmp}/t.csv"]
+LOGISTIC = SOLVE + ["--problem", "logistic", "--samples", "20", "--n", "5"]
 
 
 class TestUserErrors:
@@ -171,6 +172,13 @@ class TestUserErrors:
                 "radius must be finite",
             ),
             (["profile", "--traces", "{tmp}/empty"], "analytic__p2.csv: the trace has no rows"),
+            (LOGISTIC + ["--eps", "inf"], "epsilon must be finite"),
+            # argparse would read these negative values as option names
+            (LOGISTIC + ["--radius", "-inf"], "radius must be finite"),
+            (LOGISTIC + ["--radius", "-1e3"], "radius must be positive"),
+            (LOGISTIC + ["--radius=-inf"], "radius must be finite"),
+            (LOGISTIC + ["--eps", "-1e-3"], "epsilon must be positive"),
+            (LOGISTIC + ["--eps", "-nan"], "epsilon must be finite"),
         ],
         ids=[
             "portfolio-no-size",
@@ -182,6 +190,12 @@ class TestUserErrors:
             "profile-truncated-row",
             "radius-inf",
             "profile-empty-trace",
+            "eps-inf",
+            "radius-minus-inf",
+            "radius-minus-1e3",
+            "radius-equals-minus-inf",
+            "eps-minus-1e-3",
+            "eps-minus-nan",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):

@@ -5,6 +5,8 @@ numpy formulas, one fresh A x per call; the base-class point built on
 it is the path every custom oracle takes.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from condgrad import problems
 from condgrad.cli import run_one
-from condgrad.core import DomainError, InvariantError, ScOracle
+from condgrad.core import DomainError, InvariantError, OraclePoint, ScOracle
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import (
     DRIFT_RTOL,
@@ -26,6 +28,8 @@ from condgrad.problems import (
     portfolio_problem,
 )
 from condgrad.solvers import POLICIES, RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
+
+from conftest import DATA_DIR
 
 KINDS = ("portfolio", "poisson", "logistic")
 
@@ -158,7 +162,8 @@ def test_value_and_domain_test_form_no_derivative_pair(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gradient_and_hessian_product_form_no_loss(kind, monkeypatch):
-    # both answer from z = A x with the point's arithmetic; a point would also form f
+    # both answer from z = A x, the gradient with the point's arithmetic;
+    # a point would also form f
     oracle, fs = make_instance(kind, 30, 6, 5)
     x = fs.start_point()
     u = np.random.default_rng(5).normal(size=fs.dim)
@@ -172,7 +177,7 @@ def test_gradient_and_hessian_product_form_no_loss(kind, monkeypatch):
 
     monkeypatch.setattr(oracle, "_loss", loss)
     assert oracle.gradient(x).tobytes() == point.gradient.tobytes()
-    assert oracle.hess_vec(x, u).tobytes() == point.hess_vec(u).tobytes()
+    assert_close(oracle.hess_vec(x, u), point.hessian() @ u)
     assert calls["_loss"] == 0
     if kind != "logistic":
         outside = -x if kind == "portfolio" else np.zeros(fs.dim)
@@ -249,13 +254,12 @@ class TestPointMatchesReference:
         assert_close(glm.f, ref.f)
         assert_close(glm.gradient, ref.gradient)
         u = gen.normal(size=n)
-        assert_close(glm.hess_vec(u), ref.hess_vec(u))
+        assert_close(glm.hessian() @ u, reference.hess_vec(x, u))
         for _ in range(3):
             target = random_target(kind, fs, x, gen)
             assert_close(glm.norm_to(target), ref.norm_to(target))
-            line, ref_line = glm.line(target), ref.line(target)
             for t in (0.0, 1e-3, 0.5, 1.0):
-                assert_close(line(t), ref_line(t))
+                assert_close(glm.move(t, target).f, ref.move(t, target).f)
 
     @given(instances)
     def test_four_methods(self, inst):
@@ -429,13 +433,13 @@ class TestPassCounts:
     def test_one_gram_product_per_glm_sigma(self, desk, monkeypatch):
         oracle, fs, counts = desk
         calls = {"hess_vec": 0}
-        original = GlmPoint.hess_vec
+        original = problems.GlmOracle.hess_vec
 
-        def counted(self, u):
+        def counted(self, x, u):
             calls["hess_vec"] += 1
-            return original(self, u)
+            return original(self, x, u)
 
-        monkeypatch.setattr(problems.GlmPoint, "hess_vec", counted)
+        monkeypatch.setattr(problems.GlmOracle, "hess_vec", counted)
         estimate_sigma(oracle, fs.start_point())
         assert calls["hess_vec"] == 0
         # the start image and the Gram product
@@ -515,3 +519,73 @@ class TestPassCounts:
         trace = lloo_fw_solve(counted, lloo_simplex, config, sigma)
         assert trace.termination == "max_iter"
         assert calls["hess_vec"] <= iters + 1
+
+
+# the members the drivers, step rules and estimate_sigma read of a point,
+# besides the attributes in_domain and f set when it is made
+POINT_SURFACE = {"gradient", "hessian", "direction", "norm_to", "slope", "move", "refreshed"}
+
+
+def public_members(cls):
+    return {name for name in vars(cls) if not name.startswith("_")}
+
+
+def test_both_point_classes_have_the_surface_the_readme_lists():
+    assert public_members(GlmPoint) == public_members(OraclePoint) == POINT_SURFACE
+    readme = (DATA_DIR.parents[1] / "README.md").read_text()
+    section = readme.split("## How an iteration touches the data", 1)[1]
+    bullets = next(par for par in section.split("\n\n") if par.startswith("* "))
+    listed = set(re.findall(r"^\* `(\w+)", bullets, flags=re.M))
+    assert listed == POINT_SURFACE | {"in_domain"}
+
+
+@pytest.mark.parametrize("make", [GlmPoint, OraclePoint], ids=["GlmPoint", "OraclePoint"])
+def test_move_keeps_its_last_result(make):
+    oracle, fs = make_instance("portfolio", 20, 5, 3)
+    point = make(oracle, fs.start_point())
+    vertex, dense = fs.lmo(np.arange(5.0)), fs.vertices()[2]
+    trial = point.move(0.25, vertex)
+    assert point.move(0.25, vertex) is trial
+    assert point.move(0.5, vertex) is not trial
+    # a target is keyed by its identity, as the direction is
+    equal = (vertex[0], vertex[1])
+    assert equal == vertex and equal is not vertex
+    assert point.move(0.25, equal) is not point.move(0.25, vertex)
+    assert point.move(0.25, dense) is point.move(0.25, dense)
+    assert point.move(0.25, dense) is not point.move(0.25, dense.copy())
+
+
+class TestTrialPoints:
+    """f is formed once per trial point: the trial a step rule accepts is
+    the driver's next iterate."""
+
+    @pytest.fixture
+    def desk(self, monkeypatch):
+        problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
+        oracle, calls = problem.oracle, {"_loss": 0}
+        original = oracle._loss
+
+        def loss(z):
+            calls["_loss"] += 1
+            return original(z)
+
+        monkeypatch.setattr(oracle, "_loss", loss)
+        return oracle, problem.feasible_set, calls
+
+    def test_one_loss_per_backtracking_trial(self, desk):
+        # every trial toward a simplex vertex stays inside the portfolio domain
+        oracle, fs, calls = desk
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-14, max_iter=300, policy="backtracking"))
+        evals = sum(r.evals for r in trace.records[:-1])
+        assert evals > len(trace.records) - 1
+        # plus the start point, init_lipschitz's probe and at most one refreshed point
+        assert evals + 2 <= calls["_loss"] <= evals + 3
+
+    def test_one_loss_per_line_search_iteration(self, desk):
+        oracle, fs, calls = desk
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-5, max_iter=5000, policy="line_search"))
+        assert trace.termination == "gap_below_eps"
+        steps = len(trace.records) - 1
+        assert steps >= 10
+        # plus the start point and at most one refreshed point
+        assert steps + 1 <= calls["_loss"] <= steps + 2

@@ -71,7 +71,7 @@ class TestVertexTargets:
                 vertex = index_form(v)
                 assert same_bits(by_index.direction(vertex), by_dense.direction(v))
                 assert same_bits(by_index.norm_to(vertex), by_dense.norm_to(v))
-                assert same_bits(by_index.line(vertex)(t), by_dense.line(v)(t))
+                assert same_bits(by_index.move(t, vertex).f, by_dense.move(t, v).f)
                 moved_index, moved_dense = by_index.move(alpha, vertex), by_dense.move(alpha, v)
                 assert same_bits(moved_index.x, moved_dense.x)
                 assert same_bits(moved_index.f, moved_dense.f)
@@ -127,10 +127,9 @@ class TestExactLineSearch:
             t_max = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
             t = exact_line_search(point, target, e)
             assert 0.0 <= t <= t_max
-            phi = point.line(target)
-            best = min(phi(s) for s in np.linspace(0.0, t_max, 2001))
+            best = min(point.move(s, target).f for s in np.linspace(0.0, t_max, 2001))
             slack = 1e-12 * max(1.0, abs(point.f))
-            assert phi(t) <= best + slack
+            assert point.move(t, target).f <= best + slack
             if t == 0.0:
                 assert point.slope(target)(0.0)[0] >= 0.0 or best >= point.f - slack
 

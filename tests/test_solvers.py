@@ -196,28 +196,40 @@ class TestSolverGuards:
             assert trace.termination == "stalled"
             assert len(trace.records) == 10
 
-    @pytest.mark.parametrize("policy", ["analytic", "backtracking", "lloo"])
+    class NarrowDomain(ScOracle):
+        """Consistent value and curvature everywhere, but a domain narrower
+        than they allow (and a finite value outside it)."""
+
+        dim = 2
+        M = 2.0
+
+        def value(self, x):
+            return 0.5 * float((x[0] - 1.0) ** 2 + x[1] ** 2)
+
+        def gradient(self, x):
+            return np.array([x[0] - 1.0, x[1]])
+
+        def hess_vec(self, x, u):
+            return np.asarray(u, dtype=float)
+
+        def in_domain(self, x):
+            return bool(x[1] > 0.45)
+
+    @pytest.mark.parametrize("policy", ["analytic", "lloo"])
     def test_guaranteed_step_leaving_the_domain_raises(self, policy):
-        # consistent value and curvature everywhere, but a domain narrower
-        # than they allow: only the run-time check can catch the exit
-        class NarrowDomain(ScOracle):
-            dim = 2
-            M = 2.0
-
-            def value(self, x):
-                return 0.5 * float((x[0] - 1.0) ** 2 + x[1] ** 2)
-
-            def gradient(self, x):
-                return np.array([x[0] - 1.0, x[1]])
-
-            def hess_vec(self, x, u):
-                return np.asarray(u, dtype=float)
-
-            def in_domain(self, x):
-                return bool(x[1] > 0.45)
-
+        # only the run-time check can catch the exit
         with pytest.raises(InvariantError, match="left the objective domain"):
-            solve_on_simplex(NarrowDomain(), RunConfig(epsilon=1e-10, max_iter=100, policy=policy))
+            solve_on_simplex(self.NarrowDomain(), RunConfig(epsilon=1e-10, max_iter=100, policy=policy))
+
+    def test_backtracking_rejects_a_trial_outside_the_domain(self):
+        # a trial point outside the domain has f = +inf, so its
+        # sufficient-decrease check fails and the step shrinks instead
+        oracle = self.NarrowDomain()
+        trace = solve_on_simplex(oracle, RunConfig(epsilon=1e-10, max_iter=100, policy="backtracking"))
+        assert trace.termination == "stalled"
+        assert oracle.in_domain(trace.final_x)
+        assert all(np.isfinite(r.f) and r.evals >= 1 for r in trace.records[:-1])
+        assert max(r.evals for r in trace.records[:-1]) > 1
 
     def test_config_validation(self, quad2):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from condgrad.problems import (
     poisson_problem,
 )
 from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
-from condgrad.solvers import read_trace_csv
+from condgrad.solvers import RunConfig, read_trace_csv
 from condgrad.steps import analytic_step, backtrack_step, init_lipschitz
 
 
@@ -110,6 +110,8 @@ CASES = [
         DomainError,
         "init_lipschitz: start point outside the objective domain",
     ),
+    ("config-eps-inf", lambda tmp: RunConfig(epsilon=np.inf, max_iter=10), ValueError, "epsilon must be finite"),
+    ("config-eps-nan", lambda tmp: RunConfig(epsilon=np.nan, max_iter=10), ValueError, "epsilon must be finite"),
     (
         "bench-unknown-kind",
         lambda tmp: run_suite({"problems": [{"kind": "lasso"}]}, tmp / "out"),
