@@ -34,6 +34,15 @@ def _required(mapping, key, what):
     return mapping[key]
 
 
+def _eps_levels(values):
+    """The profile's relative-error levels as floats, each finite and >= 0."""
+    levels = [float(e) for e in values]
+    for eps in levels:
+        if not 0.0 <= eps < np.inf:
+            raise ValueError(f"profile levels must be finite and nonnegative, got {eps!r}")
+    return levels
+
+
 def build_problem(spec):
     """Instantiate a problem from a config entry; returns (name, oracle, set)."""
     kind = _required(spec, "kind", "problem spec")
@@ -51,14 +60,12 @@ def build_problem(spec):
         radius = float(spec.get("radius", prob.DEFAULT_RADIUS))
         if "data" in spec:
             feats, _labels = parse_libsvm_path(spec["data"])
-            counts = np.ones(feats.shape[0])
             name = spec.get("name", f"poisson_{Path(spec['data']).stem}")
         else:
             m, n = int(_required(spec, "m", what)), int(_required(spec, "n", what))
             feats = prob.gen_binary_design(m, n, float(spec.get("density", 0.2)), seed)
-            counts = np.ones(feats.shape[0])
             name = spec.get("name", f"poisson_m{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
-        p = prob.poisson_problem(feats, counts, radius)
+        p = prob.poisson_problem(feats, np.ones(feats.shape[0]), radius)
     elif kind == "logistic":
         radius = float(spec.get("radius", prob.DEFAULT_RADIUS))
         if "data" in spec:
@@ -99,12 +106,12 @@ def run_one(oracle, feasible_set, method, eps, max_iter):
 
 def cmd_solve(args):
     spec = {"kind": args.problem, "seed": args.seed}
-    if args.T is not None:
-        spec["T"] = args.T
-    if args.n is not None:
-        spec["n"] = args.n
-    if args.samples is not None:
-        spec["m" if args.problem == "poisson" else "N"] = args.samples
+    rows = "m" if args.problem == "poisson" else "N"
+    for flag, key in (("T", "T"), ("n", "n"), ("samples", rows)):
+        if getattr(args, flag) is not None:
+            spec[key] = getattr(args, flag)
+            if spec[key] < 1:
+                raise ValueError(f"--{flag} must be positive")
     if args.data:
         spec["data"] = args.data
     if args.radius is not None:
@@ -142,12 +149,12 @@ def run_suite(cfg, out_dir):
     A run that raises is listed in the summary with its `error` message
     and `error_type`; the remaining runs go on.
     """
+    eps_grid = _eps_levels(cfg.get("eps_grid", DEFAULT_EPS_GRID))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     methods = cfg.get("methods", list(POLICIES))
     max_iter = int(cfg.get("max_iter", DEFAULT_MAX_ITER))
     gap_tol = float(cfg.get("gap_tol", DEFAULT_GAP_TOL))
-    eps_grid = [float(e) for e in cfg.get("eps_grid", DEFAULT_EPS_GRID)]
 
     instances = [build_problem(spec) for spec in _expand_problems(cfg)]
 
@@ -249,8 +256,8 @@ def cmd_bench(args):
 
 
 def cmd_profile(args):
+    eps_grid = _eps_levels(args.eps_grid.split(",")) if args.eps_grid else DEFAULT_EPS_GRID
     table = table_from_trace_dir(args.traces)
-    eps_grid = [float(tok) for tok in args.eps_grid.split(",")] if args.eps_grid else DEFAULT_EPS_GRID
     text = format_profiles_csv(table, eps_grid)
     if args.out:
         Path(args.out).write_text(text)

@@ -33,10 +33,9 @@ class ScOracle:
 
     Subclasses set ``dim`` (ambient dimension) and ``M`` (curvature
     parameter) and implement the four methods.  ``value`` returns ``+inf``
-    outside the domain so that line-search probes are cheap to reject;
-    ``gradient`` and ``hess_vec`` are only defined on the domain and raise
-    :class:`DomainError` elsewhere.  Instances are immutable after
-    construction and safe for concurrent read-only use.
+    outside the domain; ``gradient`` and ``hess_vec`` are only defined on
+    the domain and raise :class:`DomainError` elsewhere.  Instances are
+    immutable after construction and safe for concurrent read-only use.
     """
 
     dim: int
@@ -59,7 +58,7 @@ class ScOracle:
 
         The default evaluates through the four methods above.  An oracle
         that can carry state from one iterate to the next overrides it
-        with a point of the same surface.
+        with an :class:`OraclePoint` subclass.
         """
         return OraclePoint(self, x)
 
@@ -78,18 +77,26 @@ class OraclePoint:
     domain), ``move(alpha, target)`` the point at t = alpha, and
     ``hessian()`` the dense Hessian at x.  The direction to the last
     target is kept, so the calls of one iteration share it, and so is
-    the last move: a step rule tests f at a trial ``move``, and the
-    driver's ``move`` to the accepted step returns that same point.
+    the last move (alpha by value, the target by identity): a step rule
+    tests f at a trial ``move``, and the driver's ``move`` to the
+    accepted step returns that same point.
     ``refreshed()`` returns a point free of carried state; this one
-    carries none.  A point belongs to one run.
+    carries none.  A point that carries state subclasses this one and
+    overrides ``_image_of(target)`` (a tuple led by v) and
+    ``_step(alpha, target)``.  A point belongs to one run.
     """
+
+    _target = _moved = None
 
     def __init__(self, oracle, x):
         self.oracle = oracle
         self.x = np.asarray(x, dtype=float)
         self.in_domain = bool(oracle.in_domain(self.x))
         self.f = float(oracle.value(self.x)) if self.in_domain else np.inf
-        self._target = self._moved = None
+
+    def _require_domain(self, what):
+        if not self.in_domain:
+            raise DomainError(f"{what}: point outside the objective domain")
 
     @cached_property
     def gradient(self):
@@ -100,19 +107,23 @@ class OraclePoint:
         h = np.column_stack([self.oracle.hess_vec(self.x, e) for e in np.eye(self.oracle.dim)])
         return 0.5 * (h + h.T)
 
+    def _image(self, target):
+        """``_image_of(target)``, computed once per target (kept by identity)."""
+        if target is not self._target:
+            self._target, self._target_image = target, self._image_of(target)
+        return self._target_image
+
+    def _image_of(self, target):
+        if isinstance(target, tuple):
+            return (vertex_direction(self.x, target),)
+        return (np.asarray(target, dtype=float) - self.x,)
+
     def direction(self, target):
         """target - x, computed once per target."""
-        if target is not self._target:
-            if isinstance(target, tuple):
-                self._v = vertex_direction(self.x, target)
-            else:
-                self._v = np.asarray(target, dtype=float) - self.x
-            self._target = target
-        return self._v
+        return self._image(target)[0]
 
     def norm_to(self, target):
-        if not self.in_domain:
-            raise DomainError("norm_to: point outside the objective domain")
+        self._require_domain("norm_to")
         v = self.direction(target)
         q = float(np.dot(self.oracle.hess_vec(self.x, v), v))
         if q < 0.0:
@@ -137,9 +148,11 @@ class OraclePoint:
     def move(self, alpha, target):
         moved = self._moved
         if moved is None or moved[0] != alpha or moved[1] is not target:
-            nxt = OraclePoint(self.oracle, self.x + alpha * self.direction(target))
-            self._moved = moved = (alpha, target, nxt)
+            self._moved = moved = (alpha, target, self._step(alpha, target))
         return moved[2]
+
+    def _step(self, alpha, target):
+        return OraclePoint(self.oracle, self.x + alpha * self.direction(target))
 
     def refreshed(self):
         return self
@@ -194,8 +207,7 @@ def gap_and_target(feasible_set, point):
     round to a tiny negative number; anything below -1e-12 indicates a
     broken linear oracle and raises :class:`InvariantError`.
     """
-    if not point.in_domain:
-        raise DomainError("gap_and_target: point outside the objective domain")
+    point._require_domain("gap_and_target")
     if not feasible_set.contains(point.x):
         raise ValueError("gap_and_target: point outside the feasible set")
     g = point.gradient

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .core import DomainError, InvariantError, ScOracle, vertex_direction
+from .core import DomainError, InvariantError, OraclePoint, ScOracle, vertex_direction
 from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex
 
 PORTFOLIO_CLAMP = 0.01
@@ -100,10 +100,9 @@ class GlmOracle(ScOracle):
         return f + 0.5 * self.gamma * float(np.dot(x, x)) if self.gamma else f
 
 
-class GlmPoint:
-    """A point of a :class:`GlmOracle` that carries z = A x.
+class GlmPoint(OraclePoint):
+    """An :class:`OraclePoint` of a :class:`GlmOracle` that carries z = A x.
 
-    Same surface and last-move slot as :class:`~condgrad.core.OraclePoint`.
     A move to x + alpha (s - x) updates z <- z + alpha A (s - x):
     a vertex (i, value) of the feasible set costs one scaled column,
     value a_i, and a dense local-oracle target is gathered from its
@@ -115,8 +114,7 @@ class GlmPoint:
     REFRESH_INTERVAL carried moves, and on ``refreshed()``, z is
     recomputed as A x; a carried z that drifted beyond DRIFT_RTOL raises
     InvariantError.
-    ``in_domain``, f and, inside the domain, the pair (phi'(z), phi''(z))
-    are set when the point is made; the gradient is formed on first use.
+    Inside the domain the pair (phi'(z), phi''(z)) is set with f.
     """
 
     def __init__(self, oracle, x, z=None, age=0, reach=None):
@@ -131,11 +129,6 @@ class GlmPoint:
             self._derivatives = oracle._derivatives(self.z)
         else:
             self.f = np.inf
-        self._target = self._moved = None
-
-    def _require_domain(self, what):
-        if not self.in_domain:
-            raise DomainError(f"{what}: point outside the objective domain")
 
     @cached_property
     def gradient(self):
@@ -154,30 +147,20 @@ class GlmPoint:
             h[np.diag_indices_from(h)] += gamma
         return h
 
-    def _image(self, target):
-        """(v, A v, |target|_1) for v = target - x, computed once per target."""
-        if target is not self._target:
-            a = self.oracle.matrix
-            if isinstance(target, tuple):
-                i, value = target
-                v = vertex_direction(self.x, target)
-                av = value * a[:, i] - self.z
-                s_norm = abs(value)
-            else:
-                s = np.asarray(target, dtype=float)
-                v = s - self.x
-                support = np.flatnonzero(s)
-                if support.size * GATHER_RATIO <= v.size:
-                    av = a[:, support] @ s[support] - self.z
-                else:
-                    av = a @ v
-                s_norm = float(np.abs(s).sum())
-            self._target = target
-            self._image_of_target = (v, av, s_norm)
-        return self._image_of_target
-
-    def direction(self, target):
-        return self._image(target)[0]
+    def _image_of(self, target):
+        """(v, A v, |target|_1) for v = target - x."""
+        a = self.oracle.matrix
+        if isinstance(target, tuple):
+            i, value = target
+            return vertex_direction(self.x, target), value * a[:, i] - self.z, abs(value)
+        s = np.asarray(target, dtype=float)
+        v = s - self.x
+        support = np.flatnonzero(s)
+        if support.size * GATHER_RATIO <= v.size:
+            av = a[:, support] @ s[support] - self.z
+        else:
+            av = a @ v
+        return v, av, float(np.abs(s).sum())
 
     def norm_to(self, target):
         self._require_domain("norm_to")
@@ -208,18 +191,13 @@ class GlmPoint:
 
         return derivatives
 
-    def move(self, alpha, target):
-        moved = self._moved
-        if moved is None or moved[0] != alpha or moved[1] is not target:
-            v, av, s_norm = self._image(target)
-            x, z = self.x + alpha * v, self.z + alpha * av
-            reach = max(self.reach, s_norm)
-            if self.age + 1 >= REFRESH_INTERVAL:
-                nxt = GlmPoint(self.oracle, x, self._exact_image(x, z, reach))
-            else:
-                nxt = GlmPoint(self.oracle, x, z, self.age + 1, reach)
-            self._moved = moved = (alpha, target, nxt)
-        return moved[2]
+    def _step(self, alpha, target):
+        v, av, s_norm = self._image(target)
+        x, z = self.x + alpha * v, self.z + alpha * av
+        reach = max(self.reach, s_norm)
+        if self.age + 1 >= REFRESH_INTERVAL:
+            return GlmPoint(self.oracle, x, self._exact_image(x, z, reach))
+        return GlmPoint(self.oracle, x, z, self.age + 1, reach)
 
     def refreshed(self):
         if self.age == 0:
@@ -492,6 +470,10 @@ def load_returns_csv(path):
 
 def gen_binary_design(m, n, density, seed):
     """Synthetic 0/1 design matrix with at least one active column per row."""
+    if m < 1 or n < 1:
+        raise ValueError("matrix dimensions must be positive")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must lie in [0, 1]")
     u = rng.uniforms(seed, m * n).reshape(m, n)
     w = (u < density).astype(float)
     for i in range(m):
@@ -502,6 +484,8 @@ def gen_binary_design(m, n, density, seed):
 
 def gen_logistic_data(N, n, seed):
     """Synthetic classification data: normal features, separator labels."""
+    if N < 1 or n < 1:
+        raise ValueError("matrix dimensions must be positive")
     feats = rng.normals(seed, N * n).reshape(N, n)
     plane = rng.normals(seed + 1, n)
     margins = feats @ plane

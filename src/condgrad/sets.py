@@ -41,6 +41,11 @@ class FeasibleSet:
     dim: int
     kind: str
 
+    def __init__(self, dim):
+        if dim < 1:
+            raise ValueError("dimension must be >= 1")
+        self.dim = int(dim)
+
     def lmo(self, c):
         raise NotImplementedError
 
@@ -62,11 +67,6 @@ class Simplex(FeasibleSet):
     """Unit simplex {x >= 0, sum x = 1}."""
 
     kind = "simplex"
-
-    def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = int(dim)
 
     def lmo(self, c):
         """Vertex e_i minimizing <c, .>, lowest-index ties: (i, 1.0)."""
@@ -97,10 +97,8 @@ class L1Ball(FeasibleSet):
     kind = "l1_ball"
 
     def __init__(self, dim, radius):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+        super().__init__(dim)
         self.radius = _check_radius(radius)
-        self.dim = int(dim)
 
     def lmo(self, c):
         """Vertex +-R*e_i minimizing <c, .>: (i, +-R).
@@ -135,10 +133,8 @@ class NonnegL1Ball(FeasibleSet):
     kind = "nonneg_l1"
 
     def __init__(self, dim, radius):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+        super().__init__(dim)
         self.radius = _check_radius(radius)
-        self.dim = int(dim)
 
     def lmo(self, c):
         """The origin (i, 0.0) or R*e_i (i, R), whichever minimizes <c, .>."""

@@ -117,7 +117,9 @@ class TestSolve:
         assert len(read_trace_csv(out)) >= 2
 
     def test_logistic_without_rows_rejected(self, tmp_path, capsys):
-        argv = ["solve", "--problem", "logistic", "--samples", "0", "--n", "5"]
+        # a LIBSVM file without rows; `--samples 0` stops at the size check
+        (tmp_path / "empty.svm").write_text("# no rows\n")
+        argv = ["solve", "--problem", "logistic", "--data", str(tmp_path / "empty.svm")]
         argv += ["--method", "analytic", "--out", str(tmp_path / "t.csv")]
         assert main(argv) == 2
         assert "LogisticOracle: the data matrix has no rows" in capsys.readouterr().err
@@ -179,6 +181,9 @@ class TestUserErrors:
             (LOGISTIC + ["--radius=-inf"], "radius must be finite"),
             (LOGISTIC + ["--eps", "-1e-3"], "epsilon must be positive"),
             (LOGISTIC + ["--eps", "-nan"], "epsilon must be finite"),
+            (["profile", "--traces", "{tmp}/empty", "--eps-grid=nan"], "profile levels must be finite and nonnegative"),
+            (["profile", "--traces", "{tmp}/empty", "--eps-grid=-1e-3"], "profile levels must be finite"),
+            (["bench", "--config", "{tmp}/levels.json"], "profile levels must be finite and nonnegative, got inf"),
         ],
         ids=[
             "portfolio-no-size",
@@ -196,10 +201,15 @@ class TestUserErrors:
             "radius-equals-minus-inf",
             "eps-minus-1e-3",
             "eps-minus-nan",
+            "profile-level-nan",
+            "profile-level-negative",
+            "bench-level-inf",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
         (tmp_path / "cfg.json").write_text(json.dumps({"methods": ["analytic"]}))
+        levels = {"problems": [{"kind": "portfolio", "T": 10, "n": 4}], "eps_grid": [1e-2, "inf"]}
+        (tmp_path / "levels.json").write_text(json.dumps(levels))
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2\n")
         (tmp_path / "empty").mkdir()
@@ -209,6 +219,29 @@ class TestUserErrors:
         err = capsys.readouterr().err
         assert err.startswith("condgrad: error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--T", "--n", "--samples"])
+    @pytest.mark.parametrize("problem", ["portfolio", "poisson", "logistic"])
+    def test_size_below_one(self, tmp_path, capsys, problem, flag, value):
+        sizes = {"--T": "10", "--n": "4", "--samples": "10"}
+        sizes[flag] = value
+        argv = SOLVE + ["--problem", problem] + [a for item in sizes.items() for a in item]
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"condgrad: error: {flag} must be positive\n"
+
+    def test_bad_profile_level_stops_the_grid_before_any_solve(self, tmp_path, monkeypatch):
+        from condgrad import cli
+
+        def no_run(*args):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "run_one", no_run)
+        cfg = {"problems": [{"kind": "portfolio", "T": 10, "n": 4}], "eps_grid": [0.0, -1e-3]}
+        with pytest.raises(ValueError, match="profile levels must be finite and nonnegative"):
+            cli.run_suite(cfg, tmp_path / "res")
+        assert not (tmp_path / "res").exists()
 
     def test_invariant_error_keeps_its_traceback(self, tmp_path, monkeypatch):
         from condgrad import cli

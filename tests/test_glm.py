@@ -531,7 +531,12 @@ def public_members(cls):
 
 
 def test_both_point_classes_have_the_surface_the_readme_lists():
-    assert public_members(GlmPoint) == public_members(OraclePoint) == POINT_SURFACE
+    # the GLM point inherits the slots and the domain guard: it overrides
+    # members of the base surface and adds none
+    assert issubclass(GlmPoint, OraclePoint)
+    assert public_members(OraclePoint) == POINT_SURFACE
+    assert public_members(GlmPoint) <= POINT_SURFACE
+    assert not {"direction", "move", "_require_domain", "_image"} & set(vars(GlmPoint))
     readme = (DATA_DIR.parents[1] / "README.md").read_text()
     section = readme.split("## How an iteration touches the data", 1)[1]
     bullets = next(par for par in section.split("\n\n") if par.startswith("* "))
@@ -553,6 +558,16 @@ def test_move_keeps_its_last_result(make):
     assert point.move(0.25, equal) is not point.move(0.25, vertex)
     assert point.move(0.25, dense) is point.move(0.25, dense)
     assert point.move(0.25, dense) is not point.move(0.25, dense.copy())
+
+
+def test_move_keeps_its_last_result_at_the_refresh_age():
+    oracle, fs = make_instance("portfolio", 20, 5, 3)
+    x = fs.start_point()
+    point = GlmPoint(oracle, x, oracle.matrix @ x, REFRESH_INTERVAL - 1)
+    vertex = fs.lmo(np.arange(5.0))
+    trial = point.move(0.25, vertex)
+    assert point.move(0.25, vertex) is trial
+    assert trial.age == 0
 
 
 class TestTrialPoints:

@@ -11,6 +11,8 @@ from condgrad.problems import (
     PoissonOracle,
     PortfolioOracle,
     ParseError,
+    gen_binary_design,
+    gen_logistic_data,
     gen_portfolio_data,
     load_returns_csv,
     parse_libsvm,
@@ -72,6 +74,14 @@ CASES = [
         "count rows leave the canonical start outside the domain",
     ),
     ("portfolio-data-size", lambda tmp: gen_portfolio_data(0, 3, 1), ValueError, "matrix dimensions must be positive"),
+    ("design-rows", lambda tmp: gen_binary_design(0, 3, 0.2, 1), ValueError, "matrix dimensions must be positive"),
+    ("design-columns", lambda tmp: gen_binary_design(5, 0, 0.2, 1), ValueError, "matrix dimensions must be positive"),
+    ("design-columns-negative", lambda tmp: gen_binary_design(5, -2, 0.2, 1), ValueError, "matrix dimensions must be positive"),
+    ("design-density-nan", lambda tmp: gen_binary_design(5, 3, np.nan, 1), ValueError, "density must lie in [0, 1]"),
+    ("design-density-negative", lambda tmp: gen_binary_design(5, 3, -0.1, 1), ValueError, "density must lie in [0, 1]"),
+    ("design-density-above-1", lambda tmp: gen_binary_design(5, 3, 1.5, 1), ValueError, "density must lie in [0, 1]"),
+    ("logistic-data-rows", lambda tmp: gen_logistic_data(0, 3, 1), ValueError, "matrix dimensions must be positive"),
+    ("logistic-data-columns", lambda tmp: gen_logistic_data(5, -1, 1), ValueError, "matrix dimensions must be positive"),
     (
         "returns-header",
         lambda tmp: load_returns_csv(write(tmp, "r.csv", "3,2\n1,1\n")),
@@ -117,6 +127,24 @@ CASES = [
         lambda tmp: run_suite({"problems": [{"kind": "lasso"}]}, tmp / "out"),
         ValueError,
         "unknown problem kind 'lasso'",
+    ),
+    (
+        "bench-poisson-no-columns",
+        lambda tmp: run_suite({"problems": [{"kind": "poisson", "m": 5, "n": 0}]}, tmp / "out"),
+        ValueError,
+        "matrix dimensions must be positive",
+    ),
+    (
+        "bench-eps-grid-nan",
+        lambda tmp: run_suite({"problems": [], "eps_grid": [0.1, float("nan")]}, tmp / "out"),
+        ValueError,
+        "profile levels must be finite and nonnegative, got nan",
+    ),
+    (
+        "bench-eps-grid-negative",
+        lambda tmp: run_suite({"problems": [], "eps_grid": [-1e-3]}, tmp / "out"),
+        ValueError,
+        "profile levels must be finite and nonnegative, got -0.001",
     ),
 ]
 
