@@ -76,8 +76,10 @@ def build_problem(spec):
             N, n = int(_required(spec, "N", what)), int(_required(spec, "n", what))
             feats, labels = prob.gen_logistic_data(N, n, seed)
             name = spec.get("name", f"logistic_N{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
+        gamma = spec.get("gamma")
+        gamma = None if gamma is None else float(gamma)
         p = prob.logistic_problem(
-            feats, labels, mu=float(spec.get("mu", 0.0)), gamma=spec.get("gamma"), radius=radius
+            feats, labels, mu=float(spec.get("mu", 0.0)), gamma=gamma, radius=radius
         )
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -105,17 +107,28 @@ def run_one(oracle, feasible_set, method, eps, max_iter):
 
 
 def cmd_solve(args):
+    for flag in ("T", "n", "samples"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be positive")
+    # the flags each problem kind reads, generated and from --data
+    reads = {
+        "portfolio": (("T", "n"), ()),
+        "poisson": (("samples", "n", "radius"), ("radius",)),
+        "logistic": (("samples", "n", "radius"), ("radius",)),
+    }[args.problem][bool(args.data)]
     spec = {"kind": args.problem, "seed": args.seed}
     rows = "m" if args.problem == "poisson" else "N"
-    for flag, key in (("T", "T"), ("n", "n"), ("samples", rows)):
-        if getattr(args, flag) is not None:
-            spec[key] = getattr(args, flag)
-            if spec[key] < 1:
-                raise ValueError(f"--{flag} must be positive")
+    for flag, key in (("T", "T"), ("n", "n"), ("samples", rows), ("radius", "radius")):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in reads:
+            source = " read from --data" if args.data else ""
+            raise ValueError(f"--{flag} does not apply to a {args.problem} problem{source}")
+        spec[key] = value
     if args.data:
         spec["data"] = args.data
-    if args.radius is not None:
-        spec["radius"] = args.radius
     name, oracle, feasible_set = build_problem(spec)
     trace = run_one(oracle, feasible_set, args.method, args.eps, args.max_iter)
     trace.save_csv(args.out)
@@ -129,8 +142,16 @@ def cmd_solve(args):
     return 0
 
 
+def _list_field(cfg, key, default):
+    """cfg[key], or `default` when absent; a value that is not a list is a ValueError."""
+    value = cfg.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"bench config {key!r} must be a list, got {value!r}")
+    return value
+
+
 def _expand_problems(cfg):
-    seeds = cfg.get("seeds", [0])
+    seeds = _list_field(cfg, "seeds", [0])
     specs = []
     for entry in _required(cfg, "problems", "bench config"):
         if "seed" in entry or "data" in entry:
@@ -150,13 +171,14 @@ def run_suite(cfg, out_dir):
     and `error_type`; the remaining runs go on.
     """
     eps_grid = _eps_levels(cfg.get("eps_grid", DEFAULT_EPS_GRID))
+    methods = _list_field(cfg, "methods", list(POLICIES))
+    specs = _expand_problems(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    methods = cfg.get("methods", list(POLICIES))
     max_iter = int(cfg.get("max_iter", DEFAULT_MAX_ITER))
     gap_tol = float(cfg.get("gap_tol", DEFAULT_GAP_TOL))
 
-    instances = [build_problem(spec) for spec in _expand_problems(cfg)]
+    instances = [build_problem(spec) for spec in specs]
 
     runs = []
     records = []

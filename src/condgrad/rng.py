@@ -15,28 +15,28 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = float(2.0**-53)
 
 
-def _splitmix64(seed, start, count):
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def _splitmix64(seed, count):
+    idx = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA * idx
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
-def uniforms(seed, count, start=0):
+def uniforms(seed, count):
     """`count` uniforms in [0, 1) from the counter stream of `seed`."""
-    bits = _splitmix64(seed, start, count)
+    bits = _splitmix64(seed, count)
     return (bits >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def normals(seed, count, start=0):
+def normals(seed, count):
     """`count` standard normals via Box-Muller over the uniform stream.
 
     Pairs of uniforms (u1, u2) map to
     sqrt(-2 ln u1) * (cos, sin)(2 pi u2); a zero u1 is nudged to 2^-53.
     """
     pairs = (count + 1) // 2
-    u = uniforms(seed, 2 * pairs, start=start)
+    u = uniforms(seed, 2 * pairs)
     u1 = np.maximum(u[0::2], _U53)
     u2 = u[1::2]
     radius = np.sqrt(-2.0 * np.log(u1))

@@ -98,13 +98,14 @@ def read_trace_csv(path):
 
     A row of the wrong length, a cell that is not a number or a
     non-finite f or gap raises ValueError naming the file and line; a
-    trace without rows raises ValueError naming the file.
+    wrong header or a trace without rows raises ValueError naming the
+    file.
     """
     records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
+            raise ValueError(f"{path}: unexpected trace header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -261,15 +262,14 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
             if policy == "standard":
                 alpha = standard_step(k)
             elif policy == "line_search":
-                alpha = exact_line_search(point, s, e)
+                alpha = exact_line_search(point, s)
             elif policy == "analytic":
                 alpha, decrease = analytic_step(gap, e, oracle.M)
                 prev_required = f_k - decrease + DESCENT_SLACK
             else:
                 if init_lip is None:
                     init_lip = lipschitz = init_lipschitz(point, s)
-                prev_decrease = records[-1].f - f_k if records else None
-                alpha, lipschitz, evals = backtrack_step(point, s, gap, lipschitz, prev_decrease)
+                alpha, lipschitz, evals = backtrack_step(point, s, gap, lipschitz)
 
         records.append(
             IterationRecord(k, f_k, gap, alpha, e, lipschitz, t_row, evals, radius, contraction)

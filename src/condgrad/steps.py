@@ -17,8 +17,6 @@ GAMMA_DOWN = 0.9
 GAMMA_UP = 2.0
 MAX_DOUBLINGS = 100
 EPS = float(np.finfo(float).eps)
-# stay 1% inside the unit local-distance ball that guarantees domain membership
-DOMAIN_SAFETY = 0.99
 # first step length of init_lipschitz's finite-difference probe
 LIPSCHITZ_PROBE = 1e-3
 
@@ -52,24 +50,21 @@ def analytic_step(gap, e, M):
     return alpha, alpha * gap - (4.0 / (M * M)) * omega_star(alpha * e)
 
 
-def exact_line_search(point, target, e):
-    """Minimize phi(t) = f(x + t*(target - x)) over t in [0, t_max] by Newton steps.
+def exact_line_search(point, target):
+    """Minimize phi(t) = f(x + t*(target - x)) over t in [0, 1] by Newton steps.
 
-    t_max = min(1, 0.99/e) keeps the search inside the domain whenever
-    e is the scaled local distance of the full step.  Each probe reads
-    (phi'(t), phi''(t)) from ``point.slope``.  The step is Newton's,
-    damped to step / (1 + lam), lam = (M/2)|phi'|/sqrt(phi''), while
-    lam > 1/4: that damped step stays inside the domain of a
+    Each probe reads (phi'(t), phi''(t)) from ``point.slope``.  The step
+    is Newton's, damped to step / (1 + lam), lam = (M/2)|phi'|/sqrt(phi''),
+    while lam > 1/4: that damped step stays inside the domain of a
     self-concordant f.  A bracket [lo, hi] around the minimizer narrows
     by the sign of phi' at each probe, and to a probe outside the domain;
-    a step leaving it bisects, except that a step past t_max probes
-    t_max once.  The search stops when the predicted decrease
-    phi'^2/phi'' is below eps * max(1, |f(x)|) or the bracket is at
-    rounding width.  Returns 0 when phi'(0) >= 0 or when f at the trial
-    point ``point.move(t, target)`` does not improve on f(x), read from
-    the point.
+    a step leaving it bisects, except that a step past 1 probes t = 1
+    once.  The search stops when the predicted decrease phi'^2/phi'' is
+    below eps * max(1, |f(x)|) or the bracket is at rounding width.
+    Returns 0 when phi'(0) >= 0 or when f at the trial point
+    ``point.move(t, target)`` does not improve on f(x), read from the
+    point.
     """
-    t_max = 1.0 if e == 0.0 else min(1.0, DOMAIN_SAFETY / e)
     slope = point.slope(target)
     d1, d2 = slope(0.0)
     if not d1 < 0.0:
@@ -77,7 +72,7 @@ def exact_line_search(point, target, e):
     half_m = 0.5 * point.oracle.M
     tol = EPS * max(1.0, abs(point.f))
     t = lo = 0.0
-    hi = t_max
+    hi = 1.0
     capped = False
     while d1 * d1 > tol * d2:
         if d2 > 0.0:
@@ -87,8 +82,8 @@ def exact_line_search(point, target, e):
         else:
             # no curvature here: phi is linear, so head for the downhill end
             nt = hi if d1 < 0.0 else lo
-        if nt >= hi == t_max and not capped:
-            nt = t_max
+        if nt >= hi == 1.0 and not capped:
+            nt = 1.0
             capped = True
         elif not lo < nt < hi:
             nt = 0.5 * (lo + hi)
@@ -108,13 +103,11 @@ def exact_line_search(point, target, e):
     return t
 
 
-def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
+def backtrack_step(point, target, gap, lipschitz):
     """Backtracking step toward `target` against the quadratic model: (alpha, mu, evals).
 
-    With v = target - x, the trial Lipschitz value mu starts from a
-    curvature guess based on `prev_decrease` (the last drop
-    f(x_{k-1}) - f(x_k)), clipped to [GAMMA_DOWN, 1] x `lipschitz` (the
-    running estimate), and doubles until
+    With v = target - x, the trial Lipschitz value mu starts at
+    GAMMA_DOWN x `lipschitz` (the running estimate) and doubles until
     f(x + alpha*v) <= f(x) - alpha*gap + (alpha^2 mu / 2)|v|^2 holds with
     alpha = min(gap/(mu |v|^2), 1), f read at the trial point
     ``point.move(alpha, target)``.  A trial outside the domain has f = +inf
@@ -133,13 +126,7 @@ def backtrack_step(point, target, gap, lipschitz, prev_decrease=None):
     if not np.isfinite(f_x):
         raise DomainError("backtrack_step: base point outside the objective domain")
 
-    lo = GAMMA_DOWN * lipschitz
-    if prev_decrease is not None and prev_decrease > 0.0:
-        guess = gap * gap / (2.0 * prev_decrease * vv)
-        mu = min(max(guess, lo), lipschitz)
-    else:
-        mu = lo
-
+    mu = GAMMA_DOWN * lipschitz
     evals = 0
     while True:
         alpha = min(gap / (mu * vv), 1.0)

@@ -126,6 +126,13 @@ class TestSolve:
 
 
 class TestBuildProblem:
+    def test_logistic_gamma_given_as_text(self):
+        spec = {"kind": "logistic", "N": 20, "n": 4}
+        _, oracle, _ = build_problem(dict(spec, gamma="0.1"))
+        _, reference, _ = build_problem(dict(spec, gamma=0.1))
+        assert type(oracle.gamma) is float and oracle.gamma == reference.gamma == 0.1
+        assert oracle.M == reference.M
+
     def test_logistic_from_libsvm_file(self, tmp_path):
         # the grid workload's logistic path: a LIBSVM file with labels {0, 1}
         feats, labels = gen_logistic_data(30, 4, 2)
@@ -184,6 +191,9 @@ class TestUserErrors:
             (["profile", "--traces", "{tmp}/empty", "--eps-grid=nan"], "profile levels must be finite and nonnegative"),
             (["profile", "--traces", "{tmp}/empty", "--eps-grid=-1e-3"], "profile levels must be finite"),
             (["bench", "--config", "{tmp}/levels.json"], "profile levels must be finite and nonnegative, got inf"),
+            (["bench", "--config", "{tmp}/seeds.json"], "bench config 'seeds' must be a list, got 3"),
+            (["bench", "--config", "{tmp}/methods.json"], "bench config 'methods' must be a list, got 'analytic'"),
+            (["bench", "--config", "{tmp}/gamma.json"], "could not convert string to float: 'small'"),
         ],
         ids=[
             "portfolio-no-size",
@@ -204,12 +214,20 @@ class TestUserErrors:
             "profile-level-nan",
             "profile-level-negative",
             "bench-level-inf",
+            "bench-seeds-not-a-list",
+            "bench-methods-not-a-list",
+            "bench-gamma-not-a-number",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
         (tmp_path / "cfg.json").write_text(json.dumps({"methods": ["analytic"]}))
         levels = {"problems": [{"kind": "portfolio", "T": 10, "n": 4}], "eps_grid": [1e-2, "inf"]}
         (tmp_path / "levels.json").write_text(json.dumps(levels))
+        portfolio = [{"kind": "portfolio", "T": 10, "n": 4}]
+        (tmp_path / "seeds.json").write_text(json.dumps({"problems": portfolio, "seeds": 3}))
+        (tmp_path / "methods.json").write_text(json.dumps({"problems": portfolio, "methods": "analytic"}))
+        logistic = [{"kind": "logistic", "N": 20, "n": 4, "gamma": "small"}]
+        (tmp_path / "gamma.json").write_text(json.dumps({"problems": logistic}))
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2\n")
         (tmp_path / "empty").mkdir()
@@ -230,6 +248,54 @@ class TestUserErrors:
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err == f"condgrad: error: {flag} must be positive\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--problem", "poisson", "--samples", "20", "--n", "4", "--T", "7"], "--T does not apply to a poisson problem"),
+            (["--problem", "logistic", "--samples", "20", "--n", "4", "--T", "7"], "--T does not apply to a logistic problem"),
+            (["--problem", "portfolio", "--T", "20", "--n", "4", "--samples", "9"], "--samples does not apply to a portfolio problem"),
+            (["--problem", "portfolio", "--T", "20", "--n", "4", "--radius", "3"], "--radius does not apply to a portfolio problem"),
+            (
+                ["--problem", "portfolio", "--data", "{tmp}/r.csv", "--T", "20"],
+                "--T does not apply to a portfolio problem read from --data",
+            ),
+            (
+                ["--problem", "poisson", "--data", "{tmp}/p.svm", "--n", "4"],
+                "--n does not apply to a poisson problem read from --data",
+            ),
+            (
+                ["--problem", "logistic", "--data", "{tmp}/l.svm", "--samples", "5"],
+                "--samples does not apply to a logistic problem read from --data",
+            ),
+        ],
+        ids=[
+            "poisson-T",
+            "logistic-T",
+            "portfolio-samples",
+            "portfolio-radius",
+            "portfolio-data-T",
+            "poisson-data-n",
+            "logistic-data-samples",
+        ],
+    )
+    def test_unread_flag(self, tmp_path, capsys, argv, message):
+        assert main([a.format(tmp=tmp_path) for a in SOLVE + argv]) == 2
+        assert capsys.readouterr().err == f"condgrad: error: {message}\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [("seeds", 3), ("methods", "analytic")])
+    def test_list_field_of_another_type_stops_the_grid_before_any_solve(self, tmp_path, monkeypatch, field, value):
+        from condgrad import cli
+
+        def no_run(*args):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "run_one", no_run)
+        cfg = {"problems": [{"kind": "portfolio", "T": 10, "n": 4}], field: value}
+        with pytest.raises(ValueError, match=f"bench config '{field}' must be a list"):
+            cli.run_suite(cfg, tmp_path / "res")
+        assert not (tmp_path / "res").exists()
 
     def test_bad_profile_level_stops_the_grid_before_any_solve(self, tmp_path, monkeypatch):
         from condgrad import cli

@@ -323,6 +323,19 @@ class TestCounterRng:
         assert not np.array_equal(rng.uniforms(5, 100), rng.uniforms(6, 100))
         assert np.array_equal(rng.normals(5, 101), rng.normals(5, 101))
 
+    def test_streams_are_pinned_bit_for_bit(self):
+        # the named algorithm's first draws for seed 5, as exact hex floats
+        assert [float(v).hex() for v in rng.uniforms(5, 3)] == [
+            "0x1.8c0cec328e270p-2",
+            "0x1.812e629b272e6p-1",
+            "0x1.dc969f80835e0p-3",
+        ]
+        assert [float(v).hex() for v in rng.normals(5, 3)] == [
+            "0x1.475672662cbcfp-6",
+            "-0x1.60d254767f6b1p+0",
+            "0x1.62b9459d21a73p+0",
+        ]
+
     def test_uniform_range_and_moments(self):
         u = rng.uniforms(123, 200000)
         assert np.all((u >= 0.0) & (u < 1.0))

@@ -58,3 +58,12 @@ def test_files_digest_ignores_time_ns_and_sees_one_ulp(tool, trace):
     r = trace.records[3]
     trace.records[3] = dataclasses.replace(r, e=float(np.nextafter(r.e, np.inf)))
     assert tool.files_digest(trace) != before
+
+
+def test_line_ends_with_the_last_f_and_gap(tool, trace):
+    fields = tool.digest_line("desk", "inst", "analytic", trace).split()
+    last = trace.records[-1]
+    assert fields[:5] == ["desk", "inst", "analytic", trace.termination, str(len(trace.records) - 1)]
+    assert fields[5:7] == [tool.trace_digest(trace), tool.files_digest(trace)]
+    assert fields[7:] == [f"{last.f:.17g}", f"{last.gap:.17g}"]
+    assert (float(fields[7]), float(fields[8])) == (last.f, last.gap)

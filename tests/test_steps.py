@@ -81,20 +81,21 @@ class TestExactLineSearch:
                 hu[0] = 2.0 * u[0]
                 return hu
 
-        t = exact_line_search(Shifted(np.ones(1)).point(np.zeros(1)), np.ones(1), e=0.0)
+        t = exact_line_search(Shifted(np.ones(1)).point(np.zeros(1)), np.ones(1))
         assert t == pytest.approx(0.3, abs=1e-12)
 
     def test_no_descent_returns_zero(self, quad2):
         # moving away from the minimizer of 0.5|x|^2
-        t = exact_line_search(quad2.point(np.array([1.0, 1.0])), np.array([2.0, 2.0]), e=0.0)
+        t = exact_line_search(quad2.point(np.array([1.0, 1.0])), np.array([2.0, 2.0]))
         assert t == 0.0
 
     def test_log_barrier_stays_in_domain(self, log_barrier2):
+        # the full step reaches the boundary x_2 = 0; the minimizer on the
+        # line is t = 1/3, where x_1 = x_2 = 1/2
         x = np.array([0.25, 0.75])
         v = np.array([1.0, 0.0]) - x
-        e = np.sqrt(10.0)
-        t = exact_line_search(log_barrier2.point(x), x + v, e)
-        assert t <= 0.99 / e + 1e-12
+        t = exact_line_search(log_barrier2.point(x), x + v)
+        assert t == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert np.isfinite(log_barrier2.value(x + t * v))
 
     def test_linear_objective_takes_the_full_step(self):
@@ -103,9 +104,8 @@ class TestExactLineSearch:
         point = problem.oracle.point(problem.feasible_set.start_point())
         gap, target = gap_and_target(problem.feasible_set, point)
         assert gap > 0.0
-        e = dist_like(point, target)
-        assert e == 0.0
-        assert exact_line_search(point, target, e) == 1.0
+        assert dist_like(point, target) == 0.0
+        assert exact_line_search(point, target) == 1.0
 
     def test_few_derivative_probes_per_search(self, monkeypatch):
         # the derivative pair is formed once per point made and once per
@@ -121,9 +121,9 @@ class TestExactLineSearch:
             calls["_derivatives"] += 1
             return original(z)
 
-        def search(point, target, e):
+        def search(point, target):
             calls["searches"] += 1
-            return exact_line_search(point, target, e)
+            return exact_line_search(point, target)
 
         monkeypatch.setattr(oracle, "_derivatives", derivatives)
         monkeypatch.setattr("condgrad.solvers.exact_line_search", search)
@@ -134,14 +134,15 @@ class TestExactLineSearch:
 
 
 class TestBacktrackStep:
+    # on quad2 from (1, 0) toward (0, 1) the model holds iff mu >= 1
+
     def test_accepts_immediately_when_model_holds(self, quad2):
-        # start estimate clipped up to 1.0 by a small previous decrease
+        # the search starts at GAMMA_DOWN * lipschitz = 1.0
         alpha, mu, evals = backtrack_step(
             quad2.point(np.array([1.0, 0.0])),
             np.array([0.0, 1.0]),
             gap=1.0,
-            lipschitz=1.0,
-            prev_decrease=0.1,
+            lipschitz=1.0 / 0.9,
         )
         assert alpha == 0.5
         assert mu == 1.0
@@ -153,11 +154,11 @@ class TestBacktrackStep:
             np.array([0.0, 1.0]),
             gap=1.0,
             lipschitz=0.25,
-            prev_decrease=0.1,
         )
-        # 0.25 fails at alpha=1, 0.5 fails at alpha=1, 1.0 accepts at alpha=0.5
-        assert (alpha, mu) == (0.5, 1.0)
-        assert evals == 3
+        # 0.225, 0.45 and 0.9 fail, 1.8 accepts at alpha = 1/(2 * 1.8)
+        assert mu == pytest.approx(1.8, rel=1e-15)
+        assert alpha == pytest.approx(1.0 / 3.6, rel=1e-15)
+        assert evals == 4
 
     def test_domain_probe_counts_as_failure(self, log_barrier2):
         # full step lands on the boundary; the estimate must grow until

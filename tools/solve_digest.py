@@ -8,14 +8,16 @@ temporary directory, runs every (instance, method) solve through
 `cli.run_one` with BLAS pinned to one thread, and prints one line per
 solve:
 
-    workload instance method termination iterations sha256 files_sha256
+    workload instance method termination iterations sha256 files_sha256 f gap
 
 The first SHA-256 covers every field of every record except `time_ns`,
 then `final_x` and `init_lipschitz`, each float by its exact hex form, so
 it changes with any one-ulp change of an answer and never with timing.
 The second covers the bytes that `RunTrace.save_csv` and then
 `RunTrace.save_json` write for a copy of the trace whose `time_ns` are
-all 0, so it also catches a change in how a trace is written.
+all 0, so it also catches a change in how a trace is written.  The
+last row's f and gap close the line (`.17g`), so a diff of two runs
+shows how far a changed answer moved.
 `--root DIR` imports `src/` and `perfbench/` from another checkout (a
 `git worktree` or `git archive` of the parent commit), so
 
@@ -23,7 +25,8 @@ all 0, so it also catches a change in how a trace is written.
     python tools/solve_digest.py --seed 3 > change.txt
     diff parent.txt change.txt
 
-checks that a change leaves every answer bit-identical.
+checks that a change leaves every answer bit-identical, or shows which
+answers a deliberate change moved and where they ended.
 """
 
 import argparse
@@ -74,6 +77,15 @@ def files_digest(trace):
         return hashlib.sha256(csv_path.read_bytes() + json_path.read_bytes()).hexdigest()
 
 
+def digest_line(workload, name, method, trace):
+    """The line of one solve: its keys, termination, iterations, both digests, last f and gap."""
+    last = trace.records[-1]
+    return (
+        f"{workload} {name} {method} {trace.termination} {len(trace.records) - 1} "
+        f"{trace_digest(trace)} {files_digest(trace)} {last.f:.17g} {last.gap:.17g}"
+    )
+
+
 def digest_lines(workload, seed):
     """One line per solve of the workload on the seed's inputs."""
     import workloads
@@ -85,11 +97,7 @@ def digest_lines(workload, seed):
     for name, method in wl.keys():
         oracle, feasible_set = built[name]
         trace = cli.run_one(oracle, feasible_set, method, wl.gap, wl.max_iter)
-        iterations = len(trace.records) - 1
-        yield (
-            f"{workload} {name} {method} {trace.termination} {iterations} "
-            f"{trace_digest(trace)} {files_digest(trace)}"
-        )
+        yield digest_line(workload, name, method, trace)
 
 
 def main(argv=None):
