@@ -34,6 +34,17 @@ def _required(mapping, key, what):
     return mapping[key]
 
 
+def _number_field(mapping, key, kind, what, default=None):
+    """kind(mapping[key]) for kind int or float, `default` standing in for
+    an absent key when one is given.  A missing key, or a value of a type
+    kind() refuses (a list or null), is a ValueError naming the key."""
+    value = _required(mapping, key, what) if default is None else mapping.get(key, default)
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"{what} {key!r} must be a number, got {value!r}") from None
+
+
 def _eps_levels(values):
     """The profile's relative-error levels as floats, each finite and >= 0."""
     levels = [float(e) for e in values]
@@ -47,39 +58,38 @@ def build_problem(spec):
     """Instantiate a problem from a config entry; returns (name, oracle, set)."""
     kind = _required(spec, "kind", "problem spec")
     what = f"{kind} problem spec"
-    seed = int(spec.get("seed", 0))
+    seed = _number_field(spec, "seed", int, what, 0)
     if kind == "portfolio":
         if "data" in spec:
             returns, seed = prob.load_returns_csv(spec["data"])
         else:
-            T, n = int(_required(spec, "T", what)), int(_required(spec, "n", what))
+            T, n = _number_field(spec, "T", int, what), _number_field(spec, "n", int, what)
             returns = prob.gen_portfolio_data(T, n, seed)
         p = prob.portfolio_problem(returns)
         name = spec.get("name", f"portfolio_n{p.oracle.dim}_T{returns.shape[0]}_s{seed}")
     elif kind == "poisson":
-        radius = float(spec.get("radius", prob.DEFAULT_RADIUS))
+        radius = _number_field(spec, "radius", float, what, prob.DEFAULT_RADIUS)
         if "data" in spec:
             feats, _labels = parse_libsvm_path(spec["data"])
             name = spec.get("name", f"poisson_{Path(spec['data']).stem}")
         else:
-            m, n = int(_required(spec, "m", what)), int(_required(spec, "n", what))
-            feats = prob.gen_binary_design(m, n, float(spec.get("density", 0.2)), seed)
+            m, n = _number_field(spec, "m", int, what), _number_field(spec, "n", int, what)
+            feats = prob.gen_binary_design(m, n, _number_field(spec, "density", float, what, 0.2), seed)
             name = spec.get("name", f"poisson_m{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
         p = prob.poisson_problem(feats, np.ones(feats.shape[0]), radius)
     elif kind == "logistic":
-        radius = float(spec.get("radius", prob.DEFAULT_RADIUS))
+        radius = _number_field(spec, "radius", float, what, prob.DEFAULT_RADIUS)
         if "data" in spec:
             feats, labels = parse_libsvm_path(spec["data"])
             labels = np.where(labels > 0, 1.0, -1.0)
             name = spec.get("name", f"logistic_{Path(spec['data']).stem}")
         else:
-            N, n = int(_required(spec, "N", what)), int(_required(spec, "n", what))
+            N, n = _number_field(spec, "N", int, what), _number_field(spec, "n", int, what)
             feats, labels = prob.gen_logistic_data(N, n, seed)
             name = spec.get("name", f"logistic_N{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
-        gamma = spec.get("gamma")
-        gamma = None if gamma is None else float(gamma)
+        gamma = None if spec.get("gamma") is None else _number_field(spec, "gamma", float, what)
         p = prob.logistic_problem(
-            feats, labels, mu=float(spec.get("mu", 0.0)), gamma=gamma, radius=radius
+            feats, labels, mu=_number_field(spec, "mu", float, what, 0.0), gamma=gamma, radius=radius
         )
     else:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -153,7 +163,10 @@ def _list_field(cfg, key, default):
 def _expand_problems(cfg):
     seeds = _list_field(cfg, "seeds", [0])
     specs = []
-    for entry in _required(cfg, "problems", "bench config"):
+    _required(cfg, "problems", "bench config")
+    for entry in _list_field(cfg, "problems", None):
+        if not isinstance(entry, dict):
+            raise ValueError(f"bench config 'problems' entries must be objects, got {entry!r}")
         if "seed" in entry or "data" in entry:
             specs.append(dict(entry))
         else:
@@ -173,12 +186,11 @@ def run_suite(cfg, out_dir):
     eps_grid = _eps_levels(cfg.get("eps_grid", DEFAULT_EPS_GRID))
     methods = _list_field(cfg, "methods", list(POLICIES))
     specs = _expand_problems(cfg)
+    max_iter = _number_field(cfg, "max_iter", int, "bench config", DEFAULT_MAX_ITER)
+    gap_tol = _number_field(cfg, "gap_tol", float, "bench config", DEFAULT_GAP_TOL)
+    instances = [build_problem(spec) for spec in specs]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    max_iter = int(cfg.get("max_iter", DEFAULT_MAX_ITER))
-    gap_tol = float(cfg.get("gap_tol", DEFAULT_GAP_TOL))
-
-    instances = [build_problem(spec) for spec in specs]
 
     runs = []
     records = []
@@ -253,15 +265,8 @@ def table_from_trace_dir(trace_dir):
     records = []
     for path in sorted(Path(trace_dir).glob("*__*.csv")):
         method, _, problem = path.stem.partition("__")
-        rows = read_trace_csv(path)
-        records.append(
-            RunRecord(
-                method,
-                problem,
-                np.array([r.f for r in rows]),
-                np.array([r.time_ns for r in rows]),
-            )
-        )
+        cols = read_trace_csv(path)
+        records.append(RunRecord(method, problem, cols["f"], cols["time_ns"]))
     records = _fully_covered_records(records)
     if not records:
         raise ValueError(f"no complete method traces found under {trace_dir}")

@@ -10,6 +10,7 @@ when a strong-convexity parameter is available.
 import json
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ STALL_RUNS = 10
 DESCENT_SLACK = 1e-9
 
 CSV_HEADER = "k,f,gap,alpha,e,L,time_ns"
+# one row of the trace CSV, without and with a backtracking estimate in `L`
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,,%d"
+_CSV_ROW_L = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+# the columns `read_trace_csv` returns, named after the IterationRecord fields
+_CSV_COLUMNS = np.dtype(
+    [("k", np.int64), ("f", float), ("gap", float), ("alpha", float), ("e", float),
+     ("lipschitz", float), ("time_ns", np.int64)]
+)
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -69,9 +79,12 @@ class RunTrace:
 
     def save_csv(self, path):
         lines = [CSV_HEADER]
-        for r in self.records:
-            lip = "" if r.lipschitz is None else f"{r.lipschitz:.17g}"
-            lines.append(f"{r.k},{r.f:.17g},{r.gap:.17g},{r.alpha:.17g},{r.e:.17g},{lip},{r.time_ns}")
+        lines += [
+            _CSV_ROW % (r.k, r.f, r.gap, r.alpha, r.e, r.time_ns)
+            if r.lipschitz is None
+            else _CSV_ROW_L % (r.k, r.f, r.gap, r.alpha, r.e, r.lipschitz, r.time_ns)
+            for r in self.records
+        ]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -94,34 +107,86 @@ class RunTrace:
 
 
 def read_trace_csv(path):
-    """Read back a trace CSV as a list of IterationRecord.
+    """Read back a trace CSV as columns named after the IterationRecord fields.
 
-    A row of the wrong length, a cell that is not a number or a
-    non-finite f or gap raises ValueError naming the file and line; a
-    wrong header or a trace without rows raises ValueError naming the
-    file.
+    Returns a structured array with one element per row: `k` and
+    `time_ns` int64, `f`, `gap`, `alpha`, `e` and `lipschitz` float, an
+    empty `L` cell read as NaN.  The body is parsed in one `np.loadtxt`
+    pass; an empty line is skipped.  A wrong header or a trace without
+    rows raises ValueError naming the file.  A row that does not parse,
+    has a non-finite f or gap, a `k` other than its row number or a
+    `time_ns` below the previous row's raises ValueError naming the file
+    and the line.
     """
-    records = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected trace header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                k, f, gap, alpha, e, lip, t = line.split(",")
-                f, gap = float(f), float(gap)
-                if not (math.isfinite(f) and math.isfinite(gap)):
-                    raise ValueError("non-finite f or gap")
-                lip = float(lip) if lip else None
-                records.append(IterationRecord(int(k), f, gap, float(alpha), float(e), lip, int(t)))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    if not records:
-        raise ValueError(f"{path}: the trace has no rows")
-    return records
+        try:
+            with warnings.catch_warnings():
+                # a body without rows is the error below, not numpy's warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                cols = np.loadtxt(
+                    fh, dtype=_CSV_COLUMNS, delimiter=",", comments=None, ndmin=1,
+                    converters={5: lambda cell: float(cell) if cell else math.nan},
+                )
+        except ValueError as exc:
+            _reject(path, fh, str(exc))
+        if not len(cols):
+            raise ValueError(f"{path}: the trace has no rows")
+        k, t = cols["k"], cols["time_ns"]
+        if not (
+            np.isfinite(cols["f"]).all()
+            and np.isfinite(cols["gap"]).all()
+            and np.array_equal(k, np.arange(len(k)))
+            and (t[1:] >= t[:-1]).all()
+        ):
+            _reject(path, fh, "a row is non-finite or out of order")
+    return cols
+
+
+def _reject(path, fh, reason):
+    """Raise the ValueError of a trace file `fh` that `read_trace_csv`
+    rejects: naming the first line to blame, else "{path}: {reason}".
+
+    It walks the body line by line with Python's `int` and `float`,
+    refusing also what numpy's parser refuses and they accept: an
+    underscore in a number and an integer outside int64 (an `L` cell goes
+    through `float` in both).
+    """
+    fh.seek(0)
+    fh.readline()
+    k_next, t_prev = 0, _INT64.min
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue  # as `np.loadtxt` skips it; a line of spaces is a row
+        try:
+            k, f, gap, alpha, e, lip, t = line.split(",")
+            f, gap = _number(f, float), _number(gap, float)
+            if not (math.isfinite(f) and math.isfinite(gap)):
+                raise ValueError("non-finite f or gap")
+            if lip:
+                float(lip)
+            k, t = _number(k, int), _number(t, int)
+            _number(alpha, float), _number(e, float)
+            if k != k_next:
+                raise ValueError(f"k is {k}, expected {k_next}")
+            if t < t_prev:
+                raise ValueError(f"time_ns {t} is below the previous row's {t_prev}")
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        k_next, t_prev = k_next + 1, t
+    raise ValueError(f"{path}: {reason}") from None
+
+
+def _number(cell, kind):
+    """kind(cell) for kind int or float, refusing an underscore and an int
+    outside int64 as numpy's parser does."""
+    value = kind(cell)
+    if "_" in cell or (kind is int and not _INT64.min <= value <= _INT64.max):
+        raise ValueError(f"could not convert string {cell!r} to {kind.__name__}64")
+    return value
 
 
 def fw_solve(oracle, feasible_set, config, x0=None):

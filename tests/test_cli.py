@@ -39,8 +39,8 @@ class TestSolve:
             ]
         )
         assert rc == 0
-        rows = read_trace_csv(out)
-        assert rows[0].k == 0
+        cols = read_trace_csv(out)
+        assert cols["k"][0] == 0
         data = json.loads(js.read_text())
         assert data["config"]["policy"] == "analytic"
         assert "lower_bound" in capsys.readouterr().out
@@ -194,6 +194,19 @@ class TestUserErrors:
             (["bench", "--config", "{tmp}/seeds.json"], "bench config 'seeds' must be a list, got 3"),
             (["bench", "--config", "{tmp}/methods.json"], "bench config 'methods' must be a list, got 'analytic'"),
             (["bench", "--config", "{tmp}/gamma.json"], "could not convert string to float: 'small'"),
+            (
+                ["bench", "--config", "{tmp}/problems.json", "--out", "{tmp}/res"],
+                "bench config 'problems' entries must be objects, got 3",
+            ),
+            (
+                ["bench", "--config", "{tmp}/mu.json", "--out", "{tmp}/res"],
+                "logistic problem spec 'mu' must be a number, got [1]",
+            ),
+            (
+                ["bench", "--config", "{tmp}/max_iter.json", "--out", "{tmp}/res"],
+                "bench config 'max_iter' must be a number, got [5]",
+            ),
+            (["profile", "--traces", "{tmp}/late"], "analytic__p.csv, line 3: time_ns 4 is below the previous row's 5"),
         ],
         ids=[
             "portfolio-no-size",
@@ -217,6 +230,10 @@ class TestUserErrors:
             "bench-seeds-not-a-list",
             "bench-methods-not-a-list",
             "bench-gamma-not-a-number",
+            "bench-problem-not-an-object",
+            "bench-mu-a-list",
+            "bench-max-iter-a-list",
+            "profile-time-falls",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -228,15 +245,22 @@ class TestUserErrors:
         (tmp_path / "methods.json").write_text(json.dumps({"problems": portfolio, "methods": "analytic"}))
         logistic = [{"kind": "logistic", "N": 20, "n": 4, "gamma": "small"}]
         (tmp_path / "gamma.json").write_text(json.dumps({"problems": logistic}))
+        (tmp_path / "problems.json").write_text(json.dumps({"problems": [3]}))
+        logistic = [{"kind": "logistic", "N": 20, "n": 4, "mu": [1]}]
+        (tmp_path / "mu.json").write_text(json.dumps({"problems": logistic}))
+        (tmp_path / "max_iter.json").write_text(json.dumps({"problems": portfolio, "max_iter": [5]}))
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2\n")
         (tmp_path / "empty").mkdir()
         (tmp_path / "empty" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,0.5,0,1,,0\n")
         (tmp_path / "empty" / "analytic__p2.csv").write_text("k,f,gap,alpha,e,L,time_ns\n")
+        (tmp_path / "late").mkdir()
+        (tmp_path / "late" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n1,1,2,0.5,4,,4\n")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("condgrad: error: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("flag", ["--T", "--n", "--samples"])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from condgrad.lloo import lloo_simplex
 from condgrad.problems import gen_portfolio_data, poisson_problem, portfolio_problem
 from condgrad.sets import Simplex
 from condgrad.solvers import (
+    METHODS,
     RunConfig,
     RunTrace,
     IterationRecord,
@@ -634,19 +636,17 @@ class TestAffineInvariance:
 class TestTraceExport:
     def test_csv_round_trip(self, tmp_path, desk_portfolio):
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
-        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=50, policy="backtracking"))
-        path = tmp_path / "trace.csv"
-        trace.save_csv(path)
-        rows = read_trace_csv(path)
-        assert len(rows) == len(trace.records)
-        for orig, back in zip(trace.records, rows):
-            assert back.k == orig.k
-            assert back.f == orig.f  # 17 significant digits round-trip exactly
-            assert back.gap == orig.gap
-            assert back.alpha == orig.alpha
-            assert back.e == orig.e
-            assert back.lipschitz == orig.lipschitz
-            assert back.time_ns == orig.time_ns
+        for method in METHODS:
+            trace = run_one(oracle, fs, method, 1e-9, 50)
+            path = tmp_path / f"{method}.csv"
+            trace.save_csv(path)
+            cols = read_trace_csv(path)
+            assert len(cols) == len(trace.records)
+            for name in ("k", "f", "gap", "alpha", "e", "time_ns"):
+                # 17 significant digits round-trip exactly
+                assert cols[name].tolist() == [getattr(r, name) for r in trace.records], (method, name)
+            lip = [np.nan if r.lipschitz is None else r.lipschitz for r in trace.records]
+            np.testing.assert_array_equal(cols["lipschitz"], lip)  # a None L reads back as NaN
 
     def test_csv_l_column_empty_for_non_backtracking(self, tmp_path, log_barrier2):
         trace = fw_solve(
@@ -698,3 +698,75 @@ class TestTraceExport:
         path.write_text(f"k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n{row}\n")
         with pytest.raises(ValueError, match=f"trace.csv, {message}"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            # read: the columns named, as the earlier row-by-row reader read them
+            ("0,1,2,0.5,4,,5\n\n1,1,2,0.5,4,,6\n", {"k": [0, 1], "time_ns": [5, 6]}),
+            ("0,1,2,0.5,4,,5\r\n1,1,2,0.5,4,2.5,6\r\n", {"k": [0, 1], "lipschitz": [np.nan, 2.5]}),
+            (" 0 , 1 ,2 ,0.5, 4,, 5 \n", {"k": [0], "f": [1.0], "e": [4.0], "time_ns": [5]}),
+            ("+0,1,2,0.5,4,,5\n", {"k": [0]}),
+            ("0,1,2,0.5,4,nan,5\n", {"lipschitz": [np.nan]}),  # as an empty L
+            ("0,1,2,0.5,4,1_0,5\n", {"lipschitz": [10.0]}),  # L goes through Python's float
+            # rejected, as by the row-by-row reader
+            ("0,1,2,0.5,4,,5\n# note\n", ", line 3: not enough values to unpack (expected 7, got 1)"),
+            ("0.0,1,2,0.5,4,,5\n", ", line 2: invalid literal for int() with base 10: '0.0'"),
+            ("0,1,2,0.5,4,,5e0\n", ", line 2: invalid literal for int() with base 10: '5e0'"),
+            ("0,1,2,0.5,4,,5,7\n", ", line 2: too many values to unpack (expected 7)"),
+            ("0,1,2\n", ", line 2: not enough values to unpack (expected 7, got 3)"),
+            ("0,1,2,abc,4,,5\n", ", line 2: could not convert string to float: 'abc'"),
+            ("0,1,2,,4,,5\n", ", line 2: could not convert string to float: ''"),
+            ("0,nan,2,0.5,4,,5\n", ", line 2: non-finite f or gap"),
+            ("0,1,2,0.5,4,,5\n1,1,inf,0.5,4,,6\n", ", line 3: non-finite f or gap"),
+            ('0,"1.5",2,0.5,4,,5\n', ", line 2: could not convert string to float: '\"1.5\"'"),
+            ("", ": the trace has no rows"),
+            # rejected; the row-by-row reader skipped the line of spaces and read the
+            # others: f = 10.0, time_ns as a Python int, the rows out of order
+            ("0,1,2,0.5,4,,5\n   \n", ", line 3: not enough values to unpack (expected 7, got 1)"),
+            ("0,1_0,2,0.5,4,,5\n", ", line 2: could not convert string '1_0' to float64"),
+            ("0,1,2,0.5,4,,99999999999999999999\n", ", line 2: could not convert string '99999999999999999999' to int64"),
+            ("0,1,2,0.5,4,,5\n2,1,2,0.5,4,,6\n", ", line 3: k is 2, expected 1"),
+            ("1,1,2,0.5,4,,5\n", ", line 2: k is 1, expected 0"),
+            ("0,1,2,0.5,4,,5\n\n1,1,2,0.5,4,,4\n", ", line 4: time_ns 4 is below the previous row's 5"),
+        ],
+        ids=[
+            "blank-line",
+            "crlf",
+            "padded-cells",
+            "plus-zero-k",
+            "nan-in-L",
+            "underscore-in-L",
+            "comment-line",
+            "float-in-k",
+            "exponent-in-time",
+            "extra-column",
+            "truncated-row",
+            "non-numeric-cell",
+            "empty-alpha",
+            "nan-f",
+            "inf-gap",
+            "quoted-cell",
+            "header-only",
+            "whitespace-line",
+            "underscore-in-f",
+            "time-above-int64",
+            "k-skips",
+            "k-not-from-zero",
+            "time-falls",
+        ],
+    )
+    def test_edge_case_files(self, tmp_path, body, expected):
+        path = tmp_path / "trace.csv"
+        newline = "\r\n" if "\r" in body else "\n"
+        path.write_bytes(f"k,f,gap,alpha,e,L,time_ns{newline}{body}".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning among them
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as exc:
+                    read_trace_csv(path)
+                assert str(exc.value) == f"{path}{expected}"
+            else:
+                cols = read_trace_csv(path)
+                for name, values in expected.items():
+                    np.testing.assert_array_equal(cols[name], values)
