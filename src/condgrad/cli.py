@@ -185,6 +185,11 @@ def run_suite(cfg, out_dir):
     """
     eps_grid = _eps_levels(cfg.get("eps_grid", DEFAULT_EPS_GRID))
     methods = _list_field(cfg, "methods", list(POLICIES))
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(
+                f"bench config 'methods' has unknown method {method!r}; known: {', '.join(METHODS)}"
+            )
     specs = _expand_problems(cfg)
     max_iter = _number_field(cfg, "max_iter", int, "bench config", DEFAULT_MAX_ITER)
     gap_tol = _number_field(cfg, "gap_tol", float, "bench config", DEFAULT_GAP_TOL)

@@ -151,8 +151,8 @@ def _reject(path, fh, reason):
 
     It walks the body line by line with Python's `int` and `float`,
     refusing also what numpy's parser refuses and they accept: an
-    underscore in a number and an integer outside int64 (an `L` cell goes
-    through `float` in both).
+    underscore in a number, a non-ASCII digit and an integer outside
+    int64 (an `L` cell goes through `float` in both).
     """
     fh.seek(0)
     fh.readline()
@@ -181,10 +181,10 @@ def _reject(path, fh, reason):
 
 
 def _number(cell, kind):
-    """kind(cell) for kind int or float, refusing an underscore and an int
-    outside int64 as numpy's parser does."""
+    """kind(cell) for kind int or float, refusing an underscore, a non-ASCII
+    character and an int outside int64 as numpy's parser does."""
     value = kind(cell)
-    if "_" in cell or (kind is int and not _INT64.min <= value <= _INT64.max):
+    if "_" in cell or not cell.isascii() or (kind is int and not _INT64.min <= value <= _INT64.max):
         raise ValueError(f"could not convert string {cell!r} to {kind.__name__}64")
     return value
 
@@ -253,7 +253,8 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     step policies, or toward the local oracle's point within radius
     r0 * sqrt(c_k) for "lloo".  Only the standard step carries no domain
     guarantee; when it leaves the domain the run ends as stalled, while
-    for the other policies that raises.
+    for the other policies that raises.  The analytic step's guaranteed
+    decrease is checked next to that, on the point the step returns.
     """
     x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
     if not feasible_set.contains(x0):
@@ -265,24 +266,16 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     policy = config.policy
     records = []
     init_lip = lipschitz = None
-    prev_required = None
     gap0 = None
     r0 = None
     alpha_sum = 0.0
     tiny_steps = 0
-    k = 0
     t0 = time.perf_counter_ns()
 
     while True:
+        k = len(records)
         t_row = time.perf_counter_ns() - t0
         f_k = point.f
-        # only the analytic step sets prev_required; lloo gets no such check:
-        # its step contracts the error bound gap0 * c_k, but f may wobble up
-        if prev_required is not None and f_k > prev_required:
-            raise InvariantError(
-                f"objective rose above the guaranteed level at iteration {k}: "
-                f"{f_k} > {prev_required}"
-            )
         gap, s = gap_and_target(feasible_set, point)
         radius = contraction = None
         if policy == "lloo":
@@ -310,7 +303,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
             )
             return RunTrace(records, point.x, termination, config, init_lip)
 
-        evals = None
+        evals, required = None, math.inf
         if policy == "lloo":
             # the step goes toward the local oracle's point, so only a
             # termination row reads the vertex's distance
@@ -330,7 +323,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
                 alpha = exact_line_search(point, s)
             elif policy == "analytic":
                 alpha, decrease = analytic_step(gap, e, oracle.M)
-                prev_required = f_k - decrease + DESCENT_SLACK
+                required = f_k - decrease + DESCENT_SLACK
             else:
                 if init_lip is None:
                     init_lip = lipschitz = init_lipschitz(point, s)
@@ -350,9 +343,15 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
                 # the open-loop baseline carries no domain guarantee
                 return RunTrace(records, nxt.x, "stalled", config, init_lip)
             raise InvariantError(f"{policy} step left the objective domain at iteration {k}")
+        # only the analytic step guarantees a level; lloo gets no such check:
+        # its step contracts the error bound gap0 * c_k, but f may wobble up
+        if nxt.f > required:
+            raise InvariantError(
+                f"objective rose above the guaranteed level at iteration {k + 1}: "
+                f"{nxt.f} > {required}"
+            )
         alpha_sum += alpha
         point = nxt
-        k += 1
 
 
 def certificate_lower_bound(trace):

@@ -207,6 +207,10 @@ class TestUserErrors:
                 "bench config 'max_iter' must be a number, got [5]",
             ),
             (["profile", "--traces", "{tmp}/late"], "analytic__p.csv, line 3: time_ns 4 is below the previous row's 5"),
+            (
+                ["bench", "--config", "{tmp}/misspelled.json", "--out", "{tmp}/res"],
+                "bench config 'methods' has unknown method 'analytc'",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -234,6 +238,7 @@ class TestUserErrors:
             "bench-mu-a-list",
             "bench-max-iter-a-list",
             "profile-time-falls",
+            "bench-unknown-method",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -249,6 +254,7 @@ class TestUserErrors:
         logistic = [{"kind": "logistic", "N": 20, "n": 4, "mu": [1]}]
         (tmp_path / "mu.json").write_text(json.dumps({"problems": logistic}))
         (tmp_path / "max_iter.json").write_text(json.dumps({"problems": portfolio, "max_iter": [5]}))
+        (tmp_path / "misspelled.json").write_text(json.dumps({"problems": portfolio, "methods": ["analytc"]}))
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2\n")
         (tmp_path / "empty").mkdir()

@@ -167,7 +167,7 @@ class TestSolverGuards:
             def in_domain(self, x):
                 return True
 
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="objective rose above the guaranteed level at iteration 1"):
             fw_solve(
                 Liar(),
                 Simplex(2),
@@ -729,6 +729,11 @@ class TestTraceExport:
             ("0,1,2,0.5,4,,5\n2,1,2,0.5,4,,6\n", ", line 3: k is 2, expected 1"),
             ("1,1,2,0.5,4,,5\n", ", line 2: k is 1, expected 0"),
             ("0,1,2,0.5,4,,5\n\n1,1,2,0.5,4,,4\n", ", line 4: time_ns 4 is below the previous row's 5"),
+            # rejected; numpy refuses them too, but the walk read them as numbers
+            ("\uff10,1,2,0.5,4,,5\n", ", line 2: could not convert string '\uff10' to int64"),
+            ("0,1,2,0.5,4,,5\n1,\u0661,2,0.5,4,,6\n", ", line 3: could not convert string '\u0661' to float64"),
+            # rejected, by the walk's own check of L
+            ("0,1,2,0.5,4,abc,5\n", ", line 2: could not convert string to float: 'abc'"),
         ],
         ids=[
             "blank-line",
@@ -754,6 +759,9 @@ class TestTraceExport:
             "k-skips",
             "k-not-from-zero",
             "time-falls",
+            "fullwidth-digit-in-k",
+            "arabic-indic-digit-in-f",
+            "non-numeric-L",
         ],
     )
     def test_edge_case_files(self, tmp_path, body, expected):

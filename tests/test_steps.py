@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from condgrad.core import InvariantError, dist_like, gap_and_target, omega_star
+from condgrad.core import DomainError, InvariantError, ScOracle, dist_like, gap_and_target, omega_star
 from condgrad.problems import gen_binary_design, parse_libsvm, poisson_problem
+from condgrad.sets import Simplex
 from condgrad.solvers import RunConfig, fw_solve
 from condgrad.steps import (
     analytic_step,
@@ -106,6 +109,73 @@ class TestExactLineSearch:
         assert gap > 0.0
         assert dist_like(point, target) == 0.0
         assert exact_line_search(point, target) == 1.0
+
+    @staticmethod
+    def _search_counting_misses(point, target):
+        """exact_line_search's step and the number of its probes outside the domain."""
+        slope = point.slope
+        misses = []
+
+        def counted(target):
+            derivatives = slope(target)
+
+            def probe(t):
+                pair = derivatives(t)
+                if pair is None:
+                    misses.append(t)
+                return pair
+
+            return probe
+
+        point.slope = counted
+        return exact_line_search(point, target), len(misses)
+
+    def test_overshooting_newton_step_on_the_base_point(self):
+        # an M that understates the curvature leaves the Newton step undamped:
+        # on f = -ln x_2 - 100 x_1 it overshoots to t = 49, capped to the
+        # boundary t = 1, so the bracket must close on the probe outside
+        class Understated(ScOracle):
+            dim = 2
+            M = 0.002  # the true constant is 2
+
+            def value(self, x):
+                return -math.log(x[1]) - 100.0 * x[0] if self.in_domain(x) else math.inf
+
+            def gradient(self, x):
+                if not self.in_domain(x):
+                    raise DomainError("x_2 <= 0")
+                return np.array([-100.0, -1.0 / x[1]])
+
+            def hess_vec(self, x, u):
+                if not self.in_domain(x):
+                    raise DomainError("x_2 <= 0")
+                return np.array([0.0, u[1] / (x[1] * x[1])])
+
+            def in_domain(self, x):
+                return x[1] > 0.0
+
+        point = Understated().point(np.array([0.5, 0.5]))
+        target = Simplex(2).lmo(point.gradient)
+        assert target == (0, 1.0)
+        t, misses = self._search_counting_misses(point, target)
+        # phi'(t) = 1/(1 - t) - 50 vanishes at t = 0.98
+        assert t == pytest.approx(0.98, abs=1e-8)
+        assert misses >= 1
+        nxt = point.move(t, target)
+        assert nxt.in_domain and nxt.f < point.f
+
+    def test_overshooting_newton_step_on_a_glm_point(self):
+        # toward the origin of the l1-ball, phi'(t) = -sum z0 + sum y / (1 - t)
+        problem = poisson_problem(100 * gen_binary_design(20, 5, 0.3, 0), np.ones(20))
+        oracle = problem.oracle
+        oracle.M = 1e-6
+        point = oracle.point(problem.feasible_set.start_point())
+        target = (0, 0.0)
+        t, misses = self._search_counting_misses(point, target)
+        assert t == pytest.approx(1.0 - 20.0 / point.z.sum(), abs=1e-12)
+        assert misses >= 1
+        nxt = point.move(t, target)
+        assert nxt.in_domain and nxt.f < point.f
 
     def test_few_derivative_probes_per_search(self, monkeypatch):
         # the derivative pair is formed once per point made and once per
