@@ -36,13 +36,19 @@ def _required(mapping, key, what):
 
 def _number_field(mapping, key, kind, what, default=None):
     """kind(mapping[key]) for kind int or float, `default` standing in for
-    an absent key when one is given.  A missing key, or a value of a type
-    kind() refuses (a list or null), is a ValueError naming the key."""
+    an absent key when one is given.  A missing key, a value of a type
+    kind() refuses (a list or null), a string or an int it cannot read
+    and, for an int, a bool or a non-integral number are each a
+    ValueError naming the key; a numeric string such as "50" is read."""
     value = _required(mapping, key, what) if default is None else mapping.get(key, default)
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} {key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except TypeError:
         raise ValueError(f"{what} {key!r} must be a number, got {value!r}") from None
+    except (ValueError, OverflowError) as exc:  # OverflowError: a JSON int beyond float
+        raise ValueError(f"{what} {key!r}: {exc}") from None
 
 
 def _eps_levels(values):
@@ -54,10 +60,28 @@ def _eps_levels(values):
     return levels
 
 
+# the spec keys each problem kind reads: generated, and from a `data` file
+_SPEC_KEYS = {
+    "portfolio": ({"T", "n", "seed"}, {"data"}),
+    "poisson": ({"m", "n", "density", "radius", "seed"}, {"data", "radius"}),
+    "logistic": ({"N", "n", "radius", "gamma", "mu", "seed"}, {"data", "radius", "gamma", "mu"}),
+}
+_TABLE_KEYS = set().union(*(generated | with_data for generated, with_data in _SPEC_KEYS.values()))
+
+
 def build_problem(spec):
-    """Instantiate a problem from a config entry; returns (name, oracle, set)."""
+    """Instantiate a problem from a config entry; returns (name, oracle, set).
+
+    A key of `_SPEC_KEYS` that the spec's kind does not read is a
+    ValueError; `kind`, `name` and other keys pass unread.
+    """
     kind = _required(spec, "kind", "problem spec")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown problem kind {kind!r}")
     what = f"{kind} problem spec"
+    unread = sorted((spec.keys() & _TABLE_KEYS) - _SPEC_KEYS[kind]["data" in spec])
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(map(repr, unread))}")
     seed = _number_field(spec, "seed", int, what, 0)
     if kind == "portfolio":
         if "data" in spec:
@@ -77,7 +101,7 @@ def build_problem(spec):
             feats = prob.gen_binary_design(m, n, _number_field(spec, "density", float, what, 0.2), seed)
             name = spec.get("name", f"poisson_m{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
         p = prob.poisson_problem(feats, np.ones(feats.shape[0]), radius)
-    elif kind == "logistic":
+    else:
         radius = _number_field(spec, "radius", float, what, prob.DEFAULT_RADIUS)
         if "data" in spec:
             feats, labels = parse_libsvm_path(spec["data"])
@@ -91,8 +115,6 @@ def build_problem(spec):
         p = prob.logistic_problem(
             feats, labels, mu=_number_field(spec, "mu", float, what, 0.0), gamma=gamma, radius=radius
         )
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
     return name, p.oracle, p.feasible_set
 
 
@@ -121,24 +143,21 @@ def cmd_solve(args):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} must be positive")
-    # the flags each problem kind reads, generated and from --data
-    reads = {
-        "portfolio": (("T", "n"), ()),
-        "poisson": (("samples", "n", "radius"), ("radius",)),
-        "logistic": (("samples", "n", "radius"), ("radius",)),
-    }[args.problem][bool(args.data)]
-    spec = {"kind": args.problem, "seed": args.seed}
+    spec = {"kind": args.problem}
+    if args.data:
+        spec["data"] = args.data
+    else:
+        spec["seed"] = args.seed
+    reads = _SPEC_KEYS[args.problem][bool(args.data)]
     rows = "m" if args.problem == "poisson" else "N"
     for flag, key in (("T", "T"), ("n", "n"), ("samples", rows), ("radius", "radius")):
         value = getattr(args, flag)
         if value is None:
             continue
-        if flag not in reads:
+        if key not in reads:
             source = " read from --data" if args.data else ""
             raise ValueError(f"--{flag} does not apply to a {args.problem} problem{source}")
         spec[key] = value
-    if args.data:
-        spec["data"] = args.data
     name, oracle, feasible_set = build_problem(spec)
     trace = run_one(oracle, feasible_set, args.method, args.eps, args.max_iter)
     trace.save_csv(args.out)
@@ -192,7 +211,11 @@ def run_suite(cfg, out_dir):
             )
     specs = _expand_problems(cfg)
     max_iter = _number_field(cfg, "max_iter", int, "bench config", DEFAULT_MAX_ITER)
+    if max_iter < 1:
+        raise ValueError(f"bench config 'max_iter' must be at least 1, got {max_iter}")
     gap_tol = _number_field(cfg, "gap_tol", float, "bench config", DEFAULT_GAP_TOL)
+    if not 0.0 < gap_tol < np.inf:
+        raise ValueError(f"bench config 'gap_tol' must be finite and positive, got {gap_tol!r}")
     instances = [build_problem(spec) for spec in specs]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

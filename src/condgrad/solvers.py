@@ -35,7 +35,6 @@ _CSV_COLUMNS = np.dtype(
     [("k", np.int64), ("f", float), ("gap", float), ("alpha", float), ("e", float),
      ("lipschitz", float), ("time_ns", np.int64)]
 )
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -112,81 +111,72 @@ def read_trace_csv(path):
     Returns a structured array with one element per row: `k` and
     `time_ns` int64, `f`, `gap`, `alpha`, `e` and `lipschitz` float, an
     empty `L` cell read as NaN.  The body is parsed in one `np.loadtxt`
-    pass; an empty line is skipped.  A wrong header or a trace without
-    rows raises ValueError naming the file.  A row that does not parse,
-    has a non-finite f or gap, a `k` other than its row number or a
-    `time_ns` below the previous row's raises ValueError naming the file
-    and the line.
+    pass; an empty line is skipped.  A file that is not text, a wrong
+    header or a trace without rows raises ValueError naming the file.  A
+    row that does not parse, has a non-finite f or gap, a `k` other than
+    its row number or a `time_ns` below the previous row's raises
+    ValueError naming the file and the line.
     """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected trace header {header!r}")
-        try:
-            with warnings.catch_warnings():
-                # a body without rows is the error below, not numpy's warning
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                cols = np.loadtxt(
-                    fh, dtype=_CSV_COLUMNS, delimiter=",", comments=None, ndmin=1,
-                    converters={5: lambda cell: float(cell) if cell else math.nan},
-                )
-        except ValueError as exc:
-            _reject(path, fh, str(exc))
-        if not len(cols):
-            raise ValueError(f"{path}: the trace has no rows")
-        k, t = cols["k"], cols["time_ns"]
-        if not (
-            np.isfinite(cols["f"]).all()
-            and np.isfinite(cols["gap"]).all()
-            and np.array_equal(k, np.arange(len(k)))
-            and (t[1:] >= t[:-1]).all()
-        ):
-            _reject(path, fh, "a row is non-finite or out of order")
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise ValueError(f"{path}: unexpected trace header {header!r}")
+            try:
+                cols = _parse_rows(fh)
+            except ValueError:
+                _reject(path, fh)
+            k, t = cols["k"], cols["time_ns"]
+            if not (
+                len(cols)
+                and np.isfinite(cols["f"]).all()
+                and np.isfinite(cols["gap"]).all()
+                and np.array_equal(k, np.arange(len(k)))
+                and (t[1:] >= t[:-1]).all()
+            ):
+                _reject(path, fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return cols
 
 
-def _reject(path, fh, reason):
-    """Raise the ValueError of a trace file `fh` that `read_trace_csv`
-    rejects: naming the first line to blame, else "{path}: {reason}".
+def _parse_rows(lines):
+    """The trace rows of `lines` (a file or a list of strings) as `_CSV_COLUMNS`."""
+    with warnings.catch_warnings():
+        # a body without rows is `read_trace_csv`'s error, not numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(
+            lines, dtype=_CSV_COLUMNS, delimiter=",", comments=None, ndmin=1,
+            converters={5: lambda cell: float(cell) if cell else math.nan},
+        )
 
-    It walks the body line by line with Python's `int` and `float`,
-    refusing also what numpy's parser refuses and they accept: an
-    underscore in a number, a non-ASCII digit and an integer outside
-    int64 (an `L` cell goes through `float` in both).
+
+def _reject(path, fh):
+    """Raise the ValueError of a trace file `fh` that `read_trace_csv`
+    rejects, naming the first line to blame.
+
+    It parses the body again line by line with `_parse_rows`, so a line
+    is refused with numpy's own message.  A body in which no line is to
+    blame has no rows.
     """
     fh.seek(0)
     fh.readline()
-    k_next, t_prev = 0, _INT64.min
+    k_next, t_prev = 0, -math.inf
     for lineno, line in enumerate(fh, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue  # as `np.loadtxt` skips it; a line of spaces is a row
         try:
-            k, f, gap, alpha, e, lip, t = line.split(",")
-            f, gap = _number(f, float), _number(gap, float)
-            if not (math.isfinite(f) and math.isfinite(gap)):
-                raise ValueError("non-finite f or gap")
-            if lip:
-                float(lip)
-            k, t = _number(k, int), _number(t, int)
-            _number(alpha, float), _number(e, float)
-            if k != k_next:
-                raise ValueError(f"k is {k}, expected {k_next}")
-            if t < t_prev:
-                raise ValueError(f"time_ns {t} is below the previous row's {t_prev}")
+            for row in _parse_rows([line]):  # none for an empty line
+                if not (math.isfinite(row["f"]) and math.isfinite(row["gap"])):
+                    raise ValueError("non-finite f or gap")
+                k, t = row["k"], row["time_ns"]
+                if k != k_next:
+                    raise ValueError(f"k is {k}, expected {k_next}")
+                if t < t_prev:
+                    raise ValueError(f"time_ns {t} is below the previous row's {t_prev}")
+                k_next, t_prev = k_next + 1, t
         except ValueError as exc:
-            raise ValueError(f"{path}, line {lineno}: {exc}") from None
-        k_next, t_prev = k_next + 1, t
-    raise ValueError(f"{path}: {reason}") from None
-
-
-def _number(cell, kind):
-    """kind(cell) for kind int or float, refusing an underscore, a non-ASCII
-    character and an int outside int64 as numpy's parser does."""
-    value = kind(cell)
-    if "_" in cell or not cell.isascii() or (kind is int and not _INT64.min <= value <= _INT64.max):
-        raise ValueError(f"could not convert string {cell!r} to {kind.__name__}64")
-    return value
+            # numpy's message ends in " at row ..." counting from this one line
+            raise ValueError(f"{path}, line {lineno}: {str(exc).rsplit(' at row ', 1)[0]}") from None
+    raise ValueError(f"{path}: the trace has no rows")
 
 
 def fw_solve(oracle, feasible_set, config, x0=None):

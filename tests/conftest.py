@@ -70,6 +70,26 @@ class QuadOracle(ScOracle):
         return True
 
 
+class EdgeOracle(ScOracle):
+    """f = 0 on the line x[1] = 0 of the plane: a domain without interior,
+    whose Hessian form -1e-15 * |u|^2 is negative by rounding only."""
+
+    dim = 2
+    M = 2.0
+
+    def value(self, x):
+        return 0.0 if self.in_domain(x) else float("inf")
+
+    def gradient(self, x):
+        return np.zeros(2)
+
+    def hess_vec(self, x, u):
+        return -1e-15 * np.asarray(u, dtype=float)
+
+    def in_domain(self, x):
+        return x[1] == 0.0
+
+
 @pytest.fixture
 def log_barrier2():
     return LogBarrierOracle(2)

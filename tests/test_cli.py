@@ -126,6 +126,31 @@ class TestSolve:
 
 
 class TestBuildProblem:
+    def test_numbers_given_as_text_or_integral_floats(self):
+        name, oracle, _ = build_problem({"kind": "portfolio", "T": "10", "n": 4.0, "seed": "2"})
+        _, reference, _ = build_problem({"kind": "portfolio", "T": 10, "n": 4, "seed": 2})
+        assert name == "portfolio_n4_T10_s2"
+        assert np.array_equal(oracle.returns, reference.returns)
+
+    def test_keys_outside_the_table_pass_unread(self):
+        spec = {"kind": "poisson", "m": 20, "n": 5, "name": "p", "shape": [20, 5], "note": "x"}
+        name, oracle, _ = build_problem(spec)
+        assert name == "p" and oracle.dim == 5
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "portfolio", "data": "r.csv", "seed": 1}, "portfolio problem spec does not read 'seed'"),
+            ({"kind": "poisson", "data": "p.svm", "m": 5, "n": 2}, "poisson problem spec does not read 'm', 'n'"),
+            ({"kind": "logistic", "N": 20, "n": 4, "density": 0.5}, "logistic problem spec does not read 'density'"),
+        ],
+        ids=["portfolio-data-seed", "poisson-data-sizes", "logistic-density"],
+    )
+    def test_unread_key_stops_before_any_file_is_read(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            build_problem(spec)
+        assert str(exc.value) == message
+
     def test_logistic_gamma_given_as_text(self):
         spec = {"kind": "logistic", "N": 20, "n": 4}
         _, oracle, _ = build_problem(dict(spec, gamma="0.1"))
@@ -174,7 +199,10 @@ class TestUserErrors:
                 + ["--out", "{tmp}/t.csv"],
                 "the Hessian at the start point is singular",
             ),
-            (["profile", "--traces", "{tmp}/bad"], "analytic__p.csv, line 2: not enough values to unpack"),
+            (
+                ["profile", "--traces", "{tmp}/bad"],
+                "analytic__p.csv, line 2: the dtype passed requires 7 columns but 3 were found\n",
+            ),
             (
                 ["solve", "--problem", "logistic", "--samples", "30", "--n", "5", "--method", "analytic"]
                 + ["--radius", "inf", "--out", "{tmp}/t.csv"],
@@ -211,6 +239,42 @@ class TestUserErrors:
                 ["bench", "--config", "{tmp}/misspelled.json", "--out", "{tmp}/res"],
                 "bench config 'methods' has unknown method 'analytc'",
             ),
+            (
+                ["bench", "--config", "{tmp}/max_iter_0.json", "--out", "{tmp}/res"],
+                "bench config 'max_iter' must be at least 1, got 0\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/gap_tol_0.json", "--out", "{tmp}/res"],
+                "bench config 'gap_tol' must be finite and positive, got 0.0\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/T_fraction.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'T' must be an integer, got 10.9\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/max_iter_fraction.json", "--out", "{tmp}/res"],
+                "bench config 'max_iter' must be an integer, got 50.7\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/seed_bool.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'seed' must be an integer, got True\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/T_word.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'T': invalid literal for int() with base 10: 'ten'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/portfolio_radius.json", "--out", "{tmp}/res"],
+                "portfolio problem spec does not read 'radius'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/poisson_gamma_T.json", "--out", "{tmp}/res"],
+                "poisson problem spec does not read 'T', 'gamma'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/radius_huge.json", "--out", "{tmp}/res"],
+                "poisson problem spec 'radius': int too large to convert to float\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -239,22 +303,41 @@ class TestUserErrors:
             "bench-max-iter-a-list",
             "profile-time-falls",
             "bench-unknown-method",
+            "bench-max-iter-zero",
+            "bench-gap-tol-zero",
+            "bench-T-fractional",
+            "bench-max-iter-fractional",
+            "bench-seed-a-bool",
+            "bench-T-a-word",
+            "bench-portfolio-radius",
+            "bench-poisson-gamma-T",
+            "bench-radius-beyond-float",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
-        (tmp_path / "cfg.json").write_text(json.dumps({"methods": ["analytic"]}))
-        levels = {"problems": [{"kind": "portfolio", "T": 10, "n": 4}], "eps_grid": [1e-2, "inf"]}
-        (tmp_path / "levels.json").write_text(json.dumps(levels))
         portfolio = [{"kind": "portfolio", "T": 10, "n": 4}]
-        (tmp_path / "seeds.json").write_text(json.dumps({"problems": portfolio, "seeds": 3}))
-        (tmp_path / "methods.json").write_text(json.dumps({"problems": portfolio, "methods": "analytic"}))
-        logistic = [{"kind": "logistic", "N": 20, "n": 4, "gamma": "small"}]
-        (tmp_path / "gamma.json").write_text(json.dumps({"problems": logistic}))
-        (tmp_path / "problems.json").write_text(json.dumps({"problems": [3]}))
-        logistic = [{"kind": "logistic", "N": 20, "n": 4, "mu": [1]}]
-        (tmp_path / "mu.json").write_text(json.dumps({"problems": logistic}))
-        (tmp_path / "max_iter.json").write_text(json.dumps({"problems": portfolio, "max_iter": [5]}))
-        (tmp_path / "misspelled.json").write_text(json.dumps({"problems": portfolio, "methods": ["analytc"]}))
+        configs = {
+            "cfg": {"methods": ["analytic"]},
+            "levels": {"problems": portfolio, "eps_grid": [1e-2, "inf"]},
+            "seeds": {"problems": portfolio, "seeds": 3},
+            "methods": {"problems": portfolio, "methods": "analytic"},
+            "gamma": {"problems": [{"kind": "logistic", "N": 20, "n": 4, "gamma": "small"}]},
+            "problems": {"problems": [3]},
+            "mu": {"problems": [{"kind": "logistic", "N": 20, "n": 4, "mu": [1]}]},
+            "max_iter": {"problems": portfolio, "max_iter": [5]},
+            "misspelled": {"problems": portfolio, "methods": ["analytc"]},
+            "max_iter_0": {"problems": portfolio, "max_iter": 0},
+            "gap_tol_0": {"problems": portfolio, "gap_tol": 0},
+            "T_fraction": {"problems": [{"kind": "portfolio", "T": 10.9, "n": 4}]},
+            "max_iter_fraction": {"problems": portfolio, "max_iter": 50.7},
+            "seed_bool": {"problems": portfolio, "seeds": [True]},
+            "T_word": {"problems": [{"kind": "portfolio", "T": "ten", "n": 4}]},
+            "portfolio_radius": {"problems": [{"kind": "portfolio", "T": 10, "n": 4, "radius": 3}]},
+            "poisson_gamma_T": {"problems": [{"kind": "poisson", "m": 20, "n": 5, "gamma": 0.5, "T": 9}]},
+            "radius_huge": {"problems": [{"kind": "poisson", "m": 20, "n": 5, "radius": 10**400}]},
+        }
+        for name, cfg in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         (tmp_path / "bad").mkdir()
         (tmp_path / "bad" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2\n")
         (tmp_path / "empty").mkdir()

@@ -12,7 +12,7 @@ from condgrad.core import (
 from condgrad.sets import Simplex
 from condgrad.problems import PortfolioOracle
 
-from conftest import LogBarrierOracle, QuadOracle, dense
+from conftest import EdgeOracle, LogBarrierOracle, QuadOracle, dense
 
 
 class TestOmega:
@@ -81,6 +81,10 @@ class TestLocalNorm:
 
         with pytest.raises(InvariantError):
             BadOracle(np.ones(2)).point(np.zeros(2)).norm_to(np.ones(2))
+
+    def test_rounding_negative_quadratic_form_is_clipped(self):
+        # the form is -2e-15, within the rounding allowance -1e-12 * (1 + |v|^2)
+        assert EdgeOracle().point(np.array([1.0, 0.0])).norm_to((1, 1.0)) == 0.0
 
     def test_definition_consistency(self, log_barrier2):
         gen = np.random.default_rng(3)

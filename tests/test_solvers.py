@@ -687,8 +687,8 @@ class TestTraceExport:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("0,1,2", r"line 3: not enough values to unpack \(expected 7, got 3\)"),
-            ("0,1,2,abc,4,,5", r"line 3: could not convert string to float: 'abc'"),
+            ("0,1,2", r"line 3: the dtype passed requires 7 columns but 3 were found"),
+            ("0,1,2,abc,4,,5", r"line 3: could not convert string 'abc' to float64"),
             ("1,nan,2,0.5,4,,5", r"line 3: non-finite f or gap"),
         ],
         ids=["truncated-row", "non-numeric-cell", "non-finite-f"],
@@ -709,31 +709,31 @@ class TestTraceExport:
             ("+0,1,2,0.5,4,,5\n", {"k": [0]}),
             ("0,1,2,0.5,4,nan,5\n", {"lipschitz": [np.nan]}),  # as an empty L
             ("0,1,2,0.5,4,1_0,5\n", {"lipschitz": [10.0]}),  # L goes through Python's float
-            # rejected, as by the row-by-row reader
-            ("0,1,2,0.5,4,,5\n# note\n", ", line 3: not enough values to unpack (expected 7, got 1)"),
-            ("0.0,1,2,0.5,4,,5\n", ", line 2: invalid literal for int() with base 10: '0.0'"),
-            ("0,1,2,0.5,4,,5e0\n", ", line 2: invalid literal for int() with base 10: '5e0'"),
-            ("0,1,2,0.5,4,,5,7\n", ", line 2: too many values to unpack (expected 7)"),
-            ("0,1,2\n", ", line 2: not enough values to unpack (expected 7, got 3)"),
-            ("0,1,2,abc,4,,5\n", ", line 2: could not convert string to float: 'abc'"),
-            ("0,1,2,,4,,5\n", ", line 2: could not convert string to float: ''"),
+            # rejected, as by the row-by-row reader, with numpy's message
+            ("0,1,2,0.5,4,,5\n# note\n", ", line 3: the dtype passed requires 7 columns but 1 were found"),
+            ("0.0,1,2,0.5,4,,5\n", ", line 2: could not convert string '0.0' to int64"),
+            ("0,1,2,0.5,4,,5e0\n", ", line 2: could not convert string '5e0' to int64"),
+            ("0,1,2,0.5,4,,5,7\n", ", line 2: the dtype passed requires 7 columns but 8 were found"),
+            ("0,1,2\n", ", line 2: the dtype passed requires 7 columns but 3 were found"),
+            ("0,1,2,abc,4,,5\n", ", line 2: could not convert string 'abc' to float64"),
+            ("0,1,2,,4,,5\n", ", line 2: could not convert string '' to float64"),
             ("0,nan,2,0.5,4,,5\n", ", line 2: non-finite f or gap"),
             ("0,1,2,0.5,4,,5\n1,1,inf,0.5,4,,6\n", ", line 3: non-finite f or gap"),
-            ('0,"1.5",2,0.5,4,,5\n', ", line 2: could not convert string to float: '\"1.5\"'"),
+            ('0,"1.5",2,0.5,4,,5\n', ", line 2: could not convert string '\"1.5\"' to float64"),
             ("", ": the trace has no rows"),
             # rejected; the row-by-row reader skipped the line of spaces and read the
             # others: f = 10.0, time_ns as a Python int, the rows out of order
-            ("0,1,2,0.5,4,,5\n   \n", ", line 3: not enough values to unpack (expected 7, got 1)"),
+            ("0,1,2,0.5,4,,5\n   \n", ", line 3: the dtype passed requires 7 columns but 1 were found"),
             ("0,1_0,2,0.5,4,,5\n", ", line 2: could not convert string '1_0' to float64"),
             ("0,1,2,0.5,4,,99999999999999999999\n", ", line 2: could not convert string '99999999999999999999' to int64"),
             ("0,1,2,0.5,4,,5\n2,1,2,0.5,4,,6\n", ", line 3: k is 2, expected 1"),
             ("1,1,2,0.5,4,,5\n", ", line 2: k is 1, expected 0"),
             ("0,1,2,0.5,4,,5\n\n1,1,2,0.5,4,,4\n", ", line 4: time_ns 4 is below the previous row's 5"),
-            # rejected; numpy refuses them too, but the walk read them as numbers
+            # rejected; numpy refuses a non-ASCII digit, which Python's int and float read
             ("\uff10,1,2,0.5,4,,5\n", ", line 2: could not convert string '\uff10' to int64"),
             ("0,1,2,0.5,4,,5\n1,\u0661,2,0.5,4,,6\n", ", line 3: could not convert string '\u0661' to float64"),
-            # rejected, by the walk's own check of L
-            ("0,1,2,0.5,4,abc,5\n", ", line 2: could not convert string to float: 'abc'"),
+            # rejected, by the converter of L
+            ("0,1,2,0.5,4,abc,5\n", ", line 2: could not convert string 'abc' to float64"),
         ],
         ids=[
             "blank-line",
@@ -778,3 +778,10 @@ class TestTraceExport:
                 cols = read_trace_csv(path)
                 for name, values in expected.items():
                     np.testing.assert_array_equal(cols[name], values)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n1,\xff,2,0.5,4,,6\n")
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value).startswith(f"{path}")

@@ -15,7 +15,7 @@ from condgrad.steps import (
     standard_step,
 )
 
-from conftest import DATA_DIR, QuadOracle
+from conftest import DATA_DIR, EdgeOracle, QuadOracle
 
 
 class TestStandardStep:
@@ -58,6 +58,11 @@ class TestAnalyticStep:
             assert 0.0 < alpha <= 1.0
             assert alpha * e < 1.0
             assert decrease > 0.0
+
+    def test_step_at_the_domain_edge_raises(self):
+        # t = 1 / (1 + 4e-20) rounds to 1, so alpha * e reaches 1
+        with pytest.raises(InvariantError, match=r"^step 1.0 \* e 1.0 >= 1; curvature model violated$"):
+            analytic_step(1.0, 1.0, 1e10)
 
     def test_model_decrease_formula(self):
         gap, e, M = 2.0, np.sqrt(10.0), 2.0
@@ -305,6 +310,12 @@ class TestInitLipschitz:
     def test_degenerate_direction(self, quad2):
         with pytest.raises(ValueError):
             init_lipschitz(quad2.point(np.ones(2)), np.ones(2))
+
+    def test_no_in_domain_probe_raises(self):
+        # every probe toward (0, 1) leaves the line x[1] = 0 that is the domain
+        point = EdgeOracle().point(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="^init_lipschitz: could not find an in-domain probe$"):
+            init_lipschitz(point, (1, 1.0))
 
     def test_halves_eps_until_in_domain(self, log_barrier2):
         # probe from a point so close to the boundary that eps=1e-3 exits
