@@ -51,6 +51,14 @@ def _number_field(mapping, key, kind, what, default=None):
         raise ValueError(f"{what} {key!r}: {exc}") from None
 
 
+def _size_field(spec, key, what):
+    """A problem size spec[key] as an int; below 1 is a ValueError naming the key."""
+    value = _number_field(spec, key, int, what)
+    if value < 1:
+        raise ValueError(f"{what} {key!r} must be at least 1, got {value}")
+    return value
+
+
 def _eps_levels(values):
     """The profile's relative-error levels as floats, each finite and >= 0."""
     levels = [float(e) for e in values]
@@ -87,7 +95,7 @@ def build_problem(spec):
         if "data" in spec:
             returns, seed = prob.load_returns_csv(spec["data"])
         else:
-            T, n = _number_field(spec, "T", int, what), _number_field(spec, "n", int, what)
+            T, n = _size_field(spec, "T", what), _size_field(spec, "n", what)
             returns = prob.gen_portfolio_data(T, n, seed)
         p = prob.portfolio_problem(returns)
         name = spec.get("name", f"portfolio_n{p.oracle.dim}_T{returns.shape[0]}_s{seed}")
@@ -97,7 +105,7 @@ def build_problem(spec):
             feats, _labels = parse_libsvm_path(spec["data"])
             name = spec.get("name", f"poisson_{Path(spec['data']).stem}")
         else:
-            m, n = _number_field(spec, "m", int, what), _number_field(spec, "n", int, what)
+            m, n = _size_field(spec, "m", what), _size_field(spec, "n", what)
             feats = prob.gen_binary_design(m, n, _number_field(spec, "density", float, what, 0.2), seed)
             name = spec.get("name", f"poisson_m{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
         p = prob.poisson_problem(feats, np.ones(feats.shape[0]), radius)
@@ -108,7 +116,7 @@ def build_problem(spec):
             labels = np.where(labels > 0, 1.0, -1.0)
             name = spec.get("name", f"logistic_{Path(spec['data']).stem}")
         else:
-            N, n = _number_field(spec, "N", int, what), _number_field(spec, "n", int, what)
+            N, n = _size_field(spec, "N", what), _size_field(spec, "n", what)
             feats, labels = prob.gen_logistic_data(N, n, seed)
             name = spec.get("name", f"logistic_N{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
         gamma = None if spec.get("gamma") is None else _number_field(spec, "gamma", float, what)
@@ -146,11 +154,9 @@ def cmd_solve(args):
     spec = {"kind": args.problem}
     if args.data:
         spec["data"] = args.data
-    else:
-        spec["seed"] = args.seed
     reads = _SPEC_KEYS[args.problem][bool(args.data)]
     rows = "m" if args.problem == "poisson" else "N"
-    for flag, key in (("T", "T"), ("n", "n"), ("samples", rows), ("radius", "radius")):
+    for flag, key in (("T", "T"), ("n", "n"), ("samples", rows), ("radius", "radius"), ("seed", "seed")):
         value = getattr(args, flag)
         if value is None:
             continue
@@ -337,7 +343,7 @@ def make_parser():
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--eps", type=float, default=DEFAULT_GAP_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="generated problems: instance seed (default 0)")
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--json", help="optional trace JSON path")
     p.add_argument("--T", type=int, help="portfolio: number of periods")

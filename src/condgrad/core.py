@@ -181,17 +181,10 @@ def omega(t):
 
 
 def omega_star(t):
-    """-t - ln(1-t) for t < 1; the upper curvature profile."""
+    """-t - ln(1-t) = omega(-t) for t < 1; the upper curvature profile."""
     if not t < 1.0:
         raise DomainError(f"omega_star requires t < 1, got {t}")
-    t = float(t)
-    if abs(t) < _SERIES_CUTOFF:
-        return (
-            (((((t / 7.0 + 1.0 / 6.0) * t + 0.2) * t + 0.25) * t + 1.0 / 3.0) * t + 0.5)
-            * t
-            * t
-        )
-    return -t - math.log1p(-t)
+    return omega(-t)
 
 
 def dist_like(point, y):

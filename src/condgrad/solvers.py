@@ -111,9 +111,9 @@ def read_trace_csv(path):
     Returns a structured array with one element per row: `k` and
     `time_ns` int64, `f`, `gap`, `alpha`, `e` and `lipschitz` float, an
     empty `L` cell read as NaN.  The body is parsed in one `np.loadtxt`
-    pass; an empty line is skipped.  A file that is not text, a wrong
-    header or a trace without rows raises ValueError naming the file.  A
-    row that does not parse, has a non-finite f or gap, a `k` other than
+    pass; an empty line is skipped.  A wrong header or a trace without
+    rows raises ValueError naming the file.  A byte that does not decode,
+    a row that does not parse, has a non-finite f or gap, a `k` other than
     its row number or a `time_ns` below the previous row's raises
     ValueError naming the file and the line.
     """
@@ -135,8 +135,17 @@ def read_trace_csv(path):
                 and (t[1:] >= t[:-1]).all()
             ):
                 _reject(path, fh)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        # the decoder counts positions from its chunk: decode the whole file
+        with open(path, "rb") as raw_fh:
+            raw = raw_fh.read()
+        try:
+            raw.decode(fh.encoding)
+        except UnicodeDecodeError as exc:
+            # bytes.splitlines breaks lines where text mode does: \n, \r\n, \r
+            line = len(raw[: exc.start + 1].splitlines())
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+        raise
     return cols
 
 

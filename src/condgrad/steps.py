@@ -65,6 +65,7 @@ def exact_line_search(point, target):
     ``point.move(t, target)`` does not improve on f(x), read from the
     point.
     """
+    point._require_domain("exact_line_search")
     slope = point.slope(target)
     d1, d2 = slope(0.0)
     if not d1 < 0.0:
@@ -114,6 +115,7 @@ def backtrack_step(point, target, gap, lipschitz):
     and fails the check like any insufficient decrease.  `evals` is
     the number of checks made; mu is the next call's `lipschitz`.
     """
+    point._require_domain("backtrack_step")
     if not lipschitz > 0:
         raise ValueError("Lipschitz estimate must be positive")
     if not gap > 0:
@@ -123,8 +125,6 @@ def backtrack_step(point, target, gap, lipschitz):
     if vv == 0.0:
         raise ValueError("backtrack_step requires a nonzero direction")
     f_x = point.f
-    if not np.isfinite(f_x):
-        raise DomainError("backtrack_step: base point outside the objective domain")
 
     mu = GAMMA_DOWN * lipschitz
     evals = 0
@@ -149,11 +149,10 @@ def init_lipschitz(point, s0):
     starting from eps = LIPSCHITZ_PROBE and halving it (up to 60 times)
     until the probe lies in the domain.
     """
+    point._require_domain("init_lipschitz")
     norm = float(np.linalg.norm(point.direction(s0)))
     if norm == 0.0:
         raise ValueError("init_lipschitz: target coincides with the start point")
-    if not point.in_domain:
-        raise DomainError("init_lipschitz: start point outside the objective domain")
     eps = LIPSCHITZ_PROBE
     for _ in range(60):
         probe = point.move(eps, s0)

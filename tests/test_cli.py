@@ -80,6 +80,11 @@ class TestSolve:
         assert rc == 0
         assert len(read_trace_csv(out)) >= 2
 
+    def test_generated_problem_without_seed_uses_seed_0(self, tmp_path, capsys):
+        argv = ["solve", "--problem", "portfolio", "--method", "analytic", "--T", "10", "--n", "4"]
+        assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().out.startswith("portfolio_n4_T10_s0 ")
+
     def test_lloo_method_on_portfolio(self, tmp_path):
         out = tmp_path / "run.csv"
         rc = main(
@@ -275,6 +280,18 @@ class TestUserErrors:
                 ["bench", "--config", "{tmp}/radius_huge.json", "--out", "{tmp}/res"],
                 "poisson problem spec 'radius': int too large to convert to float\n",
             ),
+            (
+                ["bench", "--config", "{tmp}/T_0.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'T' must be at least 1, got 0\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/n_0.json", "--out", "{tmp}/res"],
+                "poisson problem spec 'n' must be at least 1, got 0\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/N_negative.json", "--out", "{tmp}/res"],
+                "logistic problem spec 'N' must be at least 1, got -3\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -312,6 +329,9 @@ class TestUserErrors:
             "bench-portfolio-radius",
             "bench-poisson-gamma-T",
             "bench-radius-beyond-float",
+            "bench-portfolio-T-zero",
+            "bench-poisson-n-zero",
+            "bench-logistic-N-negative",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -335,6 +355,9 @@ class TestUserErrors:
             "portfolio_radius": {"problems": [{"kind": "portfolio", "T": 10, "n": 4, "radius": 3}]},
             "poisson_gamma_T": {"problems": [{"kind": "poisson", "m": 20, "n": 5, "gamma": 0.5, "T": 9}]},
             "radius_huge": {"problems": [{"kind": "poisson", "m": 20, "n": 5, "radius": 10**400}]},
+            "T_0": {"problems": [{"kind": "portfolio", "T": 0, "n": 4}]},
+            "n_0": {"problems": [{"kind": "poisson", "m": 20, "n": 0}]},
+            "N_negative": {"problems": [{"kind": "logistic", "N": -3, "n": 4}]},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -381,6 +404,14 @@ class TestUserErrors:
                 ["--problem", "logistic", "--data", "{tmp}/l.svm", "--samples", "5"],
                 "--samples does not apply to a logistic problem read from --data",
             ),
+            (
+                ["--problem", "portfolio", "--data", "{tmp}/r.csv", "--seed", "5"],
+                "--seed does not apply to a portfolio problem read from --data",
+            ),
+            (
+                ["--problem", "logistic", "--data", "{tmp}/l.svm", "--seed", "0"],
+                "--seed does not apply to a logistic problem read from --data",
+            ),
         ],
         ids=[
             "poisson-T",
@@ -390,6 +421,8 @@ class TestUserErrors:
             "portfolio-data-T",
             "poisson-data-n",
             "logistic-data-samples",
+            "portfolio-data-seed",
+            "logistic-data-seed",
         ],
     )
     def test_unread_flag(self, tmp_path, capsys, argv, message):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from condgrad.core import (
+    _SERIES_CUTOFF,
     DomainError,
     InvariantError,
     dist_like,
@@ -43,6 +46,20 @@ class TestOmega:
             direct_s = -t - np.log1p(-t)
             assert omega(t) == pytest.approx(direct_o, rel=1e-8, abs=1e-18)
             assert omega_star(t) == pytest.approx(direct_s, rel=1e-8, abs=1e-18)
+
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True)
+        | st.floats(min_value=-_SERIES_CUTOFF, max_value=_SERIES_CUTOFF)
+    )
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(_SERIES_CUTOFF)
+    @example(-_SERIES_CUTOFF)
+    def test_omega_star_is_omega_reflected(self, t):
+        # bit for bit, on both sides of the series cutoff
+        assert omega_star(t).hex() == omega(-t).hex()
 
     def test_omega_below_omega_star_on_unit_grid(self):
         for t in np.linspace(1e-3, 0.999, 200):
@@ -171,3 +188,20 @@ class TestConcurrentReads:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(lambda x: gap_and_target(fs, log_barrier2.point(x))[0], points))
         assert got == expected
+
+
+class TestImport:
+    def test_package_import_loads_no_scipy(self):
+        # numpy is the one runtime dependency: a fresh interpreter imports
+        # condgrad without loading any scipy module
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import condgrad
+
+        env = dict(os.environ, PYTHONPATH=str(Path(condgrad.__file__).parents[1]))
+        code = "import sys, condgrad; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"

@@ -784,4 +784,16 @@ class TestTraceExport:
         path.write_bytes(b"k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n1,\xff,2,0.5,4,,6\n")
         with pytest.raises(ValueError) as exc:
             read_trace_csv(path)
-        assert str(exc.value).startswith(f"{path}")
+        assert str(exc.value).startswith(f"{path}, line 3: ")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_non_utf8_byte_past_the_first_chunk_names_its_line(self, tmp_path, newline):
+        # the text decoder reads 8 KB chunks; the line counts from the file
+        rows = "".join(f"{k},1,2,0.5,4,,{k}{newline}" for k in range(3000))
+        assert len(rows) > 8192
+        path = tmp_path / "trace.csv"
+        body = f"k,f,gap,alpha,e,L,time_ns{newline}{rows}3000,\xff,2,0.5,4,,3000{newline}"
+        path.write_bytes(body.encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value).startswith(f"{path}, line 3002: ")

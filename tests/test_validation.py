@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from condgrad.cli import run_suite
-from condgrad.core import DomainError
+from condgrad.core import DomainError, OraclePoint
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import (
     LogisticOracle,
@@ -20,12 +20,17 @@ from condgrad.problems import (
 )
 from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
 from condgrad.solvers import RunConfig, read_trace_csv
-from condgrad.steps import analytic_step, backtrack_step, init_lipschitz
+from condgrad.steps import analytic_step, backtrack_step, exact_line_search, init_lipschitz
 
 
 def outside_point():
     """A point of a 1 x 2 portfolio whose image -0.5 leaves the domain."""
     return PortfolioOracle([[1.0, 1.0]]).point(np.array([-1.0, 0.5]))
+
+
+def outside_base_point():
+    """The same point through the four-method base class."""
+    return OraclePoint(PortfolioOracle([[1.0, 1.0]]), np.array([-1.0, 0.5]))
 
 
 def write(tmp, name, text):
@@ -112,13 +117,25 @@ CASES = [
         "backtrack-outside",
         lambda tmp: backtrack_step(outside_point(), np.array([1.0, 0.0]), 1.0, 1.0),
         DomainError,
-        "backtrack_step: base point outside the objective domain",
+        "backtrack_step: point outside the objective domain",
     ),
     (
         "init-lipschitz-outside",
         lambda tmp: init_lipschitz(outside_point(), np.array([1.0, 0.0])),
         DomainError,
-        "init_lipschitz: start point outside the objective domain",
+        "init_lipschitz: point outside the objective domain",
+    ),
+    (
+        "line-search-outside",
+        lambda tmp: exact_line_search(outside_point(), np.array([1.0, 0.0])),
+        DomainError,
+        "exact_line_search: point outside the objective domain",
+    ),
+    (
+        "line-search-outside-base-point",
+        lambda tmp: exact_line_search(outside_base_point(), np.array([1.0, 0.0])),
+        DomainError,
+        "exact_line_search: point outside the objective domain",
     ),
     ("config-eps-inf", lambda tmp: RunConfig(epsilon=np.inf, max_iter=10), ValueError, "epsilon must be finite"),
     ("config-eps-nan", lambda tmp: RunConfig(epsilon=np.nan, max_iter=10), ValueError, "epsilon must be finite"),
@@ -132,7 +149,7 @@ CASES = [
         "bench-poisson-no-columns",
         lambda tmp: run_suite({"problems": [{"kind": "poisson", "m": 5, "n": 0}]}, tmp / "out"),
         ValueError,
-        "matrix dimensions must be positive",
+        "poisson problem spec 'n' must be at least 1, got 0",
     ),
     (
         "bench-eps-grid-nan",
