@@ -60,8 +60,12 @@ def _size_field(spec, key, what):
 
 
 def _eps_levels(values):
-    """The profile's relative-error levels as floats, each finite and >= 0."""
-    levels = [float(e) for e in values]
+    """The profile's relative-error levels as floats, each finite and >= 0;
+    an entry that is no number (a list, null) is a ValueError naming `eps_grid`."""
+    try:
+        levels = [float(e) for e in values]
+    except TypeError:
+        raise ValueError(f"eps_grid entries must be numbers, got {values!r}") from None
     for eps in levels:
         if not 0.0 <= eps < np.inf:
             raise ValueError(f"profile levels must be finite and nonnegative, got {eps!r}")
@@ -208,7 +212,7 @@ def run_suite(cfg, out_dir):
     A run that raises is listed in the summary with its `error` message
     and `error_type`; the remaining runs go on.
     """
-    eps_grid = _eps_levels(cfg.get("eps_grid", DEFAULT_EPS_GRID))
+    eps_grid = _eps_levels(_list_field(cfg, "eps_grid", DEFAULT_EPS_GRID))
     methods = _list_field(cfg, "methods", list(POLICIES))
     for method in methods:
         if method not in METHODS:

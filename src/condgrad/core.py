@@ -74,12 +74,13 @@ class OraclePoint:
     ``direction(target)`` is ``v = target - x``, ``norm_to(target)`` the
     local norm of v, ``slope(target)`` the function
     t -> (phi'(t), phi''(t)) of phi(t) = f(x + t v) (None outside the
-    domain), ``move(alpha, target)`` the point at t = alpha, and
-    ``hessian()`` the dense Hessian at x.  The direction to the last
-    target is kept, so the calls of one iteration share it, and so is
-    the last move (alpha by value, the target by identity): a step rule
-    tests f at a trial ``move``, and the driver's ``move`` to the
-    accepted step returns that same point.
+    domain), ``move(alpha, target)`` the point at t = alpha,
+    ``change(alpha, target)`` phi(alpha) - phi(0) (+inf outside the
+    domain), and ``hessian()`` the dense Hessian at x.  The direction to
+    the last target is kept, so the calls of one iteration share it, and
+    so is the last move (alpha by value, the target by identity): the
+    line search tests f at a trial ``move``, and the driver's ``move`` to
+    the accepted step returns that same point.
     ``refreshed()`` returns a point free of carried state; this one
     carries none.  A point that carries state subclasses this one and
     overrides ``_image_of(target)`` (a tuple led by v) and
@@ -150,6 +151,18 @@ class OraclePoint:
         if moved is None or moved[0] != alpha or moved[1] is not target:
             self._moved = moved = (alpha, target, self._step(alpha, target))
         return moved[2]
+
+    def change(self, alpha, target):
+        """f(x + alpha v) - f(x), as the difference of the trial's f and this f.
+
+        A trial inside the domain whose f is not finite breaks the
+        ``ScOracle`` contract and raises :class:`InvariantError`.
+        """
+        self._require_domain("change")
+        trial = self.move(alpha, target)
+        if trial.in_domain and not trial.f < math.inf:
+            raise InvariantError(f"objective value {trial.f} inside the domain: oracle inconsistent")
+        return trial.f - self.f
 
     def _step(self, alpha, target):
         return OraclePoint(self.oracle, self.x + alpha * self.direction(target))

@@ -32,6 +32,8 @@ DRIFT_RTOL = 1e-9
 # n / GATHER_RATIO entries: a column read touches one cache line (8 doubles)
 # per row, a full pass one per 8 entries.  A vertex is always one column.
 GATHER_RATIO = 8
+# expm1 overflows above log(max float) = 709.78
+_EXPM1_MAX = 709.0
 
 
 class GlmOracle(ScOracle):
@@ -40,8 +42,11 @@ class GlmOracle(ScOracle):
     Subclasses call ``_set_matrix`` (m x n data, m >= 1), set ``M`` and, when
     there is a quadratic term, ``gamma``, and define phi on the image
     z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
-    the domain only) and ``_derivatives(z)``, the per-row phi' and phi''
-    as one pair (called on the domain only).
+    the domain only), ``_derivatives(z)``, the per-row phi' and phi''
+    as one pair (called on the domain only), and ``_change(z, av, alpha)``,
+    the loss at z + alpha av minus the loss at z, formed without their
+    cancellation, or +inf where z + alpha av leaves the domain (called
+    with z on the domain).
     The four methods evaluate from z alone, f and the gradient with the
     arithmetic of :class:`GlmPoint`; the solvers move one point along the run.
     """
@@ -171,6 +176,18 @@ class GlmPoint(OraclePoint):
             q += gamma * float(np.dot(v, v))
         return math.sqrt(q)
 
+    def change(self, alpha, target):
+        """f(x + alpha v) - f(x) from z and A v, in O(m): the family's
+        ``_change`` plus gamma (alpha <x, v> + alpha^2 |v|^2 / 2), without
+        the cancellation of f(y) - f(x); +inf outside the domain."""
+        self._require_domain("change")
+        v, av, _ = self._image(target)
+        oracle = self.oracle
+        d = float(oracle._change(self.z, av, alpha))
+        if oracle.gamma:
+            d += oracle.gamma * alpha * (float(np.dot(self.x, v)) + 0.5 * alpha * float(np.dot(v, v)))
+        return d
+
     def slope(self, target):
         v, av, _ = self._image(target)
         oracle, z = self.oracle, self.z
@@ -238,6 +255,11 @@ class PortfolioOracle(GlmOracle):
     def _derivatives(self, z):
         return -1.0 / z, 1.0 / (z * z)
 
+    def _change(self, z, av, alpha):
+        # r > -1 is the trial's domain test: it implies z + alpha av > 0
+        r = alpha * av / z
+        return -np.log1p(r).sum() if r.min() > -1.0 else np.inf
+
 
 class PoissonOracle(GlmOracle):
     """f(x) = sum_i w_i . x - sum_i y_i ln(w_i . x) for counts y >= 0.
@@ -284,6 +306,13 @@ class PoissonOracle(GlmOracle):
         d2 = np.zeros_like(z)
         d2[self._rows] = self._y / (zp * zp)
         return d1, d2
+
+    def _change(self, z, av, alpha):
+        w = alpha * av
+        r = w[self._rows] / z[self._rows]
+        if r.size and not r.min() > -1.0:
+            return np.inf
+        return w.sum() - (self._y * np.log1p(r)).sum()
 
 
 class LogisticOracle(GlmOracle):
@@ -334,6 +363,19 @@ class LogisticOracle(GlmOracle):
         sig = self._sigmoid(z)
         m = z.shape[0]
         return (sig - 1.0) * self.labels / m, sig * (1.0 - sig) * self.labels * self.labels / m
+
+    def _change(self, z, av, alpha):
+        # l(t + s) - l(t) = log1p(sigmoid(-t) expm1(-s)) for l(t) = log(1 + e^-t),
+        # s = alpha y av; sigmoid(-t) = exp(-log(1 + e^t)) without overflow.
+        # Where expm1 would overflow, or the log1p argument nears -1 (a
+        # decrease of order one, far above f's rounding), the plain
+        # difference serves.
+        d = (-alpha) * self.labels * av
+        if d.max() < _EXPM1_MAX:
+            q = np.exp(-np.logaddexp(0.0, self.labels * (z + self.mu))) * np.expm1(d)
+            if q.min() > -0.5:
+                return np.log1p(q).mean()
+        return self._loss(z + alpha * av) - self._loss(z)
 
 
 @dataclass

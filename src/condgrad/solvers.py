@@ -17,12 +17,18 @@ import numpy as np
 
 from .core import DomainError, InvariantError, dist_like, gap_and_target
 from .sets import Simplex
-from .steps import analytic_step, backtrack_step, exact_line_search, init_lipschitz, standard_step
+from .steps import (
+    STALL_ALPHA,
+    analytic_step,
+    backtrack_step,
+    exact_line_search,
+    init_lipschitz,
+    standard_step,
+)
 
 POLICIES = ("standard", "line_search", "analytic", "backtracking")
 METHODS = POLICIES + ("lloo",)
 
-STALL_ALPHA = 1e-16
 STALL_RUNS = 10
 DESCENT_SLACK = 1e-9
 

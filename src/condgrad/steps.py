@@ -3,22 +3,23 @@
 Four strategies: the classic open-loop 2/(k+2), exact line search by
 safeguarded Newton steps on the line, a closed-form step minimizing the
 self-concordant upper model, and backtracking over an adaptive local
-Lipschitz estimate.  The adaptive rules test f at a trial point,
-``point.move(alpha, target)``, which the driver's next move returns.
+Lipschitz estimate.  The line search tests f at a trial point,
+``point.move(alpha, target)``, which the driver's next move returns;
+backtracking tests the change ``point.change(alpha, target)``.
 """
 
 import math
 
 import numpy as np
 
-from .core import DomainError, InvariantError, omega_star
+from .core import InvariantError, omega_star
 
 GAMMA_DOWN = 0.9
 GAMMA_UP = 2.0
-MAX_DOUBLINGS = 100
 EPS = float(np.finfo(float).eps)
-# first step length of init_lipschitz's finite-difference probe
-LIPSCHITZ_PROBE = 1e-3
+# a step below this length is negligible: a backtracking search ends in a
+# null step there, and the driver counts such steps toward a stall
+STALL_ALPHA = 1e-16
 
 
 def standard_step(k):
@@ -109,11 +110,14 @@ def backtrack_step(point, target, gap, lipschitz):
 
     With v = target - x, the trial Lipschitz value mu starts at
     GAMMA_DOWN x `lipschitz` (the running estimate) and doubles until
-    f(x + alpha*v) <= f(x) - alpha*gap + (alpha^2 mu / 2)|v|^2 holds with
-    alpha = min(gap/(mu |v|^2), 1), f read at the trial point
-    ``point.move(alpha, target)``.  A trial outside the domain has f = +inf
-    and fails the check like any insufficient decrease.  `evals` is
-    the number of checks made; mu is the next call's `lipschitz`.
+    f(x + alpha*v) - f(x) <= -alpha*gap + (alpha^2 mu / 2)|v|^2 holds with
+    alpha = min(gap/(mu |v|^2), 1), the change read from
+    ``point.change(alpha, target)``, so a decrease below f's rounding
+    still counts.  A trial outside the domain has change +inf and fails
+    the check like any insufficient decrease.  A search whose alpha falls
+    below STALL_ALPHA before a trial passes returns the null step
+    alpha = 0.0, which the driver counts toward a stall.  `evals` is the
+    number of checks made; mu is the next call's `lipschitz`.
     """
     point._require_domain("backtrack_step")
     if not lipschitz > 0:
@@ -124,41 +128,38 @@ def backtrack_step(point, target, gap, lipschitz):
     vv = float(np.dot(v, v))
     if vv == 0.0:
         raise ValueError("backtrack_step requires a nonzero direction")
-    f_x = point.f
 
     mu = GAMMA_DOWN * lipschitz
     evals = 0
     while True:
         alpha = min(gap / (mu * vv), 1.0)
-        quad = f_x - alpha * gap + 0.5 * alpha * alpha * mu * vv
+        if evals and alpha < STALL_ALPHA:
+            return 0.0, mu, evals
         evals += 1
-        if point.move(alpha, target).f <= quad:
-            break
-        if evals > MAX_DOUBLINGS:
-            raise InvariantError(
-                "backtracking exceeded %d doublings; oracle inconsistent" % MAX_DOUBLINGS
-            )
+        change = point.change(alpha, target)
+        if change <= -alpha * gap + 0.5 * alpha * alpha * mu * vv:
+            return alpha, mu, evals
+        if math.isnan(change):
+            raise InvariantError(f"backtracking: objective change at alpha = {alpha} is NaN")
         mu *= GAMMA_UP
-    return alpha, mu, evals
 
 
 def init_lipschitz(point, s0):
-    """Finite-difference seed for the local Lipschitz estimate at a point x0.
+    """Seed for the local Lipschitz estimate at x0: the curvature v'Hv / v'v along v = s0 - x0.
 
-    Measures ||grad f(x0) - grad f(x0 + eps*(s0-x0))|| / (eps*||s0-x0||),
-    starting from eps = LIPSCHITZ_PROBE and halving it (up to 60 times)
-    until the probe lies in the domain.
+    That is the curvature the quadratic model of `backtrack_step` needs
+    along v, and one local norm gives it.  Where f has none (v'Hv = 0, as
+    for a linear objective) the seed is the slope -<grad f(x0), v> / v'v,
+    so that the first trial is the full step.
     """
     point._require_domain("init_lipschitz")
-    norm = float(np.linalg.norm(point.direction(s0)))
-    if norm == 0.0:
+    v = point.direction(s0)
+    vv = float(np.dot(v, v))
+    if vv == 0.0:
         raise ValueError("init_lipschitz: target coincides with the start point")
-    eps = LIPSCHITZ_PROBE
-    for _ in range(60):
-        probe = point.move(eps, s0)
-        if probe.in_domain:
-            break
-        eps *= 0.5
-    else:
-        raise DomainError("init_lipschitz: could not find an in-domain probe")
-    return float(np.linalg.norm(point.gradient - probe.gradient)) / (eps * norm)
+    seed = point.norm_to(s0) ** 2
+    if seed == 0.0:
+        seed = -float(np.dot(point.gradient, v))
+    if not seed > 0:
+        raise ValueError("init_lipschitz: no curvature and no descent toward the target")
+    return seed / vv

@@ -45,6 +45,13 @@ class TestSolve:
         assert data["config"]["policy"] == "analytic"
         assert "lower_bound" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", ["5", "8"])
+    def test_backtracking_to_a_tight_gap(self, tmp_path, seed):
+        out = tmp_path / "t.csv"
+        argv = ["solve", "--problem", "portfolio", "--T", "30", "--n", "10", "--seed", seed]
+        assert main(argv + ["--method", "backtracking", "--eps", "1e-12", "--out", str(out)]) == 0
+        assert read_trace_csv(out)["gap"][-1] <= 1e-12
+
     def test_poisson_from_libsvm_file(self, tmp_path):
         out = tmp_path / "run.csv"
         rc = main(
@@ -292,6 +299,18 @@ class TestUserErrors:
                 ["bench", "--config", "{tmp}/N_negative.json", "--out", "{tmp}/res"],
                 "logistic problem spec 'N' must be at least 1, got -3\n",
             ),
+            (
+                ["bench", "--config", "{tmp}/eps_grid_number.json", "--out", "{tmp}/res"],
+                "bench config 'eps_grid' must be a list, got 0.1\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/eps_grid_nested.json", "--out", "{tmp}/res"],
+                "eps_grid entries must be numbers, got [[1]]\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/eps_grid_null.json", "--out", "{tmp}/res"],
+                "eps_grid entries must be numbers, got [None]\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -332,6 +351,9 @@ class TestUserErrors:
             "bench-portfolio-T-zero",
             "bench-poisson-n-zero",
             "bench-logistic-N-negative",
+            "bench-eps-grid-a-number",
+            "bench-eps-grid-a-nested-list",
+            "bench-eps-grid-a-null",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -358,6 +380,9 @@ class TestUserErrors:
             "T_0": {"problems": [{"kind": "portfolio", "T": 0, "n": 4}]},
             "n_0": {"problems": [{"kind": "poisson", "m": 20, "n": 0}]},
             "N_negative": {"problems": [{"kind": "logistic", "N": -3, "n": 4}]},
+            "eps_grid_number": {"problems": portfolio, "eps_grid": 0.1},
+            "eps_grid_nested": {"problems": portfolio, "eps_grid": [[1]]},
+            "eps_grid_null": {"problems": portfolio, "eps_grid": [None]},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))

@@ -9,12 +9,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from condgrad import problems
 from condgrad.cli import run_one
-from condgrad.core import DomainError, InvariantError, OraclePoint, ScOracle
+from condgrad.core import DomainError, InvariantError, OraclePoint, ScOracle, dist_like, gap_and_target
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import (
     DRIFT_RTOL,
@@ -28,10 +28,12 @@ from condgrad.problems import (
     portfolio_problem,
 )
 from condgrad.solvers import POLICIES, RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
+from condgrad.steps import analytic_step
 
 from conftest import DATA_DIR
 
 KINDS = ("portfolio", "poisson", "logistic")
+EPS = float(np.finfo(float).eps)
 
 
 class ReferenceOracle(ScOracle):
@@ -346,6 +348,65 @@ class TestCarriedImage:
                 point = point.move(1e-3, fs.vertices()[0])
 
 
+class TestChange:
+    """`GlmPoint.change` is f(x + alpha v) - f(x), formed from z and A v."""
+
+    @given(instances, st.floats(min_value=1e-3, max_value=1.0))
+    def test_matches_the_difference_of_two_values(self, inst, alpha):
+        # the Poisson instances have zero-count rows, the logistic ones a gamma term
+        kind, m, n, seed = inst
+        oracle, fs = make_instance(kind, m, n, seed)
+        gen = np.random.default_rng(seed + 5)
+        point = oracle.point(feasible_point(kind, fs, gen))
+        for _ in range(3):
+            target = random_target(kind, fs, point.x, gen)
+            trial = point.move(alpha, target)
+            change = point.change(alpha, target)
+            if not trial.in_domain:
+                assert change == np.inf
+                continue
+            # the plain difference carries the rounding of two sums of m
+            # terms, each off by about eps (1 + |term|)
+            plain = trial.f - point.f
+            scale = m * max(1.0, abs(point.f), abs(trial.f))
+            assert abs(change - plain) <= 1e-9 * abs(plain) + 4 * EPS * scale
+
+    @given(instances, st.floats(min_value=-12.0, max_value=-3.0))
+    def test_a_descent_step_has_a_negative_change(self, inst, log_alpha):
+        # any alpha up to the analytic step lowers f, by at least its model
+        # decrease; the change sees that decrease below f's rounding
+        kind, m, n, seed = inst
+        oracle, fs = make_instance(kind, m, n, seed)
+        point = oracle.point(feasible_point(kind, fs, np.random.default_rng(seed + 6)))
+        gap, target = gap_and_target(fs, point)
+        assume(gap > 1e-6)
+        cap, _ = analytic_step(gap, dist_like(point, target), oracle.M)
+        alpha = min(10.0**log_alpha, cap)
+        assert point.change(alpha, target) < 0.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sees_a_decrease_the_plain_difference_rounds_away(self, kind):
+        oracle, fs = make_instance(kind, 40, 8, 3)
+        point = oracle.point(fs.start_point())
+        gap, target = gap_and_target(fs, point)
+        # a decrease of a tenth of f's rounding unit
+        alpha = 0.1 * EPS * abs(point.f) / gap
+        assert point.move(alpha, target).f == point.f
+        assert point.change(alpha, target) == pytest.approx(-alpha * gap, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "x, target",
+        [(500.0, -1000.0), (-50.0, 100.0)],
+        ids=["expm1-overflows", "log1p-argument-near-minus-one"],
+    )
+    def test_logistic_falls_back_to_the_plain_difference(self, x, target):
+        # one row, label 1: the step moves the margin t = x by target - x
+        problem = logistic_problem(np.ones((1, 1)), np.ones(1), radius=1000.0)
+        point = problem.oracle.point(np.array([x]))
+        change = point.change(1.0, np.array([target]))
+        assert change == pytest.approx(point.move(1.0, np.array([target])).f - point.f, rel=1e-12)
+
+
 def small_cases():
     """(kind, oracle, set) of one small instance per family."""
     cases = []
@@ -401,15 +462,27 @@ class TestPassCounts:
         return problem.oracle, problem.feasible_set, counts
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_one_pass_per_iteration(self, desk, policy):
+    def test_one_pass_per_iteration(self, desk, policy, monkeypatch):
+        # epsilon lies below the gap's rounding floor here (~1e-14, which
+        # backtracking reaches in 40 iterations), so no run ends on the gap;
+        # a carried gap that rounds to 0 is re-checked at a refreshed point
         oracle, fs, counts = desk
-        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-14, max_iter=250, policy=policy))
+        refreshes = {"gap": 0}
+        original = GlmPoint.refreshed
+
+        def refreshed(self):
+            exact = original(self)
+            refreshes["gap"] += exact is not self
+            return exact
+
+        monkeypatch.setattr(GlmPoint, "refreshed", refreshed)
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-16, max_iter=250, policy=policy))
         assert trace.termination in ("max_iter", "stalled")
         iters = trace.records[-1].k
         assert iters >= 20
-        # the start image, one gradient per row, the refreshes, and for
-        # backtracking the gradient at init_lipschitz's probe
-        bound = 1 + (iters + 1) + iters // REFRESH_INTERVAL + (policy == "backtracking")
+        # the start image, one gradient per row, the refreshes, and for each
+        # gap re-check the exact image and its gradient
+        bound = 1 + (iters + 1) + iters // REFRESH_INTERVAL + 2 * refreshes["gap"]
         assert counts["products"] <= bound
 
     def test_one_pass_per_lloo_iteration(self, desk):
@@ -523,7 +596,7 @@ class TestPassCounts:
 
 # the members the drivers, step rules and estimate_sigma read of a point,
 # besides the attributes in_domain and f set when it is made
-POINT_SURFACE = {"gradient", "hessian", "direction", "norm_to", "slope", "move", "refreshed"}
+POINT_SURFACE = {"gradient", "hessian", "direction", "norm_to", "slope", "move", "change", "refreshed"}
 
 
 def public_members(cls):
@@ -571,30 +644,33 @@ def test_move_keeps_its_last_result_at_the_refresh_age():
 
 
 class TestTrialPoints:
-    """f is formed once per trial point: the trial a step rule accepts is
-    the driver's next iterate."""
+    """f is formed once per point made: the trial the line search accepts
+    is the driver's next iterate, and a backtracking trial is a change
+    (`_change`), which makes no point."""
 
     @pytest.fixture
     def desk(self, monkeypatch):
         problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
-        oracle, calls = problem.oracle, {"_loss": 0}
-        original = oracle._loss
+        oracle, calls = problem.oracle, {"_loss": 0, "_change": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(oracle, name)):
+                calls[name] += 1
+                return original(*args)
 
-        def loss(z):
-            calls["_loss"] += 1
-            return original(z)
-
-        monkeypatch.setattr(oracle, "_loss", loss)
+            monkeypatch.setattr(oracle, name, counted)
         return oracle, problem.feasible_set, calls
 
-    def test_one_loss_per_backtracking_trial(self, desk):
-        # every trial toward a simplex vertex stays inside the portfolio domain
+    def test_one_change_per_backtracking_trial(self, desk):
         oracle, fs, calls = desk
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-14, max_iter=300, policy="backtracking"))
+        steps = len(trace.records) - 1
         evals = sum(r.evals for r in trace.records[:-1])
-        assert evals > len(trace.records) - 1
-        # plus the start point, init_lipschitz's probe and at most one refreshed point
-        assert evals + 2 <= calls["_loss"] <= evals + 3
+        assert evals > steps
+        # every trial toward a simplex vertex stays inside the portfolio
+        # domain, where `_change` needs no `_loss`
+        assert calls["_change"] == evals
+        # the start point, one point per step and at most one refreshed point
+        assert steps + 1 <= calls["_loss"] <= steps + 2
 
     def test_one_loss_per_line_search_iteration(self, desk):
         oracle, fs, calls = desk

@@ -12,10 +12,11 @@ import condgrad
 from condgrad.cli import DEFAULT_MAX_ITER, build_problem, run_one
 from condgrad.core import DomainError, InvariantError, ScOracle, omega_star
 from condgrad.lloo import lloo_simplex
-from condgrad.problems import gen_portfolio_data, poisson_problem, portfolio_problem
+from condgrad.problems import gen_binary_design, gen_portfolio_data, poisson_problem, portfolio_problem
 from condgrad.sets import Simplex
 from condgrad.solvers import (
     METHODS,
+    POLICIES,
     RunConfig,
     RunTrace,
     IterationRecord,
@@ -330,6 +331,25 @@ class TestBacktrackingRun:
         extra = max(0.0, np.log(2.0 * mu_max / trace.init_lipschitz)) / np.log(2.0)
         for k in range(len(evals)):
             assert cum[k] <= (k + 1) * const + extra
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_linear_objective_solves_in_one_step(self, policy):
+        # every count zero: f is linear, and each policy takes the full step
+        problem = poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.zeros(20))
+        trace = fw_solve(problem.oracle, problem.feasible_set, RunConfig(epsilon=1e-9, max_iter=50, policy=policy))
+        assert trace.termination == "gap_below_eps"
+        assert len(trace.records) == 2
+        assert trace.records[0].alpha == 1.0
+
+    def test_tight_gaps_end_without_an_exception(self):
+        # eps 1e-12 lies near f's rounding floor on these instances, where
+        # only a trial's change, not f(y) against f(x), resolves the decrease
+        for seed in range(12):
+            problem = portfolio_problem(gen_portfolio_data(30, 10, seed))
+            config = RunConfig(epsilon=1e-12, max_iter=2000, policy="backtracking")
+            trace = fw_solve(problem.oracle, problem.feasible_set, config)
+            assert trace.termination in ("gap_below_eps", "stalled")
+            assert all(np.isfinite(r.f) for r in trace.records)
 
     def test_sufficient_decrease_along_run(self, desk_portfolio):
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set

@@ -15,7 +15,9 @@ from condgrad.steps import (
     standard_step,
 )
 
-from conftest import DATA_DIR, EdgeOracle, QuadOracle
+from conftest import DATA_DIR, QuadOracle, dense
+from test_glm import make_instance
+
 
 
 class TestStandardStep:
@@ -311,15 +313,14 @@ class TestInitLipschitz:
         with pytest.raises(ValueError):
             init_lipschitz(quad2.point(np.ones(2)), np.ones(2))
 
-    def test_no_in_domain_probe_raises(self):
-        # every probe toward (0, 1) leaves the line x[1] = 0 that is the domain
-        point = EdgeOracle().point(np.array([1.0, 0.0]))
-        with pytest.raises(DomainError, match="^init_lipschitz: could not find an in-domain probe$"):
-            init_lipschitz(point, (1, 1.0))
-
-    def test_halves_eps_until_in_domain(self, log_barrier2):
-        # probe from a point so close to the boundary that eps=1e-3 exits
-        x0 = np.array([1e-4, 1.0])
-        s0 = np.array([-1.0, 1.0])
-        L = init_lipschitz(log_barrier2.point(x0), s0)
-        assert np.isfinite(L) and L > 0.0
+    @pytest.mark.parametrize("kind", ["portfolio", "poisson", "logistic"])
+    def test_seed_is_the_curvature_along_the_first_direction(self, kind):
+        # v'Hv / v'v, from the four-method Hessian product at the start point
+        oracle, fs = make_instance(kind, 40, 8, 5)
+        x0 = fs.start_point()
+        point = oracle.point(x0)
+        _, s0 = gap_and_target(fs, point)
+        v = dense(fs.dim, s0) - x0
+        expected = float(np.dot(v, oracle.hess_vec(x0, v))) / float(np.dot(v, v))
+        assert expected > 0.0
+        assert init_lipschitz(point, s0) == pytest.approx(expected, rel=1e-12)

@@ -137,6 +137,18 @@ CASES = [
         DomainError,
         "exact_line_search: point outside the objective domain",
     ),
+    (
+        "change-outside",
+        lambda tmp: outside_point().change(0.5, np.array([1.0, 0.0])),
+        DomainError,
+        "change: point outside the objective domain",
+    ),
+    (
+        "change-outside-base-point",
+        lambda tmp: outside_base_point().change(0.5, np.array([1.0, 0.0])),
+        DomainError,
+        "change: point outside the objective domain",
+    ),
     ("config-eps-inf", lambda tmp: RunConfig(epsilon=np.inf, max_iter=10), ValueError, "epsilon must be finite"),
     ("config-eps-nan", lambda tmp: RunConfig(epsilon=np.nan, max_iter=10), ValueError, "epsilon must be finite"),
     (
