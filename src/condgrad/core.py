@@ -10,7 +10,6 @@ oracle.
 """
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +67,9 @@ class OraclePoint:
 
     ``in_domain`` and ``f`` are set when the point is made, f as +inf
     outside the domain without a ``value`` call; ``gradient`` is
-    evaluated once, on first use.  A target is a point of the feasible
-    set: a vertex (i, value), meaning value * e_i, as a linear oracle
-    returns it, or a dense array.
+    evaluated once, on first read, by the hook ``_gradient_at()``.  A
+    target is a point of the feasible set: a vertex (i, value), meaning
+    value * e_i, as a linear oracle returns it, or a dense array.
     ``direction(target)`` is ``v = target - x``, ``norm_to(target)`` the
     local norm of v, ``slope(target)`` the function
     t -> (phi'(t), phi''(t)) of phi(t) = f(x + t v) (None outside the
@@ -83,11 +82,11 @@ class OraclePoint:
     the accepted step returns that same point.
     ``refreshed()`` returns a point free of carried state; this one
     carries none.  A point that carries state subclasses this one and
-    overrides ``_image_of(target)`` (a tuple led by v) and
-    ``_step(alpha, target)``.  A point belongs to one run.
+    overrides ``_gradient_at()``, ``_image_of(target)`` (a tuple led by v)
+    and ``_step(alpha, target)``.  A point belongs to one run.
     """
 
-    _target = _moved = None
+    _gradient = _target = _moved = None
 
     def __init__(self, oracle, x):
         self.oracle = oracle
@@ -99,8 +98,14 @@ class OraclePoint:
         if not self.in_domain:
             raise DomainError(f"{what}: point outside the objective domain")
 
-    @cached_property
+    @property
     def gradient(self):
+        g = self._gradient
+        if g is None:
+            g = self._gradient = self._gradient_at()
+        return g
+
+    def _gradient_at(self):
         return self.oracle.gradient(self.x)
 
     def hessian(self):

@@ -10,7 +10,6 @@ image z = A x from one iterate to the next.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +33,10 @@ DRIFT_RTOL = 1e-9
 GATHER_RATIO = 8
 # expm1 overflows above log(max float) = 709.78
 _EXPM1_MAX = 709.0
+# The families' reductions call the ufunc's reduce (np.add.reduce for
+# z.sum(), np.minimum.reduce for z.min()): the same C loop, bit for bit,
+# without ndarray's Python wrapper, which costs about as much as the loop
+# on a desk-sized z.
 
 
 class GlmOracle(ScOracle):
@@ -66,7 +69,7 @@ class GlmOracle(ScOracle):
         self._amax = amax
 
     def point(self, x):
-        return GlmPoint(self, x)
+        return GlmPoint(self, np.asarray(x, dtype=float))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -120,14 +123,15 @@ class GlmPoint(OraclePoint):
     recomputed as A x; a carried z that drifted beyond DRIFT_RTOL raises
     InvariantError.
     Inside the domain the pair (phi'(z), phi''(z)) is set with f.
+    x is a float array: ``GlmOracle.point`` converts its argument.
     """
 
     def __init__(self, oracle, x, z=None, age=0, reach=None):
         self.oracle = oracle
-        self.x = np.asarray(x, dtype=float)
-        self.z = oracle.matrix @ self.x if z is None else z
+        self.x = x
+        self.z = oracle.matrix @ x if z is None else z
         self.age = age
-        self.reach = float(np.sum(np.abs(self.x))) if reach is None else reach
+        self.reach = float(np.sum(np.abs(x))) if reach is None else reach
         self.in_domain = bool(oracle._domain(self.z))
         if self.in_domain:
             self.f = oracle._objective(self.z, self.x)
@@ -135,8 +139,7 @@ class GlmPoint(OraclePoint):
         else:
             self.f = np.inf
 
-    @cached_property
-    def gradient(self):
+    def _gradient_at(self):
         self._require_domain("gradient")
         return self.oracle._gradient(self._derivatives[0], self.x)
 
@@ -157,7 +160,9 @@ class GlmPoint(OraclePoint):
         a = self.oracle.matrix
         if isinstance(target, tuple):
             i, value = target
-            return vertex_direction(self.x, target), value * a[:, i] - self.z, abs(value)
+            # value * a_i is a_i itself at value 1 (each simplex vertex)
+            col = a[:, i] if value == 1.0 else value * a[:, i]
+            return vertex_direction(self.x, target), col - self.z, abs(value)
         s = np.asarray(target, dtype=float)
         v = s - self.x
         support = np.flatnonzero(s)
@@ -170,10 +175,11 @@ class GlmPoint(OraclePoint):
     def norm_to(self, target):
         self._require_domain("norm_to")
         v, av, _ = self._image(target)
-        q = float(np.dot(self._derivatives[1], av * av))
+        # ndarray.dot is np.dot without its dispatch wrapper
+        q = float(self._derivatives[1].dot(av * av))
         gamma = self.oracle.gamma
         if gamma:
-            q += gamma * float(np.dot(v, v))
+            q += gamma * float(v.dot(v))
         return math.sqrt(q)
 
     def change(self, alpha, target):
@@ -247,10 +253,10 @@ class PortfolioOracle(GlmOracle):
         return self.matrix
 
     def _domain(self, z):
-        return z.min() > 0.0
+        return np.minimum.reduce(z) > 0.0
 
     def _loss(self, z):
-        return -np.log(z).sum()
+        return -np.add.reduce(np.log(z))
 
     def _derivatives(self, z):
         return -1.0 / z, 1.0 / (z * z)
@@ -258,7 +264,7 @@ class PortfolioOracle(GlmOracle):
     def _change(self, z, av, alpha):
         # r > -1 is the trial's domain test: it implies z + alpha av > 0
         r = alpha * av / z
-        return -np.log1p(r).sum() if r.min() > -1.0 else np.inf
+        return -np.add.reduce(np.log1p(r)) if np.minimum.reduce(r) > -1.0 else np.inf
 
 
 class PoissonOracle(GlmOracle):
@@ -294,10 +300,10 @@ class PoissonOracle(GlmOracle):
 
     def _domain(self, z):
         zp = z[self._rows]
-        return zp.size == 0 or zp.min() > 0.0
+        return zp.size == 0 or np.minimum.reduce(zp) > 0.0
 
     def _loss(self, z):
-        return z.sum() - (self._y * np.log(z[self._rows])).sum()
+        return np.add.reduce(z) - np.add.reduce(self._y * np.log(z[self._rows]))
 
     def _derivatives(self, z):
         zp = z[self._rows]
@@ -310,9 +316,9 @@ class PoissonOracle(GlmOracle):
     def _change(self, z, av, alpha):
         w = alpha * av
         r = w[self._rows] / z[self._rows]
-        if r.size and not r.min() > -1.0:
+        if r.size and not np.minimum.reduce(r) > -1.0:
             return np.inf
-        return w.sum() - (self._y * np.log1p(r)).sum()
+        return np.add.reduce(w) - np.add.reduce(self._y * np.log1p(r))
 
 
 class LogisticOracle(GlmOracle):
@@ -351,7 +357,8 @@ class LogisticOracle(GlmOracle):
     def _loss(self, z):
         # log(1 + exp(-t)) without overflow
         t, e = self._margins(z)
-        return np.mean(np.maximum(-t, 0.0) + np.log1p(e))
+        # np.mean is this sum over the count
+        return np.add.reduce(np.maximum(-t, 0.0) + np.log1p(e)) / z.size
 
     def _sigmoid(self, z):
         t, e = self._margins(z)
@@ -371,10 +378,10 @@ class LogisticOracle(GlmOracle):
         # decrease of order one, far above f's rounding), the plain
         # difference serves.
         d = (-alpha) * self.labels * av
-        if d.max() < _EXPM1_MAX:
+        if np.maximum.reduce(d) < _EXPM1_MAX:
             q = np.exp(-np.logaddexp(0.0, self.labels * (z + self.mu))) * np.expm1(d)
-            if q.min() > -0.5:
-                return np.log1p(q).mean()
+            if np.minimum.reduce(q) > -0.5:
+                return np.add.reduce(np.log1p(q)) / q.size
         return self._loss(z + alpha * av) - self._loss(z)
 
 

@@ -13,11 +13,14 @@ import math
 import numpy as np
 
 CONTAINS_TOL = 1e-9
+# The reductions call the ufunc's reduce (np.add.reduce for x.sum(),
+# np.minimum.reduce for x.min(), np.logical_and.reduce for .all()): the
+# same C loop, bit for bit, without ndarray's Python wrapper.
 
 
 def _check_finite(c):
     c = np.asarray(c, dtype=float)
-    if not np.isfinite(c).all():
+    if not np.logical_and.reduce(np.isfinite(c)):
         raise ValueError("linear oracle input has non-finite entries")
     return c
 
@@ -74,10 +77,11 @@ class Simplex(FeasibleSet):
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
+        # one min-reduction tests x >= -tol, and rejects a NaN the same way
         return (
             x.shape == (self.dim,)
-            and bool((x >= -tol).all())
-            and abs(float(x.sum()) - 1.0) <= tol
+            and bool(np.minimum.reduce(x) >= -tol)
+            and abs(float(np.add.reduce(x)) - 1.0) <= tol
         )
 
     @property
@@ -113,7 +117,7 @@ class L1Ball(FeasibleSet):
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim,) and float(np.abs(x).sum()) <= self.radius + tol
+        return x.shape == (self.dim,) and float(np.add.reduce(np.abs(x))) <= self.radius + tol
 
     @property
     def diameter(self):
@@ -146,8 +150,8 @@ class NonnegL1Ball(FeasibleSet):
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and bool((x >= -tol).all())
-            and float(x.sum()) <= self.radius + tol
+            and bool(np.minimum.reduce(x) >= -tol)
+            and float(np.add.reduce(x)) <= self.radius + tol
         )
 
     @property

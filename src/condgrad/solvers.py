@@ -60,7 +60,7 @@ class RunConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     f: float
@@ -260,6 +260,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
     guarantee; when it leaves the domain the run ends as stalled, while
     for the other policies that raises.  The analytic step's guaranteed
     decrease is checked next to that, on the point the step returns.
+    A null step (alpha = 0) keeps the point, with its f and gradient.
     """
     x0 = feasible_set.start_point() if x0 is None else np.asarray(x0, dtype=float).copy()
     if not feasible_set.contains(x0):
@@ -342,7 +343,7 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
         if tiny_steps >= STALL_RUNS:
             return RunTrace(records, point.x, "stalled", config, init_lip)
 
-        nxt = point.move(alpha, s)
+        nxt = point.move(alpha, s) if alpha else point
         if not nxt.in_domain:
             if policy == "standard":
                 # the open-loop baseline carries no domain guarantee

@@ -461,12 +461,10 @@ class TestPassCounts:
         problem.oracle.matrix = view
         return problem.oracle, problem.feasible_set, counts
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_one_pass_per_iteration(self, desk, policy, monkeypatch):
-        # epsilon lies below the gap's rounding floor here (~1e-14, which
-        # backtracking reaches in 40 iterations), so no run ends on the gap;
-        # a carried gap that rounds to 0 is re-checked at a refreshed point
-        oracle, fs, counts = desk
+    @pytest.fixture
+    def gap_refreshes(self, monkeypatch):
+        """Counts the refreshes that re-check a gap: a carried gap that
+        rounds below epsilon is re-checked at a refreshed point."""
         refreshes = {"gap": 0}
         original = GlmPoint.refreshed
 
@@ -476,13 +474,34 @@ class TestPassCounts:
             return exact
 
         monkeypatch.setattr(GlmPoint, "refreshed", refreshed)
+        return refreshes
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_one_pass_per_iteration(self, desk, policy, gap_refreshes):
+        # epsilon lies below the gap's rounding floor here (~1e-14, which
+        # backtracking reaches in 40 iterations), so no run ends on the gap
+        oracle, fs, counts = desk
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-16, max_iter=250, policy=policy))
         assert trace.termination in ("max_iter", "stalled")
         iters = trace.records[-1].k
         assert iters >= 20
         # the start image, one gradient per row, the refreshes, and for each
         # gap re-check the exact image and its gradient
-        bound = 1 + (iters + 1) + iters // REFRESH_INTERVAL + 2 * refreshes["gap"]
+        bound = 1 + (iters + 1) + iters // REFRESH_INTERVAL + 2 * gap_refreshes["gap"]
+        assert counts["products"] <= bound
+
+    def test_null_step_keeps_its_point(self, desk, gap_refreshes):
+        # backtracking stalls here on ten null steps (alpha = 0) in a row; a
+        # null step keeps the point, so the row after it reads the gradient
+        # the point already holds and makes no product
+        oracle, fs, counts = desk
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-16, max_iter=250, policy="backtracking"))
+        assert trace.termination == "stalled"
+        iters = trace.records[-1].k
+        # the last row ends the run without a step
+        nulls = sum(r.alpha == 0.0 for r in trace.records[:-1])
+        assert nulls >= 5
+        bound = 1 + (iters + 1) - nulls + iters // REFRESH_INTERVAL + 2 * gap_refreshes["gap"]
         assert counts["products"] <= bound
 
     def test_one_pass_per_lloo_iteration(self, desk):

@@ -155,3 +155,13 @@ class TestContains:
 
     def test_shape_mismatch(self):
         assert not Simplex(3).contains(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("fs", make_sets(3), ids=lambda fs: fs.kind)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_rejects_non_finite(self, fs, bad, at):
+        # `is` also checks for a Python bool: numpy's np.False_ is not False
+        x = fs.start_point()
+        assert fs.contains(x) is True
+        x[at] = bad
+        assert fs.contains(x) is False
