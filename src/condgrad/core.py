@@ -76,17 +76,16 @@ class OraclePoint:
     domain), ``move(alpha, target)`` the point at t = alpha,
     ``change(alpha, target)`` phi(alpha) - phi(0) (+inf outside the
     domain), and ``hessian()`` the dense Hessian at x.  The direction to
-    the last target is kept, so the calls of one iteration share it, and
-    so is the last move (alpha by value, the target by identity): the
-    line search tests f at a trial ``move``, and the driver's ``move`` to
-    the accepted step returns that same point.
+    the last target is kept, so the calls of one iteration share it.
+    The step rules judge a trial by its ``change``; the driver's
+    ``move`` makes the next iterate.
     ``refreshed()`` returns a point free of carried state; this one
     carries none.  A point that carries state subclasses this one and
     overrides ``_gradient_at()``, ``_image_of(target)`` (a tuple led by v)
-    and ``_step(alpha, target)``.  A point belongs to one run.
+    and ``move(alpha, target)``.  A point belongs to one run.
     """
 
-    _gradient = _target = _moved = None
+    _gradient = _target = None
 
     def __init__(self, oracle, x):
         self.oracle = oracle
@@ -152,10 +151,7 @@ class OraclePoint:
         return derivatives
 
     def move(self, alpha, target):
-        moved = self._moved
-        if moved is None or moved[0] != alpha or moved[1] is not target:
-            self._moved = moved = (alpha, target, self._step(alpha, target))
-        return moved[2]
+        return OraclePoint(self.oracle, self.x + alpha * self.direction(target))
 
     def change(self, alpha, target):
         """f(x + alpha v) - f(x), as the difference of the trial's f and this f.
@@ -168,9 +164,6 @@ class OraclePoint:
         if trial.in_domain and not trial.f < math.inf:
             raise InvariantError(f"objective value {trial.f} inside the domain: oracle inconsistent")
         return trial.f - self.f
-
-    def _step(self, alpha, target):
-        return OraclePoint(self.oracle, self.x + alpha * self.direction(target))
 
     def refreshed(self):
         return self

@@ -115,7 +115,7 @@ class GlmPoint(OraclePoint):
     a vertex (i, value) of the feasible set costs one scaled column,
     value a_i, and a dense local-oracle target is gathered from its
     support, or costs one full product when that support is large.
-    Domain tests, f, local norms, trial moves and probes of the two
+    Domain tests, f, local norms, trial changes and probes of the two
     derivatives along the line then cost O(m); the gradient's
     A^T phi'(z) is the one full pass over the data per iterate, and the
     dense Hessian (``hessian()``) one Gram product.  After
@@ -191,7 +191,7 @@ class GlmPoint(OraclePoint):
         oracle = self.oracle
         d = float(oracle._change(self.z, av, alpha))
         if oracle.gamma:
-            d += oracle.gamma * alpha * (float(np.dot(self.x, v)) + 0.5 * alpha * float(np.dot(v, v)))
+            d += oracle.gamma * alpha * (float(self.x.dot(v)) + 0.5 * alpha * float(v.dot(v)))
         return d
 
     def slope(self, target):
@@ -207,14 +207,14 @@ class GlmPoint(OraclePoint):
             if not oracle._domain(y):
                 return None
             d1, d2 = oracle._derivatives(y)
-            p1, p2 = float(np.dot(d1, av)), float(np.dot(d2, av2))
+            p1, p2 = float(d1.dot(av)), float(d2.dot(av2))
             if gamma:
                 return p1 + gamma * (xv + t * vv), p2 + gamma * vv
             return p1, p2
 
         return derivatives
 
-    def _step(self, alpha, target):
+    def move(self, alpha, target):
         v, av, s_norm = self._image(target)
         x, z = self.x + alpha * v, self.z + alpha * av
         reach = max(self.reach, s_norm)

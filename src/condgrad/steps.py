@@ -3,9 +3,9 @@
 Four strategies: the classic open-loop 2/(k+2), exact line search by
 safeguarded Newton steps on the line, a closed-form step minimizing the
 self-concordant upper model, and backtracking over an adaptive local
-Lipschitz estimate.  The line search tests f at a trial point,
-``point.move(alpha, target)``, which the driver's next move returns;
-backtracking tests the change ``point.change(alpha, target)``.
+Lipschitz estimate.  The two adaptive rules judge a trial by its
+change ``point.change(alpha, target)``, which makes no point on a GLM
+objective; only the driver moves to a new point.
 """
 
 import math
@@ -60,11 +60,12 @@ def exact_line_search(point, target):
     self-concordant f.  A bracket [lo, hi] around the minimizer narrows
     by the sign of phi' at each probe, and to a probe outside the domain;
     a step leaving it bisects, except that a step past 1 probes t = 1
-    once.  The search stops when the predicted decrease phi'^2/phi'' is
-    below eps * max(1, |f(x)|) or the bracket is at rounding width.
-    Returns 0 when phi'(0) >= 0 or when f at the trial point
-    ``point.move(t, target)`` does not improve on f(x), read from the
-    point.
+    once.  The search stops when the predicted decrease phi'^2/phi''
+    falls below eps times the smaller of max(1, |f(x)|) and its own value
+    at t = 0, or when the bracket is at rounding width.
+    Returns 0 when phi'(0) >= 0 or when the change
+    ``point.change(t, target)`` is not negative, so a decrease below f's
+    rounding still counts.
     """
     point._require_domain("exact_line_search")
     slope = point.slope(target)
@@ -73,6 +74,8 @@ def exact_line_search(point, target):
         return 0.0
     half_m = 0.5 * point.oracle.M
     tol = EPS * max(1.0, abs(point.f))
+    if d2 > 0.0:
+        tol = min(tol, EPS * d1 * d1 / d2)
     t = lo = 0.0
     hi = 1.0
     capped = False
@@ -100,7 +103,7 @@ def exact_line_search(point, target):
                 lo = t
             else:
                 hi = t
-    if not point.move(t, target).f < point.f:
+    if not point.change(t, target) < 0.0:
         return 0.0
     return t
 

@@ -90,6 +90,17 @@ class EdgeOracle(ScOracle):
         return x[1] == 0.0
 
 
+class FourCalls(ScOracle):
+    """The four oracle calls of `inner` alone: its point is the base
+    `OraclePoint`, the path a custom oracle and a traced solve take.
+    The calls are instance attributes, so a test can replace one."""
+
+    def __init__(self, inner):
+        self.dim, self.M = inner.dim, inner.M
+        self.value, self.gradient = inner.value, inner.gradient
+        self.hess_vec, self.in_domain = inner.hess_vec, inner.in_domain
+
+
 @pytest.fixture
 def log_barrier2():
     return LogBarrierOracle(2)

@@ -15,7 +15,6 @@ import pytest
 
 import condgrad
 from condgrad import cli, solvers, steps
-from condgrad.core import ScOracle
 from condgrad.problems import (
     gen_binary_design,
     gen_logistic_data,
@@ -24,6 +23,8 @@ from condgrad.problems import (
     poisson_problem,
     portfolio_problem,
 )
+
+from conftest import FourCalls
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,16 +78,6 @@ def test_traced_solves_record_every_solver_span(spans):
     expected |= {f"problems.{call}" for call in spans.ORACLE_CALLS}
     expected |= {"lloo.lloo_simplex", "sets.lmo", "sets.contains", "cli.run_one"}
     assert sorted(expected - recorded) == []
-
-
-class FourCalls(ScOracle):
-    """The four oracle calls of `inner` alone: its point is the base
-    `OraclePoint`, the one a solve through `spans.TracedOracle` gets."""
-
-    def __init__(self, inner):
-        self.dim, self.M = inner.dim, inner.M
-        self.value, self.gradient = inner.value, inner.gradient
-        self.hess_vec, self.in_domain = inner.hess_vec, inner.in_domain
 
 
 def answers(trace):

@@ -28,9 +28,9 @@ from condgrad.problems import (
     portfolio_problem,
 )
 from condgrad.solvers import POLICIES, RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
-from condgrad.steps import analytic_step
+from condgrad.steps import analytic_step, exact_line_search
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, FourCalls
 
 KINDS = ("portfolio", "poisson", "logistic")
 EPS = float(np.finfo(float).eps)
@@ -98,30 +98,9 @@ class ReferenceOracle(ScOracle):
         return self.a.T @ (self._weights(self._z(x))[1] * (self.a @ u)) + self.glm.gamma * u
 
 
-class FourMethods(ScOracle):
-    """Only the four methods of `inner`, so the solvers take the default point."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.dim = inner.dim
-        self.M = inner.M
-
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        return self.inner.gradient(x)
-
-    def hess_vec(self, x, u):
-        return self.inner.hess_vec(x, u)
-
-    def in_domain(self, x):
-        return self.inner.in_domain(x)
-
-
 def test_oracle_point_outside_the_domain_makes_no_value_call():
     oracle = portfolio_problem(gen_portfolio_data(6, 3, 0)).oracle
-    counted = FourMethods(oracle)
+    counted = FourCalls(oracle)
     calls = {"value": 0}
 
     def value(x):
@@ -423,7 +402,7 @@ class TestRunsMatchFourMethodPath:
         if method == "lloo" and fs.kind != "simplex":
             pytest.skip("the local oracle runs on the simplex only")
         glm = run_one(oracle, fs, method, 1e-7, 400)
-        ref = run_one(FourMethods(oracle), fs, method, 1e-7, 400)
+        ref = run_one(FourCalls(oracle), fs, method, 1e-7, 400)
         assert glm.termination == ref.termination
         assert len(glm.records) == len(ref.records)
         f_glm = np.array([r.f for r in glm.records])
@@ -542,7 +521,7 @@ class TestPassCounts:
         # its own image of x, then two passes; the start point's domain test
         # and f make one image each
         oracle, fs, counts = desk
-        counted = FourMethods(oracle)
+        counted = FourCalls(oracle)
         calls = {"hess_vec": 0}
 
         def hess_vec(x, u):
@@ -598,7 +577,7 @@ class TestPassCounts:
         # row, the vertex's on the termination row only
         oracle, fs, _ = desk
         sigma = estimate_sigma(oracle, fs.start_point())
-        counted = FourMethods(oracle)
+        counted = FourCalls(oracle)
         calls = {"hess_vec": 0}
 
         def hess_vec(x, u):
@@ -628,7 +607,7 @@ def test_both_point_classes_have_the_surface_the_readme_lists():
     assert issubclass(GlmPoint, OraclePoint)
     assert public_members(OraclePoint) == POINT_SURFACE
     assert public_members(GlmPoint) <= POINT_SURFACE
-    assert not {"direction", "move", "_require_domain", "_image"} & set(vars(GlmPoint))
+    assert not {"direction", "_require_domain", "_image"} & set(vars(GlmPoint))
     readme = (DATA_DIR.parents[1] / "README.md").read_text()
     section = readme.split("## How an iteration touches the data", 1)[1]
     bullets = next(par for par in section.split("\n\n") if par.startswith("* "))
@@ -636,36 +615,10 @@ def test_both_point_classes_have_the_surface_the_readme_lists():
     assert listed == POINT_SURFACE | {"in_domain"}
 
 
-@pytest.mark.parametrize("make", [GlmPoint, OraclePoint], ids=["GlmPoint", "OraclePoint"])
-def test_move_keeps_its_last_result(make):
-    oracle, fs = make_instance("portfolio", 20, 5, 3)
-    point = make(oracle, fs.start_point())
-    vertex, dense = fs.lmo(np.arange(5.0)), fs.vertices()[2]
-    trial = point.move(0.25, vertex)
-    assert point.move(0.25, vertex) is trial
-    assert point.move(0.5, vertex) is not trial
-    # a target is keyed by its identity, as the direction is
-    equal = (vertex[0], vertex[1])
-    assert equal == vertex and equal is not vertex
-    assert point.move(0.25, equal) is not point.move(0.25, vertex)
-    assert point.move(0.25, dense) is point.move(0.25, dense)
-    assert point.move(0.25, dense) is not point.move(0.25, dense.copy())
-
-
-def test_move_keeps_its_last_result_at_the_refresh_age():
-    oracle, fs = make_instance("portfolio", 20, 5, 3)
-    x = fs.start_point()
-    point = GlmPoint(oracle, x, oracle.matrix @ x, REFRESH_INTERVAL - 1)
-    vertex = fs.lmo(np.arange(5.0))
-    trial = point.move(0.25, vertex)
-    assert point.move(0.25, vertex) is trial
-    assert trial.age == 0
-
-
 class TestTrialPoints:
-    """f is formed once per point made: the trial the line search accepts
-    is the driver's next iterate, and a backtracking trial is a change
-    (`_change`), which makes no point."""
+    """f is formed once per point made, and only the driver makes one: a
+    trial of either adaptive rule is a change (`_change`), which makes
+    no point."""
 
     @pytest.fixture
     def desk(self, monkeypatch):
@@ -699,3 +652,24 @@ class TestTrialPoints:
         assert steps >= 10
         # plus the start point and at most one refreshed point
         assert steps + 1 <= calls["_loss"] <= steps + 2
+        # each search judges its step by one change
+        assert calls["_change"] == steps
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_line_search_makes_no_point(self, kind, monkeypatch):
+        oracle, fs = make_instance(kind, 40, 8, 3)
+        gen = np.random.default_rng(0)
+        points = [oracle.point(feasible_point(kind, fs, gen)) for _ in range(5)]
+        made = []
+        init = GlmPoint.__init__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GlmPoint, "__init__", counted_init)
+        for point in points:
+            gap, target = gap_and_target(fs, point)
+            assert gap > 0.0
+            exact_line_search(point, target)
+        assert made == []

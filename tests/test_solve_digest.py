@@ -1,5 +1,8 @@
 import dataclasses
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,3 +70,19 @@ def test_line_ends_with_the_last_f_and_gap(tool, trace):
     assert fields[5:7] == [tool.trace_digest(trace), tool.files_digest(trace)]
     assert fields[7:] == [f"{last.f:.17g}", f"{last.gap:.17g}"]
     assert (float(fields[7]), float(fields[8])) == (last.f, last.gap)
+
+
+def test_the_tool_digests_every_desk_solve():
+    # the whole tool over a benchmark workload: its inputs, every solve
+    # and one line of the nine fields per solve
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--seed", "3", "--workload", "desk"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    lines = run.stdout.splitlines()
+    assert len(lines) == 10
+    for line in lines:
+        fields = line.split()
+        assert len(fields) == 9
+        assert fields[0] == "desk" and fields[3] == "gap_below_eps"
+        assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in fields[5:7])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from condgrad.core import DomainError, InvariantError, ScOracle, dist_like, gap_and_target, omega_star
-from condgrad.problems import gen_binary_design, parse_libsvm, poisson_problem
+from condgrad.problems import gen_binary_design, gen_portfolio_data, parse_libsvm, poisson_problem, portfolio_problem
 from condgrad.sets import Simplex
 from condgrad.solvers import RunConfig, fw_solve
 from condgrad.steps import (
@@ -183,6 +183,26 @@ class TestExactLineSearch:
         assert misses >= 1
         nxt = point.move(t, target)
         assert nxt.in_domain and nxt.f < point.f
+
+    @pytest.mark.parametrize("offset", [1e-6, 1e-7])
+    def test_a_decrease_below_the_rounding_of_f_counts(self, offset):
+        # a portfolio point a fraction 1 - offset of the way to the search's
+        # own step: f is about -2763, so it rounds at eps |f| = 6.1e-13,
+        # and the predicted decrease phi'^2/phi'' there is 1.26e-12 at
+        # offset 1e-6 and 1.18e-14 at 1e-7. The search stops on its own
+        # scale and judges its step by the change: the trial's f rounds to f
+        problem = portfolio_problem(gen_portfolio_data(400, 2, 1) * 1e-3)
+        fs = problem.feasible_set
+        start = problem.oracle.point(np.array([0.5, 0.5]))
+        _, target = gap_and_target(fs, start)
+        point = start.move((1.0 - offset) * exact_line_search(start, target), target)
+        _, target = gap_and_target(fs, point)
+        d1, d2 = point.slope(target)(0.0)
+        assert d1 < 0.0 and d1 * d1 / d2 < 1e-11
+        t = exact_line_search(point, target)
+        assert t > 0.0
+        assert point.change(t, target) < 0.0
+        assert point.move(t, target).f == point.f
 
     def test_few_derivative_probes_per_search(self, monkeypatch):
         # the derivative pair is formed once per point made and once per
