@@ -45,11 +45,12 @@ class GlmOracle(ScOracle):
     Subclasses call ``_set_matrix`` (m x n data, m >= 1), set ``M`` and, when
     there is a quadratic term, ``gamma``, and define phi on the image
     z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
-    the domain only), ``_derivatives(z)``, the per-row phi' and phi''
-    as one pair (called on the domain only), and ``_change(z, av, alpha)``,
-    the loss at z + alpha av minus the loss at z, formed without their
-    cancellation, or +inf where z + alpha av leaves the domain (called
-    with z on the domain).
+    the domain only), ``_derivatives(z)``, a tuple led by the per-row
+    phi' and phi'' (called on the domain only), and
+    ``_change(z, av, alpha, derivatives)``, the loss at z + alpha av minus
+    the loss at z, formed without their cancellation, or +inf where
+    z + alpha av leaves the domain (called with z on the domain and its
+    ``_derivatives`` tuple).
     The four methods evaluate from z alone, f and the gradient with the
     arithmetic of :class:`GlmPoint`; the solvers move one point along the run.
     """
@@ -122,7 +123,7 @@ class GlmPoint(OraclePoint):
     REFRESH_INTERVAL carried moves, and on ``refreshed()``, z is
     recomputed as A x; a carried z that drifted beyond DRIFT_RTOL raises
     InvariantError.
-    Inside the domain the pair (phi'(z), phi''(z)) is set with f.
+    Inside the domain the tuple ``_derivatives(z)`` is set with f.
     x is a float array: ``GlmOracle.point`` converts its argument.
     """
 
@@ -189,7 +190,7 @@ class GlmPoint(OraclePoint):
         self._require_domain("change")
         v, av, _ = self._image(target)
         oracle = self.oracle
-        d = float(oracle._change(self.z, av, alpha))
+        d = float(oracle._change(self.z, av, alpha, self._derivatives))
         if oracle.gamma:
             d += oracle.gamma * alpha * (float(self.x.dot(v)) + 0.5 * alpha * float(v.dot(v)))
         return d
@@ -206,7 +207,7 @@ class GlmPoint(OraclePoint):
             y = z + t * av
             if not oracle._domain(y):
                 return None
-            d1, d2 = oracle._derivatives(y)
+            d1, d2 = oracle._derivatives(y)[:2]
             p1, p2 = float(d1.dot(av)), float(d2.dot(av2))
             if gamma:
                 return p1 + gamma * (xv + t * vv), p2 + gamma * vv
@@ -261,7 +262,7 @@ class PortfolioOracle(GlmOracle):
     def _derivatives(self, z):
         return -1.0 / z, 1.0 / (z * z)
 
-    def _change(self, z, av, alpha):
+    def _change(self, z, av, alpha, derivatives):
         # r > -1 is the trial's domain test: it implies z + alpha av > 0
         r = alpha * av / z
         return -np.add.reduce(np.log1p(r)) if np.minimum.reduce(r) > -1.0 else np.inf
@@ -313,7 +314,7 @@ class PoissonOracle(GlmOracle):
         d2[self._rows] = self._y / (zp * zp)
         return d1, d2
 
-    def _change(self, z, av, alpha):
+    def _change(self, z, av, alpha, derivatives):
         w = alpha * av
         r = w[self._rows] / z[self._rows]
         if r.size and not np.minimum.reduce(r) > -1.0:
@@ -347,39 +348,34 @@ class LogisticOracle(GlmOracle):
     def features(self):
         return self.matrix
 
-    def _margins(self, z):
-        t = self.labels * (z + self.mu)
-        return t, np.exp(-np.abs(t))
-
     def _domain(self, z):
         return True
 
     def _loss(self, z):
-        # log(1 + exp(-t)) without overflow
-        t, e = self._margins(z)
-        # np.mean is this sum over the count
-        return np.add.reduce(np.maximum(-t, 0.0) + np.log1p(e)) / z.size
-
-    def _sigmoid(self, z):
-        t, e = self._margins(z)
-        return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        # l(t) = log(1 + exp(-t)) without overflow, t = y (z + mu); np.mean
+        # is this sum over the count
+        return np.add.reduce(np.logaddexp(0.0, -self.labels * (z + self.mu))) / z.size
 
     def _derivatives(self, z):
-        # l'(t) = sigmoid(t) - 1 and l''(t) = sigmoid(t) (1 - sigmoid(t)),
-        # chained through t = y (z + mu)
-        sig = self._sigmoid(z)
+        # l'(t) = -sigmoid(-t) and l''(t) = sigmoid(t) sigmoid(-t), chained
+        # through t = y (z + mu); each sigmoid is (1 or e) / (1 + e) for
+        # e = exp(-|t|), so neither is 1 minus the other, which would cancel
+        t = self.labels * (z + self.mu)
+        e = np.exp(-np.abs(t))
+        pos, d = t >= 0.0, 1.0 + e
+        sig, sig_neg = np.where(pos, 1.0, e) / d, np.where(pos, e, 1.0) / d
         m = z.shape[0]
-        return (sig - 1.0) * self.labels / m, sig * (1.0 - sig) * self.labels * self.labels / m
+        return -sig_neg * self.labels / m, sig * sig_neg * self.labels * self.labels / m, sig_neg
 
-    def _change(self, z, av, alpha):
-        # l(t + s) - l(t) = log1p(sigmoid(-t) expm1(-s)) for l(t) = log(1 + e^-t),
-        # s = alpha y av; sigmoid(-t) = exp(-log(1 + e^t)) without overflow.
+    def _change(self, z, av, alpha, derivatives):
+        # l(t + s) - l(t) = log1p(sigmoid(-t) expm1(-s)) for s = alpha y av,
+        # sigmoid(-t) read from the point's derivatives.
         # Where expm1 would overflow, or the log1p argument nears -1 (a
         # decrease of order one, far above f's rounding), the plain
         # difference serves.
         d = (-alpha) * self.labels * av
         if np.maximum.reduce(d) < _EXPM1_MAX:
-            q = np.exp(-np.logaddexp(0.0, self.labels * (z + self.mu))) * np.expm1(d)
+            q = derivatives[2] * np.expm1(d)
             if np.minimum.reduce(q) > -0.5:
                 return np.add.reduce(np.log1p(q)) / q.size
         return self._loss(z + alpha * av) - self._loss(z)

@@ -156,6 +156,16 @@ class TestLogisticOracle:
         expected = 0.25 * feats.T @ (feats @ u) / feats.shape[0] + gamma * u
         assert np.allclose(problem.oracle.hess_vec(np.zeros(4), u), expected, atol=1e-12)
 
+    def test_derivatives_keep_a_vanishing_sigmoid(self):
+        # at margin t = 40, sigmoid(-t) = 4.2e-18 and sigmoid(t) rounds to 1:
+        # l' and l'' are formed from sigmoid(-t), not as 1 minus sigmoid(t)
+        oracle = LogisticOracle([[1.0], [1.0]], [1.0, -1.0])
+        d1, d2, sig_neg = oracle._derivatives(np.array([40.0, -40.0]))
+        tail = np.exp(-40.0) / (1.0 + np.exp(-40.0))
+        np.testing.assert_allclose(sig_neg, [tail, tail], rtol=1e-15)
+        np.testing.assert_allclose(d1, [-tail / 2, tail / 2], rtol=1e-15)
+        np.testing.assert_allclose(d2, [tail / 2, tail / 2], rtol=1e-15)
+
     def test_curvature_parameter(self):
         feats = np.array([[3.0, 4.0], [1.0, 0.0]])
         problem = logistic_problem(feats, np.array([1.0, -1.0]), gamma=0.25)

@@ -89,7 +89,7 @@ class TestAnalyticStep:
         assert alpha * e < 1.0
         moved = point.x + alpha * (dense(fs.dim, target) - point.x)
         assert oracle.in_domain(moved)
-        assert oracle.value(moved) <= point.f - decrease + DESCENT_SLACK
+        assert oracle.value(moved) <= point.f - decrease + DESCENT_SLACK * max(1.0, abs(point.f))
 
 
 class TestBacktrackStep:

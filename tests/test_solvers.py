@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import condgrad
+from condgrad import solvers
 from condgrad.cli import DEFAULT_MAX_ITER, build_problem, run_one
 from condgrad.core import DomainError, InvariantError, ScOracle, omega_star
 from condgrad.lloo import lloo_simplex
 from condgrad.problems import gen_binary_design, gen_portfolio_data, poisson_problem, portfolio_problem
 from condgrad.sets import Simplex
+from condgrad.steps import analytic_step
 from condgrad.solvers import (
     METHODS,
     POLICIES,
@@ -173,6 +175,22 @@ class TestSolverGuards:
                 Liar(),
                 Simplex(2),
                 RunConfig(epsilon=1e-12, max_iter=50, policy="analytic"),
+            )
+
+    def test_descent_check_reads_the_rounding_of_f(self, monkeypatch):
+        # a step that claims 5e-10 more than its model decrease is caught: the
+        # slack is f's rounding scale, well below the decreases of a desk run
+        def overclaiming(gap, e, M):
+            alpha, decrease = analytic_step(gap, e, M)
+            return alpha, decrease + 5e-10
+
+        monkeypatch.setattr(solvers, "analytic_step", overclaiming)
+        problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
+        with pytest.raises(InvariantError, match="objective rose above the guaranteed level"):
+            fw_solve(
+                problem.oracle,
+                problem.feasible_set,
+                RunConfig(epsilon=1e-5, max_iter=100000, policy="analytic"),
             )
 
     def test_stall_detection(self):
@@ -749,9 +767,11 @@ class TestTraceExport:
             ("0,1,2,0.5,4,,5\n2,1,2,0.5,4,,6\n", ", line 3: k is 2, expected 1"),
             ("1,1,2,0.5,4,,5\n", ", line 2: k is 1, expected 0"),
             ("0,1,2,0.5,4,,5\n\n1,1,2,0.5,4,,4\n", ", line 4: time_ns 4 is below the previous row's 5"),
-            # rejected; numpy refuses a non-ASCII digit, which Python's int and float read
-            ("\uff10,1,2,0.5,4,,5\n", ", line 2: could not convert string '\uff10' to int64"),
-            ("0,1,2,0.5,4,,5\n1,\u0661,2,0.5,4,,6\n", ", line 3: could not convert string '\u0661' to float64"),
+            # rejected: a trace is ASCII, so a non-ASCII digit, which Python's int
+            # and float read, reaches the parse as its escaped UTF-8 bytes
+            ("\uff10,1,2,0.5,4,,5\n", r", line 2: could not convert string '\\xef\\xbc\\x90' to int64"),
+            ("0,1,2,0.5,4,,5\n1,\u0661,2,0.5,4,,6\n", r", line 3: could not convert string '\\xd9\\xa1' to float64"),
+            ("0,1,2,0.5,4,\uff11,5\n", r", line 2: could not convert string '\\xef\\xbc\\x91' to float64"),
             # rejected, by the converter of L
             ("0,1,2,0.5,4,abc,5\n", ", line 2: could not convert string 'abc' to float64"),
         ],
@@ -781,6 +801,7 @@ class TestTraceExport:
             "time-falls",
             "fullwidth-digit-in-k",
             "arabic-indic-digit-in-f",
+            "fullwidth-digit-in-L",
             "non-numeric-L",
         ],
     )

@@ -86,14 +86,31 @@ def digest_line(workload, name, method, trace):
     )
 
 
-def digest_lines(workload, seed):
-    """One line per solve of the workload on the seed's inputs."""
+def use_checkout(root):
+    """Pin BLAS to one thread and put `src/` and `perfbench/` of `root` first on the path.
+
+    Call it before numpy loads: threaded reductions may round differently.
+    """
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    root = Path(root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+
+
+def built_inputs(workload, seed):
+    """The workload and its instances on the seed's inputs, {name: (oracle, set)}."""
     import workloads
-    from condgrad import cli
 
     wl = workloads.WORKLOADS[workload]
     with tempfile.TemporaryDirectory() as tmp:
-        built = workloads.build_all(workloads.write_inputs(wl, seed, tmp))
+        return wl, workloads.build_all(workloads.write_inputs(wl, seed, tmp))
+
+
+def digest_lines(workload, seed):
+    """One line per solve of the workload on the seed's inputs."""
+    from condgrad import cli
+
+    wl, built = built_inputs(workload, seed)
     for name, method in wl.keys():
         oracle, feasible_set = built[name]
         trace = cli.run_one(oracle, feasible_set, method, wl.gap, wl.max_iter)
@@ -106,11 +123,7 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to import src/ and perfbench/ from")
     args = parser.parse_args(argv)
-    # one BLAS thread, set before numpy loads: threaded reductions may round differently
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
-    root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    use_checkout(args.root)
     for workload in args.workload or WORKLOADS:
         for line in digest_lines(workload, args.seed):
             print(line, flush=True)
