@@ -10,7 +10,7 @@ expensive coordinates of x.
 
 import numpy as np
 
-from .sets import Simplex, _check_finite
+from .sets import Simplex, _argmin_finite
 
 
 def lloo_simplex(x, r, c):
@@ -22,16 +22,16 @@ def lloo_simplex(x, r, c):
     keep ascending index order (stable sort).
     """
     x = np.asarray(x, dtype=float)
-    c = _check_finite(c)
+    c = np.asarray(c, dtype=float)
     if x.shape != c.shape or x.ndim != 1:
         raise ValueError("center and cost must be 1-D vectors of equal length")
     n = x.shape[0]
     if not Simplex(n).contains(x):
         raise ValueError("lloo_simplex center must lie on the unit simplex")
+    istar = _argmin_finite(c)
     if not r > 0:
         raise ValueError("lloo_simplex radius must be positive")
     m = min(float(np.sqrt(n)) * float(r) / 2.0, 1.0)
-    istar = int(np.argmin(c))
     order = np.argsort(-c, kind="stable")
     p = x.copy()
     p[istar] += m

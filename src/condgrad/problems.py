@@ -33,10 +33,13 @@ DRIFT_RTOL = 1e-9
 GATHER_RATIO = 8
 # expm1 overflows above log(max float) = 709.78
 _EXPM1_MAX = 709.0
-# The families' reductions call the ufunc's reduce (np.add.reduce for
-# z.sum(), np.minimum.reduce for z.min()): the same C loop, bit for bit,
-# without ndarray's Python wrapper, which costs about as much as the loop
-# on a desk-sized z.
+# The families' sums call the ufunc's reduce (np.add.reduce for z.sum()):
+# the same C loop, bit for bit, without ndarray's Python wrapper, which
+# costs about as much as the loop on a desk-sized z.  A yes/no test (a
+# domain test, a guard of `_change`) reads the one element that argmin or
+# argmax picks, z[z.argmin()] > 0 for min(z) > 0: each picks the first
+# NaN, so the test rejects a NaN as the reduction did, for under half of
+# the reduction's fixed cost.
 
 
 class GlmOracle(ScOracle):
@@ -123,7 +126,8 @@ class GlmPoint(OraclePoint):
     REFRESH_INTERVAL carried moves, and on ``refreshed()``, z is
     recomputed as A x; a carried z that drifted beyond DRIFT_RTOL raises
     InvariantError.
-    Inside the domain the tuple ``_derivatives(z)`` is set with f.
+    Inside the domain the tuple ``_derivatives(z)`` is set with f, and
+    ``slope`` reads it at t = 0.
     x is a float array: ``GlmOracle.point`` converts its argument.
     """
 
@@ -204,10 +208,16 @@ class GlmPoint(OraclePoint):
             xv, vv = float(np.dot(self.x, v)), float(np.dot(v, v))
 
         def derivatives(t):
-            y = z + t * av
-            if not oracle._domain(y):
-                return None
-            d1, d2 = oracle._derivatives(y)[:2]
+            if t == 0.0:
+                # z + 0 A v is z: the point's own tuple, or None off the domain
+                if not self.in_domain:
+                    return None
+                d1, d2 = self._derivatives[:2]
+            else:
+                y = z + t * av
+                if not oracle._domain(y):
+                    return None
+                d1, d2 = oracle._derivatives(y)[:2]
             p1, p2 = float(d1.dot(av)), float(d2.dot(av2))
             if gamma:
                 return p1 + gamma * (xv + t * vv), p2 + gamma * vv
@@ -254,7 +264,7 @@ class PortfolioOracle(GlmOracle):
         return self.matrix
 
     def _domain(self, z):
-        return np.minimum.reduce(z) > 0.0
+        return z[z.argmin()] > 0.0
 
     def _loss(self, z):
         return -np.add.reduce(np.log(z))
@@ -265,14 +275,16 @@ class PortfolioOracle(GlmOracle):
     def _change(self, z, av, alpha, derivatives):
         # r > -1 is the trial's domain test: it implies z + alpha av > 0
         r = alpha * av / z
-        return -np.add.reduce(np.log1p(r)) if np.minimum.reduce(r) > -1.0 else np.inf
+        return -np.add.reduce(np.log1p(r)) if r[r.argmin()] > -1.0 else np.inf
 
 
 class PoissonOracle(GlmOracle):
     """f(x) = sum_i w_i . x - sum_i y_i ln(w_i . x) for counts y >= 0.
 
     Rows with y_i = 0 contribute only the linear part and impose no
-    positivity constraint.
+    positivity constraint.  When every count is positive, as in every
+    problem the benchmark builds, the family's methods work on z whole;
+    only an oracle with a zero count selects and scatters its rows.
     """
 
     def __init__(self, weights, counts):
@@ -289,9 +301,9 @@ class PoissonOracle(GlmOracle):
             raise ValueError("every row with a positive count needs a positive entry")
         self._set_matrix(weights)
         self.counts = counts
-        # rows with a positive count; a slice when that is every row
-        self._rows = slice(None) if np.all(pos) else np.flatnonzero(pos)
-        self._y = counts[self._rows]
+        # rows with a positive count; None when that is every row
+        self._rows = None if np.all(pos) else np.flatnonzero(pos)
+        self._y = counts if self._rows is None else counts[self._rows]
         # linear objective when every count is zero; curvature then vacuous
         self.M = float(np.max(2.0 / np.sqrt(counts[pos]))) if np.any(pos) else 2.0
 
@@ -300,24 +312,29 @@ class PoissonOracle(GlmOracle):
         return self.matrix
 
     def _domain(self, z):
-        zp = z[self._rows]
-        return zp.size == 0 or np.minimum.reduce(zp) > 0.0
+        zp = z if self._rows is None else z[self._rows]
+        return zp.size == 0 or zp[zp.argmin()] > 0.0
 
     def _loss(self, z):
-        return np.add.reduce(z) - np.add.reduce(self._y * np.log(z[self._rows]))
+        zp = z if self._rows is None else z[self._rows]
+        return np.add.reduce(z) - np.add.reduce(self._y * np.log(zp))
 
     def _derivatives(self, z):
-        zp = z[self._rows]
+        rows = self._rows
+        if rows is None:
+            return 1.0 - self._y / z, self._y / (z * z)
+        # a row with a zero count is linear: phi' = 1 and phi'' = 0 there
+        zp = z[rows]
         d1 = np.ones_like(z)
-        d1[self._rows] -= self._y / zp
+        d1[rows] -= self._y / zp
         d2 = np.zeros_like(z)
-        d2[self._rows] = self._y / (zp * zp)
+        d2[rows] = self._y / (zp * zp)
         return d1, d2
 
     def _change(self, z, av, alpha, derivatives):
         w = alpha * av
-        r = w[self._rows] / z[self._rows]
-        if r.size and not np.minimum.reduce(r) > -1.0:
+        r = w / z if self._rows is None else w[self._rows] / z[self._rows]
+        if r.size and not r[r.argmin()] > -1.0:
             return np.inf
         return np.add.reduce(w) - np.add.reduce(self._y * np.log1p(r))
 
@@ -340,6 +357,8 @@ class LogisticOracle(GlmOracle):
         if not (math.isfinite(mu) and math.isfinite(gamma)):
             raise ValueError("mu and gamma must be finite")
         self.labels = labels
+        # -y, the factor of l'(t) and of the loss's exponent
+        self._neg_labels = -labels
         self.mu = float(mu)
         self.gamma = float(gamma)
         self.M = float(np.max(np.linalg.norm(features, axis=1)) / np.sqrt(gamma))
@@ -354,7 +373,7 @@ class LogisticOracle(GlmOracle):
     def _loss(self, z):
         # l(t) = log(1 + exp(-t)) without overflow, t = y (z + mu); np.mean
         # is this sum over the count
-        return np.add.reduce(np.logaddexp(0.0, -self.labels * (z + self.mu))) / z.size
+        return np.add.reduce(np.logaddexp(0.0, self._neg_labels * (z + self.mu))) / z.size
 
     def _derivatives(self, z):
         # l'(t) = -sigmoid(-t) and l''(t) = sigmoid(t) sigmoid(-t), chained
@@ -365,7 +384,7 @@ class LogisticOracle(GlmOracle):
         pos, d = t >= 0.0, 1.0 + e
         sig, sig_neg = np.where(pos, 1.0, e) / d, np.where(pos, e, 1.0) / d
         m = z.shape[0]
-        return -sig_neg * self.labels / m, sig * sig_neg * self.labels * self.labels / m, sig_neg
+        return sig_neg * self._neg_labels / m, sig * sig_neg * self.labels * self.labels / m, sig_neg
 
     def _change(self, z, av, alpha, derivatives):
         # l(t + s) - l(t) = log1p(sigmoid(-t) expm1(-s)) for s = alpha y av,
@@ -374,9 +393,9 @@ class LogisticOracle(GlmOracle):
         # decrease of order one, far above f's rounding), the plain
         # difference serves.
         d = (-alpha) * self.labels * av
-        if np.maximum.reduce(d) < _EXPM1_MAX:
+        if d[d.argmax()] < _EXPM1_MAX:
             q = derivatives[2] * np.expm1(d)
-            if np.minimum.reduce(q) > -0.5:
+            if q[q.argmin()] > -0.5:
                 return np.add.reduce(np.log1p(q)) / q.size
         return self._loss(z + alpha * av) - self._loss(z)
 

@@ -13,16 +13,30 @@ import math
 import numpy as np
 
 CONTAINS_TOL = 1e-9
-# The reductions call the ufunc's reduce (np.add.reduce for x.sum(),
-# np.minimum.reduce for x.min(), np.logical_and.reduce for .all()): the
-# same C loop, bit for bit, without ndarray's Python wrapper.
+# A sum calls the ufunc's reduce (np.add.reduce for x.sum()): the same C
+# loop, bit for bit, without ndarray's Python wrapper.  A yes/no test reads
+# the one element that argmin or argmax picks instead of reducing: each
+# picks the first NaN, so a test on that element rejects a NaN as the
+# min- or max-reduction did.
 
 
-def _check_finite(c):
+def _cost(c, dim):
+    """A linear oracle's cost c as a float vector, checked to have shape (dim,)."""
     c = np.asarray(c, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(c)):
-        raise ValueError("linear oracle input has non-finite entries")
+    if c.shape != (dim,):
+        raise ValueError(f"linear oracle input has shape {c.shape}; the set needs {(dim,)}")
     return c
+
+
+def _argmin_finite(c):
+    """c.argmin() for a float vector c, raising ValueError unless c is finite.
+
+    A NaN shows at both picks, a -inf at argmin's and a +inf at argmax's.
+    """
+    i = int(c.argmin())
+    if not (math.isfinite(c[i]) and math.isfinite(c[c.argmax()])):
+        raise ValueError("linear oracle input has non-finite entries")
+    return i
 
 
 def _check_radius(radius):
@@ -38,7 +52,8 @@ class FeasibleSet:
 
     ``lmo(c)`` returns a vertex minimizing <c, .> as (i, value), the point
     value * e_i; a set whose vertices do not all lie on coordinate axes
-    cannot use this surface.  ``contains`` returns a Python bool.
+    cannot use this surface.  A cost that is not a finite vector of shape
+    (dim,) raises ValueError.  ``contains`` returns a Python bool.
     """
 
     dim: int
@@ -73,14 +88,14 @@ class Simplex(FeasibleSet):
 
     def lmo(self, c):
         """Vertex e_i minimizing <c, .>, lowest-index ties: (i, 1.0)."""
-        return int(_check_finite(c).argmin()), 1.0
+        return _argmin_finite(_cost(c, self.dim)), 1.0
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
-        # one min-reduction tests x >= -tol, and rejects a NaN the same way
+        # x's smallest entry, or its first NaN, decides x >= -tol
         return (
             x.shape == (self.dim,)
-            and bool(np.minimum.reduce(x) >= -tol)
+            and bool(x[x.argmin()] >= -tol)
             and abs(float(np.add.reduce(x)) - 1.0) <= tol
         )
 
@@ -110,8 +125,11 @@ class L1Ball(FeasibleSet):
         The winning coordinate has maximal |c_i| (lowest-index ties) and
         the sign opposes c_i, with sign(0) treated as +1.
         """
-        c = _check_finite(c)
+        c = _cost(c, self.dim)
         i = int(np.abs(c).argmax())
+        # |c_i| is the largest, or c_i the first NaN: one entry decides finiteness
+        if not math.isfinite(c[i]):
+            raise ValueError("linear oracle input has non-finite entries")
         # c[i] == 0 only when c == 0: sign(0) = +1 gives -R * e_i
         return i, (self.radius if c[i] < 0.0 else -self.radius)
 
@@ -142,15 +160,15 @@ class NonnegL1Ball(FeasibleSet):
 
     def lmo(self, c):
         """The origin (i, 0.0) or R*e_i (i, R), whichever minimizes <c, .>."""
-        c = _check_finite(c)
-        i = int(c.argmin())
+        c = _cost(c, self.dim)
+        i = _argmin_finite(c)
         return i, (self.radius if c[i] < 0.0 else 0.0)
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and bool(np.minimum.reduce(x) >= -tol)
+            and bool(x[x.argmin()] >= -tol)
             and float(np.add.reduce(x)) <= self.radius + tol
         )
 

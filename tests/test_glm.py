@@ -673,3 +673,35 @@ class TestTrialPoints:
             assert gap > 0.0
             exact_line_search(point, target)
         assert made == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_line_search_forms_no_kernel_at_zero(self, kind, monkeypatch):
+        # phi'(0) and phi''(0) come from the tuple the point holds, so the
+        # family's `_derivatives` runs once per probe at t > 0 in the domain
+        oracle, fs = make_instance(kind, 40, 8, 3)
+        gen = np.random.default_rng(0)
+        points = [oracle.point(feasible_point(kind, fs, gen)) for _ in range(5)]
+        kernels, probes = [], []
+        derivatives = oracle._derivatives
+        monkeypatch.setattr(oracle, "_derivatives", lambda z: kernels.append(1) or derivatives(z))
+        slope = GlmPoint.slope
+
+        def recorded_slope(self, target):
+            phi = slope(self, target)
+
+            def probe(t):
+                out = phi(t)
+                probes.append((t, out is not None))
+                return out
+
+            return probe
+
+        monkeypatch.setattr(GlmPoint, "slope", recorded_slope)
+        for point in points:
+            gap, target = gap_and_target(fs, point)
+            assert gap > 0.0
+            exact_line_search(point, target)
+        assert sum(t == 0.0 for t, _ in probes) == len(points)
+        inside = sum(t > 0.0 and found for t, found in probes)
+        assert inside > 0
+        assert len(kernels) == inside

@@ -2,10 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from condgrad import rng
 from condgrad.core import DomainError
 from condgrad.problems import (
+    GlmPoint,
     LogisticOracle,
     ParseError,
     PoissonOracle,
@@ -245,6 +248,105 @@ class TestValueDomainConsistency:
         for _ in range(50):
             x = gen.normal(scale=0.5, size=oracle.dim)  # mixes both sides
             assert np.isfinite(oracle.value(x)) == oracle.in_domain(x)
+
+
+# entries that leave the domain of a positive-count row
+PLANTS = st.sampled_from([np.nan, 0.0, -0.0, -1e-300, -1.0, -500.0])
+
+
+def _positive_vector(data, m):
+    return np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m)))
+
+
+def _counts(data, m, zero_counts):
+    """Integer counts, positive, or with at least one zero."""
+    counts = np.array(data.draw(st.lists(st.integers(int(not zero_counts), 3), min_size=m, max_size=m)), dtype=float)
+    if zero_counts:
+        counts[data.draw(st.integers(0, m - 1))] = 0.0
+    return counts
+
+
+def _planted(data, z):
+    """A copy of z with NaN, zeros and negatives at random positions."""
+    z = z.copy()
+    for i, value in data.draw(st.lists(st.tuples(st.integers(0, z.size - 1), PLANTS), max_size=4)):
+        z[i] = value
+    return z
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestDomainTests:
+    """A domain test reads the one entry argmin picks; it must decide as
+    the test on every row with a positive count does."""
+
+    @pytest.mark.parametrize("family", ["portfolio", "poisson", "poisson-zero-counts"])
+    @given(data=st.data())
+    def test_domain_is_all_positive_rows(self, family, data):
+        m = data.draw(st.integers(1, 40))
+        if family == "portfolio":
+            oracle, rows = PortfolioOracle(np.ones((m, 2))), np.ones(m, dtype=bool)
+        else:
+            counts = _counts(data, m, family == "poisson-zero-counts")
+            oracle, rows = PoissonOracle(np.ones((m, 2)), counts), counts > 0.0
+        z = _planted(data, _positive_vector(data, m))
+        expected = bool(np.all(z[rows] > 0.0))
+        assert bool(oracle._domain(z)) is expected
+        assert GlmPoint(oracle, np.zeros(2), z).in_domain is expected
+
+
+class ScatterReference:
+    """The Poisson family as every oracle once formed it: the rows with a
+    positive count selected by index, and phi' and phi'' scattered back."""
+
+    def __init__(self, counts):
+        pos = counts > 0
+        self._rows = slice(None) if np.all(pos) else np.flatnonzero(pos)
+        self._y = counts[self._rows]
+
+    def _domain(self, z):
+        zp = z[self._rows]
+        return zp.size == 0 or np.minimum.reduce(zp) > 0.0
+
+    def _loss(self, z):
+        return np.add.reduce(z) - np.add.reduce(self._y * np.log(z[self._rows]))
+
+    def _derivatives(self, z):
+        zp = z[self._rows]
+        d1 = np.ones_like(z)
+        d1[self._rows] -= self._y / zp
+        d2 = np.zeros_like(z)
+        d2[self._rows] = self._y / (zp * zp)
+        return d1, d2
+
+    def _change(self, z, av, alpha, derivatives):
+        w = alpha * av
+        r = w[self._rows] / z[self._rows]
+        if r.size and not np.minimum.reduce(r) > -1.0:
+            return np.inf
+        return np.add.reduce(w) - np.add.reduce(self._y * np.log1p(r))
+
+
+class TestPoissonRows:
+    @pytest.mark.parametrize("zero_counts", [False, True], ids=["all-positive", "zero-counts"])
+    @given(data=st.data())
+    def test_matches_the_scatter_formulas_bit_for_bit(self, zero_counts, data):
+        m = data.draw(st.integers(1, 40))
+        counts = _counts(data, m, zero_counts)
+        oracle, ref = PoissonOracle(np.ones((m, 2)), counts), ScatterReference(counts)
+        assert (oracle._rows is None) is not zero_counts
+        z = _positive_vector(data, m)
+        av = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)))
+        alpha = data.draw(st.floats(0.0, 1.0))
+        off = _planted(data, z)
+        assert bool(oracle._domain(off)) is bool(ref._domain(off))
+        assert _bits(oracle._loss(z)) == _bits(ref._loss(z))
+        derivatives = oracle._derivatives(z)
+        for got, want in zip(derivatives, ref._derivatives(z), strict=True):
+            assert _bits(got) == _bits(want)
+        assert _bits(oracle._change(z, av, alpha, derivatives)) == _bits(ref._change(z, av, alpha, derivatives))
 
 
 class TestOracleCalculus:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from condgrad.lloo import lloo_simplex
 from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
 
 from conftest import dense
@@ -36,11 +39,28 @@ class TestLmoExamples:
         assert np.array_equal(dense(2, NonnegL1Ball(2, 1.0).lmo([-1.0, -1.0])), [1.0, 0.0])
 
     def test_nonfinite_rejected(self):
-        for fn in (Simplex(2).lmo, L1Ball(2, 1.0).lmo, NonnegL1Ball(2, 1.0).lmo):
-            with pytest.raises(ValueError):
-                fn([np.nan, 1.0])
-            with pytest.raises(ValueError):
-                fn([np.inf, 1.0])
+        # each oracle decides finiteness from the entries argmin and argmax
+        # pick, so a bad entry must reach one of them from any position
+        center = Simplex(5).start_point()
+        oracles = [fs.lmo for fs in make_sets(5)] + [lambda c: lloo_simplex(center, 0.1, c)]
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in (0, 2, 4):
+                c = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
+                c[at] = bad
+                for fn in oracles:
+                    with pytest.raises(ValueError, match="non-finite entries"):
+                        fn(c)
+
+    @pytest.mark.parametrize("fs", make_sets(2), ids=lambda fs: fs.kind)
+    @pytest.mark.parametrize(
+        "c",
+        [3.0, [-1.0, 0.0, -3.0], [5.0], [[1.0, 2.0]], [[1.0], [-2.0]], np.ones((2, 2))],
+        ids=["scalar", "longer", "shorter", "row", "column", "square"],
+    )
+    def test_wrong_shape_rejected(self, fs, c):
+        shape = np.shape(c)
+        with pytest.raises(ValueError, match=re.escape(f"has shape {shape}; the set needs (2,)")):
+            fs.lmo(c)
 
 
 class TestBruteForceOptimality:

@@ -112,6 +112,12 @@ CASES = [
         ValueError,
         "center and cost must be 1-D vectors of equal length",
     ),
+    (
+        "lloo-cost-2d",
+        lambda tmp: lloo_simplex(np.array([0.5, 0.5]), 0.1, np.ones((1, 2))),
+        ValueError,
+        "center and cost must be 1-D vectors of equal length",
+    ),
     ("analytic-negative-e", lambda tmp: analytic_step(1.0, -1.0, 2.0), ValueError, "local distance e must be nonnegative"),
     (
         "backtrack-outside",
