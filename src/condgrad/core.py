@@ -105,7 +105,8 @@ class OraclePoint:
         return g
 
     def _gradient_at(self):
-        return self.oracle.gradient(self.x)
+        # an oracle may return any sequence; the point holds a float array
+        return np.asarray(self.oracle.gradient(self.x), dtype=float)
 
     def hessian(self):
         """`dim` Hessian products with the unit vectors, symmetrized."""
@@ -216,7 +217,7 @@ def gap_and_target(feasible_set, point):
         raise ValueError("gap_and_target: point outside the feasible set")
     g = point.gradient
     i, value = target = feasible_set.lmo(g)
-    gap_raw = float(np.dot(g, point.x)) - float(g[i]) * value
+    gap_raw = float(g.dot(point.x)) - float(g[i]) * value
     if gap_raw < -GAP_SLACK:
         raise InvariantError(f"negative duality gap {gap_raw}: broken linear oracle?")
     return max(gap_raw, 0.0), target

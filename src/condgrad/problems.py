@@ -33,9 +33,10 @@ DRIFT_RTOL = 1e-9
 GATHER_RATIO = 8
 # expm1 overflows above log(max float) = 709.78
 _EXPM1_MAX = 709.0
-# The families' sums call the ufunc's reduce (np.add.reduce for z.sum()):
-# the same C loop, bit for bit, without ndarray's Python wrapper, which
-# costs about as much as the loop on a desk-sized z.  A yes/no test (a
+# Every sum is one ndarray.dot: with the oracle's ones(m) for a sum over
+# rows, ones(n) for an l1 norm, and with the counts for the Poisson loss's
+# weighted sum, whose multiply it absorbs.  At 20 to 200 entries a dot
+# costs under half the fixed cost of the ufunc's reduce.  A yes/no test (a
 # domain test, a guard of `_change`) reads the one element that argmin or
 # argmax picks, z[z.argmin()] > 0 for min(z) > 0: each picks the first
 # NaN, so the test rejects a NaN as the reduction did, for under half of
@@ -71,6 +72,9 @@ class GlmOracle(ScOracle):
         self.matrix = matrix
         self.dim = matrix.shape[1]
         self._amax = amax
+        # the sums over rows and the l1 norms of points are dots with these
+        self._ones = np.ones(matrix.shape[0])
+        self._ones_dim = np.ones(self.dim)
 
     def point(self, x):
         return GlmPoint(self, np.asarray(x, dtype=float))
@@ -109,7 +113,7 @@ class GlmOracle(ScOracle):
     def _objective(self, z, x):
         """f from z = A x; z must lie in the domain."""
         f = float(self._loss(z))
-        return f + 0.5 * self.gamma * float(np.dot(x, x)) if self.gamma else f
+        return f + 0.5 * self.gamma * float(x.dot(x)) if self.gamma else f
 
 
 class GlmPoint(OraclePoint):
@@ -136,7 +140,7 @@ class GlmPoint(OraclePoint):
         self.x = x
         self.z = oracle.matrix @ x if z is None else z
         self.age = age
-        self.reach = float(np.sum(np.abs(x))) if reach is None else reach
+        self.reach = float(np.abs(x).dot(oracle._ones_dim)) if reach is None else reach
         self.in_domain = bool(oracle._domain(self.z))
         if self.in_domain:
             self.f = oracle._objective(self.z, self.x)
@@ -175,7 +179,7 @@ class GlmPoint(OraclePoint):
             av = a[:, support] @ s[support] - self.z
         else:
             av = a @ v
-        return v, av, float(np.abs(s).sum())
+        return v, av, float(np.abs(s).dot(self.oracle._ones_dim))
 
     def norm_to(self, target):
         self._require_domain("norm_to")
@@ -205,7 +209,7 @@ class GlmPoint(OraclePoint):
         av2 = av * av
         gamma = oracle.gamma
         if gamma:
-            xv, vv = float(np.dot(self.x, v)), float(np.dot(v, v))
+            xv, vv = float(self.x.dot(v)), float(v.dot(v))
 
         def derivatives(t):
             if t == 0.0:
@@ -267,7 +271,7 @@ class PortfolioOracle(GlmOracle):
         return z[z.argmin()] > 0.0
 
     def _loss(self, z):
-        return -np.add.reduce(np.log(z))
+        return -np.log(z).dot(self._ones)
 
     def _derivatives(self, z):
         return -1.0 / z, 1.0 / (z * z)
@@ -275,7 +279,7 @@ class PortfolioOracle(GlmOracle):
     def _change(self, z, av, alpha, derivatives):
         # r > -1 is the trial's domain test: it implies z + alpha av > 0
         r = alpha * av / z
-        return -np.add.reduce(np.log1p(r)) if r[r.argmin()] > -1.0 else np.inf
+        return -np.log1p(r).dot(self._ones) if r[r.argmin()] > -1.0 else np.inf
 
 
 class PoissonOracle(GlmOracle):
@@ -317,18 +321,21 @@ class PoissonOracle(GlmOracle):
 
     def _loss(self, z):
         zp = z if self._rows is None else z[self._rows]
-        return np.add.reduce(z) - np.add.reduce(self._y * np.log(zp))
+        return z.dot(self._ones) - np.log(zp).dot(self._y)
 
     def _derivatives(self, z):
+        # phi' = 1 - y/z and phi'' = y/z^2, both from r = y/z
         rows = self._rows
         if rows is None:
-            return 1.0 - self._y / z, self._y / (z * z)
+            r = self._y / z
+            return 1.0 - r, r / z
         # a row with a zero count is linear: phi' = 1 and phi'' = 0 there
         zp = z[rows]
+        r = self._y / zp
         d1 = np.ones_like(z)
-        d1[rows] -= self._y / zp
+        d1[rows] -= r
         d2 = np.zeros_like(z)
-        d2[rows] = self._y / (zp * zp)
+        d2[rows] = r / zp
         return d1, d2
 
     def _change(self, z, av, alpha, derivatives):
@@ -336,7 +343,7 @@ class PoissonOracle(GlmOracle):
         r = w / z if self._rows is None else w[self._rows] / z[self._rows]
         if r.size and not r[r.argmin()] > -1.0:
             return np.inf
-        return np.add.reduce(w) - np.add.reduce(self._y * np.log1p(r))
+        return w.dot(self._ones) - np.log1p(r).dot(self._y)
 
 
 class LogisticOracle(GlmOracle):
@@ -357,8 +364,12 @@ class LogisticOracle(GlmOracle):
         if not (math.isfinite(mu) and math.isfinite(gamma)):
             raise ValueError("mu and gamma must be finite")
         self.labels = labels
-        # -y, the factor of l'(t) and of the loss's exponent
+        # -y, the factor of the loss's exponent, and the chain rule's
+        # factors of l'(t) and l''(t) through t = y (z + mu), over the count
+        m = features.shape[0]
         self._neg_labels = -labels
+        self._d1_factor = self._neg_labels / m
+        self._d2_factor = labels * labels / m
         self.mu = float(mu)
         self.gamma = float(gamma)
         self.M = float(np.max(np.linalg.norm(features, axis=1)) / np.sqrt(gamma))
@@ -371,20 +382,21 @@ class LogisticOracle(GlmOracle):
         return True
 
     def _loss(self, z):
-        # l(t) = log(1 + exp(-t)) without overflow, t = y (z + mu); np.mean
-        # is this sum over the count
-        return np.add.reduce(np.logaddexp(0.0, self._neg_labels * (z + self.mu))) / z.size
+        # l(t) = log(1 + exp(-t)) without overflow, t = y (z + mu), averaged
+        return np.logaddexp(0.0, self._neg_labels * (z + self.mu)).dot(self._ones) / z.size
 
     def _derivatives(self, z):
         # l'(t) = -sigmoid(-t) and l''(t) = sigmoid(t) sigmoid(-t), chained
-        # through t = y (z + mu); each sigmoid is (1 or e) / (1 + e) for
-        # e = exp(-|t|), so neither is 1 minus the other, which would cancel
+        # through t = y (z + mu).  For e = exp(-|t|) the two sigmoids are
+        # big = 1 / (1 + e) and small = e big, so neither is 1 minus the
+        # other, which would cancel, and their product is small big for
+        # either sign of t
         t = self.labels * (z + self.mu)
         e = np.exp(-np.abs(t))
-        pos, d = t >= 0.0, 1.0 + e
-        sig, sig_neg = np.where(pos, 1.0, e) / d, np.where(pos, e, 1.0) / d
-        m = z.shape[0]
-        return sig_neg * self._neg_labels / m, sig * sig_neg * self.labels * self.labels / m, sig_neg
+        big = 1.0 / (1.0 + e)
+        small = e * big
+        sig_neg = np.where(t >= 0.0, small, big)
+        return sig_neg * self._d1_factor, (small * big) * self._d2_factor, sig_neg
 
     def _change(self, z, av, alpha, derivatives):
         # l(t + s) - l(t) = log1p(sigmoid(-t) expm1(-s)) for s = alpha y av,
@@ -396,7 +408,7 @@ class LogisticOracle(GlmOracle):
         if d[d.argmax()] < _EXPM1_MAX:
             q = derivatives[2] * np.expm1(d)
             if q[q.argmin()] > -0.5:
-                return np.add.reduce(np.log1p(q)) / q.size
+                return np.log1p(q).dot(self._ones) / q.size
         return self._loss(z + alpha * av) - self._loss(z)
 
 

@@ -128,7 +128,7 @@ def backtrack_step(point, target, gap, lipschitz):
     if not gap > 0:
         raise ValueError("backtrack_step requires a positive gap")
     v = point.direction(target)
-    vv = float(np.dot(v, v))
+    vv = float(v.dot(v))
     if vv == 0.0:
         raise ValueError("backtrack_step requires a nonzero direction")
 
@@ -157,12 +157,12 @@ def init_lipschitz(point, s0):
     """
     point._require_domain("init_lipschitz")
     v = point.direction(s0)
-    vv = float(np.dot(v, v))
+    vv = float(v.dot(v))
     if vv == 0.0:
         raise ValueError("init_lipschitz: target coincides with the start point")
     seed = point.norm_to(s0) ** 2
     if seed == 0.0:
-        seed = -float(np.dot(point.gradient, v))
+        seed = -float(point.gradient.dot(v))
     if not seed > 0:
         raise ValueError("init_lipschitz: no curvature and no descent toward the target")
     return seed / vv

@@ -173,3 +173,18 @@ def interior_simplex_points(gen, count, dim):
     """Strictly interior simplex samples (Dirichlet via exponentials)."""
     e = -np.log(gen.uniform(1e-12, 1.0, size=(count, dim)))
     return 0.02 / dim + 0.98 * e / e.sum(axis=1, keepdims=True)
+
+
+# the 8-byte offsets from a 64-byte boundary other than 0
+OFFSETS = tuple(range(8, 64, 8))
+
+
+def at_offset(a, offset):
+    """A copy of the float vector a whose data starts `offset` bytes past a
+    64-byte boundary (offset a multiple of 8 below 64)."""
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start : start + a.size]
+    out[:] = a
+    assert out.ctypes.data % 64 == offset
+    return out

@@ -162,6 +162,16 @@ class TestGapAndTarget:
         with pytest.raises(DomainError):
             gap_and_target(Simplex(2), oracle.point(np.array([1.0, 0.0])))
 
+    def test_gradient_given_as_a_list(self, quad2):
+        class ListGradient(QuadOracle):
+            def gradient(self, x):
+                return list(super().gradient(x))
+
+        x = np.array([0.25, 0.75])
+        point = ListGradient(quad2.diag).point(x)
+        assert gap_and_target(Simplex(2), point) == gap_and_target(Simplex(2), quad2.point(x))
+        assert isinstance(point.gradient, np.ndarray)
+
     def test_broken_lmo_raises_invariant_error(self, quad2):
         class WorseThanX:
             dim = 2

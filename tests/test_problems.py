@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from condgrad.problems import (
 
 from conftest import (
     DATA_DIR,
+    OFFSETS,
+    at_offset,
     check_curvature_bounds,
     check_gradient_fd,
     check_hessvec_fd,
@@ -299,7 +302,9 @@ class TestDomainTests:
 
 class ScatterReference:
     """The Poisson family as every oracle once formed it: the rows with a
-    positive count selected by index, and phi' and phi'' scattered back."""
+    positive count selected by index, and phi' and phi'' scattered back.
+    Its sums are dots (the loss's weighted by the counts), and phi'' is
+    formed from r = y / z, as in the oracle."""
 
     def __init__(self, counts):
         pos = counts > 0
@@ -311,14 +316,15 @@ class ScatterReference:
         return zp.size == 0 or np.minimum.reduce(zp) > 0.0
 
     def _loss(self, z):
-        return np.add.reduce(z) - np.add.reduce(self._y * np.log(z[self._rows]))
+        return z.dot(np.ones(z.size)) - np.log(z[self._rows]).dot(self._y)
 
     def _derivatives(self, z):
         zp = z[self._rows]
+        r = self._y / zp
         d1 = np.ones_like(z)
-        d1[self._rows] -= self._y / zp
+        d1[self._rows] -= r
         d2 = np.zeros_like(z)
-        d2[self._rows] = self._y / (zp * zp)
+        d2[self._rows] = r / zp
         return d1, d2
 
     def _change(self, z, av, alpha, derivatives):
@@ -326,7 +332,7 @@ class ScatterReference:
         r = w[self._rows] / z[self._rows]
         if r.size and not np.minimum.reduce(r) > -1.0:
             return np.inf
-        return np.add.reduce(w) - np.add.reduce(self._y * np.log1p(r))
+        return w.dot(np.ones(w.size)) - np.log1p(r).dot(self._y)
 
 
 class TestPoissonRows:
@@ -347,6 +353,95 @@ class TestPoissonRows:
         for got, want in zip(derivatives, ref._derivatives(z), strict=True):
             assert _bits(got) == _bits(want)
         assert _bits(oracle._change(z, av, alpha, derivatives)) == _bits(ref._change(z, av, alpha, derivatives))
+
+
+def _family(family, m, gen):
+    """An oracle of the family with m rows, a z in its domain, and an A v
+    whose steps of length up to 1 stay in it."""
+    z = gen.uniform(0.1, 10.0, m)
+    av = z * gen.uniform(-0.9, 2.0, m)
+    if family == "portfolio":
+        return PortfolioOracle(gen.uniform(0.5, 1.5, (m, 2))), z, av
+    if family == "logistic":
+        labels = np.where(gen.uniform(size=m) < 0.5, -1.0, 1.0)
+        return LogisticOracle(gen.normal(size=(m, 2)), labels, mu=0.3), 3.0 * gen.normal(size=m), gen.normal(size=m)
+    counts = gen.integers(1, 4, m).astype(float)
+    if family == "poisson-zero-counts":
+        counts[gen.integers(0, m)] = 0.0
+    return PoissonOracle(np.ones((m, 2)), counts), z, av
+
+
+class TestSumsAcrossOffsets:
+    """Every sum is a dot; the same values at another memory offset give
+    the same bits, which the digest's byte-for-byte comparison rests on."""
+
+    @pytest.mark.parametrize("family", ["portfolio", "poisson", "poisson-zero-counts", "logistic"])
+    @pytest.mark.parametrize("m", [1, 3, 8, 17, 50, 127, 200, 1000])
+    def test_loss_derivatives_and_change(self, family, m):
+        oracle, z, av = _family(family, m, np.random.default_rng(m))
+        alpha = 0.7
+
+        def bits(z, av):
+            d = oracle._derivatives(z)
+            return _bits(oracle._loss(z)), [_bits(a) for a in d], _bits(oracle._change(z, av, alpha, d))
+
+        want = bits(at_offset(z, 0), at_offset(av, 0))
+        assert np.isfinite(oracle._change(z, av, alpha, oracle._derivatives(z)))
+        for offset in OFFSETS:
+            assert bits(at_offset(z, offset), at_offset(av, offset)) == want
+
+
+def _logistic_by_two_divisions(oracle, z):
+    """The logistic tuple as once formed: each sigmoid its own division by
+    1 + e, and the chain rule's factors applied after the product."""
+    t = oracle.labels * (z + oracle.mu)
+    e = np.exp(-np.abs(t))
+    pos, d = t >= 0.0, 1.0 + e
+    sig, sig_neg = np.where(pos, 1.0, e) / d, np.where(pos, e, 1.0) / d
+    m = z.shape[0]
+    return sig_neg * -oracle.labels / m, sig * sig_neg * oracle.labels * oracle.labels / m, sig_neg
+
+
+def _poisson_by_square(counts, z):
+    """The Poisson pair as once formed: phi'' = y / (z z)."""
+    return 1.0 - counts / z, counts / (z * z)
+
+
+def _within_ulps(got, want, ulps=4):
+    return bool(np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))))
+
+
+class TestDerivativePairs:
+    """The pairs formed from shared intermediates stay within a few ulps
+    of the formulas they replaced, out to where exp(-|t|) underflows."""
+
+    def test_logistic_over_the_whole_exponent_range(self):
+        gen = np.random.default_rng(5)
+        t = np.concatenate([np.linspace(-745.0, 745.0, 14901), gen.uniform(-745.0, 745.0, 2000), [0.0, -0.0]])
+        labels = np.where(gen.uniform(size=t.size) < 0.5, -1.0, 1.0) * gen.uniform(0.5, 3.0, t.size)
+        oracle = LogisticOracle(np.ones((t.size, 1)), labels)
+        z = t / labels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, want = oracle._derivatives(z), _logistic_by_two_divisions(oracle, z)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want, strict=True):
+            assert _within_ulps(g, w)
+        # sigmoid(-t) at the tails: the smallest subnormal at t = 745, 1 at -745
+        assert got[2][np.argmax(t)] == want[2][np.argmax(t)] == 5e-324
+        assert got[2][np.argmin(t)] == want[2][np.argmin(t)] == 1.0
+
+    @pytest.mark.parametrize("zero_counts", [False, True], ids=["all-positive", "zero-counts"])
+    def test_poisson_over_many_decades(self, zero_counts):
+        gen = np.random.default_rng(7)
+        z = 10.0 ** gen.uniform(-100.0, 100.0, 5000)
+        counts = gen.integers(int(not zero_counts), 1000, z.size).astype(float)
+        oracle = PoissonOracle(np.ones((z.size, 1)), counts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, want = oracle._derivatives(z), _poisson_by_square(counts, z)
+        for g, w in zip(got, want, strict=True):
+            assert _within_ulps(g, w)
 
 
 class TestOracleCalculus:

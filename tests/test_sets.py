@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from condgrad.lloo import lloo_simplex
-from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
+from condgrad.sets import CONTAINS_TOL, L1Ball, NonnegL1Ball, Simplex
 
-from conftest import dense
+from conftest import OFFSETS, at_offset, dense
 
 
 def random_convex_combinations(gen, vertices, count):
@@ -185,3 +185,19 @@ class TestContains:
         assert fs.contains(x) is True
         x[at] = bad
         assert fs.contains(x) is False
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 17, 50, 127, 200, 1000])
+    def test_decision_does_not_depend_on_alignment(self, dim):
+        # points whose sum lies at an edge of the tolerance, so that the
+        # decision rests on the sum's last bits
+        gen = np.random.default_rng(dim)
+        for fs in make_sets(dim):
+            edges = [1.0 - CONTAINS_TOL, 1.0 + CONTAINS_TOL] if fs.kind == "simplex" else [fs.radius + CONTAINS_TOL]
+            for _ in range(20):
+                u = gen.uniform(size=dim)
+                if fs.kind == "l1_ball":
+                    u *= np.where(gen.uniform(size=dim) < 0.5, -1.0, 1.0)
+                x = u / np.abs(u).sum() * gen.choice(edges)
+                want = fs.contains(at_offset(x, 0))
+                for offset in OFFSETS:
+                    assert fs.contains(at_offset(x, offset)) is want

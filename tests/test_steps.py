@@ -187,10 +187,11 @@ class TestExactLineSearch:
     @pytest.mark.parametrize("offset", [1e-6, 1e-7])
     def test_a_decrease_below_the_rounding_of_f_counts(self, offset):
         # a portfolio point a fraction 1 - offset of the way to the search's
-        # own step: f is about -2763, so it rounds at eps |f| = 6.1e-13,
+        # own step: f is about 2760, so it rounds at eps |f| = 6.1e-13,
         # and the predicted decrease phi'^2/phi'' there is 1.26e-12 at
         # offset 1e-6 and 1.18e-14 at 1e-7. The search stops on its own
-        # scale and judges its step by the change: the trial's f rounds to f
+        # scale and judges its step by the change: f cannot resolve the
+        # decrease, the trial's f lying within a few ulps of f on either side
         problem = portfolio_problem(gen_portfolio_data(400, 2, 1) * 1e-3)
         fs = problem.feasible_set
         start = problem.oracle.point(np.array([0.5, 0.5]))
@@ -202,7 +203,7 @@ class TestExactLineSearch:
         t = exact_line_search(point, target)
         assert t > 0.0
         assert point.change(t, target) < 0.0
-        assert point.move(t, target).f == point.f
+        assert abs(point.move(t, target).f - point.f) <= 4.0 * np.spacing(abs(point.f))
 
     def test_few_derivative_probes_per_search(self, monkeypatch):
         # the derivative pair is formed once per point made and once per
