@@ -19,7 +19,8 @@ def lloo_simplex(x, r, c):
     The output satisfies <c, p> <= <c, y> for every y in B(x, r)
     intersected with the simplex, and ||x - p||_2 <= sqrt(n)*r.  Mass
     leaves the coordinates of x in descending cost order; equal costs
-    keep ascending index order (stable sort).
+    keep ascending index order (stable sort).  When sqrt(n)*r/2 >= 1 the
+    point is the exact vertex e_i, i the lowest index of minimal cost.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -31,7 +32,13 @@ def lloo_simplex(x, r, c):
     istar = _argmin_finite(c)
     if not r > 0:
         raise ValueError("lloo_simplex radius must be positive")
-    m = min(float(np.sqrt(n)) * float(r) / 2.0, 1.0)
+    m = float(np.sqrt(n)) * float(r) / 2.0
+    if m >= 1.0:
+        # the whole unit mass moves onto the cheapest coordinate: the point
+        # is the linear oracle's vertex, exactly and with no sort
+        p = np.zeros(n)
+        p[istar] = 1.0
+        return p
     order = np.argsort(-c, kind="stable")
     p = x.copy()
     p[istar] += m

@@ -54,7 +54,8 @@ class FeasibleSet:
     ``lmo(c)`` returns a vertex minimizing <c, .> as (i, value), the point
     value * e_i; a set whose vertices do not all lie on coordinate axes
     cannot use this surface.  A cost that is not a finite vector of shape
-    (dim,) raises ValueError.  ``contains`` returns a Python bool.
+    (dim,) raises ValueError.  ``contains(x)`` returns a Python bool: x has
+    shape (dim,) and lies in the set up to ``CONTAINS_TOL``.
     """
 
     dim: int
@@ -69,7 +70,7 @@ class FeasibleSet:
     def lmo(self, c):
         raise NotImplementedError
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x):
         raise NotImplementedError
 
     @property
@@ -92,13 +93,13 @@ class Simplex(FeasibleSet):
         """Vertex e_i minimizing <c, .>, lowest-index ties: (i, 1.0)."""
         return _argmin_finite(_cost(c, self.dim)), 1.0
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        # x's smallest entry, or its first NaN, decides x >= -tol
+        # x's smallest entry, or its first NaN, decides x >= -CONTAINS_TOL
         return (
             x.shape == (self.dim,)
-            and bool(x[x.argmin()] >= -tol)
-            and abs(float(x.dot(self._ones)) - 1.0) <= tol
+            and bool(x[x.argmin()] >= -CONTAINS_TOL)
+            and abs(float(x.dot(self._ones)) - 1.0) <= CONTAINS_TOL
         )
 
     @property
@@ -135,9 +136,12 @@ class L1Ball(FeasibleSet):
         # c[i] == 0 only when c == 0: sign(0) = +1 gives -R * e_i
         return i, (self.radius if c[i] < 0.0 else -self.radius)
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim,) and float(np.abs(x).dot(self._ones)) <= self.radius + tol
+        return (
+            x.shape == (self.dim,)
+            and float(np.abs(x).dot(self._ones)) <= self.radius + CONTAINS_TOL
+        )
 
     @property
     def diameter(self):
@@ -166,12 +170,12 @@ class NonnegL1Ball(FeasibleSet):
         i = _argmin_finite(c)
         return i, (self.radius if c[i] < 0.0 else 0.0)
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and bool(x[x.argmin()] >= -tol)
-            and float(x.dot(self._ones)) <= self.radius + tol
+            and bool(x[x.argmin()] >= -CONTAINS_TOL)
+            and float(x.dot(self._ones)) <= self.radius + CONTAINS_TOL
         )
 
     @property

@@ -80,7 +80,7 @@ class RunTrace:
     records: list[IterationRecord]
     final_x: np.ndarray
     termination: str
-    config: RunConfig | None = None
+    config: RunConfig
     init_lipschitz: float | None = None
 
     def save_csv(self, path):
@@ -101,7 +101,7 @@ class RunTrace:
             for r in self.records
         ]
         out = {
-            "config": asdict(self.config) if self.config is not None else None,
+            "config": asdict(self.config),
             "termination": self.termination,
             "final_x": [float(v) for v in np.asarray(self.final_x)],
             "iterations": rows,

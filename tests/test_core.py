@@ -180,7 +180,7 @@ class TestGapAndTarget:
             def lmo(self, c):
                 return 1, 2.0  # 2 e_1 is strictly worse than x=(0,1) for c=(0,1)
 
-            def contains(self, x, tol=1e-9):
+            def contains(self, x):
                 return True
 
         with pytest.raises(InvariantError):

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,22 @@ def test_grid_calls_the_driver_once_per_solve_and_never_the_oracle_value():
     assert calls["solvers.py:_solve"] == 17
     # the driver's points evaluate f from z; the four-method surface stays idle
     assert calls["problems.py:GlmOracle.value"] == 0
+
+
+def test_walk_names_each_function_as_the_interpreter_does(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    line_hits = importlib.import_module("line_hits")
+    found = line_hits.functions()
+    names = {qualname for qualname, _ in found.values()}
+    # a function, a method and a lambda in a function
+    assert {"_solve", "GlmPoint._image_of", "_parse_rows.<locals>.<lambda>"} <= names
+    # every function body is found under the key its running frame gives,
+    # with the interpreter's own qualname where it has one (Python 3.11+)
+    for path in line_hits.SRC.glob("*.py"):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += line_hits.nested(code)
+            if code.co_flags & inspect.CO_OPTIMIZED:
+                qualname, _ = found[line_hits.key(code)]
+                assert qualname == getattr(code, "co_qualname", qualname)

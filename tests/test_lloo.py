@@ -43,7 +43,12 @@ class TestWorkedCases:
             x = random_simplex_point(gen, n)
             c = gen.normal(size=n)
             p = lloo_simplex(x, 5.0, c)  # d/2 = 5 sqrt(n)/2 >= 1
-            assert np.allclose(p, dense(n, Simplex(n).lmo(c)), atol=1e-12)
+            assert np.array_equal(p, dense(n, Simplex(n).lmo(c)))
+        # the barycenter of 800 coordinates, where the paper workload starts
+        n = 800
+        c = gen.normal(size=n)
+        p = lloo_simplex(Simplex(n).start_point(), 5.0, c)
+        assert np.array_equal(p, dense(n, Simplex(n).lmo(c)))
 
     def test_constant_cost_is_a_fixed_point(self):
         x = np.array([0.5, 0.3, 0.2])

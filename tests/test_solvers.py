@@ -431,11 +431,21 @@ class TestLlooSolver:
             )
 
     def test_flat_gap_ends_stalled_not_at_radius_zero(self):
-        # the gap plateaus near 1e-14, where the local point equals x: such
-        # null steps must stall the run, not contract the radius to 0
+        # a local point equal to x is a null step: ten of them stall the
+        # run, and the radius stays at r0 instead of contracting to 0
         _, oracle, fs = build_problem({"kind": "portfolio", "T": 10, "n": 3, "seed": 2})
-        trace = run_one(oracle, fs, "lloo", 1e-15, DEFAULT_MAX_ITER)
+        config = RunConfig(epsilon=1e-15, max_iter=DEFAULT_MAX_ITER, policy="lloo")
+        trace = lloo_fw_solve(oracle, lambda x, r, c: x.copy(), config, 1.0)
         assert trace.termination == "stalled"
+        assert len(trace.records) == solvers.STALL_RUNS
+        r0 = trace.records[0].radius
+        assert r0 > 0.0
+        for r in trace.records:
+            assert (r.alpha, r.radius, r.contraction) == (0.0, r0, 1.0)
+        # the real local oracle on the same instance ends on its exact
+        # vertex: the gap reaches 0, with every radius positive
+        trace = run_one(oracle, fs, "lloo", 1e-15, DEFAULT_MAX_ITER)
+        assert trace.termination == "gap_below_eps"
         assert all(r.radius > 0.0 for r in trace.records)
         assert all(np.isfinite(r.f) and np.isfinite(r.gap) for r in trace.records)
 
@@ -527,7 +537,7 @@ class TestTraceBookkeeping:
 class TestCertificate:
     def test_equals_fstar_at_optimum(self):
         records = [IterationRecord(0, 2.0, 1.0, 0.5, 1.0), IterationRecord(1, 1.5, 0.0, 0.0, 0.0)]
-        trace = RunTrace(records, np.zeros(2), "gap_below_eps")
+        trace = RunTrace(records, np.zeros(2), "gap_below_eps", RunConfig(epsilon=1e-6, max_iter=2))
         assert certificate_lower_bound(trace) == 1.5
 
     def test_running_bound_nondecreasing_and_below_fstar(self, log_barrier2):
@@ -545,8 +555,13 @@ class TestCertificate:
         assert certificate_lower_bound(trace) == pytest.approx(f_star, abs=1e-9)
 
     def test_empty_trace_rejected(self):
+        trace = RunTrace([], np.zeros(1), "max_iter", RunConfig(epsilon=1e-6, max_iter=1))
         with pytest.raises(ValueError):
-            certificate_lower_bound(RunTrace([], np.zeros(1), "max_iter"))
+            certificate_lower_bound(trace)
+
+    def test_a_trace_carries_its_config(self):
+        with pytest.raises(TypeError, match="config"):
+            RunTrace([], np.zeros(1), "max_iter")
 
 
 class TestSigmaEstimate:
@@ -637,8 +652,8 @@ class DiagScaledSimplex:
         i = int(np.argmin(np.asarray(c) / self.scale))
         return i, 1.0 / self.scale[i]
 
-    def contains(self, x, tol=1e-9):
-        return Simplex(self.dim).contains(self.scale * np.asarray(x, dtype=float), tol=tol)
+    def contains(self, x):
+        return Simplex(self.dim).contains(self.scale * np.asarray(x, dtype=float))
 
     @property
     def diameter(self):

@@ -33,20 +33,39 @@ from pathlib import Path
 import solve_digest
 
 SRC = solve_digest.ROOT / "src" / "condgrad"
+COMPREHENSIONS = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+
+
+def key(code):
+    """(file name, first line, name) of a code object: how a function is keyed here."""
+    return Path(code.co_filename).name, code.co_firstlineno, code.co_name
+
+
+def nested(code):
+    """The code objects defined directly in `code`."""
+    return [c for c in code.co_consts if isinstance(c, types.CodeType)]
 
 
 def functions():
-    """{(file name, qualname, first line): statement lines} of every function under SRC."""
+    """{key: (qualname, statement lines)} of every function under SRC.
+
+    The qualname is built on the walk down from each module, as Python
+    3.11+ builds `co_qualname`: a class body or a comprehension adds
+    "name.", any other function "name.<locals>.".
+    """
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        stack = [compile(path.read_text(), str(path), "exec")]
+        stack = [("", code) for code in nested(compile(path.read_text(), str(path), "exec"))]
         while stack:
-            code = stack.pop()
-            stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-            # a module or class body runs at import, a function body when called
+            prefix, code = stack.pop()
+            qualname = prefix + code.co_name
+            # a class body runs at import, a function body when called
             if code.co_flags & inspect.CO_OPTIMIZED:
                 lines = {line for _, _, line in code.co_lines() if line is not None}
-                found[path.name, code.co_qualname, code.co_firstlineno] = lines
+                found[key(code)] = qualname, lines
+                if code.co_name not in COMPREHENSIONS:
+                    qualname += ".<locals>"
+            stack += [(qualname + ".", c) for c in nested(code)]
     return found
 
 
@@ -75,10 +94,6 @@ class Hits:
 
     def by_function(self):
         """({function key: calls}, {(function key, line): hits}) keyed as `functions()`."""
-
-        def key(code):
-            return Path(code.co_filename).name, code.co_qualname, code.co_firstlineno
-
         calls, lines = Counter(), Counter()
         for code, n in self.calls.items():
             calls[key(code)] += n
@@ -127,9 +142,9 @@ def main(argv=None):
     for workload in args.workload or solve_digest.WORKLOADS:
         run_workload(workload, args.seed, hits)
     calls, line_hits = hits.by_function()
-    for fn, lines in sorted(functions().items(), key=lambda item: (item[0][0], item[0][2])):
-        name, qualname, first = fn
-        if not qualname.rpartition(".")[2].startswith("<"):
+    for fn, (qualname, lines) in sorted(functions().items(), key=lambda item: item[0][:2]):
+        name, first, co_name = fn
+        if not co_name.startswith("<"):
             # a def's first line is its entry, not a statement; a lambda or
             # comprehension has its body there
             lines = lines - {first}
