@@ -11,6 +11,7 @@ Subcommands:
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,10 @@ def _size_field(spec, key, what):
 
 def _eps_levels(values):
     """The profile's relative-error levels as floats, each finite and >= 0;
-    an entry that is no number (a list, null) is a ValueError naming `eps_grid`."""
+    an entry that is no number (a list, null, a word) is a ValueError naming `eps_grid`."""
     try:
         levels = [float(e) for e in values]
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"eps_grid entries must be numbers, got {values!r}") from None
     for eps in levels:
         if not 0.0 <= eps < np.inf:
@@ -95,44 +96,38 @@ def build_problem(spec):
     if unread:
         raise ValueError(f"{what} does not read {', '.join(map(repr, unread))}")
     seed = _number_field(spec, "seed", int, what, 0)
-    if kind == "portfolio":
-        if "data" in spec:
-            returns, seed = prob.load_returns_csv(spec["data"])
-        else:
-            T, n = _size_field(spec, "T", what), _size_field(spec, "n", what)
-            returns = prob.gen_portfolio_data(T, n, seed)
-        p = prob.portfolio_problem(returns)
-        name = spec.get("name", f"portfolio_n{p.oracle.dim}_T{returns.shape[0]}_s{seed}")
+    if kind != "portfolio":
+        radius = _number_field(spec, "radius", float, what, prob.DEFAULT_RADIUS)
+    if "data" in spec and kind == "portfolio":
+        matrix, seed = prob.load_returns_csv(spec["data"])
+    elif "data" in spec:
+        with open(spec["data"]) as fh:
+            matrix, labels = prob.parse_libsvm(fh)
+    elif kind == "portfolio":
+        matrix = prob.gen_portfolio_data(_size_field(spec, "T", what), _size_field(spec, "n", what), seed)
     elif kind == "poisson":
-        radius = _number_field(spec, "radius", float, what, prob.DEFAULT_RADIUS)
-        if "data" in spec:
-            feats, _labels = parse_libsvm_path(spec["data"])
-            name = spec.get("name", f"poisson_{Path(spec['data']).stem}")
-        else:
-            m, n = _size_field(spec, "m", what), _size_field(spec, "n", what)
-            feats = prob.gen_binary_design(m, n, _number_field(spec, "density", float, what, 0.2), seed)
-            name = spec.get("name", f"poisson_m{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
-        p = prob.poisson_problem(feats, np.ones(feats.shape[0]), radius)
+        m, n = _size_field(spec, "m", what), _size_field(spec, "n", what)
+        matrix = prob.gen_binary_design(m, n, _number_field(spec, "density", float, what, 0.2), seed)
     else:
-        radius = _number_field(spec, "radius", float, what, prob.DEFAULT_RADIUS)
-        if "data" in spec:
-            feats, labels = parse_libsvm_path(spec["data"])
-            labels = np.where(labels > 0, 1.0, -1.0)
-            name = spec.get("name", f"logistic_{Path(spec['data']).stem}")
-        else:
-            N, n = _size_field(spec, "N", what), _size_field(spec, "n", what)
-            feats, labels = prob.gen_logistic_data(N, n, seed)
-            name = spec.get("name", f"logistic_N{feats.shape[0]}_n{feats.shape[1]}_s{seed}")
+        matrix, labels = prob.gen_logistic_data(_size_field(spec, "N", what), _size_field(spec, "n", what), seed)
+    rows, cols = matrix.shape
+    if kind == "portfolio":
+        p = prob.portfolio_problem(matrix)
+        default = f"portfolio_n{cols}_T{rows}_s{seed}"
+    elif kind == "poisson":
+        p = prob.poisson_problem(matrix, np.ones(rows), radius)
+        default = f"poisson_m{rows}_n{cols}_s{seed}"
+    else:
         gamma = None if spec.get("gamma") is None else _number_field(spec, "gamma", float, what)
-        p = prob.logistic_problem(
-            feats, labels, mu=_number_field(spec, "mu", float, what, 0.0), gamma=gamma, radius=radius
-        )
+        mu = _number_field(spec, "mu", float, what, 0.0)
+        p = prob.logistic_problem(matrix, np.where(labels > 0, 1.0, -1.0), mu=mu, gamma=gamma, radius=radius)
+        default = f"logistic_N{rows}_n{cols}_s{seed}"
+    if "data" in spec and kind != "portfolio":
+        default = f"{kind}_{Path(spec['data']).stem}"
+    name = spec.get("name", default)
+    if not isinstance(name, str) or "/" in name or "\0" in name:
+        raise ValueError(f"{what} 'name' must be a string without '/' or NUL, got {name!r}")
     return name, p.oracle, p.feasible_set
-
-
-def parse_libsvm_path(path):
-    with open(path) as fh:
-        return prob.parse_libsvm(fh)
 
 
 def run_one(oracle, feasible_set, method, eps, max_iter):
@@ -182,10 +177,13 @@ def cmd_solve(args):
 
 
 def _list_field(cfg, key, default):
-    """cfg[key], or `default` when absent; a value that is not a list is a ValueError."""
+    """cfg[key], or `default` when absent; a value that is not a list, or
+    an empty list, is a ValueError."""
     value = cfg.get(key, default)
     if not isinstance(value, list):
         raise ValueError(f"bench config {key!r} must be a list, got {value!r}")
+    if not value:
+        raise ValueError(f"bench config {key!r} must not be empty")
     return value
 
 
@@ -227,6 +225,10 @@ def run_suite(cfg, out_dir):
     if not 0.0 < gap_tol < np.inf:
         raise ValueError(f"bench config 'gap_tol' must be finite and positive, got {gap_tol!r}")
     instances = [build_problem(spec) for spec in specs]
+    # two problems of one name would write their runs to one trace file
+    repeated = [name for name, count in Counter(name for name, _, _ in instances).items() if count > 1]
+    if repeated:
+        raise ValueError(f"bench config has more than one problem named {repeated[0]!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -273,9 +275,8 @@ def _fully_covered_records(records):
     """Drop methods that lack a trace on some problem (e.g. the simplex-only
     local-oracle method on non-simplex problems)."""
     problems = {r.problem for r in records}
-    pairs = {(r.method, r.problem) for r in records}
-    covered = {m for m in {r.method for r in records} if all((m, p) in pairs for p in problems)}
-    return [r for r in records if r.method in covered]
+    runs = Counter(method for method, _ in {(r.method, r.problem) for r in records})
+    return [r for r in records if runs[r.method] == len(problems)]
 
 
 def format_profiles_csv(table, eps_grid):
@@ -313,7 +314,11 @@ def table_from_trace_dir(trace_dir):
 
 def cmd_bench(args):
     cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict):
+        raise ValueError(f"bench config must be a JSON object, got {cfg!r}")
     out_dir = args.out or cfg.get("out_dir", "bench_out")
+    if not isinstance(out_dir, str):
+        raise ValueError(f"bench config 'out_dir' must be a string, got {out_dir!r}")
     summary, table = run_suite(cfg, out_dir)
     failures = [r for r in summary["runs"] if "error" in r]
     print(f"{len(summary['runs']) - len(failures)} runs completed, {len(failures)} failed -> {out_dir}")
@@ -321,7 +326,7 @@ def cmd_bench(args):
 
 
 def cmd_profile(args):
-    eps_grid = _eps_levels(args.eps_grid.split(",")) if args.eps_grid else DEFAULT_EPS_GRID
+    eps_grid = DEFAULT_EPS_GRID if args.eps_grid is None else _eps_levels(args.eps_grid.split(","))
     table = table_from_trace_dir(args.traces)
     text = format_profiles_csv(table, eps_grid)
     if args.out:

@@ -45,22 +45,24 @@ def relative_error(f_k, f_best):
 def build_profile_table(records):
     """Assemble the per-(method, problem) relative-error series.
 
-    A problem whose best value is too close to zero for a relative error
-    raises ValueError naming it.
+    Two runs of one (method, problem) pair, or a pair without a run, and
+    a problem whose best value is too close to zero for a relative error
+    each raise ValueError naming it.
     """
     records = list(records)
     if not records:
         raise ValueError("no runs to profile")
     methods = sorted({r.method for r in records})
     problems = sorted({r.problem for r in records})
-    seen = {(r.method, r.problem) for r in records}
-    missing = [(m, p) for m in methods for p in problems if (m, p) not in seen]
+    attained = {}
+    for r in records:
+        if (r.method, r.problem) in attained:
+            raise ValueError(f"more than one run for pair {(r.method, r.problem)}")
+        attained[(r.method, r.problem)] = float(np.min(r.f_series))
+    missing = [(m, p) for m in methods for p in problems if (m, p) not in attained]
     if missing:
         raise ValueError(f"missing runs for pairs: {missing}")
     table = ProfileTable(methods=methods, problems=problems)
-    attained = {}
-    for r in records:
-        attained[(r.method, r.problem)] = float(np.min(r.f_series))
     for p in problems:
         table.best[p] = min(attained[(m, p)] for m in methods)
     for r in records:

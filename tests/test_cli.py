@@ -311,6 +311,45 @@ class TestUserErrors:
                 ["bench", "--config", "{tmp}/eps_grid_null.json", "--out", "{tmp}/res"],
                 "eps_grid entries must be numbers, got [None]\n",
             ),
+            (["bench", "--config", "{tmp}/not_an_object.json"], "bench config must be a JSON object, got [1, 2]\n"),
+            (["bench", "--config", "{tmp}/out_dir_number.json"], "bench config 'out_dir' must be a string, got 5\n"),
+            (
+                ["bench", "--config", "{tmp}/problems_empty.json", "--out", "{tmp}/res"],
+                "bench config 'problems' must not be empty\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/methods_empty.json", "--out", "{tmp}/res"],
+                "bench config 'methods' must not be empty\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/seeds_empty.json", "--out", "{tmp}/res"],
+                "bench config 'seeds' must not be empty\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/eps_grid_empty.json", "--out", "{tmp}/res"],
+                "bench config 'eps_grid' must not be empty\n",
+            ),
+            (["profile", "--traces", "{tmp}/one", "--eps-grid", ""], "eps_grid entries must be numbers, got ['']\n"),
+            (
+                ["bench", "--config", "{tmp}/name_slash.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'name' must be a string without '/' or NUL, got 'a/b'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/name_nul.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'name' must be a string without '/' or NUL, got 'a\\x00b'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/name_number.json", "--out", "{tmp}/res"],
+                "poisson problem spec 'name' must be a string without '/' or NUL, got 5\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/name_twice.json", "--out", "{tmp}/res"],
+                "bench config has more than one problem named 'p'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/seed_twice.json", "--out", "{tmp}/res"],
+                "bench config has more than one problem named 'portfolio_n4_T10_s0'\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -354,6 +393,18 @@ class TestUserErrors:
             "bench-eps-grid-a-number",
             "bench-eps-grid-a-nested-list",
             "bench-eps-grid-a-null",
+            "bench-config-not-an-object",
+            "bench-out-dir-a-number",
+            "bench-problems-empty",
+            "bench-methods-empty",
+            "bench-seeds-empty",
+            "bench-eps-grid-empty",
+            "profile-eps-grid-empty",
+            "bench-name-with-slash",
+            "bench-name-with-nul",
+            "bench-name-a-number",
+            "bench-name-twice",
+            "bench-seed-twice",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -383,6 +434,17 @@ class TestUserErrors:
             "eps_grid_number": {"problems": portfolio, "eps_grid": 0.1},
             "eps_grid_nested": {"problems": portfolio, "eps_grid": [[1]]},
             "eps_grid_null": {"problems": portfolio, "eps_grid": [None]},
+            "not_an_object": [1, 2],
+            "out_dir_number": {"problems": portfolio, "out_dir": 5},
+            "problems_empty": {"problems": []},
+            "methods_empty": {"problems": portfolio, "methods": []},
+            "seeds_empty": {"problems": portfolio, "seeds": []},
+            "eps_grid_empty": {"problems": portfolio, "eps_grid": []},
+            "name_slash": {"problems": [{"kind": "portfolio", "T": 10, "n": 4, "name": "a/b"}]},
+            "name_nul": {"problems": [{"kind": "portfolio", "T": 10, "n": 4, "name": "a\0b"}]},
+            "name_number": {"problems": [{"kind": "poisson", "m": 20, "n": 5, "name": 5}]},
+            "name_twice": {"problems": [dict(portfolio[0], name="p"), {"kind": "poisson", "m": 20, "n": 5, "name": "p"}]},
+            "seed_twice": {"problems": portfolio, "seeds": [0, 0]},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -391,6 +453,8 @@ class TestUserErrors:
         (tmp_path / "empty").mkdir()
         (tmp_path / "empty" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,0.5,0,1,,0\n")
         (tmp_path / "empty" / "analytic__p2.csv").write_text("k,f,gap,alpha,e,L,time_ns\n")
+        (tmp_path / "one").mkdir()
+        (tmp_path / "one" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,0.5,0,1,,0\n")
         (tmp_path / "late").mkdir()
         (tmp_path / "late" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n1,1,2,0.5,4,,4\n")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2

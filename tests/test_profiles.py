@@ -129,6 +129,14 @@ class TestTableProperties:
         with pytest.raises(ValueError):
             build_profile_table(records)
 
+    def test_second_run_of_a_pair_rejected_naming_it(self):
+        # every pair is present, so only the count tells the repeat apart
+        records = fixture_records()
+        again = RunRecord(records[0].method, records[0].problem, np.array([0.5]), np.array([0]))
+        with pytest.raises(ValueError) as exc:
+            build_profile_table(records + [again])
+        assert str(exc.value) == f"more than one run for pair {(again.method, again.problem)}"
+
     def test_zero_reference_rejected_naming_the_problem(self):
         records = [
             RunRecord("a", "p1", np.array([2.0, 1.0]), np.array([0, 10])),
