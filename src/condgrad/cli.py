@@ -207,8 +207,9 @@ def _expand_problems(cfg):
 def run_suite(cfg, out_dir):
     """Execute a bench config; returns (summary dict, ProfileTable or None).
 
-    A run that raises is listed in the summary with its `error` message
-    and `error_type`; the remaining runs go on.
+    A run that raises, or whose trace file cannot be written, is listed
+    in the summary with its `error` message and `error_type`; the
+    remaining runs go on.
     """
     eps_grid = _eps_levels(_list_field(cfg, "eps_grid", DEFAULT_EPS_GRID))
     methods = _list_field(cfg, "methods", list(POLICIES))
@@ -237,15 +238,15 @@ def run_suite(cfg, out_dir):
     for name, oracle, feasible_set in instances:
         for method in methods:
             entry = {"method": method, "problem": name}
+            path = out_dir / f"{method}__{name}.csv"
             try:
                 trace = run_one(oracle, feasible_set, method, gap_tol, max_iter)
+                trace.save_csv(path)
             except Exception as exc:  # a failed run is recorded and the grid goes on
                 entry["error"] = str(exc)
                 entry["error_type"] = type(exc).__name__
                 runs.append(entry)
                 continue
-            path = out_dir / f"{method}__{name}.csv"
-            trace.save_csv(path)
             f_series = np.array([r.f for r in trace.records])
             t_series = np.array([r.time_ns for r in trace.records])
             entry.update(

@@ -9,7 +9,9 @@ image z = A x from one iterate to the next.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -457,36 +459,72 @@ class ParseError(ValueError):
     pass
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def parse_libsvm(stream):
     """Parse sparse `<label> <idx>:<val> ...` lines into dense rows.
 
     `stream` is an iterable of lines (an open file works).  Indices are
-    1-based and must be strictly ascending within a line, labels and
-    values finite; blank lines and lines starting with '#' are skipped.
-    Returns (features, labels) with features dense N x n, n the largest
-    index seen.
+    1-based, at most the int64 maximum and strictly ascending within a
+    line, labels and values finite; blank lines and lines starting with
+    '#' are skipped.  Returns (features, labels) with features dense
+    N x n, n the largest index seen.
+
+    Each kept line is split once; then all labels, all indices and all
+    values are converted with one `float` or `int` map each and checked
+    as whole arrays.  A file that fails a conversion or a check goes to
+    `_reject_libsvm`, which names its first bad line.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
-    rows = []
-    labels = []
-    width = 0
+    linenos, label_tokens, counts, parts = [], [], [], []
     for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            linenos.append(lineno)
+            label_tokens.append(tokens[0])
+            counts.append(len(tokens) - 1)
+            # three entries per feature token: the index, ":" ("" when
+            # absent) and the value
+            parts += chain.from_iterable(map(str.partition, tokens[1:], repeat(":")))
+    rows = np.repeat(np.arange(len(counts)), counts)
+    try:
+        labels = np.fromiter(map(float, label_tokens), float, len(counts))
+        idx = np.fromiter(map(int, parts[0::3]), np.int64, len(rows))
+        values = np.fromiter(map(float, parts[2::3]), float, len(rows))
+    except (ValueError, OverflowError):  # a token `float` or `int` refuses, an index beyond int64
+        accepted = False
+    else:
+        same_line = rows[1:] == rows[:-1]
+        accepted = (
+            np.isfinite(labels).all()
+            and np.isfinite(values).all()
+            and (idx > 0).all()
+            and (idx[1:] > idx[:-1])[same_line].all()
+        )
+    if not accepted:
+        _reject_libsvm(linenos, label_tokens, counts, parts)
+    features = np.zeros((len(counts), idx.max(initial=0)))
+    features[rows, idx - 1] = values
+    return features, labels
+
+
+def _reject_libsvm(linenos, label_tokens, counts, parts):
+    """Raise the ParseError of the first bad line of a file that
+    `parse_libsvm` rejects, its rules checked one line at a time in
+    file order."""
+    triples = zip(*[iter(parts)] * 3)
+    for lineno, label_s, count in zip(linenos, label_tokens, counts):
         try:
-            label = float(tokens[0])
+            label = float(label_s)
         except ValueError:
-            raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+            raise ParseError(f"line {lineno}: bad label {label_s!r}") from None
         if not math.isfinite(label):
-            raise ParseError(f"line {lineno}: non-finite label {tokens[0]!r}")
-        labels.append(label)
-        entries = []
+            raise ParseError(f"line {lineno}: non-finite label {label_s!r}")
         prev = 0
-        for tok in tokens[1:]:
-            idx_s, _, val_s = tok.partition(":")
+        for idx_s, sep, val_s in islice(triples, count):
+            tok = idx_s + sep + val_s
             try:
                 idx = int(idx_s)
                 val = float(val_s)
@@ -496,26 +534,23 @@ def parse_libsvm(stream):
                 raise ParseError(f"line {lineno}: non-finite value in {tok!r}")
             if idx <= 0:
                 raise ParseError(f"line {lineno}: index {idx} must be positive")
+            if idx > INT64_MAX:
+                raise ParseError(f"line {lineno}: index {idx} exceeds the int64 maximum")
             if idx <= prev:
                 raise ParseError(f"line {lineno}: indices must be strictly ascending")
-            entries.append((idx - 1, val))
             prev = idx
-        rows.append(entries)
-        width = max(width, prev)
-    features = np.zeros((len(rows), width))
-    for i, entries in enumerate(rows):
-        for j, val in entries:
-            features[i, j] = val
-    return features, np.asarray(labels)
+    raise AssertionError("parse_libsvm rejected a file whose every line passes")
 
 
 def format_libsvm(features, labels):
-    """Serialize dense rows back to the sparse text format (nonzeros only)."""
+    """Serialize dense rows back to the sparse text format (nonzeros only);
+    labels and values in 17 significant digits, so `parse_libsvm` reads
+    back the same floats."""
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     lines = []
     for row, label in zip(features, labels):
-        parts = ["%+g" % label]
+        parts = ["%+.17g" % label]
         for j in np.nonzero(row)[0]:
             parts.append(f"{j + 1}:{format(row[j], '.17g')}")
         lines.append(" ".join(parts))
@@ -538,7 +573,10 @@ def load_returns_csv(path):
         if len(header) != 3:
             raise ValueError("returns CSV must start with a `T,n,seed` line")
         T, n, seed = int(header[0]), int(header[1]), int(header[2])
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # a body without rows is the shape check's error, not numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (T, n):
         raise ValueError(f"returns CSV body {data.shape} does not match header ({T}, {n})")
     return data, seed

@@ -350,6 +350,10 @@ class TestUserErrors:
                 ["bench", "--config", "{tmp}/seed_twice.json", "--out", "{tmp}/res"],
                 "bench config has more than one problem named 'portfolio_n4_T10_s0'\n",
             ),
+            (
+                SOLVE + ["--problem", "portfolio", "--data", "{tmp}/returns_empty.csv"],
+                "returns CSV body (0, 1) does not match header (3, 2)\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -405,6 +409,7 @@ class TestUserErrors:
             "bench-name-a-number",
             "bench-name-twice",
             "bench-seed-twice",
+            "returns-empty-body",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -455,6 +460,7 @@ class TestUserErrors:
         (tmp_path / "empty" / "analytic__p2.csv").write_text("k,f,gap,alpha,e,L,time_ns\n")
         (tmp_path / "one").mkdir()
         (tmp_path / "one" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,0.5,0,1,,0\n")
+        (tmp_path / "returns_empty.csv").write_text("3,2,0\n")
         (tmp_path / "late").mkdir()
         (tmp_path / "late" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n1,1,2,0.5,4,,4\n")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
@@ -665,6 +671,28 @@ class TestBench:
         summary = json.loads((tmp_path / "res" / "summary.json").read_text())
         errors = [r for r in summary["runs"] if "error" in r]
         assert len(errors) == 1 and errors[0]["method"] == "lloo"
+
+    def test_unwritable_trace_recorded_and_grid_goes_on(self, tmp_path):
+        # a valid name, but too long for a file name on the output directory
+        long_name = "x" * 300
+        cfg = {
+            "problems": [
+                {"kind": "portfolio", "n": 4, "T": 10, "name": long_name},
+                {"kind": "poisson", "m": 12, "n": 5, "radius": 3.0},
+            ],
+            "methods": ["analytic"],
+            "max_iter": 100,
+            "gap_tol": 1e-6,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 0
+        runs = json.loads((tmp_path / "res" / "summary.json").read_text())["runs"]
+        assert [r["problem"] for r in runs] == [long_name, "poisson_m12_n5_s0"]
+        assert runs[0]["error_type"] == "OSError"
+        assert "File name too long" in runs[0]["error"]
+        assert "error" not in runs[1]
+        assert (tmp_path / "res" / runs[1]["trace"]).exists()
 
     def test_failed_run_recorded_and_grid_goes_on(self, tmp_path, monkeypatch):
         from condgrad import cli

@@ -1,4 +1,8 @@
+import functools
+import gc
 import io
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -505,6 +509,207 @@ class TestLibsvmParser:
         assert feats.shape == (200, 30)
         assert set(np.unique(labels)) == {-1.0, 1.0}
         assert np.all(feats.sum(axis=1) > 0)
+
+
+def _reference_parse_libsvm(stream):
+    """The per-token loop `parse_libsvm` replaced, kept as the reference
+    its accepted output and its messages are compared with."""
+    if isinstance(stream, str):
+        stream = stream.splitlines()
+    rows = []
+    labels = []
+    width = 0
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise ParseError(f"line {lineno}: non-finite label {tokens[0]!r}")
+        labels.append(label)
+        entries = []
+        prev = 0
+        for tok in tokens[1:]:
+            idx_s, _, val_s = tok.partition(":")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite value in {tok!r}")
+            if idx <= 0:
+                raise ParseError(f"line {lineno}: index {idx} must be positive")
+            if idx <= prev:
+                raise ParseError(f"line {lineno}: indices must be strictly ascending")
+            entries.append((idx - 1, val))
+            prev = idx
+        rows.append(entries)
+        width = max(width, prev)
+    features = np.zeros((len(rows), width))
+    for i, entries in enumerate(rows):
+        for j, val in entries:
+            features[i, j] = val
+    return features, np.asarray(labels)
+
+
+def _outcome(parse, make_input):
+    """What `parse` makes of a fresh copy of the input: the arrays as
+    (shape, dtype, C order, bytes), or the ParseError's message."""
+    try:
+        features, labels = parse(make_input())
+    except ParseError as exc:
+        return str(exc)
+    return [(a.shape, a.dtype.str, a.flags.c_contiguous, a.tobytes()) for a in (features, labels)]
+
+
+# the three kinds of input `parse_libsvm` takes: a string, an open text
+# file (universal newlines, as `open` reads) and a list of lines
+INPUT_FORMS = {
+    "str": lambda text: text,
+    "file": lambda text: io.StringIO(text, newline=None),
+    "lines": lambda text: text.splitlines(keepends=True),
+}
+LIBSVM_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # subnormal and huge included
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:+.9g}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["0", "-0", "+0.0", "5e-324", "1.7976931348623157e308", "-1E+300", "1_0", ".5", "7."]),
+)
+BAD_LABELS = ["x", "nan", "-inf", "1:1", "1,5"]
+BAD_FEATURES = ["x", "1", "1:2:3", ":1", "1:", ":", "1.5:2", "0:1", "-2:1", "1:x", "1:inf", "1:nan", "a:1"]
+
+
+def _index_text(i, form):
+    return (str(i), f"+{i}", f"00{i}")[form]
+
+
+@st.composite
+def libsvm_texts(draw, corrupt=False):
+    """A LIBSVM text with blank, comment, indented and label-only lines;
+    with `corrupt`, some labels, tokens and index orders break a rule."""
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        indent = draw(st.sampled_from(["", " ", "\t", " \t "]))
+        kind = draw(st.sampled_from(["data", "data", "data", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(indent)
+            continue
+        if kind == "comment":
+            lines.append(indent + "#" + draw(st.text(alphabet="ab 1:#", max_size=6)))
+            continue
+        label = draw(st.sampled_from(["+1", "-1", "0", "1"]) | LIBSVM_VALUES)
+        if corrupt and draw(st.integers(0, 9)) == 0:
+            label = draw(st.sampled_from(BAD_LABELS))
+        indices = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+        if corrupt and draw(st.integers(0, 4)) == 0:
+            indices = draw(st.lists(st.integers(1, 40), max_size=6))
+        tokens = [label]
+        for i in indices:
+            token = f"{_index_text(i, draw(st.integers(0, 2)))}:{draw(LIBSVM_VALUES)}"
+            if corrupt and draw(st.integers(0, 9)) == 0:
+                token = draw(st.sampled_from(BAD_FEATURES))
+            tokens.append(token)
+        seps = [draw(st.sampled_from([" ", "\t", "  "])) for _ in tokens]
+        lines.append(indent + "".join(t + s for t, s in zip(tokens, seps)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestLibsvmBulkParse:
+    """`parse_libsvm` against the per-token loop it replaced."""
+
+    @given(text=libsvm_texts(), form=st.sampled_from(sorted(INPUT_FORMS)))
+    def test_valid_files_parse_bit_identically(self, text, form):
+        make_input = functools.partial(INPUT_FORMS[form], text)
+        got = _outcome(parse_libsvm, make_input)
+        assert not isinstance(got, str), got
+        assert got == _outcome(_reference_parse_libsvm, make_input)
+
+    @given(text=libsvm_texts(corrupt=True), form=st.sampled_from(sorted(INPUT_FORMS)))
+    def test_any_file_gets_the_reference_outcome(self, text, form):
+        make_input = functools.partial(INPUT_FORMS[form], text)
+        assert _outcome(parse_libsvm, make_input) == _outcome(_reference_parse_libsvm, make_input)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x 1:1\n", "line 1: bad label 'x'"),
+            ("+1 1:1\n-inf 2:1\n", "line 2: non-finite label '-inf'"),
+            ("+1 1:1 2\n", "line 1: bad feature token '2'"),
+            ("+1 1:2:3\n", "line 1: bad feature token '1:2:3'"),
+            ("+1 :3\n", "line 1: bad feature token ':3'"),
+            ("+1 3:\n", "line 1: bad feature token '3:'"),
+            ("+1 1.5:3\n", "line 1: bad feature token '1.5:3'"),
+            ("+1 0:1\n", "line 1: index 0 must be positive"),
+            ("+1 -2:1\n", "line 1: index -2 must be positive"),
+            ("+1 2:x\n", "line 1: bad feature token '2:x'"),
+            ("+1 2:inf\n", "line 1: non-finite value in '2:inf'"),
+            ("+1 3:1 2:1\n", "line 1: indices must be strictly ascending"),
+            ("+1 2:1 2:1\n", "line 1: indices must be strictly ascending"),
+            # the first bad line wins, whichever rule a later line breaks
+            ("+1 1:1\n\n# c\n-1 2:1 2:1\nnan 1:1\n+1 1:x\n", "line 4: indices must be strictly ascending"),
+            ("+1 1:1\n-1 9223372036854775808:1\n+1 1:x\n", "line 2: index 9223372036854775808 exceeds the int64 maximum"),
+        ],
+        ids=[
+            "bad-label",
+            "non-finite-label",
+            "token-without-colon",
+            "token-with-two-colons",
+            "empty-index",
+            "empty-value",
+            "fractional-index",
+            "index-zero",
+            "index-negative",
+            "bad-value",
+            "non-finite-value",
+            "descending-index",
+            "repeated-index",
+            "first-bad-line-wins",
+            "index-beyond-int64",
+        ],
+    )
+    def test_malformed_line_named_with_its_rule(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_libsvm(text)
+        assert str(info.value) == message
+        if "int64" not in message:  # the loop raised numpy's "Maximum allowed dimension exceeded"
+            assert _outcome(_reference_parse_libsvm, lambda: text) == message
+
+    def test_calls_do_not_grow_with_the_tokens(self):
+        # one line of 3 tokens and one of 300: the same Python-level calls.
+        # The collector is off while counting: a collection inside the parse
+        # runs the finalizers of other tests' garbage, whose calls count too.
+        def calls(width):
+            text = "+1 " + " ".join(f"{j}:0.5" for j in range(1, width + 1)) + "\n"
+            events = []
+            sys.setprofile(lambda frame, event, arg: events.append(event))
+            try:
+                parse_libsvm(text)
+            finally:
+                sys.setprofile(None)
+            return len(events)
+
+        parse_libsvm("+1 1:0.5\n")  # first-call work outside the count
+        gc.collect()
+        gc.disable()
+        try:
+            assert calls(300) == calls(3)
+        finally:
+            gc.enable()
+
+    def test_labels_round_trip_exactly(self):
+        labels = np.array([0.1234567891, 3e6, -2.5e-310, 1.0, -1.0, 0.0])
+        features = np.eye(6) * 0.5
+        text = format_libsvm(features, labels)
+        assert text.split("\n")[3:6] == ["+1 4:0.5", "-1 5:0.5", "+0 6:0.5"]
+        back, back_labels = parse_libsvm(text)
+        assert back_labels.tobytes() == labels.tobytes()
+        assert back.tobytes() == features.tobytes()
 
 
 class TestReturnsCsv:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from condgrad.cli import build_problem
 from condgrad.sets import Simplex
 from condgrad.solvers import RunConfig, fw_solve
 
@@ -86,3 +87,31 @@ def test_the_tool_digests_every_desk_solve():
         assert len(fields) == 9
         assert fields[0] == "desk" and fields[3] == "gap_below_eps"
         assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in fields[5:7])
+
+
+def test_one_ulp_in_one_matrix_entry_changes_the_inputs_line(tool):
+    name, oracle, feasible_set = build_problem({"kind": "logistic", "N": 12, "n": 5})
+    before = tool.inputs_line("grid", name, oracle, feasible_set)
+    assert before.split()[:6] == ["grid", name, "12", "x", "5", "l1_ball"]
+    again = build_problem({"kind": "logistic", "N": 12, "n": 5})[1]
+    assert tool.inputs_line("grid", name, again, feasible_set) == before
+    oracle.matrix[3, 2] = np.nextafter(oracle.matrix[3, 2], np.inf)
+    assert tool.inputs_line("grid", name, oracle, feasible_set) != before
+
+
+def test_the_tool_prints_one_line_per_instance_with_inputs():
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--seed", "3", "--inputs"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    lines = run.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["desk", "portfolio_T50_n20_s1"],
+        ["desk", "portfolio_T50_n20_s7"],
+        ["paper", "portfolio_T1000_n800_s7"],
+        ["grid", "poisson200"],
+        ["grid", "poisson_m200_n30_s0"],
+        ["grid", "logistic_N200_n50_s0"],
+        ["grid", "portfolio_T50_n20_s7"],
+    ]
+    assert all(re.fullmatch("[0-9a-f]{64}", line.split()[-1]) for line in lines)

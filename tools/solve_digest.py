@@ -27,6 +27,14 @@ shows how far a changed answer moved.
 
 checks that a change leaves every answer bit-identical, or shows which
 answers a deliberate change moved and where they ended.
+
+`--inputs` prints one line per built instance instead (7 over the three
+workloads), so the same diff checks ingestion alone:
+
+    workload instance rows x cols set_kind sha256
+
+The SHA-256 covers the instance's name, its data matrix (shape, dtype and
+bytes), its labels or counts, `M`, `gamma`, the set kind and the radius.
 """
 
 import argparse
@@ -86,6 +94,24 @@ def digest_line(workload, name, method, trace):
     )
 
 
+def inputs_line(workload, name, oracle, feasible_set):
+    """The line of one built instance: its keys, shape, set kind and a SHA-256
+    over its name, matrix, labels or counts, M, gamma, set kind and radius."""
+    matrix = oracle.matrix
+    h = hashlib.sha256(f"{name}\n{matrix.shape} {matrix.dtype.str}\n".encode())
+    h.update(matrix.tobytes())
+    for attr in ("labels", "counts"):
+        if hasattr(oracle, attr):
+            h.update(f"\n{attr}=".encode() + getattr(oracle, attr).tobytes())
+    radius = getattr(feasible_set, "radius", None)
+    h.update(
+        f"\nM={_exact(oracle.M)};gamma={_exact(oracle.gamma)};"
+        f"set={feasible_set.kind};radius={_exact(radius)}".encode()
+    )
+    rows, cols = matrix.shape
+    return f"{workload} {name} {rows} x {cols} {feasible_set.kind} {h.hexdigest()}"
+
+
 def use_checkout(root):
     """Pin BLAS to one thread and put `src/` and `perfbench/` of `root` first on the path.
 
@@ -117,15 +143,24 @@ def digest_lines(workload, seed):
         yield digest_line(workload, name, method, trace)
 
 
+def inputs_lines(workload, seed):
+    """One line per instance of the workload, built on the seed's inputs."""
+    _, built = built_inputs(workload, seed)
+    for name, (oracle, feasible_set) in built.items():
+        yield inputs_line(workload, name, oracle, feasible_set)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to import src/ and perfbench/ from")
+    parser.add_argument("--inputs", action="store_true", help="one line per built instance, no solves")
     args = parser.parse_args(argv)
     use_checkout(args.root)
+    lines = inputs_lines if args.inputs else digest_lines
     for workload in args.workload or WORKLOADS:
-        for line in digest_lines(workload, args.seed):
+        for line in lines(workload, args.seed):
             print(line, flush=True)
 
 
