@@ -384,8 +384,9 @@ def make_parser():
 
 
 def main(argv=None):
-    """Run one subcommand; bad input (a ValueError or OSError) prints one
-    line to stderr and returns 2, any other exception propagates."""
+    """Run one subcommand; bad input (a ValueError or OSError) or a size
+    that does not fit in memory (a MemoryError) prints one line to stderr
+    and returns 2, any other exception propagates."""
     # argparse reads a value like "-inf" or "-1e-3" as an option name, so a
     # value of --eps or --radius that starts with "-" is joined to it first
     joined = []
@@ -397,8 +398,8 @@ def main(argv=None):
     args = make_parser().parse_args(joined)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"condgrad: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"condgrad: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

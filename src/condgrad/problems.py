@@ -474,7 +474,9 @@ def parse_libsvm(stream):
     Each kept line is split once; then all labels, all indices and all
     values are converted with one `float` or `int` map each and checked
     as whole arrays.  A file that fails a conversion or a check goes to
-    `_reject_libsvm`, which names its first bad line.
+    `_reject_libsvm`, which names its first bad line.  A dense matrix
+    numpy refuses or cannot allocate is a ParseError naming the line that
+    holds the largest index.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
@@ -505,7 +507,14 @@ def parse_libsvm(stream):
         )
     if not accepted:
         _reject_libsvm(linenos, label_tokens, counts, parts)
-    features = np.zeros((len(counts), idx.max(initial=0)))
+    try:
+        features = np.zeros((len(counts), idx.max(initial=0)))
+    except (ValueError, MemoryError):  # numpy refuses the size ("array is too big") or cannot allocate it
+        top = idx.argmax()
+        raise ParseError(
+            f"line {linenos[rows[top]]}: index {idx[top]} makes the dense matrix "
+            f"{len(counts)} x {idx[top]}, which numpy cannot allocate"
+        ) from None
     features[rows, idx - 1] = values
     return features, labels
 
@@ -562,8 +571,7 @@ def save_returns_csv(path, returns, seed):
     returns = np.asarray(returns, dtype=float)
     with open(path, "w") as fh:
         fh.write(f"{returns.shape[0]},{returns.shape[1]},{seed}\n")
-        for row in returns:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        np.savetxt(fh, returns, fmt="%.17g", delimiter=",")
 
 
 def load_returns_csv(path):
@@ -590,9 +598,8 @@ def gen_binary_design(m, n, density, seed):
         raise ValueError("density must lie in [0, 1]")
     u = rng.uniforms(seed, m * n).reshape(m, n)
     w = (u < density).astype(float)
-    for i in range(m):
-        if not np.any(w[i] > 0.0):
-            w[i, i % n] = 1.0
+    empty = np.flatnonzero(~w.any(axis=1))
+    w[empty, empty % n] = 1.0
     return w
 
 

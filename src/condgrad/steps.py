@@ -1,7 +1,7 @@
 """Step-size policies for the conditional-gradient drivers.
 
 Four strategies: the classic open-loop 2/(k+2), exact line search by
-safeguarded Newton steps on the line, a closed-form step minimizing the
+bracketed Newton steps on the line, a closed-form step minimizing the
 self-concordant upper model, and backtracking over an adaptive local
 Lipschitz estimate.  The two adaptive rules judge a trial by its
 change ``point.change(alpha, target)``, which makes no point on a GLM
@@ -55,12 +55,13 @@ def exact_line_search(point, target):
     """Minimize phi(t) = f(x + t*(target - x)) over t in [0, 1] by Newton steps.
 
     Each probe reads (phi'(t), phi''(t)) from ``point.slope``.  The step
-    is Newton's, damped to step / (1 + lam), lam = (M/2)|phi'|/sqrt(phi''),
-    while lam > 1/4: that damped step stays inside the domain of a
-    self-concordant f.  A bracket [lo, hi] around the minimizer narrows
-    by the sign of phi' at each probe, and to a probe outside the domain;
-    a step leaving it bisects, except that a step past 1 probes t = 1
-    once.  The search stops when the predicted decrease phi'^2/phi''
+    goes to Newton's t - phi'/phi'', or, where phi'' = 0, to the downhill
+    end of the bracket.  The bracket [lo, hi] around the minimizer
+    narrows by the sign of phi' at each probe, and to any probe outside
+    the domain, so it alone keeps the search inside the domain; a step
+    leaving it bisects, except that a step past 1 probes t = 1 once.
+    The step depends on the line alone, not on the oracle's M.  The
+    search stops when the predicted decrease phi'^2/phi''
     falls below eps times the smaller of max(1, |f(x)|) and its own value
     at t = 0, or when the bracket is at rounding width.
     Returns 0 when phi'(0) >= 0 or when the change
@@ -72,7 +73,6 @@ def exact_line_search(point, target):
     d1, d2 = slope(0.0)
     if not d1 < 0.0:
         return 0.0
-    half_m = 0.5 * point.oracle.M
     tol = EPS * max(1.0, abs(point.f))
     if d2 > 0.0:
         tol = min(tol, EPS * d1 * d1 / d2)
@@ -81,9 +81,7 @@ def exact_line_search(point, target):
     capped = False
     while d1 * d1 > tol * d2:
         if d2 > 0.0:
-            lam = half_m * abs(d1) / math.sqrt(d2)
-            step = -d1 / d2
-            nt = t + (step / (1.0 + lam) if lam > 0.25 else step)
+            nt = t - d1 / d2
         else:
             # no curvature here: phi is linear, so head for the downhill end
             nt = hi if d1 < 0.0 else lo

@@ -19,6 +19,17 @@ class TestGenData:
         assert matrix.shape == (6, 3)
         assert seed == 11
 
+    @pytest.mark.parametrize("message", ["cannot allocate a 1000000 x 1000000 array", ""])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, message):
+        def gen_portfolio_data(T, n, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("condgrad.problems.gen_portfolio_data", gen_portfolio_data)
+        out = tmp_path / "returns.csv"
+        assert main(["gen-data", "--T", "1000000", "--n", "1000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"condgrad: error: {message or 'MemoryError'}\n"
+        assert not out.exists()
+
 
 class TestSolve:
     def test_portfolio_run_writes_traces(self, tmp_path, capsys):
@@ -354,6 +365,11 @@ class TestUserErrors:
                 SOLVE + ["--problem", "portfolio", "--data", "{tmp}/returns_empty.csv"],
                 "returns CSV body (0, 1) does not match header (3, 2)\n",
             ),
+            (
+                SOLVE + ["--problem", "poisson", "--data", "{tmp}/huge_index.svm"],
+                "line 2: index 4611686018427387904 makes the dense matrix 2 x 4611686018427387904, "
+                "which numpy cannot allocate\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -410,6 +426,7 @@ class TestUserErrors:
             "bench-name-twice",
             "bench-seed-twice",
             "returns-empty-body",
+            "libsvm-index-numpy-refuses",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -461,6 +478,7 @@ class TestUserErrors:
         (tmp_path / "one").mkdir()
         (tmp_path / "one" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,0.5,0,1,,0\n")
         (tmp_path / "returns_empty.csv").write_text("3,2,0\n")
+        (tmp_path / "huge_index.svm").write_text("+1 1:1\n+1 4611686018427387904:1\n")
         (tmp_path / "late").mkdir()
         (tmp_path / "late" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n1,1,2,0.5,4,,4\n")
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2

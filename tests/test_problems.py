@@ -620,6 +620,21 @@ def libsvm_texts(draw, corrupt=False):
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
+def _profile_events(fn, *args):
+    """The Python-level events of one call, with the collector off (a
+    collection would run the finalizers of other tests' garbage)."""
+    events = []
+    gc.collect()
+    gc.disable()
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return len(events)
+
+
 class TestLibsvmBulkParse:
     """`parse_libsvm` against the per-token loop it replaced."""
 
@@ -654,6 +669,12 @@ class TestLibsvmBulkParse:
             # the first bad line wins, whichever rule a later line breaks
             ("+1 1:1\n\n# c\n-1 2:1 2:1\nnan 1:1\n+1 1:x\n", "line 4: indices must be strictly ascending"),
             ("+1 1:1\n-1 9223372036854775808:1\n+1 1:x\n", "line 2: index 9223372036854775808 exceeds the int64 maximum"),
+            # a 3 x 2^62 float64 matrix fails numpy's size check before anything is allocated
+            (
+                "+1 1:1\n\n-1 2:1 4611686018427387904:1\n+1 3:1\n",
+                "line 3: index 4611686018427387904 makes the dense matrix 3 x 4611686018427387904, "
+                "which numpy cannot allocate",
+            ),
         ],
         ids=[
             "bad-label",
@@ -671,36 +692,32 @@ class TestLibsvmBulkParse:
             "repeated-index",
             "first-bad-line-wins",
             "index-beyond-int64",
+            "index-numpy-refuses",
         ],
     )
     def test_malformed_line_named_with_its_rule(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_libsvm(text)
         assert str(info.value) == message
-        if "int64" not in message:  # the loop raised numpy's "Maximum allowed dimension exceeded"
+        if "int64" not in message and "numpy" not in message:  # the loop raised numpy's own errors
             assert _outcome(_reference_parse_libsvm, lambda: text) == message
 
+    def test_matrix_numpy_cannot_allocate_named_with_its_line(self, monkeypatch):
+        def zeros(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate an array of shape {shape}")
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        with pytest.raises(ParseError) as info:
+            parse_libsvm("+1 5:1\n# c\n-1 2:1 9:1\n+1 9:2\n")
+        assert str(info.value) == "line 3: index 9 makes the dense matrix 3 x 9, which numpy cannot allocate"
+
     def test_calls_do_not_grow_with_the_tokens(self):
-        # one line of 3 tokens and one of 300: the same Python-level calls.
-        # The collector is off while counting: a collection inside the parse
-        # runs the finalizers of other tests' garbage, whose calls count too.
+        # one line of 3 tokens and one of 300: the same Python-level calls
         def calls(width):
-            text = "+1 " + " ".join(f"{j}:0.5" for j in range(1, width + 1)) + "\n"
-            events = []
-            sys.setprofile(lambda frame, event, arg: events.append(event))
-            try:
-                parse_libsvm(text)
-            finally:
-                sys.setprofile(None)
-            return len(events)
+            return _profile_events(parse_libsvm, "+1 " + " ".join(f"{j}:0.5" for j in range(1, width + 1)) + "\n")
 
         parse_libsvm("+1 1:0.5\n")  # first-call work outside the count
-        gc.collect()
-        gc.disable()
-        try:
-            assert calls(300) == calls(3)
-        finally:
-            gc.enable()
+        assert calls(300) == calls(3)
 
     def test_labels_round_trip_exactly(self):
         labels = np.array([0.1234567891, 3e6, -2.5e-310, 1.0, -1.0, 0.0])
@@ -727,6 +744,52 @@ class TestReturnsCsv:
         path.write_text("2,2,0\n1.0,1.0\n")
         with pytest.raises(ValueError):
             load_returns_csv(path)
+
+
+def _reference_gen_binary_design(m, n, density, seed):
+    """`gen_binary_design` as it was: the empty rows patched one at a time."""
+    w = (rng.uniforms(seed, m * n).reshape(m, n) < density).astype(float)
+    for i in range(m):
+        if not np.any(w[i] > 0.0):
+            w[i, i % n] = 1.0
+    return w
+
+
+def _reference_returns_csv(returns, seed):
+    """What `save_returns_csv` wrote, each value formatted through a generator."""
+    lines = [f"{returns.shape[0]},{returns.shape[1]},{seed}\n"]
+    for row in returns:
+        lines.append(",".join(format(v, ".17g") for v in row) + "\n")
+    return "".join(lines)
+
+
+class TestDataLayerInBulk:
+    """The generated design and the written returns against the loops they replaced."""
+
+    @pytest.mark.parametrize("m, n, density, seed", [(50, 12, 0.3, 17), (30, 8, 0.05, 13), (7, 40, 0.0, 2), (200, 1, 0.5, 0)])
+    def test_binary_design_matches_the_row_loop(self, m, n, density, seed):
+        got = gen_binary_design(m, n, density, seed)
+        assert got.tobytes() == _reference_gen_binary_design(m, n, density, seed).tobytes()
+        assert got.any(axis=1).all()
+
+    def test_returns_csv_writes_the_reference_bytes(self, tmp_path):
+        returns = gen_portfolio_data(9, 5, 3)
+        returns[0, :4] = [-0.0, 1e-300, 123456789.123, 5e-324]
+        path = tmp_path / "returns.csv"
+        save_returns_csv(path, returns, 3)
+        assert path.read_bytes() == _reference_returns_csv(returns, 3).encode()
+
+    @pytest.mark.parametrize("which", ["gen_binary_design", "save_returns_csv"])
+    def test_calls_do_not_grow_with_the_size(self, tmp_path, which):
+        # density 0 leaves every row empty; 3 rows or 300, 3 columns or 300:
+        # the same Python-level calls
+        path = tmp_path / "returns.csv"
+        calls = {
+            "gen_binary_design": lambda size: _profile_events(gen_binary_design, size, 4, 0.0, 0),
+            "save_returns_csv": lambda size: _profile_events(save_returns_csv, path, np.ones((2, size)), 0),
+        }[which]
+        calls(2)  # first-call work outside the count
+        assert calls(300) == calls(3)
 
 
 class TestCounterRng:

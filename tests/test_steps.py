@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from condgrad import cli
 from condgrad.core import DomainError, InvariantError, ScOracle, dist_like, gap_and_target, omega_star
-from condgrad.problems import gen_binary_design, gen_portfolio_data, parse_libsvm, poisson_problem, portfolio_problem
+from condgrad.problems import (
+    gen_binary_design,
+    gen_logistic_data,
+    gen_portfolio_data,
+    logistic_problem,
+    parse_libsvm,
+    poisson_problem,
+    portfolio_problem,
+)
 from condgrad.sets import Simplex
 from condgrad.solvers import RunConfig, fw_solve
 from condgrad.steps import (
@@ -16,6 +25,7 @@ from condgrad.steps import (
 )
 
 from conftest import DATA_DIR, QuadOracle, dense
+from test_bench_hooks import load
 from test_glm import make_instance
 
 
@@ -138,12 +148,12 @@ class TestExactLineSearch:
         return exact_line_search(point, target), len(misses)
 
     def test_overshooting_newton_step_on_the_base_point(self):
-        # an M that understates the curvature leaves the Newton step undamped:
-        # on f = -ln x_2 - 100 x_1 it overshoots to t = 49, capped to the
-        # boundary t = 1, so the bracket must close on the probe outside
-        class Understated(ScOracle):
+        # on f = -ln x_2 - 100 x_1 the Newton step from t = 0 overshoots to
+        # t = 49, capped to the boundary t = 1, so the bracket must close on
+        # the probe outside
+        class BarrierMinusLinear(ScOracle):
             dim = 2
-            M = 0.002  # the true constant is 2
+            M = 2.0
 
             def value(self, x):
                 return -math.log(x[1]) - 100.0 * x[0] if self.in_domain(x) else math.inf
@@ -161,7 +171,7 @@ class TestExactLineSearch:
             def in_domain(self, x):
                 return x[1] > 0.0
 
-        point = Understated().point(np.array([0.5, 0.5]))
+        point = BarrierMinusLinear().point(np.array([0.5, 0.5]))
         target = Simplex(2).lmo(point.gradient)
         assert target == (0, 1.0)
         t, misses = self._search_counting_misses(point, target)
@@ -172,11 +182,10 @@ class TestExactLineSearch:
         assert nxt.in_domain and nxt.f < point.f
 
     def test_overshooting_newton_step_on_a_glm_point(self):
-        # toward the origin of the l1-ball, phi'(t) = -sum z0 + sum y / (1 - t)
+        # toward the origin of the l1-ball, phi'(t) = -sum z0 + sum y / (1 - t):
+        # the Newton step from t = 0 lands past the pole at t = 1
         problem = poisson_problem(100 * gen_binary_design(20, 5, 0.3, 0), np.ones(20))
-        oracle = problem.oracle
-        oracle.M = 1e-6
-        point = oracle.point(problem.feasible_set.start_point())
+        point = problem.oracle.point(problem.feasible_set.start_point())
         target = (0, 0.0)
         t, misses = self._search_counting_misses(point, target)
         assert t == pytest.approx(1.0 - 20.0 / point.z.sum(), abs=1e-12)
@@ -229,6 +238,55 @@ class TestExactLineSearch:
         assert trace.termination == "max_iter"
         assert calls["searches"] == 500
         assert calls["_derivatives"] / calls["searches"] <= 6.0
+
+    def test_step_does_not_depend_on_m(self):
+        # the step is a function of the line alone: the oracle's M, a hundred
+        # times it and a millionth of it give the same float
+        problem = logistic_problem(*gen_logistic_data(200, 50, 0))
+        oracle, fs = problem.oracle, problem.feasible_set
+        point = oracle.point(fs.start_point())
+        for _ in range(5):
+            _, target = gap_and_target(fs, point)
+            point = point.move(exact_line_search(point, target), target)
+        _, target = gap_and_target(fs, point)
+        steps = []
+        for M in (oracle.M, 100.0 * oracle.M, 1e-6 * oracle.M):
+            oracle.M = M
+            steps.append(exact_line_search(point, target))
+        assert steps[0] > 0.0
+        assert steps[1] == steps[0] and steps[2] == steps[0]
+
+    def test_few_kernel_evaluations_on_the_grid_logistic_instance(self, monkeypatch, tmp_path):
+        # the benchmark's grid solve of its logistic instance (seed 3) makes
+        # about 2.3 kernel evaluations at t > 0 per search; a Newton step
+        # damped by the instance's loose M makes 4.5
+        workloads = load("workloads")
+        grid = workloads.WORKLOADS["grid"]
+        built = workloads.build_all(workloads.write_inputs(grid, 3, tmp_path))
+        oracle, fs = built["logistic_N200_n50_s0"]
+        calls = {"kernel": 0, "searches": 0}
+        searching = False
+        original = oracle._derivatives
+
+        def derivatives(z):
+            calls["kernel"] += searching
+            return original(z)
+
+        def search(point, target):
+            nonlocal searching
+            calls["searches"] += 1
+            searching = True
+            try:
+                return exact_line_search(point, target)
+            finally:
+                searching = False
+
+        monkeypatch.setattr(oracle, "_derivatives", derivatives)
+        monkeypatch.setattr("condgrad.solvers.exact_line_search", search)
+        trace = cli.run_one(oracle, fs, "line_search", grid.gap, grid.max_iter)
+        assert trace.termination == "max_iter"
+        assert calls["searches"] == grid.max_iter
+        assert calls["kernel"] / calls["searches"] <= 2.5
 
 
 class TestBacktrackStep:
