@@ -27,11 +27,9 @@ from .solvers import (
     RunConfig,
     RunTrace,
     certificate_lower_bound,
-    descent_constants,
     estimate_sigma,
     fw_solve,
     lloo_fw_solve,
-    lloo_rate_floor,
 )
 from .steps import analytic_step, backtrack_step, exact_line_search, init_lipschitz, standard_step
 
@@ -76,11 +74,9 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "certificate_lower_bound",
-    "descent_constants",
     "estimate_sigma",
     "fw_solve",
     "lloo_fw_solve",
-    "lloo_rate_floor",
     "analytic_step",
     "backtrack_step",
     "exact_line_search",

@@ -213,11 +213,14 @@ def run_suite(cfg, out_dir):
     """
     eps_grid = _eps_levels(_list_field(cfg, "eps_grid", DEFAULT_EPS_GRID))
     methods = _list_field(cfg, "methods", list(POLICIES))
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise ValueError(
                 f"bench config 'methods' has unknown method {method!r}; known: {', '.join(METHODS)}"
             )
+        # a second run of a method would write over the first one's traces
+        if method in methods[:i]:
+            raise ValueError(f"bench config names method {method!r} more than once")
     specs = _expand_problems(cfg)
     max_iter = _number_field(cfg, "max_iter", int, "bench config", DEFAULT_MAX_ITER)
     if max_iter < 1:
@@ -269,6 +272,9 @@ def run_suite(cfg, out_dir):
     if usable:
         table = build_profile_table(usable)
         (out_dir / "profiles.csv").write_text(format_profiles_csv(table, eps_grid))
+    else:
+        # an earlier grid's table would read as this one's
+        (out_dir / "profiles.csv").unlink(missing_ok=True)
     return summary, table
 
 

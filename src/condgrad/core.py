@@ -30,11 +30,14 @@ class InvariantError(RuntimeError):
 class ScOracle:
     """Evaluation interface for a self-concordant objective.
 
-    Subclasses set ``dim`` (ambient dimension) and ``M`` (curvature
-    parameter) and implement the four methods.  ``value`` returns ``+inf``
-    outside the domain; ``gradient`` and ``hess_vec`` are only defined on
-    the domain and raise :class:`DomainError` elsewhere.  Instances are
-    immutable after construction and safe for concurrent read-only use.
+    An oracle gives what the solvers read: ``dim`` (ambient dimension),
+    ``M`` (curvature parameter) and ``point(x)``.  This class is the
+    adapter for an objective given by its four methods: a subclass sets
+    ``dim`` and ``M`` and implements them, and the default ``point``
+    evaluates through them.  ``value`` returns ``+inf`` outside the
+    domain; ``gradient`` and ``hess_vec`` are only defined on the domain
+    and raise :class:`DomainError` elsewhere.  Instances are immutable
+    after construction and safe for concurrent read-only use.
     """
 
     dim: int

@@ -48,9 +48,10 @@ _EXPM1_MAX = 709.0
 class GlmOracle(ScOracle):
     """f(x) = sum_i phi_i(a_i . x) + (gamma/2)|x|^2 over the rows a_i of a matrix.
 
-    Subclasses call ``_set_matrix`` (m x n data, m >= 1), set ``M`` and, when
-    there is a quadratic term, ``gamma``, and define phi on the image
-    z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
+    Subclasses call ``_set_matrix`` (m x n data, m >= 1) before any check
+    of the entries' signs, so that a NaN or an inf gets its own message,
+    set ``M`` and, when there is a quadratic term, ``gamma``, and define
+    phi on the image z = A x: ``_domain(z)``, ``_loss(z)`` (the sum over rows, called on
     the domain only), ``_derivatives(z)``, a tuple led by the per-row
     phi' and phi'' (called on the domain only), and
     ``_change(z, av, alpha, derivatives)``, the loss at z + alpha av minus
@@ -260,9 +261,9 @@ class PortfolioOracle(GlmOracle):
         returns = np.ascontiguousarray(returns, dtype=float)
         if returns.ndim != 2:
             raise ValueError("returns must be a T x n matrix")
+        self._set_matrix(returns)
         if not np.all(returns > 0.0):
             raise ValueError("returns matrix must be strictly positive")
-        self._set_matrix(returns)
         self.M = 2.0
 
     @property
@@ -298,6 +299,7 @@ class PoissonOracle(GlmOracle):
         counts = np.ascontiguousarray(counts, dtype=float)
         if weights.ndim != 2 or counts.shape != (weights.shape[0],):
             raise ValueError("weights must be m x n with one count per row")
+        self._set_matrix(weights)
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         if not np.isfinite(counts).all() or np.any(counts < 0.0) or np.any(counts != np.floor(counts)):
@@ -305,7 +307,6 @@ class PoissonOracle(GlmOracle):
         pos = counts > 0
         if np.any(~np.any(weights[pos] > 0.0, axis=1)):
             raise ValueError("every row with a positive count needs a positive entry")
-        self._set_matrix(weights)
         self.counts = counts
         # rows with a positive count; None when that is every row
         self._rows = None if np.all(pos) else np.flatnonzero(pos)

@@ -49,7 +49,7 @@ def _check_radius(radius):
 
 
 class FeasibleSet:
-    """Common surface: lmo, contains, diameter, vertices, start_point.
+    """What the solvers read of a set: dim, kind, lmo, contains, start_point.
 
     ``lmo(c)`` returns a vertex minimizing <c, .> as (i, value), the point
     value * e_i; a set whose vertices do not all lie on coordinate axes
@@ -73,13 +73,6 @@ class FeasibleSet:
     def contains(self, x):
         raise NotImplementedError
 
-    @property
-    def diameter(self):
-        raise NotImplementedError
-
-    def vertices(self):
-        raise NotImplementedError
-
     def start_point(self):
         raise NotImplementedError
 
@@ -101,13 +94,6 @@ class Simplex(FeasibleSet):
             and bool(x[x.argmin()] >= -CONTAINS_TOL)
             and abs(float(x.dot(self._ones)) - 1.0) <= CONTAINS_TOL
         )
-
-    @property
-    def diameter(self):
-        return float(np.sqrt(2.0)) if self.dim > 1 else 0.0
-
-    def vertices(self):
-        return [v for v in np.eye(self.dim)]
 
     def start_point(self):
         return np.full(self.dim, 1.0 / self.dim)
@@ -143,14 +129,6 @@ class L1Ball(FeasibleSet):
             and float(np.abs(x).dot(self._ones)) <= self.radius + CONTAINS_TOL
         )
 
-    @property
-    def diameter(self):
-        return 2.0 * self.radius
-
-    def vertices(self):
-        eye = np.eye(self.dim)
-        return [self.radius * v for v in eye] + [-self.radius * v for v in eye]
-
     def start_point(self):
         return np.zeros(self.dim)
 
@@ -177,14 +155,6 @@ class NonnegL1Ball(FeasibleSet):
             and bool(x[x.argmin()] >= -CONTAINS_TOL)
             and float(x.dot(self._ones)) <= self.radius + CONTAINS_TOL
         )
-
-    @property
-    def diameter(self):
-        # farthest vertex pair is R*e_i, R*e_j; the origin is closer
-        return float(np.sqrt(2.0)) * self.radius if self.dim > 1 else self.radius
-
-    def vertices(self):
-        return [np.zeros(self.dim)] + [self.radius * v for v in np.eye(self.dim)]
 
     def start_point(self):
         # strictly interior so barrier-type objectives are finite at the start

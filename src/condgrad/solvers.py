@@ -372,24 +372,3 @@ def estimate_sigma(oracle, x):
         return 0.0
     return float(lam[0])
 
-
-def lloo_rate_floor(sigma_f, lipschitz, rho, M, diam):
-    """Guaranteed per-iteration step floor of the locally-restricted run.
-
-    Diagnostic only: needs the strong-convexity and gradient-Lipschitz
-    parameters over the level set.  Every accepted step is at least this
-    large, so the error contracts by exp(-floor/2) per iteration.
-    """
-    return min(sigma_f / (6.0 * lipschitz * rho * rho), 1.0) / (
-        1.0 + np.sqrt(lipschitz) * M * diam / 2.0
-    )
-
-
-def descent_constants(M, lipschitz, diam):
-    """Constants (a, b) of the per-iteration decrease bound
-    Delta_k >= min(a * gap, b * gap^2) under the analytic policy,
-    given a gradient-Lipschitz bound over the visited set."""
-    one_minus_ln2 = 1.0 - np.log(2.0)
-    a = min(0.5, 2.0 * one_minus_ln2 / (M * np.sqrt(lipschitz) * diam))
-    b = one_minus_ln2 / (lipschitz * diam * diam)
-    return float(a), float(b)

@@ -161,6 +161,26 @@ def dense(dim, vertex):
     return out
 
 
+def vertices(fs):
+    """Every vertex of one of the three sets as a dense vector, listed from
+    the set's kind and radius (so a check of `lmo` against this list does not
+    rest on `lmo`)."""
+    eye = np.eye(fs.dim)
+    if fs.kind == "simplex":
+        return list(eye)
+    if fs.kind == "l1_ball":
+        return list(fs.radius * eye) + list(-fs.radius * eye)
+    if fs.kind == "nonneg_l1":
+        return [np.zeros(fs.dim)] + list(fs.radius * eye)
+    raise ValueError(f"no vertex list for a set of kind {fs.kind!r}")
+
+
+def diameter(fs):
+    """The largest distance between two vertices of `fs`, by brute force."""
+    verts = vertices(fs)
+    return max(np.linalg.norm(a - b) for i, a in enumerate(verts) for b in verts[i:])
+
+
 def scale_to_local_distance(oracle, x, direction, target=0.85):
     """Rescale `direction` so dist_like(x, x + direction) == target."""
     d = dist_like(oracle.point(x), np.asarray(x) + direction)

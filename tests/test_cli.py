@@ -362,6 +362,10 @@ class TestUserErrors:
                 "bench config has more than one problem named 'portfolio_n4_T10_s0'\n",
             ),
             (
+                ["bench", "--config", "{tmp}/method_twice.json", "--out", "{tmp}/res"],
+                "bench config names method 'analytic' more than once\n",
+            ),
+            (
                 SOLVE + ["--problem", "portfolio", "--data", "{tmp}/returns_empty.csv"],
                 "returns CSV body (0, 1) does not match header (3, 2)\n",
             ),
@@ -425,6 +429,7 @@ class TestUserErrors:
             "bench-name-a-number",
             "bench-name-twice",
             "bench-seed-twice",
+            "bench-method-twice",
             "returns-empty-body",
             "libsvm-index-numpy-refuses",
         ],
@@ -467,6 +472,7 @@ class TestUserErrors:
             "name_number": {"problems": [{"kind": "poisson", "m": 20, "n": 5, "name": 5}]},
             "name_twice": {"problems": [dict(portfolio[0], name="p"), {"kind": "poisson", "m": 20, "n": 5, "name": "p"}]},
             "seed_twice": {"problems": portfolio, "seeds": [0, 0]},
+            "method_twice": {"problems": portfolio, "methods": ["analytic", "analytic"]},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -689,6 +695,21 @@ class TestBench:
         summary = json.loads((tmp_path / "res" / "summary.json").read_text())
         errors = [r for r in summary["runs"] if "error" in r]
         assert len(errors) == 1 and errors[0]["method"] == "lloo"
+
+    def test_grid_without_a_table_removes_an_earlier_one(self, tmp_path):
+        # the second grid's only method fails on its only problem, so it has
+        # no table; the first grid's must not sit next to its summary
+        grids = [
+            {"problems": [{"kind": "portfolio", "n": 4, "T": 10}], "methods": ["analytic"], "max_iter": 50},
+            {"problems": [{"kind": "poisson", "m": 10, "n": 4}], "methods": ["lloo"]},
+        ]
+        for i, cfg in enumerate(grids):
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 0
+            assert (tmp_path / "res" / "profiles.csv").exists() == (i == 0)
+        summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+        assert [r["error_type"] for r in summary["runs"]] == ["ValueError"]
 
     def test_unwritable_trace_recorded_and_grid_goes_on(self, tmp_path):
         # a valid name, but too long for a file name on the output directory

@@ -30,7 +30,7 @@ from condgrad.problems import (
 from condgrad.solvers import POLICIES, RunConfig, estimate_sigma, fw_solve, lloo_fw_solve
 from condgrad.steps import analytic_step, exact_line_search
 
-from conftest import DATA_DIR, FourCalls
+from conftest import DATA_DIR, FourCalls, vertices
 
 KINDS = ("portfolio", "poisson", "logistic")
 EPS = float(np.finfo(float).eps)
@@ -197,7 +197,7 @@ def random_target(kind, fs, x, gen):
     """A vertex, a local-oracle point (simplex) or any feasible point."""
     pick = gen.integers(3)
     if pick == 0:
-        verts = fs.vertices()
+        verts = vertices(fs)
         return verts[gen.integers(len(verts))]
     if pick == 1 and kind == "portfolio":
         return lloo_simplex(x, 10.0 ** gen.uniform(-3.0, 0.0), gen.normal(size=fs.dim))
@@ -316,7 +316,7 @@ class TestCarriedImage:
     def test_corrupted_image_raises_at_refresh(self, kind):
         oracle, fs = make_instance(kind, 30, 6, 5)
         gen = np.random.default_rng(9)
-        point = oracle.point(feasible_point(kind, fs, gen)).move(0.5, fs.vertices()[1])
+        point = oracle.point(feasible_point(kind, fs, gen)).move(0.5, vertices(fs)[1])
         assert point.age == 1
         point.z[0] += 1e-6 * (1.0 + abs(point.z[0]))
         with pytest.raises(InvariantError):
@@ -324,7 +324,7 @@ class TestCarriedImage:
         # short steps: a step alpha scales the carried error by 1 - alpha
         with pytest.raises(InvariantError):
             for _ in range(REFRESH_INTERVAL):
-                point = point.move(1e-3, fs.vertices()[0])
+                point = point.move(1e-3, vertices(fs)[0])
 
 
 class TestChange:

@@ -220,8 +220,21 @@ def test_data_matrix_without_rows_rejected(cls, args):
         (LogisticOracle, ([[1.0, np.inf]], [1.0])),
         (LogisticOracle, ([[1.0, -np.inf]], [1.0])),
         (LogisticOracle, ([[1.0, np.nan]], [1.0])),
+        # the finiteness check comes before each family's sign check
+        (PortfolioOracle, ([[1.0, np.nan]],)),
+        (PortfolioOracle, ([[1.0, -np.inf]],)),
+        (PoissonOracle, ([[1.0, -np.inf]], [1.0])),
     ],
-    ids=["portfolio", "poisson", "logistic", "logistic-minus-inf", "logistic-nan"],
+    ids=[
+        "portfolio",
+        "poisson",
+        "logistic",
+        "logistic-minus-inf",
+        "logistic-nan",
+        "portfolio-nan",
+        "portfolio-minus-inf",
+        "poisson-minus-inf",
+    ],
 )
 def test_data_matrix_with_non_finite_entry_rejected(cls, args):
     with pytest.raises(ValueError, match=f"{cls.__name__}: the data matrix has non-finite entries"):

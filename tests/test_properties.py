@@ -19,7 +19,7 @@ from condgrad.problems import GATHER_RATIO, gen_portfolio_data, portfolio_proble
 from condgrad.solvers import DESCENT_SLACK, RunConfig, estimate_sigma, lloo_fw_solve
 from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step, exact_line_search
 
-from conftest import dense
+from conftest import dense, vertices
 from test_glm import feasible_point, instances, make_instance
 from test_lloo import random_simplex_point, sample_ball_simplex
 
@@ -42,7 +42,7 @@ class TestGapAndTarget:
         g, x = point.gradient, point.x
         assert fs.contains(dense(fs.dim, target))
         assert gap >= 0.0
-        for v in fs.vertices():
+        for v in vertices(fs):
             below = float(np.dot(g, x - v))
             assert gap >= below - 1e-12 * max(1.0, abs(below), abs(gap))
 
@@ -66,7 +66,7 @@ class TestVertexTargets:
         # which rounds differently from the one column an index costs
         assume(oracle.dim >= GATHER_RATIO)
         for make in (oracle.point, lambda x: OraclePoint(oracle, x)):
-            for v in fs.vertices():
+            for v in vertices(fs):
                 by_index, by_dense = make(glm_point.x), make(glm_point.x)
                 vertex = index_form(v)
                 assert same_bits(by_index.direction(vertex), by_dense.direction(v))
@@ -113,7 +113,7 @@ class TestExactLineSearch:
         oracle, fs, glm_point = draw_point(inst)
         gen = np.random.default_rng(inst[3] + 7)
         if vertex:
-            verts = fs.vertices()
+            verts = vertices(fs)
             target = index_form(verts[gen.integers(len(verts))])
         else:
             target = feasible_point(inst[0], fs, gen)

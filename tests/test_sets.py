@@ -1,5 +1,6 @@
 import inspect
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +10,12 @@ from hypothesis import strategies as st
 from condgrad.lloo import lloo_simplex
 from condgrad.sets import CONTAINS_TOL, FeasibleSet, L1Ball, NonnegL1Ball, Simplex
 
-from conftest import OFFSETS, at_offset, dense
+from conftest import OFFSETS, at_offset, dense, vertices
 
 
-def random_convex_combinations(gen, vertices, count):
-    verts = np.stack(vertices)
-    weights = gen.dirichlet(np.ones(len(vertices)), size=count)
-    return weights @ verts
+def random_convex_combinations(gen, verts, count):
+    weights = gen.dirichlet(np.ones(len(verts)), size=count)
+    return weights @ np.stack(verts)
 
 
 def make_sets(dim):
@@ -69,7 +69,7 @@ class TestBruteForceOptimality:
     def test_lmo_attains_minimum(self, dim):
         gen = np.random.default_rng(100 + dim)
         for fs in make_sets(dim):
-            verts = fs.vertices()
+            verts = vertices(fs)
             points = random_convex_combinations(gen, verts, 1000)
             for _ in range(25):
                 c = gen.normal(size=dim)
@@ -86,7 +86,7 @@ class TestBruteForceOptimality:
             for _ in range(1000):
                 c = gen.normal(size=dim)
                 out = dense(dim, fs.lmo(c))
-                assert any(np.array_equal(out, v) for v in fs.vertices())
+                assert any(np.array_equal(out, v) for v in vertices(fs))
 
     @pytest.mark.parametrize("dim", [2, 5])
     def test_lmo_positively_homogeneous(self, dim):
@@ -121,7 +121,7 @@ class TestVertexForm:
             i, value = fs.lmo(c)
             assert type(i) is int and type(value) is float
             out = dense(dim, (i, value))
-            verts = fs.vertices()
+            verts = vertices(fs)
             vals = [float(np.dot(c, v)) for v in verts]
             argmins = [v for v, val in zip(verts, vals) if val == min(vals)]
             assert any(np.array_equal(out, v) for v in argmins)
@@ -133,20 +133,24 @@ class TestVertexForm:
             assert fs.lmo(scale * c) == (i, value)
 
 
-class TestDiameter:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
-    def test_matches_vertex_brute_force(self, dim):
-        for fs in make_sets(dim):
-            verts = fs.vertices()
-            brute = max(
-                np.linalg.norm(a - b) for i, a in enumerate(verts) for b in verts[i:]
-            )
-            assert fs.diameter == pytest.approx(brute, abs=1e-12)
+# what the solvers read of a feasible set; README, "A custom `FeasibleSet`"
+SET_SURFACE = {"dim", "kind", "lmo", "contains", "start_point"}
 
-    def test_closed_forms(self):
-        assert Simplex(5).diameter == pytest.approx(np.sqrt(2.0))
-        assert L1Ball(5, 3.0).diameter == 6.0
-        assert NonnegL1Ball(5, 3.0).diameter == pytest.approx(3.0 * np.sqrt(2.0))
+
+def public_names(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_the_set_surface_is_the_one_the_readme_lists():
+    assert public_names(FeasibleSet) | set(FeasibleSet.__annotations__) == SET_SURFACE
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = readme.split("A custom `FeasibleSet` gives what the solvers read:", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(\w+)", sentence)) == SET_SURFACE
+
+
+@pytest.mark.parametrize("fs", make_sets(3), ids=lambda fs: fs.kind)
+def test_a_concrete_set_adds_only_its_radius(fs):
+    assert public_names(fs) - SET_SURFACE == ({"radius"} if fs.kind != "simplex" else set())
 
 
 class TestStartPoint:

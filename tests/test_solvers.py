@@ -23,16 +23,36 @@ from condgrad.solvers import (
     RunTrace,
     IterationRecord,
     certificate_lower_bound,
-    descent_constants,
     estimate_sigma,
     fw_solve,
     lloo_fw_solve,
-    lloo_rate_floor,
     lloo_step_size,
     read_trace_csv,
 )
 
-from conftest import QuadOracle, dense
+from conftest import QuadOracle, dense, diameter
+
+
+def descent_constants(M, lipschitz, diam):
+    """Constants (a, b) of the per-iteration decrease bound
+    Delta_k >= min(a * gap, b * gap^2) under the analytic policy,
+    given a gradient-Lipschitz bound over the visited set."""
+    one_minus_ln2 = 1.0 - np.log(2.0)
+    a = min(0.5, 2.0 * one_minus_ln2 / (M * np.sqrt(lipschitz) * diam))
+    b = one_minus_ln2 / (lipschitz * diam * diam)
+    return float(a), float(b)
+
+
+def lloo_rate_floor(sigma_f, lipschitz, rho, M, diam):
+    """Guaranteed per-iteration step floor of the locally-restricted run.
+
+    Needs the strong-convexity and gradient-Lipschitz parameters over the
+    level set.  Every accepted step is at least this large, so the error
+    contracts by exp(-floor/2) per iteration.
+    """
+    return min(sigma_f / (6.0 * lipschitz * rho * rho), 1.0) / (
+        1.0 + np.sqrt(lipschitz) * M * diam / 2.0
+    )
 
 
 def analytic_model_decrease(record, M):
@@ -295,12 +315,13 @@ class TestAnalyticDescentInvariants:
         lam = 0.0
         for x in xs[::50]:
             lam = max(lam, float(np.linalg.eigvalsh(oracle.point(x).hessian())[-1]))
-        a, b = descent_constants(oracle.M, lam, fs.diameter)
+        diam = diameter(fs)
+        a, b = descent_constants(oracle.M, lam, diam)
         h0 = trace.records[0].f - f_ref
         for eps in (1e-2, 1e-3):
             n_eps = next(r.k for r in trace.records if r.f - f_ref <= eps)
             phase1 = np.ceil(max(0.0, (1.0 / a) * np.log(h0 * b / a)))
-            phase2 = lam * fs.diameter**2 / ((1.0 - np.log(2.0)) * eps)
+            phase2 = lam * diam**2 / ((1.0 - np.log(2.0)) * eps)
             assert n_eps <= phase1 + phase2
 
     def test_visited_lipschitz_descent_floor(self, desk_portfolio):
@@ -315,7 +336,7 @@ class TestAnalyticDescentInvariants:
         lam_max = 0.0
         for x in xs:
             lam_max = max(lam_max, float(np.linalg.eigvalsh(oracle.point(x).hessian())[-1]))
-        a, b = descent_constants(oracle.M, lam_max, fs.diameter)
+        a, b = descent_constants(oracle.M, lam_max, diameter(fs))
         recs = trace.records
         for prev, nxt in zip(recs, recs[1:]):
             actual = prev.f - nxt.f
@@ -333,7 +354,7 @@ class TestBacktrackingRun:
         ref = fw_solve(oracle, fs, RunConfig(epsilon=1e-12, max_iter=6000, policy="backtracking"))
         f_ref = min(min(r.f for r in ref.records), min(r.f for r in recs))
         gap0 = recs[0].gap
-        diam2 = fs.diameter**2
+        diam2 = diameter(fs) ** 2
         mus = [r.lipschitz for r in recs if r.lipschitz is not None]
         for r in recs:
             k = r.k
@@ -373,8 +394,9 @@ class TestBacktrackingRun:
         oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-12, max_iter=400, policy="backtracking"))
         recs = trace.records
+        diam2 = diameter(fs) ** 2
         for prev, nxt in zip(recs, recs[1:]):
-            vv_bound = prev.alpha * prev.gap - 0.5 * prev.alpha**2 * prev.lipschitz * fs.diameter**2
+            vv_bound = prev.alpha * prev.gap - 0.5 * prev.alpha**2 * prev.lipschitz * diam2
             # model decrease with the true |v|^2 is between this and alpha*gap
             assert nxt.f <= prev.f - vv_bound + 1e-9 or nxt.f <= prev.f + 1e-9
 
@@ -481,7 +503,7 @@ class TestLlooSolver:
             w = np.linalg.eigvalsh(oracle.point(x).hessian())
             lam_max = max(lam_max, float(w[-1]))
             lam_min = min(lam_min, float(w[0]))
-        floor = lloo_rate_floor(lam_min, lam_max, np.sqrt(oracle.dim), oracle.M, fs.diameter)
+        floor = lloo_rate_floor(lam_min, lam_max, np.sqrt(oracle.dim), oracle.M, diameter(fs))
         assert floor > 0.0
         assert all(r.alpha >= floor for r in trace.records if r.alpha > 0.0)
 
@@ -654,13 +676,6 @@ class DiagScaledSimplex:
 
     def contains(self, x):
         return Simplex(self.dim).contains(self.scale * np.asarray(x, dtype=float))
-
-    @property
-    def diameter(self):
-        verts = np.diag(1.0 / self.scale)
-        return max(
-            np.linalg.norm(a - b) for i, a in enumerate(verts) for b in verts[i:]
-        )
 
     def start_point(self):
         return Simplex(self.dim).start_point() / self.scale
