@@ -209,7 +209,8 @@ def run_suite(cfg, out_dir):
 
     A run that raises, or whose trace file cannot be written, is listed
     in the summary with its `error` message and `error_type`; the
-    remaining runs go on.
+    remaining runs go on.  `out_dir` keeps no `<method>__<problem>.csv`
+    trace and no `profiles.csv` of an earlier grid.
     """
     eps_grid = _eps_levels(_list_field(cfg, "eps_grid", DEFAULT_EPS_GRID))
     methods = _list_field(cfg, "methods", list(POLICIES))
@@ -235,6 +236,10 @@ def run_suite(cfg, out_dir):
         raise ValueError(f"bench config has more than one problem named {repeated[0]!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # `profile` reads every trace of the directory: an earlier grid's would
+    # read as this one's
+    for stale in out_dir.glob("*__*.csv"):
+        stale.unlink()
 
     runs = []
     records = []

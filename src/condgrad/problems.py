@@ -28,11 +28,6 @@ REFRESH_INTERVAL = 100
 # reach being the largest l1 norm among the last exact x and the targets
 # since (every carried value is a combination of those).
 DRIFT_RTOL = 1e-9
-# For a dense target s (the local oracle's), A (s - x) is gathered as A s - z
-# from the columns of s's support when that support has at most
-# n / GATHER_RATIO entries: a column read touches one cache line (8 doubles)
-# per row, a full pass one per 8 entries.  A vertex is always one column.
-GATHER_RATIO = 8
 # expm1 overflows above log(max float) = 709.78
 _EXPM1_MAX = 709.0
 # Every sum is one ndarray.dot: with the oracle's ones(m) for a sum over
@@ -123,9 +118,9 @@ class GlmPoint(OraclePoint):
     """An :class:`OraclePoint` of a :class:`GlmOracle` that carries z = A x.
 
     A move to x + alpha (s - x) updates z <- z + alpha A (s - x):
-    a vertex (i, value) of the feasible set costs one scaled column,
-    value a_i, and a dense local-oracle target is gathered from its
-    support, or costs one full product when that support is large.
+    a vertex (i, value) of the feasible set, and a dense local-oracle
+    target with at most one nonzero, which is such a vertex, cost one
+    scaled column, value a_i; any other dense target costs one full product.
     Domain tests, f, local norms, trial changes and probes of the two
     derivatives along the line then cost O(m); the gradient's
     A^T phi'(z) is the one full pass over the data per iterate, and the
@@ -170,19 +165,19 @@ class GlmPoint(OraclePoint):
     def _image_of(self, target):
         """(v, A v, |target|_1) for v = target - x."""
         a = self.oracle.matrix
-        if isinstance(target, tuple):
-            i, value = target
-            # value * a_i is a_i itself at value 1 (each simplex vertex)
-            col = a[:, i] if value == 1.0 else value * a[:, i]
-            return vertex_direction(self.x, target), col - self.z, abs(value)
-        s = np.asarray(target, dtype=float)
-        v = s - self.x
-        support = np.flatnonzero(s)
-        if support.size * GATHER_RATIO <= v.size:
-            av = a[:, support] @ s[support] - self.z
-        else:
-            av = a @ v
-        return v, av, float(np.abs(s).dot(self.oracle._ones_dim))
+        if not isinstance(target, tuple):
+            s = np.asarray(target, dtype=float)
+            support = np.flatnonzero(s)
+            if support.size > 1:
+                v = s - self.x
+                return v, a @ v, float(np.abs(s).dot(self.oracle._ones_dim))
+            # at most one nonzero: the vertex (i, s_i), or (0, 0.0) for none
+            i = int(support[0]) if support.size else 0
+            target = (i, float(s[i]))
+        i, value = target
+        # value * a_i is a_i itself at value 1 (each simplex vertex)
+        col = a[:, i] if value == 1.0 else value * a[:, i]
+        return vertex_direction(self.x, target), col - self.z, abs(value)
 
     def norm_to(self, target):
         self._require_domain("norm_to")
@@ -452,8 +447,11 @@ def gen_portfolio_data(T, n, seed):
     """
     if T < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
+    # 1 + 0.1 z, clamped, formed in the draw's own array
     z = rng.normals(seed, T * n)
-    return np.maximum(1.0 + 0.1 * z, PORTFOLIO_CLAMP).reshape(T, n)
+    z *= 0.1
+    z += 1.0
+    return np.maximum(z, PORTFOLIO_CLAMP, out=z).reshape(T, n)
 
 
 class ParseError(ValueError):
@@ -578,10 +576,14 @@ def save_returns_csv(path, returns, seed):
 def load_returns_csv(path):
     """Read back a returns matrix; returns (matrix, seed)."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
+        header = fh.readline().strip()
+        fields = header.split(",")
+        if len(fields) != 3:
             raise ValueError("returns CSV must start with a `T,n,seed` line")
-        T, n, seed = int(header[0]), int(header[1]), int(header[2])
+        try:
+            T, n, seed = map(int, fields)
+        except ValueError:
+            raise ValueError(f"returns CSV header {header!r} is not a `T,n,seed` line of integers") from None
         with warnings.catch_warnings():
             # a body without rows is the shape check's error, not numpy's warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

@@ -13,20 +13,30 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = float(2.0**-53)
+# counters per block (even, so a block holds whole Box-Muller pairs): the
+# pipeline's temporaries are one block long, so a draw's memory is its
+# output plus a fixed amount, whatever its length
+_BLOCK = 1 << 15
 
 
-def _splitmix64(seed, count):
-    idx = np.arange(1, count + 1, dtype=np.uint64)
+def _uniform_block(seed, first, count):
+    """The uniforms of counters first + 1, ..., first + count: the top 53
+    bits of each counter's splitmix64 hash, scaled to [0, 1)."""
+    idx = np.arange(first + 1, first + count + 1, dtype=np.uint64)
     z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA * idx
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * _U53
 
 
 def uniforms(seed, count):
     """`count` uniforms in [0, 1) from the counter stream of `seed`."""
-    bits = _splitmix64(seed, count)
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53
+    out = np.empty(count)
+    for first in range(0, count, _BLOCK):
+        stop = min(first + _BLOCK, count)
+        out[first:stop] = _uniform_block(seed, first, stop - first)
+    return out
 
 
 def normals(seed, count):
@@ -35,13 +45,13 @@ def normals(seed, count):
     Pairs of uniforms (u1, u2) map to
     sqrt(-2 ln u1) * (cos, sin)(2 pi u2); a zero u1 is nudged to 2^-53.
     """
-    pairs = (count + 1) // 2
-    u = uniforms(seed, 2 * pairs)
-    u1 = np.maximum(u[0::2], _U53)
-    u2 = u[1::2]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
+    size = 2 * ((count + 1) // 2)
+    out = np.empty(size)
+    for first in range(0, size, _BLOCK):
+        stop = min(first + _BLOCK, size)
+        u = _uniform_block(seed, first, stop - first)
+        radius = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], _U53)))
+        angle = 2.0 * np.pi * u[1::2]
+        out[first:stop:2] = radius * np.cos(angle)
+        out[first + 1 : stop : 2] = radius * np.sin(angle)
     return out[:count]

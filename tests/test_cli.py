@@ -370,6 +370,10 @@ class TestUserErrors:
                 "returns CSV body (0, 1) does not match header (3, 2)\n",
             ),
             (
+                SOLVE + ["--problem", "portfolio", "--data", "{tmp}/returns_word.csv"],
+                "returns CSV header 'x,2,1' is not a `T,n,seed` line of integers\n",
+            ),
+            (
                 SOLVE + ["--problem", "poisson", "--data", "{tmp}/huge_index.svm"],
                 "line 2: index 4611686018427387904 makes the dense matrix 2 x 4611686018427387904, "
                 "which numpy cannot allocate\n",
@@ -431,6 +435,7 @@ class TestUserErrors:
             "bench-seed-twice",
             "bench-method-twice",
             "returns-empty-body",
+            "returns-header-word",
             "libsvm-index-numpy-refuses",
         ],
     )
@@ -484,6 +489,7 @@ class TestUserErrors:
         (tmp_path / "one").mkdir()
         (tmp_path / "one" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,0.5,0,1,,0\n")
         (tmp_path / "returns_empty.csv").write_text("3,2,0\n")
+        (tmp_path / "returns_word.csv").write_text("x,2,1\n1,1\n")
         (tmp_path / "huge_index.svm").write_text("+1 1:1\n+1 4611686018427387904:1\n")
         (tmp_path / "late").mkdir()
         (tmp_path / "late" / "analytic__p.csv").write_text("k,f,gap,alpha,e,L,time_ns\n0,1,2,0.5,4,,5\n1,1,2,0.5,4,,4\n")
@@ -696,9 +702,10 @@ class TestBench:
         errors = [r for r in summary["runs"] if "error" in r]
         assert len(errors) == 1 and errors[0]["method"] == "lloo"
 
-    def test_grid_without_a_table_removes_an_earlier_one(self, tmp_path):
+    def test_grid_without_a_table_removes_an_earlier_one(self, tmp_path, capsys):
         # the second grid's only method fails on its only problem, so it has
-        # no table; the first grid's must not sit next to its summary
+        # no table and no trace; the first grid's must not sit next to its
+        # summary, nor reach `profile`
         grids = [
             {"problems": [{"kind": "portfolio", "n": 4, "T": 10}], "methods": ["analytic"], "max_iter": 50},
             {"problems": [{"kind": "poisson", "m": 10, "n": 4}], "methods": ["lloo"]},
@@ -708,8 +715,15 @@ class TestBench:
             cfg_path.write_text(json.dumps(cfg))
             assert main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "res")]) == 0
             assert (tmp_path / "res" / "profiles.csv").exists() == (i == 0)
+            traces = [p.name for p in (tmp_path / "res").glob("*__*.csv")]
+            assert traces == (["analytic__portfolio_n4_T10_s0.csv"] if i == 0 else [])
         summary = json.loads((tmp_path / "res" / "summary.json").read_text())
         assert [r["error_type"] for r in summary["runs"]] == ["ValueError"]
+        capsys.readouterr()
+        assert main(["profile", "--traces", str(tmp_path / "res"), "--eps-grid", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("condgrad: error: no complete method traces") and captured.err.count("\n") == 1
 
     def test_unwritable_trace_recorded_and_grid_goes_on(self, tmp_path):
         # a valid name, but too long for a file name on the output directory

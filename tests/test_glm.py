@@ -484,14 +484,26 @@ class TestPassCounts:
         assert counts["products"] <= bound
 
     def test_one_pass_per_lloo_iteration(self, desk):
+        # a local point with at most one nonzero is a vertex, one column; any
+        # other costs one full product A (s - x), the row's second pass
         oracle, fs, counts = desk
         sigma = estimate_sigma(oracle, fs.start_point())
         counts["products"] = 0
+        dense_points = {"count": 0}
+
+        def counted_lloo(x, r, c):
+            p = lloo_simplex(x, r, c)
+            dense_points["count"] += np.count_nonzero(p) >= 2
+            return p
+
         iters = 250
         config = RunConfig(epsilon=1e-14, max_iter=iters, policy="lloo")
-        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
+        trace = lloo_fw_solve(oracle, counted_lloo, config, sigma)
         assert trace.termination == "max_iter"
-        assert counts["products"] <= 1 + (iters + 1) + iters // REFRESH_INTERVAL
+        # both rules run: the radius binds on some rows and not on others
+        assert 0 < dense_points["count"] < iters
+        bound = 1 + (iters + 1) + iters // REFRESH_INTERVAL + dense_points["count"]
+        assert counts["products"] <= bound
 
     def test_gap_termination_refreshes_once(self, desk):
         oracle, fs, counts = desk

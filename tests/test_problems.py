@@ -3,6 +3,7 @@ import gc
 import io
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from condgrad import rng
 from condgrad.core import DomainError
 from condgrad.problems import (
+    PORTFOLIO_CLAMP,
     GlmPoint,
     LogisticOracle,
     ParseError,
@@ -805,7 +807,61 @@ class TestDataLayerInBulk:
         assert calls(300) == calls(3)
 
 
+def _reference_uniforms(seed, count):
+    """`rng.uniforms` as the whole-length formula: every stage one array of `count`."""
+    idx = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.uint64(seed) + np.uint64(0x9E3779B97F4A7C15) * idx
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _reference_normals(seed, count):
+    """`rng.normals` as the whole-length Box-Muller formula."""
+    pairs = (count + 1) // 2
+    u = _reference_uniforms(seed, 2 * pairs)
+    radius = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], 2.0**-53)))
+    angle = 2.0 * np.pi * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes allocated while fn runs) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCounterRng:
+    @pytest.mark.parametrize(
+        "count",
+        [1, 2, 3, 999, rng._BLOCK - 1, rng._BLOCK, rng._BLOCK + 1, 2 * rng._BLOCK + 1, 3 * rng._BLOCK + 7, 800_000],
+    )
+    def test_blocks_write_the_whole_length_formula(self, count):
+        assert rng.uniforms(11, count).tobytes() == _reference_uniforms(11, count).tobytes()
+        assert rng.normals(11, count).tobytes() == _reference_normals(11, count).tobytes()
+
+    def test_portfolio_data_is_the_whole_length_formula(self):
+        got = gen_portfolio_data(1000, 800, 7)
+        reference = np.maximum(1.0 + 0.1 * _reference_normals(7, 800_000), PORTFOLIO_CLAMP).reshape(1000, 800)
+        assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda: rng.uniforms(7, 800_000), lambda: rng.normals(7, 800_000), lambda: gen_portfolio_data(1000, 800, 7)],
+        ids=["uniforms", "normals", "portfolio"],
+    )
+    def test_memory_is_at_most_twice_the_output(self, draw):
+        out, peak = _traced_peak(draw)
+        assert peak <= 2 * out.nbytes
+
     def test_streams_deterministic_and_seed_sensitive(self):
         assert np.array_equal(rng.uniforms(5, 100), rng.uniforms(5, 100))
         assert not np.array_equal(rng.uniforms(5, 100), rng.uniforms(6, 100))

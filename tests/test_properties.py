@@ -2,7 +2,9 @@
 
 Each example draws a small portfolio, Poisson or logistic instance and a
 feasible point strictly inside its domain (the generators of
-`test_glm.py`), then checks the guarantee the function gives there.  The
+`test_glm.py`), then checks the guarantee the function gives there; the
+local oracle's full-budget point, a dense vertex, is also checked at the
+two benchmark sizes.  The
 last class checks the local-oracle run's linear contraction (C4) over
 whole runs on random portfolio instances.
 """
@@ -10,12 +12,13 @@ whole runs on random portfolio instances.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condgrad.core import OraclePoint, dist_like, gap_and_target
 from condgrad.lloo import lloo_simplex
-from condgrad.problems import GATHER_RATIO, gen_portfolio_data, portfolio_problem
+from condgrad.problems import gen_portfolio_data, portfolio_problem
 from condgrad.solvers import DESCENT_SLACK, RunConfig, estimate_sigma, lloo_fw_solve
 from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step, exact_line_search
 
@@ -62,9 +65,6 @@ class TestVertexTargets:
     @given(instances, st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     def test_index_and_dense_vertex_agree_bit_for_bit(self, inst, t, alpha):
         oracle, fs, glm_point = draw_point(inst)
-        # below n / GATHER_RATIO a dense vertex takes the full product A v,
-        # which rounds differently from the one column an index costs
-        assume(oracle.dim >= GATHER_RATIO)
         for make in (oracle.point, lambda x: OraclePoint(oracle, x)):
             for v in vertices(fs):
                 by_index, by_dense = make(glm_point.x), make(glm_point.x)
@@ -76,6 +76,27 @@ class TestVertexTargets:
                 assert same_bits(moved_index.x, moved_dense.x)
                 assert same_bits(moved_index.f, moved_dense.f)
                 assert same_bits(getattr(moved_index, "z", 0.0), getattr(moved_dense, "z", 0.0))
+
+
+    @pytest.mark.parametrize("T, n", [(50, 20), (1000, 800)])
+    def test_full_budget_local_point_is_its_vertex_bit_for_bit(self, T, n):
+        # the local oracle's point at a radius whose budget moves all the
+        # mass is dense e_i; the point reads it as the vertex (i, 1.0)
+        oracle = portfolio_problem(gen_portfolio_data(T, n, 3)).oracle
+        x = np.random.default_rng(4).dirichlet(np.ones(n))
+        c = oracle.gradient(x)
+        dense_vertex = lloo_simplex(x, 2.0, c)
+        i = int(np.argmin(c))
+        assert np.count_nonzero(dense_vertex) == 1 and dense_vertex[i] == 1.0
+        by_dense, by_index = oracle.point(x), oracle.point(x)
+        vertex = (i, 1.0)
+        assert same_bits(by_dense.norm_to(dense_vertex), by_index.norm_to(vertex))
+        for alpha in (0.0, 0.25, 1.0):
+            assert same_bits(by_dense.change(alpha, dense_vertex), by_index.change(alpha, vertex))
+            assert same_bits(by_dense.slope(dense_vertex)(alpha), by_index.slope(vertex)(alpha))
+            moved_dense, moved_index = by_dense.move(alpha, dense_vertex), by_index.move(alpha, vertex)
+            for name in ("x", "z", "f", "reach"):
+                assert same_bits(getattr(moved_dense, name), getattr(moved_index, name))
 
 
 class TestAnalyticStep:
