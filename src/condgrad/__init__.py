@@ -13,7 +13,6 @@ from .problems import (
     ParseError,
     PoissonOracle,
     PortfolioOracle,
-    Problem,
     gen_portfolio_data,
     logistic_problem,
     parse_libsvm,
@@ -53,7 +52,6 @@ __all__ = [
     "ParseError",
     "PoissonOracle",
     "PortfolioOracle",
-    "Problem",
     "gen_portfolio_data",
     "logistic_problem",
     "parse_libsvm",

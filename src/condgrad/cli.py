@@ -38,12 +38,12 @@ def _required(mapping, key, what):
 def _number_field(mapping, key, kind, what, default=None):
     """kind(mapping[key]) for kind int or float, `default` standing in for
     an absent key when one is given.  A missing key, a value of a type
-    kind() refuses (a list or null), a string or an int it cannot read
-    and, for an int, a bool or a non-integral number are each a
-    ValueError naming the key; a numeric string such as "50" is read."""
+    kind() refuses (a list or null), a string or an int it cannot read,
+    a bool and, for an int, a non-integral number are each a ValueError
+    naming the key; a numeric string such as "50" is read."""
     value = _required(mapping, key, what) if default is None else mapping.get(key, default)
-    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{what} {key!r} must be an integer, got {value!r}")
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     try:
         return kind(value)
     except TypeError:
@@ -62,8 +62,10 @@ def _size_field(spec, key, what):
 
 def _eps_levels(values):
     """The profile's relative-error levels as floats, each finite and >= 0;
-    an entry that is no number (a list, null, a word) is a ValueError naming `eps_grid`."""
+    an entry that is no number (a list, null, a bool, a word) is a ValueError naming `eps_grid`."""
     try:
+        if any(isinstance(e, bool) for e in values):
+            raise TypeError
         levels = [float(e) for e in values]
     except (TypeError, ValueError):
         raise ValueError(f"eps_grid entries must be numbers, got {values!r}") from None
@@ -112,22 +114,23 @@ def build_problem(spec):
         matrix, labels = prob.gen_logistic_data(_size_field(spec, "N", what), _size_field(spec, "n", what), seed)
     rows, cols = matrix.shape
     if kind == "portfolio":
-        p = prob.portfolio_problem(matrix)
+        oracle, feasible_set = prob.portfolio_problem(matrix)
         default = f"portfolio_n{cols}_T{rows}_s{seed}"
     elif kind == "poisson":
-        p = prob.poisson_problem(matrix, np.ones(rows), radius)
+        oracle, feasible_set = prob.poisson_problem(matrix, np.ones(rows), radius)
         default = f"poisson_m{rows}_n{cols}_s{seed}"
     else:
         gamma = None if spec.get("gamma") is None else _number_field(spec, "gamma", float, what)
         mu = _number_field(spec, "mu", float, what, 0.0)
-        p = prob.logistic_problem(matrix, np.where(labels > 0, 1.0, -1.0), mu=mu, gamma=gamma, radius=radius)
+        labels = np.where(labels > 0, 1.0, -1.0)
+        oracle, feasible_set = prob.logistic_problem(matrix, labels, mu=mu, gamma=gamma, radius=radius)
         default = f"logistic_N{rows}_n{cols}_s{seed}"
     if "data" in spec and kind != "portfolio":
         default = f"{kind}_{Path(spec['data']).stem}"
     name = spec.get("name", default)
     if not isinstance(name, str) or "/" in name or "\0" in name:
         raise ValueError(f"{what} 'name' must be a string without '/' or NUL, got {name!r}")
-    return name, p.oracle, p.feasible_set
+    return name, oracle, feasible_set
 
 
 def run_one(oracle, feasible_set, method, eps, max_iter):

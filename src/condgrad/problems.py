@@ -10,14 +10,13 @@ image z = A x from one iterate to the next.
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 import numpy as np
 
 from . import rng
 from .core import DomainError, InvariantError, OraclePoint, ScOracle, vertex_direction
-from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex
+from .sets import L1Ball, NonnegL1Ball, Simplex
 
 PORTFOLIO_CLAMP = 0.01
 DEFAULT_RADIUS = 10.0
@@ -410,31 +409,23 @@ class LogisticOracle(GlmOracle):
         return self._loss(z + alpha * av) - self._loss(z)
 
 
-@dataclass
-class Problem:
-    """An objective and the feasible set it is minimized over."""
-
-    oracle: GlmOracle
-    feasible_set: FeasibleSet
-
-
 def portfolio_problem(returns):
     oracle = PortfolioOracle(returns)
-    return Problem(oracle, Simplex(oracle.dim))
+    return oracle, Simplex(oracle.dim)
 
 
 def poisson_problem(weights, counts, radius=DEFAULT_RADIUS):
     oracle = PoissonOracle(weights, counts)
-    problem = Problem(oracle, NonnegL1Ball(oracle.dim, radius))
+    feasible_set = NonnegL1Ball(oracle.dim, radius)
     # the canonical interior start must give a finite objective
-    if not oracle.in_domain(problem.feasible_set.start_point()):
+    if not oracle.in_domain(feasible_set.start_point()):
         raise ValueError("count rows leave the canonical start outside the domain")
-    return problem
+    return oracle, feasible_set
 
 
 def logistic_problem(features, labels, mu=0.0, gamma=None, radius=DEFAULT_RADIUS):
     oracle = LogisticOracle(features, labels, mu=mu, gamma=gamma)
-    return Problem(oracle, L1Ball(oracle.dim, radius))
+    return oracle, L1Ball(oracle.dim, radius)
 
 
 def gen_portfolio_data(T, n, seed):

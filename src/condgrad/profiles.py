@@ -45,29 +45,38 @@ def relative_error(f_k, f_best):
 def build_profile_table(records):
     """Assemble the per-(method, problem) relative-error series.
 
-    Two runs of one (method, problem) pair, or a pair without a run, and
-    a problem whose best value is too close to zero for a relative error
-    each raise ValueError naming it.
+    Two runs of one (method, problem) pair, or a pair without a run, an
+    f_series that is empty or not finite or a time_ns of another length,
+    and a problem whose best value is too close to zero for a relative
+    error each raise ValueError naming it.
     """
     records = list(records)
     if not records:
         raise ValueError("no runs to profile")
     methods = sorted({r.method for r in records})
     problems = sorted({r.problem for r in records})
-    attained = {}
+    series = {}
     for r in records:
-        if (r.method, r.problem) in attained:
-            raise ValueError(f"more than one run for pair {(r.method, r.problem)}")
-        attained[(r.method, r.problem)] = float(np.min(r.f_series))
-    missing = [(m, p) for m in methods for p in problems if (m, p) not in attained]
+        pair = (r.method, r.problem)
+        if pair in series:
+            raise ValueError(f"more than one run for pair {pair}")
+        f = np.asarray(r.f_series, dtype=float)
+        if f.size == 0:
+            raise ValueError(f"pair {pair}: the f_series is empty")
+        if not np.isfinite(f).all():
+            raise ValueError(f"pair {pair}: the f_series has a non-finite entry")
+        if len(r.time_ns) != f.size:
+            raise ValueError(f"pair {pair}: {len(r.time_ns)} time_ns entries for {f.size} f_series entries")
+        series[pair] = f
+    missing = [(m, p) for m in methods for p in problems if (m, p) not in series]
     if missing:
         raise ValueError(f"missing runs for pairs: {missing}")
     table = ProfileTable(methods=methods, problems=problems)
     for p in problems:
-        table.best[p] = min(attained[(m, p)] for m in methods)
+        table.best[p] = min(float(series[(m, p)].min()) for m in methods)
     for r in records:
         try:
-            rel = relative_error(np.asarray(r.f_series, dtype=float), table.best[r.problem])
+            rel = relative_error(series[(r.method, r.problem)], table.best[r.problem])
         except ValueError as exc:
             raise ValueError(f"problem {r.problem!r}: {exc}") from None
         table.rel_err[(r.method, r.problem)] = rel

@@ -75,8 +75,7 @@ def first_gap_below(trace, tol):
 @pytest.fixture(scope="module")
 def portfolio_runs():
     """Shared runs on the benchmark allocation instance (n=20, T=50, seed 7)."""
-    problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
-    oracle, fs = problem.oracle, problem.feasible_set
+    oracle, fs = portfolio_problem(gen_portfolio_data(50, 20, 7))
     out = {"oracle": oracle, "set": fs, "times": {}}
 
     t0 = time.perf_counter()
@@ -173,12 +172,7 @@ def test_c3_analytic_descent_all_families():
     logistic = logistic_problem(lfeats, llabels, radius=10.0)
     portfolio = portfolio_problem(gen_portfolio_data(50, 20, 7))
 
-    cases = [
-        (portfolio.oracle, portfolio.feasible_set),
-        (poisson.oracle, poisson.feasible_set),
-        (logistic.oracle, logistic.feasible_set),
-    ]
-    for oracle, fs in cases:
+    for oracle, fs in [portfolio, poisson, logistic]:
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=2000, policy="analytic"))
         recs = trace.records
         assert len(recs) > 10
@@ -237,9 +231,9 @@ def test_c6_backtracking_accounting(portfolio_runs):
     # a long run: the Poisson instance stays at its iteration cap
     with open(DATA_DIR / "poisson200.libsvm") as fh:
         feats, _ = parse_libsvm(fh)
-    poisson = poisson_problem(feats, np.ones(feats.shape[0]), radius=10.0)
+    oracle, fs = poisson_problem(feats, np.ones(feats.shape[0]), radius=10.0)
     config = RunConfig(epsilon=1e-14, max_iter=2000, policy="backtracking")
-    trace = fw_solve(poisson.oracle, poisson.feasible_set, config)
+    trace = fw_solve(oracle, fs, config)
     assert len([r for r in trace.records if r.evals is not None]) == 2000
     evals = assert_evaluations_within_the_doubling_bound(trace)
     multi = float(np.mean([e > 1 for e in evals]))
@@ -253,10 +247,10 @@ def test_c6_backtracking_accounting(portfolio_runs):
 def test_c7_oracle_calculus():
     with open(DATA_DIR / "poisson200.libsvm") as fh:
         feats, _ = parse_libsvm(fh)
-    poisson = poisson_problem(feats[:60], np.ones(60), radius=10.0).oracle
+    poisson, _ = poisson_problem(feats[:60], np.ones(60), radius=10.0)
     lfeats, llabels = gen_logistic_data(80, 12, seed=4)
-    logistic = logistic_problem(lfeats, llabels, gamma=0.2).oracle
-    portfolio = portfolio_problem(gen_portfolio_data(30, 10, 5)).oracle
+    logistic, _ = logistic_problem(lfeats, llabels, gamma=0.2)
+    portfolio, _ = portfolio_problem(gen_portfolio_data(30, 10, 5))
 
     gen = np.random.default_rng(77)
     cases = [
@@ -292,8 +286,7 @@ def test_c8_lmo_brute_force():
 
 @criterion(9, "diagonal reparametrization leaves step and gap sequences unchanged")
 def test_c9_affine_invariance():
-    problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
-    oracle, fs = problem.oracle, problem.feasible_set
+    oracle, fs = portfolio_problem(gen_portfolio_data(50, 20, 7))
     scale = np.random.default_rng(2).uniform(0.5, 2.0, size=oracle.dim)
     config = RunConfig(epsilon=1e-30, max_iter=200, policy="analytic")
     base = fw_solve(oracle, fs, config)

@@ -66,9 +66,8 @@ def test_traced_solves_record_every_solver_span(spans):
         poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.ones(20)),
     ]
     with spans.patched(tracer):
-        for problem in problems:
-            oracle = spans.TracedOracle(tracer, problem.oracle)
-            fs = spans.TracedSet(tracer, problem.feasible_set)
+        for oracle, fs in problems:
+            oracle, fs = spans.TracedOracle(tracer, oracle), spans.TracedSet(tracer, fs)
             for method in cli.METHODS:
                 if method != "lloo" or fs.kind == "simplex":
                     cli.run_one(oracle, fs, method, 1e-6, 50)
@@ -95,8 +94,7 @@ def test_traced_solve_gives_the_untraced_answers(spans, method):
         poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.ones(20)),
         logistic_problem(*gen_logistic_data(30, 10, 0)),
     ]
-    for problem in problems:
-        oracle, fs = problem.oracle, problem.feasible_set
+    for oracle, fs in problems:
         if method == "lloo" and fs.kind != "simplex":
             continue
         untraced = cli.run_one(FourCalls(oracle), fs, method, 1e-6, 50)
@@ -111,12 +109,12 @@ def test_traced_solve_gives_the_untraced_answers(spans, method):
 def test_traced_line_search_probes_derivatives(spans):
     # the base point's slope reads the gradient and a Hessian product per
     # probe of the line, so a traced search shows both under its span
-    problem = poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.ones(20))
+    oracle, fs = poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.ones(20))
     tracer = spans.Tracer()
     with spans.patched(tracer):
         cli.run_one(
-            spans.TracedOracle(tracer, problem.oracle),
-            spans.TracedSet(tracer, problem.feasible_set),
+            spans.TracedOracle(tracer, oracle),
+            spans.TracedSet(tracer, fs),
             "line_search",
             1e-6,
             50,
@@ -132,8 +130,7 @@ def test_traced_line_search_probes_derivatives(spans):
 def test_traced_sigma_takes_the_column_loop(spans):
     # a traced oracle shows the four calls alone, so its sigma comes from the
     # base point's column loop instead of the GLM point's Gram product
-    problem = portfolio_problem(gen_portfolio_data(12, 4, 0))
-    oracle, fs = problem.oracle, problem.feasible_set
+    oracle, fs = portfolio_problem(gen_portfolio_data(12, 4, 0))
     x = fs.start_point()
     sigma = solvers.estimate_sigma(oracle, x)
     assert sigma > 0.0
@@ -160,7 +157,7 @@ def test_traced_sigma_takes_the_column_loop(spans):
     ids=["portfolio", "poisson", "logistic"],
 )
 def test_oracle_matrix_bytes(workloads, build):
-    oracle = build().oracle
+    oracle, _ = build()
     assert workloads.oracle_matrix_bytes(oracle) == oracle.matrix.nbytes
 
 

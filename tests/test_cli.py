@@ -378,6 +378,31 @@ class TestUserErrors:
                 "line 2: index 4611686018427387904 makes the dense matrix 2 x 4611686018427387904, "
                 "which numpy cannot allocate\n",
             ),
+            # float(True) is 1.0: a JSON bool does not read as a number
+            (
+                ["bench", "--config", "{tmp}/radius_bool.json", "--out", "{tmp}/res"],
+                "poisson problem spec 'radius' must be a number, got True\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/density_bool.json", "--out", "{tmp}/res"],
+                "poisson problem spec 'density' must be a number, got False\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/gamma_bool.json", "--out", "{tmp}/res"],
+                "logistic problem spec 'gamma' must be a number, got True\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/mu_bool.json", "--out", "{tmp}/res"],
+                "logistic problem spec 'mu' must be a number, got False\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/gap_tol_bool.json", "--out", "{tmp}/res"],
+                "bench config 'gap_tol' must be a number, got True\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/eps_grid_bool.json", "--out", "{tmp}/res"],
+                "eps_grid entries must be numbers, got [True, False]\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -437,6 +462,12 @@ class TestUserErrors:
             "returns-empty-body",
             "returns-header-word",
             "libsvm-index-numpy-refuses",
+            "bench-radius-a-bool",
+            "bench-density-a-bool",
+            "bench-gamma-a-bool",
+            "bench-mu-a-bool",
+            "bench-gap-tol-a-bool",
+            "bench-eps-grid-bools",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -478,6 +509,12 @@ class TestUserErrors:
             "name_twice": {"problems": [dict(portfolio[0], name="p"), {"kind": "poisson", "m": 20, "n": 5, "name": "p"}]},
             "seed_twice": {"problems": portfolio, "seeds": [0, 0]},
             "method_twice": {"problems": portfolio, "methods": ["analytic", "analytic"]},
+            "radius_bool": {"problems": [{"kind": "poisson", "m": 5, "n": 3, "radius": True}]},
+            "density_bool": {"problems": [{"kind": "poisson", "m": 5, "n": 3, "density": False}]},
+            "gamma_bool": {"problems": [{"kind": "logistic", "N": 5, "n": 3, "gamma": True}]},
+            "mu_bool": {"problems": [{"kind": "logistic", "N": 5, "n": 3, "mu": False}]},
+            "gap_tol_bool": {"problems": portfolio, "gap_tol": True},
+            "eps_grid_bool": {"problems": portfolio, "eps_grid": [True, False]},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))

@@ -99,7 +99,7 @@ class ReferenceOracle(ScOracle):
 
 
 def test_oracle_point_outside_the_domain_makes_no_value_call():
-    oracle = portfolio_problem(gen_portfolio_data(6, 3, 0)).oracle
+    oracle, _ = portfolio_problem(gen_portfolio_data(6, 3, 0))
     counted = FourCalls(oracle)
     calls = {"value": 0}
 
@@ -172,14 +172,12 @@ def make_instance(kind, m, n, seed):
     """(oracle, feasible set) of a random instance of the family."""
     gen = np.random.default_rng(seed)
     if kind == "portfolio":
-        p = portfolio_problem(gen_portfolio_data(m, n, seed))
-    elif kind == "poisson":
+        return portfolio_problem(gen_portfolio_data(m, n, seed))
+    if kind == "poisson":
         counts = np.floor(gen.uniform(0.0, 3.0, size=m))
-        p = poisson_problem(gen_binary_design(m, n, 0.3, seed), counts, radius=float(gen.uniform(1.0, 10.0)))
-    else:
-        feats, labels = gen_logistic_data(m, n, seed)
-        p = logistic_problem(feats, labels, mu=float(gen.normal()), radius=float(gen.uniform(1.0, 10.0)))
-    return p.oracle, p.feasible_set
+        return poisson_problem(gen_binary_design(m, n, 0.3, seed), counts, radius=float(gen.uniform(1.0, 10.0)))
+    feats, labels = gen_logistic_data(m, n, seed)
+    return logistic_problem(feats, labels, mu=float(gen.normal()), radius=float(gen.uniform(1.0, 10.0)))
 
 
 def feasible_point(kind, fs, gen):
@@ -380,8 +378,8 @@ class TestChange:
     )
     def test_logistic_falls_back_to_the_plain_difference(self, x, target):
         # one row, label 1: the step moves the margin t = x by target - x
-        problem = logistic_problem(np.ones((1, 1)), np.ones(1), radius=1000.0)
-        point = problem.oracle.point(np.array([x]))
+        oracle, _ = logistic_problem(np.ones((1, 1)), np.ones(1), radius=1000.0)
+        point = oracle.point(np.array([x]))
         change = point.change(1.0, np.array([target]))
         assert change == pytest.approx(point.move(1.0, np.array([target])).f - point.f, rel=1e-12)
 
@@ -435,10 +433,9 @@ class TestPassCounts:
 
     @pytest.fixture
     def desk(self):
-        problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
-        view, counts = counting(problem.oracle.matrix)
-        problem.oracle.matrix = view
-        return problem.oracle, problem.feasible_set, counts
+        oracle, fs = portfolio_problem(gen_portfolio_data(50, 20, 7))
+        oracle.matrix, counts = counting(oracle.matrix)
+        return oracle, fs, counts
 
     @pytest.fixture
     def gap_refreshes(self, monkeypatch):
@@ -634,15 +631,15 @@ class TestTrialPoints:
 
     @pytest.fixture
     def desk(self, monkeypatch):
-        problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
-        oracle, calls = problem.oracle, {"_loss": 0, "_change": 0}
+        oracle, fs = portfolio_problem(gen_portfolio_data(50, 20, 7))
+        calls = {"_loss": 0, "_change": 0}
         for name in calls:
             def counted(*args, name=name, original=getattr(oracle, name)):
                 calls[name] += 1
                 return original(*args)
 
             monkeypatch.setattr(oracle, name, counted)
-        return oracle, problem.feasible_set, calls
+        return oracle, fs, calls
 
     def test_one_change_per_backtracking_trial(self, desk):
         oracle, fs, calls = desk

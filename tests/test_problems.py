@@ -31,6 +31,7 @@ from condgrad.problems import (
     portfolio_problem,
     save_returns_csv,
 )
+from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
 
 from conftest import (
     DATA_DIR,
@@ -42,6 +43,27 @@ from conftest import (
     interior_simplex_points,
     scale_to_local_distance,
 )
+
+
+@pytest.mark.parametrize(
+    "build, oracle_class, set_class",
+    [
+        (lambda: portfolio_problem(gen_portfolio_data(6, 3, 0)), PortfolioOracle, Simplex),
+        (lambda: poisson_problem(gen_binary_design(6, 3, 0.5, 0), np.ones(6)), PoissonOracle, NonnegL1Ball),
+        (lambda: logistic_problem(*gen_logistic_data(6, 3, 0)), LogisticOracle, L1Ball),
+    ],
+    ids=["portfolio", "poisson", "logistic"],
+)
+def test_factory_returns_the_oracle_and_set_the_readme_names(build, oracle_class, set_class):
+    pair = build()
+    assert type(pair) is tuple and len(pair) == 2
+    oracle, feasible_set = pair
+    assert type(oracle) is oracle_class and type(feasible_set) is set_class
+    assert feasible_set.dim == oracle.dim
+    readme = (DATA_DIR.parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Each family has one factory returning the pair `(oracle, feasible_set)`") :]
+    paragraph = paragraph[: paragraph.index("\n\n")]
+    assert f"`{oracle_class.__name__}`" in paragraph and f"`{set_class.__name__}`" in paragraph
 
 
 class TestPortfolioOracle:
@@ -118,26 +140,26 @@ class TestGenPortfolioData:
 
 class TestPoissonOracle:
     def test_single_row_worked_case(self):
-        problem = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
+        oracle, _ = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
         x = np.array([0.5, 0.5])
-        assert problem.oracle.value(x) == pytest.approx(0.5 + np.log(2.0), abs=1e-15)
-        assert np.allclose(problem.oracle.gradient(x), [-1.0, 0.0])
+        assert oracle.value(x) == pytest.approx(0.5 + np.log(2.0), abs=1e-15)
+        assert np.allclose(oracle.gradient(x), [-1.0, 0.0])
 
     def test_unit_counts_give_curvature_two(self):
         w = gen_binary_design(10, 4, 0.5, 3)
-        problem = poisson_problem(w, np.ones(10))
-        assert problem.oracle.M == 2.0
+        oracle, _ = poisson_problem(w, np.ones(10))
+        assert oracle.M == 2.0
 
     def test_mixed_counts_curvature(self):
         w = np.ones((3, 2))
-        problem = poisson_problem(w, np.array([4.0, 1.0, 0.0]))
-        assert problem.oracle.M == 2.0  # max over positive counts of 2/sqrt(y)
+        oracle, _ = poisson_problem(w, np.array([4.0, 1.0, 0.0]))
+        assert oracle.M == 2.0  # max over positive counts of 2/sqrt(y)
 
     def test_zero_counts_reduce_to_linear(self):
         w = np.array([[1.0, 2.0], [0.5, 0.25]])
-        problem = poisson_problem(w, np.zeros(2))
-        g1 = problem.oracle.gradient(np.array([0.4, 0.1]))
-        g2 = problem.oracle.gradient(np.array([3.0, 2.0]))
+        oracle, _ = poisson_problem(w, np.zeros(2))
+        g1 = oracle.gradient(np.array([0.4, 0.1]))
+        g2 = oracle.gradient(np.array([3.0, 2.0]))
         assert np.allclose(g1, g2)
         assert np.allclose(g1, w.sum(axis=0))
 
@@ -153,20 +175,20 @@ class TestPoissonOracle:
 class TestLogisticOracle:
     def test_value_at_zero_is_ln_two(self):
         feats, labels = gen_logistic_data(20, 5, 1)
-        problem = logistic_problem(feats, labels, gamma=1.0)
-        assert problem.oracle.value(np.zeros(5)) == pytest.approx(np.log(2.0), abs=1e-12)
+        oracle, _ = logistic_problem(feats, labels, gamma=1.0)
+        assert oracle.value(np.zeros(5)) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_single_sample_gradient(self):
-        problem = logistic_problem(np.array([[1.0, 0.0]]), np.array([1.0]), gamma=1.0)
-        assert np.allclose(problem.oracle.gradient(np.zeros(2)), [-0.5, 0.0])
+        oracle, _ = logistic_problem(np.array([[1.0, 0.0]]), np.array([1.0]), gamma=1.0)
+        assert np.allclose(oracle.gradient(np.zeros(2)), [-0.5, 0.0])
 
     def test_hessvec_at_zero_closed_form(self):
         feats, labels = gen_logistic_data(15, 4, 6)
         gamma = 0.3
-        problem = logistic_problem(feats, labels, gamma=gamma)
+        oracle, _ = logistic_problem(feats, labels, gamma=gamma)
         u = np.array([0.5, -1.0, 2.0, 0.1])
         expected = 0.25 * feats.T @ (feats @ u) / feats.shape[0] + gamma * u
-        assert np.allclose(problem.oracle.hess_vec(np.zeros(4), u), expected, atol=1e-12)
+        assert np.allclose(oracle.hess_vec(np.zeros(4), u), expected, atol=1e-12)
 
     def test_derivatives_keep_a_vanishing_sigmoid(self):
         # at margin t = 40, sigmoid(-t) = 4.2e-18 and sigmoid(t) rounds to 1:
@@ -180,21 +202,21 @@ class TestLogisticOracle:
 
     def test_curvature_parameter(self):
         feats = np.array([[3.0, 4.0], [1.0, 0.0]])
-        problem = logistic_problem(feats, np.array([1.0, -1.0]), gamma=0.25)
-        assert problem.oracle.M == pytest.approx(5.0 / 0.5)
+        oracle, _ = logistic_problem(feats, np.array([1.0, -1.0]), gamma=0.25)
+        assert oracle.M == pytest.approx(5.0 / 0.5)
 
     def test_default_gamma_is_one_over_n(self):
         feats, labels = gen_logistic_data(40, 3, 2)
-        problem = logistic_problem(feats, labels)
-        assert problem.oracle.gamma == pytest.approx(1.0 / 40.0)
+        oracle, _ = logistic_problem(feats, labels)
+        assert oracle.gamma == pytest.approx(1.0 / 40.0)
 
     def test_value_sandwich(self):
         feats, labels = gen_logistic_data(30, 6, 9)
-        problem = logistic_problem(feats, labels, gamma=0.1)
+        oracle, _ = logistic_problem(feats, labels, gamma=0.1)
         gen = np.random.default_rng(1)
         for _ in range(20):
             x = gen.normal(size=6)
-            val = problem.oracle.value(x)
+            val = oracle.value(x)
             reg = 0.05 * float(np.dot(x, x))
             margins = np.abs(labels * (feats @ x))
             assert reg <= val <= np.log(2.0) + reg + float(np.max(margins))
@@ -256,9 +278,9 @@ def calculus_instances():
     feats_p = gen_binary_design(30, 8, 0.3, 13)
     feats_l, labels_l = gen_logistic_data(25, 6, 8)
     return {
-        "portfolio": portfolio_problem(gen_portfolio_data(12, 5, 1)).oracle,
-        "poisson": poisson_problem(feats_p, np.ones(feats_p.shape[0])).oracle,
-        "logistic": logistic_problem(feats_l, labels_l, gamma=0.5).oracle,
+        "portfolio": portfolio_problem(gen_portfolio_data(12, 5, 1))[0],
+        "poisson": poisson_problem(feats_p, np.ones(feats_p.shape[0]))[0],
+        "logistic": logistic_problem(feats_l, labels_l, gamma=0.5)[0],
     }
 
 

@@ -137,6 +137,26 @@ class TestTableProperties:
             build_profile_table(records + [again])
         assert str(exc.value) == f"more than one run for pair {(again.method, again.problem)}"
 
+    @pytest.mark.parametrize(
+        "f_series, time_ns, message",
+        [
+            ([], [], "the f_series is empty"),
+            ([3.0, np.nan, 1.0], [0, 5, 10], "the f_series has a non-finite entry"),
+            ([3.0, 2.0, -np.inf], [0, 5, 10], "the f_series has a non-finite entry"),
+            ([3.0, 2.5, 2.0], [0, 5], "2 time_ns entries for 3 f_series entries"),
+            ([3.0, 2.5], [0, 5, 10], "3 time_ns entries for 2 f_series entries"),
+        ],
+        ids=["empty", "nan", "minus-inf", "time-short", "time-long"],
+    )
+    def test_bad_series_rejected_naming_the_pair(self, f_series, time_ns, message):
+        # a NaN would make the problem's best NaN and every method unsolved;
+        # a short time_ns would end time_ratio in an IndexError
+        records = fixture_records()
+        records[1] = RunRecord("slow", "p1", np.array(f_series, dtype=float), np.array(time_ns, dtype=np.int64))
+        with pytest.raises(ValueError) as exc:
+            build_profile_table(records)
+        assert str(exc.value) == f"pair {('slow', 'p1')}: {message}"
+
     def test_zero_reference_rejected_naming_the_problem(self):
         records = [
             RunRecord("a", "p1", np.array([2.0, 1.0]), np.array([0, 10])),

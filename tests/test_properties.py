@@ -82,7 +82,7 @@ class TestVertexTargets:
     def test_full_budget_local_point_is_its_vertex_bit_for_bit(self, T, n):
         # the local oracle's point at a radius whose budget moves all the
         # mass is dense e_i; the point reads it as the vertex (i, 1.0)
-        oracle = portfolio_problem(gen_portfolio_data(T, n, 3)).oracle
+        oracle, _ = portfolio_problem(gen_portfolio_data(T, n, 3))
         x = np.random.default_rng(4).dirichlet(np.ones(n))
         c = oracle.gradient(x)
         dense_vertex = lloo_simplex(x, 2.0, c)
@@ -180,10 +180,10 @@ class TestLlooContraction:
         # T >= n: with fewer periods than assets the start Hessian is
         # singular and lloo_fw_solve rejects the sigma
         n, T = shape
-        problem = portfolio_problem(gen_portfolio_data(T, n, seed))
-        sigma = estimate_sigma(problem.oracle, problem.feasible_set.start_point())
+        oracle, fs = portfolio_problem(gen_portfolio_data(T, n, seed))
+        sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-10, max_iter=3000, policy="lloo")
-        trace = lloo_fw_solve(problem.oracle, lloo_simplex, config, sigma)
+        trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
         f_ref = min(r.f for r in trace.records)
         gap0 = trace.records[0].gap
         for r in trace.records:

@@ -118,10 +118,10 @@ class TestBarrierRegression:
 
 class TestPoissonToy:
     def test_first_step_numbers(self):
-        problem = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
+        oracle, fs = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
         trace = fw_solve(
-            problem.oracle,
-            problem.feasible_set,
+            oracle,
+            fs,
             RunConfig(epsilon=1e-10, max_iter=1, policy="analytic"),
         )
         first = trace.records[0]
@@ -132,10 +132,10 @@ class TestPoissonToy:
         assert trace.records[1].f == pytest.approx(1.0721317747748311, abs=1e-12)
 
     def test_converges_to_known_optimum(self):
-        problem = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
+        oracle, fs = poisson_problem(np.array([[1.0, 0.0]]), np.array([1.0]), radius=2.0)
         trace = fw_solve(
-            problem.oracle,
-            problem.feasible_set,
+            oracle,
+            fs,
             RunConfig(epsilon=1e-9, max_iter=20000, policy="analytic"),
         )
         assert trace.termination == "gap_below_eps"
@@ -155,11 +155,12 @@ class TestSolverGuards:
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_misshapen_start_rejected_before_evaluation(self, desk_portfolio, extra):
         # the GLM point's matvec would fail on a start of the wrong length
-        dim = desk_portfolio.oracle.dim + extra
+        oracle, fs = desk_portfolio
+        dim = oracle.dim + extra
         with pytest.raises(ValueError, match="start point outside the feasible set"):
             fw_solve(
-                desk_portfolio.oracle,
-                desk_portfolio.feasible_set,
+                oracle,
+                fs,
                 RunConfig(epsilon=1e-8, max_iter=10, policy="analytic"),
                 x0=np.full(dim, 1.0 / dim),
             )
@@ -205,11 +206,11 @@ class TestSolverGuards:
             return alpha, decrease + 5e-10
 
         monkeypatch.setattr(solvers, "analytic_step", overclaiming)
-        problem = portfolio_problem(gen_portfolio_data(50, 20, 7))
+        oracle, fs = portfolio_problem(gen_portfolio_data(50, 20, 7))
         with pytest.raises(InvariantError, match="objective rose above the guaranteed level"):
             fw_solve(
-                problem.oracle,
-                problem.feasible_set,
+                oracle,
+                fs,
                 RunConfig(epsilon=1e-5, max_iter=100000, policy="analytic"),
             )
 
@@ -292,7 +293,7 @@ class TestSolverGuards:
 
 class TestAnalyticDescentInvariants:
     def test_per_iteration_model_decrease(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=800, policy="analytic"))
         recs = trace.records
         for prev, nxt in zip(recs, recs[1:]):
@@ -305,7 +306,7 @@ class TestAnalyticDescentInvariants:
         # iterations needed to reach error eps, against the two-phase bound
         # built from the curvature constants (diagnostic: needs a
         # user-supplied gradient-Lipschitz value, here from the iterates)
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-12, max_iter=20000, policy="analytic"))
         f_ref = min(r.f for r in trace.records)
         xs = [fs.start_point()]
@@ -327,7 +328,7 @@ class TestAnalyticDescentInvariants:
     def test_visited_lipschitz_descent_floor(self, desk_portfolio):
         # per-iteration decrease floor from the curvature constants, with
         # the gradient-Lipschitz bound taken over the visited iterates
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=300, policy="analytic"))
         xs = [fs.start_point()]
         for r in trace.records[:-1]:
@@ -346,7 +347,7 @@ class TestAnalyticDescentInvariants:
 
 class TestBacktrackingRun:
     def test_rate_bound_and_eval_accounting(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-12, max_iter=600, policy="backtracking"))
         assert trace.init_lipschitz is not None
         recs = trace.records
@@ -374,8 +375,8 @@ class TestBacktrackingRun:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_linear_objective_solves_in_one_step(self, policy):
         # every count zero: f is linear, and each policy takes the full step
-        problem = poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.zeros(20))
-        trace = fw_solve(problem.oracle, problem.feasible_set, RunConfig(epsilon=1e-9, max_iter=50, policy=policy))
+        oracle, fs = poisson_problem(gen_binary_design(20, 5, 0.3, 0), np.zeros(20))
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=50, policy=policy))
         assert trace.termination == "gap_below_eps"
         assert len(trace.records) == 2
         assert trace.records[0].alpha == 1.0
@@ -384,14 +385,14 @@ class TestBacktrackingRun:
         # eps 1e-12 lies near f's rounding floor on these instances, where
         # only a trial's change, not f(y) against f(x), resolves the decrease
         for seed in range(12):
-            problem = portfolio_problem(gen_portfolio_data(30, 10, seed))
+            oracle, fs = portfolio_problem(gen_portfolio_data(30, 10, seed))
             config = RunConfig(epsilon=1e-12, max_iter=2000, policy="backtracking")
-            trace = fw_solve(problem.oracle, problem.feasible_set, config)
+            trace = fw_solve(oracle, fs, config)
             assert trace.termination in ("gap_below_eps", "stalled")
             assert all(np.isfinite(r.f) for r in trace.records)
 
     def test_sufficient_decrease_along_run(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-12, max_iter=400, policy="backtracking"))
         recs = trace.records
         diam2 = diameter(fs) ** 2
@@ -411,7 +412,7 @@ class TestLlooSolver:
         assert alpha == pytest.approx(1.0, abs=1e-6)
 
     def test_linear_error_contraction(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-9, max_iter=5000, policy="lloo")
         trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
@@ -424,7 +425,7 @@ class TestLlooSolver:
         assert trace.records[-1].contraction < 1e-3
 
     def test_radius_schedule_switch(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-6, max_iter=200, policy="lloo")
         trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
@@ -433,15 +434,15 @@ class TestLlooSolver:
             assert r.radius == pytest.approx(r0 * np.sqrt(r.contraction), rel=1e-12)
 
     def test_iterates_stay_feasible(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-9, max_iter=300, policy="lloo")
         trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
         assert all(np.isfinite(r.f) for r in trace.records)
 
     def test_custom_start_point(self, desk_portfolio):
-        oracle = desk_portfolio.oracle
-        sigma = estimate_sigma(oracle, desk_portfolio.feasible_set.start_point())
+        oracle, fs = desk_portfolio
+        sigma = estimate_sigma(oracle, fs.start_point())
         x0 = np.zeros(oracle.dim)
         x0[0] = x0[1] = 0.5
         config = RunConfig(epsilon=1e-6, max_iter=2000, policy="lloo")
@@ -490,7 +491,7 @@ class TestLlooSolver:
     def test_rate_floor_diagnostic(self, desk_portfolio):
         # every accepted step beats the theoretical floor computed from the
         # visited-set spectrum extremes
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         sigma = estimate_sigma(oracle, fs.start_point())
         config = RunConfig(epsilon=1e-9, max_iter=5000, policy="lloo")
         trace = lloo_fw_solve(oracle, lloo_simplex, config, sigma)
@@ -510,7 +511,7 @@ class TestLlooSolver:
 
 class TestTraceBookkeeping:
     def test_recorded_times_nondecreasing(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-9, max_iter=100, policy="analytic"))
         times = [r.time_ns for r in trace.records]
         assert times == sorted(times)
@@ -527,7 +528,7 @@ class TestTraceBookkeeping:
         assert all(np.isfinite(r.f) for r in trace.records)
 
     def test_every_visited_point_feasible_and_in_domain(self, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         seen = []
 
         class Spy(ScOracle):
@@ -592,7 +593,8 @@ class TestSigmaEstimate:
         assert estimate_sigma(oracle, np.zeros(3)) == pytest.approx(1.0, rel=1e-9)
 
     def test_positive_on_portfolio(self, desk_portfolio):
-        sigma = estimate_sigma(desk_portfolio.oracle, desk_portfolio.feasible_set.start_point())
+        oracle, fs = desk_portfolio
+        sigma = estimate_sigma(oracle, fs.start_point())
         assert sigma > 0.0
 
     def test_singular_hessian_rejected_by_the_lloo_config(self):
@@ -613,8 +615,7 @@ class TestSigmaEstimate:
         # made r0 ~ 1e8); the dim * eps * lambda_max rule rejects all of them
         # and none of the square or tall instances (smallest ratio 5.5e-15)
         for seed in range(40):
-            problem = portfolio_problem(gen_portfolio_data(T, n, seed))
-            oracle, fs = problem.oracle, problem.feasible_set
+            oracle, fs = portfolio_problem(gen_portfolio_data(T, n, seed))
             if singular:
                 assert estimate_sigma(oracle, fs.start_point()) == 0.0
                 with pytest.raises(ValueError, match="the Hessian at the start point is singular"):
@@ -683,8 +684,7 @@ class DiagScaledSimplex:
 
 class TestAffineInvariance:
     def test_diagonal_reparametrization_preserves_run(self):
-        problem = portfolio_problem(gen_portfolio_data(15, 6, 5))
-        oracle, fs = problem.oracle, problem.feasible_set
+        oracle, fs = portfolio_problem(gen_portfolio_data(15, 6, 5))
         gen = np.random.default_rng(21)
         scale = gen.uniform(0.5, 2.0, size=oracle.dim)
         scaled_oracle = DiagScaledOracle(oracle, scale)
@@ -703,7 +703,7 @@ class TestAffineInvariance:
 
 class TestTraceExport:
     def test_csv_round_trip(self, tmp_path, desk_portfolio):
-        oracle, fs = desk_portfolio.oracle, desk_portfolio.feasible_set
+        oracle, fs = desk_portfolio
         for method in METHODS:
             trace = run_one(oracle, fs, method, 1e-9, 50)
             path = tmp_path / f"{method}.csv"
@@ -744,7 +744,7 @@ class TestTraceExport:
 
     def test_json_rows_carry_every_record_field(self, tmp_path, desk_portfolio):
         config = RunConfig(epsilon=1e-8, max_iter=30, policy="backtracking")
-        trace = fw_solve(desk_portfolio.oracle, desk_portfolio.feasible_set, config)
+        trace = fw_solve(*desk_portfolio, config)
         path = tmp_path / "trace.json"
         trace.save_json(path)
         rows = json.loads(path.read_text())["iterations"]

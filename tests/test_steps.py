@@ -120,9 +120,9 @@ class TestExactLineSearch:
 
     def test_linear_objective_takes_the_full_step(self):
         # all-zero counts leave f = sum(A x): phi'' = 0 and e = 0 on every line
-        problem = poisson_problem(gen_binary_design(20, 5, 0.4, 1), np.zeros(20))
-        point = problem.oracle.point(problem.feasible_set.start_point())
-        gap, target = gap_and_target(problem.feasible_set, point)
+        oracle, fs = poisson_problem(gen_binary_design(20, 5, 0.4, 1), np.zeros(20))
+        point = oracle.point(fs.start_point())
+        gap, target = gap_and_target(fs, point)
         assert gap > 0.0
         assert dist_like(point, target) == 0.0
         assert exact_line_search(point, target) == 1.0
@@ -184,8 +184,8 @@ class TestExactLineSearch:
     def test_overshooting_newton_step_on_a_glm_point(self):
         # toward the origin of the l1-ball, phi'(t) = -sum z0 + sum y / (1 - t):
         # the Newton step from t = 0 lands past the pole at t = 1
-        problem = poisson_problem(100 * gen_binary_design(20, 5, 0.3, 0), np.ones(20))
-        point = problem.oracle.point(problem.feasible_set.start_point())
+        oracle, fs = poisson_problem(100 * gen_binary_design(20, 5, 0.3, 0), np.ones(20))
+        point = oracle.point(fs.start_point())
         target = (0, 0.0)
         t, misses = self._search_counting_misses(point, target)
         assert t == pytest.approx(1.0 - 20.0 / point.z.sum(), abs=1e-12)
@@ -201,9 +201,8 @@ class TestExactLineSearch:
         # offset 1e-6 and 1.18e-14 at 1e-7. The search stops on its own
         # scale and judges its step by the change: f cannot resolve the
         # decrease, the trial's f lying within a few ulps of f on either side
-        problem = portfolio_problem(gen_portfolio_data(400, 2, 1) * 1e-3)
-        fs = problem.feasible_set
-        start = problem.oracle.point(np.array([0.5, 0.5]))
+        oracle, fs = portfolio_problem(gen_portfolio_data(400, 2, 1) * 1e-3)
+        start = oracle.point(np.array([0.5, 0.5]))
         _, target = gap_and_target(fs, start)
         point = start.move((1.0 - offset) * exact_line_search(start, target), target)
         _, target = gap_and_target(fs, point)
@@ -219,8 +218,7 @@ class TestExactLineSearch:
         # probe of the line, t = 0 included
         with open(DATA_DIR / "poisson200.libsvm") as fh:
             feats, _ = parse_libsvm(fh)
-        problem = poisson_problem(feats, np.ones(feats.shape[0]))
-        oracle = problem.oracle
+        oracle, fs = poisson_problem(feats, np.ones(feats.shape[0]))
         calls = {"_derivatives": 0, "searches": 0}
         original = oracle._derivatives
 
@@ -234,7 +232,7 @@ class TestExactLineSearch:
 
         monkeypatch.setattr(oracle, "_derivatives", derivatives)
         monkeypatch.setattr("condgrad.solvers.exact_line_search", search)
-        trace = fw_solve(oracle, problem.feasible_set, RunConfig(epsilon=1e-14, max_iter=500, policy="line_search"))
+        trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-14, max_iter=500, policy="line_search"))
         assert trace.termination == "max_iter"
         assert calls["searches"] == 500
         assert calls["_derivatives"] / calls["searches"] <= 6.0
@@ -242,8 +240,7 @@ class TestExactLineSearch:
     def test_step_does_not_depend_on_m(self):
         # the step is a function of the line alone: the oracle's M, a hundred
         # times it and a millionth of it give the same float
-        problem = logistic_problem(*gen_logistic_data(200, 50, 0))
-        oracle, fs = problem.oracle, problem.feasible_set
+        oracle, fs = logistic_problem(*gen_logistic_data(200, 50, 0))
         point = oracle.point(fs.start_point())
         for _ in range(5):
             _, target = gap_and_target(fs, point)
