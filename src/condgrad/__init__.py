@@ -6,7 +6,6 @@ benchmark problem oracles, and a performance-profile harness.
 """
 
 from .core import DomainError, InvariantError, OraclePoint, ScOracle, dist_like, gap_and_target, omega, omega_star
-from .lloo import lloo_simplex
 from .problems import (
     GlmOracle,
     LogisticOracle,
@@ -20,7 +19,7 @@ from .problems import (
     portfolio_problem,
 )
 from .profiles import ProfileTable, RunRecord, build_profile_table, fraction_solved, iteration_ratio, relative_error, time_ratio
-from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex
+from .sets import FeasibleSet, L1Ball, NonnegL1Ball, Simplex, lloo_simplex
 from .solvers import (
     IterationRecord,
     RunConfig,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import problems as prob
 from .profiles import RunRecord, build_profile_table, fraction_solved, iteration_ratio, time_ratio
-from .lloo import lloo_simplex
+from .sets import lloo_simplex
 from .solvers import (
     METHODS, POLICIES, RunConfig, certificate_lower_bound, estimate_sigma, fw_solve, lloo_fw_solve, read_trace_csv
 )

@@ -123,10 +123,10 @@ class GlmPoint(OraclePoint):
     Domain tests, f, local norms, trial changes and probes of the two
     derivatives along the line then cost O(m); the gradient's
     A^T phi'(z) is the one full pass over the data per iterate, and the
-    dense Hessian (``hessian()``) one Gram product.  After
-    REFRESH_INTERVAL carried moves, and on ``refreshed()``, z is
-    recomputed as A x; a carried z that drifted beyond DRIFT_RTOL raises
-    InvariantError.
+    dense Hessian (``hessian()``) one Gram product.  ``refreshed()``
+    recomputes z as A x, and ``move`` returns the moved point refreshed
+    after REFRESH_INTERVAL carried moves; a carried z that drifted beyond
+    DRIFT_RTOL raises InvariantError.
     Inside the domain the tuple ``_derivatives(z)`` is set with f, and
     ``slope`` reads it at t = 0.
     x is a float array: ``GlmOracle.point`` converts its argument.
@@ -228,24 +228,22 @@ class GlmPoint(OraclePoint):
 
     def move(self, alpha, target):
         v, av, s_norm = self._image(target)
-        x, z = self.x + alpha * v, self.z + alpha * av
-        reach = max(self.reach, s_norm)
-        if self.age + 1 >= REFRESH_INTERVAL:
-            return GlmPoint(self.oracle, x, self._exact_image(x, z, reach))
-        return GlmPoint(self.oracle, x, z, self.age + 1, reach)
+        moved = GlmPoint(
+            self.oracle, self.x + alpha * v, self.z + alpha * av, self.age + 1, max(self.reach, s_norm)
+        )
+        if moved.age >= REFRESH_INTERVAL:
+            return moved.refreshed()
+        return moved
 
     def refreshed(self):
         if self.age == 0:
             return self
-        return GlmPoint(self.oracle, self.x, self._exact_image(self.x, self.z, self.reach))
-
-    def _exact_image(self, x, z, reach):
-        exact = self.oracle.matrix @ x
-        drift = float(np.max(np.abs(z - exact)))
-        bound = DRIFT_RTOL * self.oracle._amax * reach
+        exact = self.oracle.matrix @ self.x
+        drift = float(np.max(np.abs(self.z - exact)))
+        bound = DRIFT_RTOL * self.oracle._amax * self.reach
         if not drift <= bound:
             raise InvariantError(f"carried image z = A x drifted by {drift:.3e} (bound {bound:.3e})")
-        return exact
+        return GlmPoint(self.oracle, self.x, exact)
 
 
 class PortfolioOracle(GlmOracle):

@@ -9,6 +9,7 @@ when a strong-convexity parameter is available.
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -51,12 +52,18 @@ class RunConfig:
     policy: str = "analytic"
 
     def __post_init__(self):
+        if isinstance(self.epsilon, (bool, np.bool_)):
+            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
         if not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        # a numpy integer is written to JSON as a Python int
+        self.max_iter = int(self.max_iter)
         if self.policy not in METHODS:
             raise ValueError(f"unknown policy {self.policy!r}")
 
@@ -225,9 +232,9 @@ def lloo_fw_solve(oracle, lloo, config, sigma_f, x0=None):
     the radius r0 * sqrt(c_k), which shrinks geometrically as the
     accumulated steps grow (contraction c_k = exp(-sum alpha / 2)); the
     global duality gap still drives the stopping test and the trace.
-    `sigma_f` > 0 is the strong-convexity parameter on the initial level
-    set (user-supplied, see :func:`estimate_sigma` for a heuristic); it
-    sets r0 = sqrt(6 gap0 / sigma_f).
+    `sigma_f`, finite and > 0, is the strong-convexity parameter on the
+    initial level set (user-supplied, see :func:`estimate_sigma` for a
+    heuristic); it sets r0 = sqrt(6 gap0 / sigma_f).
     Rows additionally record the radius and contraction factor used.
     `config.policy` must be "lloo".  Start, stopping and stalling are
     those of :func:`fw_solve`; a local point equal to x is a null step
@@ -238,6 +245,8 @@ def lloo_fw_solve(oracle, lloo, config, sigma_f, x0=None):
         raise ValueError(f"lloo_fw_solve cannot run policy {config.policy!r}")
     if not sigma_f > 0:
         raise ValueError("sigma_f must be positive")
+    if not math.isfinite(sigma_f):
+        raise ValueError("sigma_f must be finite")
     return _solve(oracle, Simplex(oracle.dim), config, x0, lloo, sigma_f)
 
 

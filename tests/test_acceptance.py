@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
+from condgrad import lloo_simplex
 from condgrad.core import omega_star
-from condgrad.lloo import lloo_simplex
 from condgrad.problems import (
     gen_logistic_data,
     gen_portfolio_data,

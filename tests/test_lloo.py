@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condgrad.lloo import lloo_simplex
+from condgrad import lloo_simplex
 from condgrad.sets import Simplex
 
 from conftest import dense

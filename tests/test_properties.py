@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from condgrad import lloo_simplex
 from condgrad.core import OraclePoint, dist_like, gap_and_target
-from condgrad.lloo import lloo_simplex
 from condgrad.problems import gen_portfolio_data, portfolio_problem
 from condgrad.solvers import DESCENT_SLACK, RunConfig, estimate_sigma, lloo_fw_solve
 from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step, exact_line_search

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from condgrad.lloo import lloo_simplex
+from condgrad import lloo_simplex
 from condgrad.sets import CONTAINS_TOL, FeasibleSet, L1Ball, NonnegL1Ball, Simplex
 
 from conftest import OFFSETS, at_offset, dense, vertices
@@ -151,6 +151,13 @@ def test_the_set_surface_is_the_one_the_readme_lists():
 @pytest.mark.parametrize("fs", make_sets(3), ids=lambda fs: fs.kind)
 def test_a_concrete_set_adds_only_its_radius(fs):
     assert public_names(fs) - SET_SURFACE == ({"radius"} if fs.kind != "simplex" else set())
+
+
+@pytest.mark.parametrize("dim", [np.int64(3), np.int32(3), np.uint8(3)], ids=lambda d: type(d).__name__)
+def test_a_numpy_integer_dim_is_read_as_an_int(dim):
+    # a dimension read from numpy data, such as a count in an int64 array
+    for fs in (Simplex(dim), L1Ball(dim, 1.0), NonnegL1Ball(dim, 1.0)):
+        assert type(fs.dim) is int and fs.dim == 3
 
 
 class TestStartPoint:

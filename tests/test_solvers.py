@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import condgrad
-from condgrad import solvers
+from condgrad import lloo_simplex, solvers
 from condgrad.cli import DEFAULT_MAX_ITER, build_problem, run_one
 from condgrad.core import DomainError, InvariantError, ScOracle, omega_star
-from condgrad.lloo import lloo_simplex
 from condgrad.problems import gen_binary_design, gen_portfolio_data, poisson_problem, portfolio_problem
 from condgrad.sets import Simplex
 from condgrad.steps import analytic_step
@@ -728,6 +727,14 @@ class TestTraceExport:
         body = path.read_text().splitlines()
         assert body[0] == "k,f,gap,alpha,e,L,time_ns"
         assert all(line.split(",")[5] == "" for line in body[1:])
+
+    def test_a_numpy_integer_cap_is_written_as_an_int(self, tmp_path, log_barrier2):
+        config = RunConfig(epsilon=1e-8, max_iter=np.int64(5))
+        assert type(config.max_iter) is int
+        trace = fw_solve(log_barrier2, Simplex(np.int64(2)), config, x0=np.array([0.25, 0.75]))
+        path = tmp_path / "trace.json"
+        trace.save_json(path)
+        assert json.loads(path.read_text())["config"]["max_iter"] == 5
 
     def test_json_echoes_config(self, tmp_path, log_barrier2):
         config = RunConfig(epsilon=1e-8, max_iter=20, policy="analytic")

@@ -1,0 +1,51 @@
+"""No module of the library imports another module's private name.
+
+A name that starts with one underscore belongs to its module: another
+condgrad module that needs it should get a public name, or the code that
+uses it should move next to it.  The check reads ``from ... import``
+statements only, relative (``from .sets import _x``) or absolute
+(``from condgrad.sets import _x``).  Attribute access such as
+``point._require_domain`` or ``prob._something`` is out of its scope.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src" / "condgrad"
+
+
+def private_imports(source, filename="<source>"):
+    """(line, module, name) of every private name a condgrad import brings in."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "condgrad":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append((node.lineno, "." * node.level + module, name))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_a_private_name(path):
+    assert private_imports((SRC / path).read_text(), path) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from .sets import Simplex, _argmin_finite\n", [(1, ".sets", "_argmin_finite")]),
+        ("from condgrad.sets import _cost as cost\n", [(1, "condgrad.sets", "_cost")]),
+        ("from . import _helpers\n", [(1, ".", "_helpers")]),
+        ("def f():\n    from ..core import _x\n", [(2, "..core", "_x")]),
+        ("from . import __version__\nfrom numpy import _NoValue\nfrom .sets import Simplex\n", []),
+    ],
+)
+def test_the_check_reads_relative_and_absolute_imports(source, found):
+    assert private_imports(source) == found

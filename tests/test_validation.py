@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from condgrad import lloo_simplex
 from condgrad.cli import run_suite
 from condgrad.core import DomainError, OraclePoint
-from condgrad.lloo import lloo_simplex
 from condgrad.problems import (
     LogisticOracle,
     PoissonOracle,
@@ -19,7 +19,7 @@ from condgrad.problems import (
     poisson_problem,
 )
 from condgrad.sets import L1Ball, NonnegL1Ball, Simplex
-from condgrad.solvers import RunConfig, read_trace_csv
+from condgrad.solvers import RunConfig, lloo_fw_solve, read_trace_csv
 from condgrad.steps import analytic_step, backtrack_step, exact_line_search, init_lipschitz
 
 
@@ -31,6 +31,12 @@ def outside_point():
 def outside_base_point():
     """The same point through the four-method base class."""
     return OraclePoint(PortfolioOracle([[1.0, 1.0]]), np.array([-1.0, 0.5]))
+
+
+def lloo_run(sigma_f):
+    """An lloo solve of a 2 x 2 portfolio with the strong-convexity parameter sigma_f."""
+    config = RunConfig(epsilon=1e-6, max_iter=10, policy="lloo")
+    return lloo_fw_solve(PortfolioOracle([[1.0, 2.0], [2.0, 1.0]]), lloo_simplex, config, sigma_f)
 
 
 def write(tmp, name, text):
@@ -94,6 +100,10 @@ CASES = [
         "returns CSV must start with a `T,n,seed` line",
     ),
     ("simplex-dim", lambda tmp: Simplex(0), ValueError, "dimension must be >= 1"),
+    ("simplex-dim-float", lambda tmp: Simplex(2.5), ValueError, "dimension must be an integer, got 2.5"),
+    ("simplex-dim-integral-float", lambda tmp: Simplex(2.0), ValueError, "dimension must be an integer, got 2.0"),
+    ("l1-dim-bool", lambda tmp: L1Ball(True, 1.0), ValueError, "dimension must be an integer, got True"),
+    ("nonneg-l1-dim-float", lambda tmp: NonnegL1Ball(3.0, 1.0), ValueError, "dimension must be an integer, got 3.0"),
     ("l1-dim", lambda tmp: L1Ball(0, 1.0), ValueError, "dimension must be >= 1"),
     ("l1-radius", lambda tmp: L1Ball(2, 0.0), ValueError, "radius must be positive"),
     ("l1-radius-inf", lambda tmp: L1Ball(2, np.inf), ValueError, "radius must be finite"),
@@ -157,6 +167,22 @@ CASES = [
     ),
     ("config-eps-inf", lambda tmp: RunConfig(epsilon=np.inf, max_iter=10), ValueError, "epsilon must be finite"),
     ("config-eps-nan", lambda tmp: RunConfig(epsilon=np.nan, max_iter=10), ValueError, "epsilon must be finite"),
+    ("config-eps-bool", lambda tmp: RunConfig(epsilon=True, max_iter=10), ValueError, "epsilon must be a number, got True"),
+    (
+        "config-max-iter-float",
+        lambda tmp: RunConfig(epsilon=1e-3, max_iter=2.5),
+        ValueError,
+        "max_iter must be an integer, got 2.5",
+    ),
+    (
+        "config-max-iter-bool",
+        lambda tmp: RunConfig(epsilon=1e-3, max_iter=True),
+        ValueError,
+        "max_iter must be an integer, got True",
+    ),
+    ("lloo-sigma-zero", lambda tmp: lloo_run(0.0), ValueError, "sigma_f must be positive"),
+    ("lloo-sigma-nan", lambda tmp: lloo_run(np.nan), ValueError, "sigma_f must be positive"),
+    ("lloo-sigma-inf", lambda tmp: lloo_run(np.inf), ValueError, "sigma_f must be finite"),
     (
         "bench-unknown-kind",
         lambda tmp: run_suite({"problems": [{"kind": "lasso"}]}, tmp / "out"),
