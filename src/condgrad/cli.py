@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import problems as prob
+from .core import positive_int, positive_real
 from .profiles import RunRecord, build_profile_table, fraction_solved, iteration_ratio, time_ratio
 from .sets import lloo_simplex
 from .solvers import (
@@ -54,10 +55,7 @@ def _number_field(mapping, key, kind, what, default=None):
 
 def _size_field(spec, key, what):
     """A problem size spec[key] as an int; below 1 is a ValueError naming the key."""
-    value = _number_field(spec, key, int, what)
-    if value < 1:
-        raise ValueError(f"{what} {key!r} must be at least 1, got {value}")
-    return value
+    return positive_int(f"{what} {key!r}", _number_field(spec, key, int, what))
 
 
 def _eps_levels(values):
@@ -69,6 +67,8 @@ def _eps_levels(values):
         levels = [float(e) for e in values]
     except (TypeError, ValueError):
         raise ValueError(f"eps_grid entries must be numbers, got {values!r}") from None
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"profile levels must be finite and nonnegative, got {values!r}") from None
     for eps in levels:
         if not 0.0 <= eps < np.inf:
             raise ValueError(f"profile levels must be finite and nonnegative, got {eps!r}")
@@ -227,11 +227,9 @@ def run_suite(cfg, out_dir):
             raise ValueError(f"bench config names method {method!r} more than once")
     specs = _expand_problems(cfg)
     max_iter = _number_field(cfg, "max_iter", int, "bench config", DEFAULT_MAX_ITER)
-    if max_iter < 1:
-        raise ValueError(f"bench config 'max_iter' must be at least 1, got {max_iter}")
+    max_iter = positive_int("bench config 'max_iter'", max_iter)
     gap_tol = _number_field(cfg, "gap_tol", float, "bench config", DEFAULT_GAP_TOL)
-    if not 0.0 < gap_tol < np.inf:
-        raise ValueError(f"bench config 'gap_tol' must be finite and positive, got {gap_tol!r}")
+    gap_tol = positive_real("bench config 'gap_tol'", gap_tol)
     instances = [build_problem(spec) for spec in specs]
     # two problems of one name would write their runs to one trace file
     repeated = [name for name, count in Counter(name for name, _, _ in instances).items() if count > 1]

@@ -5,11 +5,12 @@ value, gradient, Hessian-vector product, domain membership, and the
 curvature parameter ``M``.  The drivers and step rules see it through a
 point object (:meth:`ScOracle.point`) that holds what they need at one
 iterate.  This module provides the scalar curvature functions, local
-norms and the duality-gap computation against a feasible set's linear
-oracle.
+norms, the duality-gap computation against a feasible set's linear
+oracle and the checks of every scalar argument of the library.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -25,6 +26,40 @@ class DomainError(ValueError):
 
 class InvariantError(RuntimeError):
     """A numeric invariant failed badly enough to indicate a bug."""
+
+
+def finite_real(name, v):
+    """v as a float; a ValueError naming `name` unless v is a finite real
+    number (numpy's too): "must be a number" for a bool, a string, None or a
+    list, "must be finite" for NaN, an infinity or an int beyond float range."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # an int beyond float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+def positive_real(name, v):
+    """`finite_real(name, v)`, if it is > 0; else "must be positive"."""
+    v = finite_real(name, v)
+    if not v > 0.0:
+        raise ValueError(f"{name} must be positive")
+    return v
+
+
+def positive_int(name, v):
+    """v as an int; a ValueError naming `name` unless v is an integer >= 1
+    (numpy's too): "must be an integer" for a bool, a float (2.0 too), a
+    string or None, "must be at least 1" below 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < 1:
+        raise ValueError(f"{name} must be at least 1, got {v}")
+    return int(v)
 
 
 class ScOracle:

@@ -15,7 +15,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import rng
-from .core import DomainError, InvariantError, OraclePoint, ScOracle, vertex_direction
+from .core import DomainError, InvariantError, OraclePoint, ScOracle, finite_real, positive_int, positive_real, vertex_direction
 from .sets import L1Ball, NonnegL1Ball, Simplex
 
 PORTFOLIO_CLAMP = 0.01
@@ -352,22 +352,16 @@ class LogisticOracle(GlmOracle):
         if not np.isfinite(labels).all():
             raise ValueError("labels must be finite")
         self._set_matrix(features)
-        if gamma is None:
-            gamma = 1.0 / features.shape[0]
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not (math.isfinite(mu) and math.isfinite(gamma)):
-            raise ValueError("mu and gamma must be finite")
+        m = features.shape[0]
+        self.mu = finite_real("mu", mu)
+        self.gamma = positive_real("gamma", 1.0 / m if gamma is None else gamma)
         self.labels = labels
         # -y, the factor of the loss's exponent, and the chain rule's
         # factors of l'(t) and l''(t) through t = y (z + mu), over the count
-        m = features.shape[0]
         self._neg_labels = -labels
         self._d1_factor = self._neg_labels / m
         self._d2_factor = labels * labels / m
-        self.mu = float(mu)
-        self.gamma = float(gamma)
-        self.M = float(np.max(np.linalg.norm(features, axis=1)) / np.sqrt(gamma))
+        self.M = float(np.max(np.linalg.norm(features, axis=1)) / np.sqrt(self.gamma))
 
     @property
     def features(self):
@@ -434,8 +428,7 @@ def gen_portfolio_data(T, n, seed):
     clamp keeps the log-utility objective defined unconditionally; it
     fires with probability ~ Phi(-10) per entry.
     """
-    if T < 1 or n < 1:
-        raise ValueError("matrix dimensions must be positive")
+    T, n = positive_int("T", T), positive_int("n", n)
     # 1 + 0.1 z, clamped, formed in the draw's own array
     z = rng.normals(seed, T * n)
     z *= 0.1
@@ -584,9 +577,8 @@ def load_returns_csv(path):
 
 def gen_binary_design(m, n, density, seed):
     """Synthetic 0/1 design matrix with at least one active column per row."""
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be positive")
-    if not 0.0 <= density <= 1.0:
+    m, n = positive_int("m", m), positive_int("n", n)
+    if not 0.0 <= finite_real("density", density) <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     u = rng.uniforms(seed, m * n).reshape(m, n)
     w = (u < density).astype(float)
@@ -597,8 +589,7 @@ def gen_binary_design(m, n, density, seed):
 
 def gen_logistic_data(N, n, seed):
     """Synthetic classification data: normal features, separator labels."""
-    if N < 1 or n < 1:
-        raise ValueError("matrix dimensions must be positive")
+    N, n = positive_int("N", N), positive_int("n", n)
     feats = rng.normals(seed, N * n).reshape(N, n)
     plane = rng.normals(seed + 1, n)
     margins = feats @ plane

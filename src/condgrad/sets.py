@@ -10,9 +10,10 @@ are fully deterministic.  The simplex also has a local linear oracle,
 """
 
 import math
-import numbers
 
 import numpy as np
+
+from .core import positive_int, positive_real
 
 CONTAINS_TOL = 1e-9
 # A sum is one dot with the set's vector of ones, x.dot(ones): at 20 to 200
@@ -42,14 +43,6 @@ def _argmin_finite(c):
     return i
 
 
-def _check_radius(radius):
-    if not math.isfinite(radius):
-        raise ValueError("radius must be finite")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return float(radius)
-
-
 class FeasibleSet:
     """What the solvers read of a set: dim, kind, lmo, contains, start_point.
 
@@ -64,11 +57,7 @@ class FeasibleSet:
     kind: str
 
     def __init__(self, dim):
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-            raise ValueError(f"dimension must be an integer, got {dim!r}")
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dim = int(dim)
+        self.dim = positive_int("dimension", dim)
         self._ones = np.ones(self.dim)
 
     def lmo(self, c):
@@ -151,7 +140,7 @@ class L1Ball(FeasibleSet):
 
     def __init__(self, dim, radius):
         super().__init__(dim)
-        self.radius = _check_radius(radius)
+        self.radius = positive_real("radius", radius)
 
     def lmo(self, c):
         """Vertex +-R*e_i minimizing <c, .>: (i, +-R).
@@ -185,7 +174,7 @@ class NonnegL1Ball(FeasibleSet):
 
     def __init__(self, dim, radius):
         super().__init__(dim)
-        self.radius = _check_radius(radius)
+        self.radius = positive_real("radius", radius)
 
     def lmo(self, c):
         """The origin (i, 0.0) or R*e_i (i, R), whichever minimizes <c, .>."""

@@ -9,14 +9,13 @@ when a strong-convexity parameter is available.
 
 import json
 import math
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DomainError, InvariantError, dist_like, gap_and_target
+from .core import DomainError, InvariantError, dist_like, gap_and_target, positive_int, positive_real
 from .sets import Simplex
 from .steps import (
     STALL_ALPHA,
@@ -52,18 +51,8 @@ class RunConfig:
     policy: str = "analytic"
 
     def __post_init__(self):
-        if isinstance(self.epsilon, (bool, np.bool_)):
-            raise ValueError(f"epsilon must be a number, got {self.epsilon!r}")
-        if not math.isfinite(self.epsilon):
-            raise ValueError("epsilon must be finite")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        # a numpy integer is written to JSON as a Python int
-        self.max_iter = int(self.max_iter)
+        self.epsilon = positive_real("epsilon", self.epsilon)
+        self.max_iter = positive_int("max_iter", self.max_iter)
         if self.policy not in METHODS:
             raise ValueError(f"unknown policy {self.policy!r}")
 
@@ -243,10 +232,7 @@ def lloo_fw_solve(oracle, lloo, config, sigma_f, x0=None):
     """
     if config.policy != "lloo":
         raise ValueError(f"lloo_fw_solve cannot run policy {config.policy!r}")
-    if not sigma_f > 0:
-        raise ValueError("sigma_f must be positive")
-    if not math.isfinite(sigma_f):
-        raise ValueError("sigma_f must be finite")
+    sigma_f = positive_real("sigma_f", sigma_f)
     return _solve(oracle, Simplex(oracle.dim), config, x0, lloo, sigma_f)
 
 

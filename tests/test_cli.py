@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from condgrad.cli import build_problem, format_profiles_csv, main, run_one, table_from_trace_dir
+from condgrad.cli import build_problem, format_profiles_csv, main, run_one, run_suite, table_from_trace_dir
 from condgrad.problems import format_libsvm, gen_logistic_data, load_returns_csv
-from condgrad.profiles import fraction_solved, iteration_ratio, time_ratio
 from condgrad.solvers import read_trace_csv
 
 from conftest import DATA_DIR
@@ -268,7 +267,7 @@ class TestUserErrors:
             ),
             (
                 ["bench", "--config", "{tmp}/gap_tol_0.json", "--out", "{tmp}/res"],
-                "bench config 'gap_tol' must be finite and positive, got 0.0\n",
+                "bench config 'gap_tol' must be positive\n",
             ),
             (
                 ["bench", "--config", "{tmp}/T_fraction.json", "--out", "{tmp}/res"],
@@ -403,6 +402,10 @@ class TestUserErrors:
                 ["bench", "--config", "{tmp}/eps_grid_bool.json", "--out", "{tmp}/res"],
                 "eps_grid entries must be numbers, got [True, False]\n",
             ),
+            (
+                ["bench", "--config", "{tmp}/eps_grid_huge.json", "--out", "{tmp}/res"],
+                "profile levels must be finite and nonnegative, got [1" + "0" * 400 + "]\n",
+            ),
         ],
         ids=[
             "portfolio-no-size",
@@ -468,6 +471,7 @@ class TestUserErrors:
             "bench-mu-a-bool",
             "bench-gap-tol-a-bool",
             "bench-eps-grid-bools",
+            "bench-eps-grid-beyond-float",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
@@ -515,6 +519,7 @@ class TestUserErrors:
             "mu_bool": {"problems": [{"kind": "logistic", "N": 5, "n": 3, "mu": False}]},
             "gap_tol_bool": {"problems": portfolio, "gap_tol": True},
             "eps_grid_bool": {"problems": portfolio, "eps_grid": [True, False]},
+            "eps_grid_huge": {"problems": portfolio, "eps_grid": [10**400]},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -631,22 +636,24 @@ class TestUserErrors:
             main(argv)
 
 
+BENCH_CFG = {
+    "problems": [
+        {"kind": "portfolio", "n": 6, "T": 12},
+        {"kind": "poisson", "m": 25, "n": 6, "radius": 5.0},
+    ],
+    "methods": ["standard", "analytic", "backtracking"],
+    "seeds": [0, 1],
+    "max_iter": 300,
+    "gap_tol": 1e-9,
+    "eps_grid": [1e-1, 1e-2, 1e-3, 1e-4],
+}
+
+
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
-    cfg = {
-        "problems": [
-            {"kind": "portfolio", "n": 6, "T": 12},
-            {"kind": "poisson", "m": 25, "n": 6, "radius": 5.0},
-        ],
-        "methods": ["standard", "analytic", "backtracking"],
-        "seeds": [0, 1],
-        "max_iter": 300,
-        "gap_tol": 1e-9,
-        "eps_grid": [1e-1, 1e-2, 1e-3, 1e-4],
-    }
     out_dir = tmp_path_factory.mktemp("bench")
     cfg_path = out_dir / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(BENCH_CFG))
     assert main(["bench", "--config", str(cfg_path), "--out", str(out_dir / "results")]) == 0
     return out_dir / "results"
 
@@ -691,17 +698,16 @@ class TestBench:
         assert main(argv) == 0
         assert capsys.readouterr().out == out.read_text()
 
-    def test_metrics_from_csv_match_in_memory(self, bench_dir):
-        # loading traces back must reproduce every metric exactly
-        table = table_from_trace_dir(bench_dir)
-        again = table_from_trace_dir(bench_dir)
-        for eps in (1e-1, 1e-3):
-            assert fraction_solved(table, eps) == fraction_solved(again, eps)
-            try:
-                assert iteration_ratio(table, eps) == iteration_ratio(again, eps)
-                assert time_ratio(table, eps) == time_ratio(again, eps)
-            except ValueError:
-                pass
+    def test_metrics_from_csv_match_in_memory(self, tmp_path):
+        # the traces a grid writes read back to the very table it built in memory
+        _, table = run_suite(BENCH_CFG, tmp_path)
+        again = table_from_trace_dir(tmp_path)
+        assert (table.methods, table.problems) == (again.methods, again.problems)
+        assert table.best == again.best
+        assert table.rel_err.keys() == again.rel_err.keys() == again.time_ns.keys()
+        for pair in table.rel_err:
+            assert np.array_equal(table.rel_err[pair], again.rel_err[pair])
+            assert np.array_equal(table.time_ns[pair], again.time_ns[pair])
 
     def test_smoke_grid_all_methods_under_a_minute(self, tmp_path):
         # the standard smoke configuration: every method on the benchmark

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,14 +11,40 @@ from condgrad.core import (
     DomainError,
     InvariantError,
     dist_like,
+    finite_real,
     gap_and_target,
     omega,
     omega_star,
+    positive_int,
+    positive_real,
 )
 from condgrad.sets import Simplex
 from condgrad.problems import PortfolioOracle
 
 from conftest import EdgeOracle, LogBarrierOracle, QuadOracle, dense
+
+
+class TestScalarRules:
+    """The rules' refusals are pinned per argument in test_validation.py."""
+
+    @pytest.mark.parametrize(
+        "v",
+        [np.float32(0.5), np.float64(0.5), np.int64(2), 3, Fraction(1, 2)]
+        + [sys.float_info.max, int(sys.float_info.max)],
+    )
+    def test_a_finite_positive_number_passes_as_a_float(self, v):
+        for rule in (finite_real, positive_real):
+            out = rule("x", v)
+            assert type(out) is float and out == float(v)
+
+    def test_finite_real_passes_zero_and_negative_numbers(self):
+        assert finite_real("x", 0) == 0.0
+        assert finite_real("x", -sys.float_info.max) == -sys.float_info.max
+
+    @pytest.mark.parametrize("v", [np.int64(5), np.int32(5), np.uint8(5), 5, 10**400])
+    def test_an_integer_passes_as_an_int(self, v):
+        out = positive_int("x", v)
+        assert type(out) is int and out == v
 
 
 class TestOmega:

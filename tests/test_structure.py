@@ -1,11 +1,15 @@
-"""No module of the library imports another module's private name.
+"""Two import rules of the library's modules.
 
-A name that starts with one underscore belongs to its module: another
-condgrad module that needs it should get a public name, or the code that
-uses it should move next to it.  The check reads ``from ... import``
-statements only, relative (``from .sets import _x``) or absolute
-(``from condgrad.sets import _x``).  Attribute access such as
+No module imports another module's private name.  A name that starts
+with one underscore belongs to its module: another condgrad module that
+needs it should get a public name, or the code that uses it should move
+next to it.  The check reads ``from ... import`` statements only,
+relative (``from .sets import _x``) or absolute (``from
+condgrad.sets import _x``).  Attribute access such as
 ``point._require_domain`` or ``prob._something`` is out of its scope.
+
+Only ``core`` imports ``numbers``: its ``finite_real``, ``positive_real``
+and ``positive_int`` state the type rules of scalar arguments once.
 """
 
 import ast
@@ -49,3 +53,31 @@ def test_no_module_imports_a_private_name(path):
 )
 def test_the_check_reads_relative_and_absolute_imports(source, found):
     assert private_imports(source) == found
+
+
+def imported_modules(source, filename="<source>"):
+    """The top-level name of every module an import statement names."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "core.py"))
+def test_only_core_imports_numbers(path):
+    assert "numbers" not in imported_modules((SRC / path).read_text(), path)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("import numbers\n", {"numbers"}),
+        ("from numbers import Integral\n", {"numbers"}),
+        ("import numpy as np, os.path\nfrom . import numbers\n", {"numpy", "os"}),
+    ],
+)
+def test_the_import_check_reads_both_forms(source, found):
+    assert imported_modules(source) == found

@@ -61,12 +61,12 @@ CASES = [
         "counts must be nonnegative integers",
     ),
     ("logistic-label-nan", lambda tmp: LogisticOracle([[1.0, 0.0]], [np.nan]), ValueError, "labels must be finite"),
-    ("logistic-mu-inf", lambda tmp: LogisticOracle([[1.0, 0.0]], [1.0], mu=np.inf), ValueError, "mu and gamma must be finite"),
+    ("logistic-mu-inf", lambda tmp: LogisticOracle([[1.0, 0.0]], [1.0], mu=np.inf), ValueError, "mu must be finite"),
     (
         "logistic-gamma-inf",
         lambda tmp: LogisticOracle([[1.0, 0.0]], [1.0], gamma=np.inf),
         ValueError,
-        "mu and gamma must be finite",
+        "gamma must be finite",
     ),
     ("libsvm-label-nan", lambda tmp: parse_libsvm("nan 1:1\n"), ParseError, "line 1: non-finite label 'nan'"),
     ("libsvm-value-inf", lambda tmp: parse_libsvm("+1 2:-inf\n"), ParseError, "line 1: non-finite value in '2:-inf'"),
@@ -84,30 +84,30 @@ CASES = [
         ValueError,
         "count rows leave the canonical start outside the domain",
     ),
-    ("portfolio-data-size", lambda tmp: gen_portfolio_data(0, 3, 1), ValueError, "matrix dimensions must be positive"),
-    ("design-rows", lambda tmp: gen_binary_design(0, 3, 0.2, 1), ValueError, "matrix dimensions must be positive"),
-    ("design-columns", lambda tmp: gen_binary_design(5, 0, 0.2, 1), ValueError, "matrix dimensions must be positive"),
-    ("design-columns-negative", lambda tmp: gen_binary_design(5, -2, 0.2, 1), ValueError, "matrix dimensions must be positive"),
-    ("design-density-nan", lambda tmp: gen_binary_design(5, 3, np.nan, 1), ValueError, "density must lie in [0, 1]"),
+    ("portfolio-data-size", lambda tmp: gen_portfolio_data(0, 3, 1), ValueError, "T must be at least 1, got 0"),
+    ("design-rows", lambda tmp: gen_binary_design(0, 3, 0.2, 1), ValueError, "m must be at least 1, got 0"),
+    ("design-columns", lambda tmp: gen_binary_design(5, 0, 0.2, 1), ValueError, "n must be at least 1, got 0"),
+    ("design-columns-negative", lambda tmp: gen_binary_design(5, -2, 0.2, 1), ValueError, "n must be at least 1, got -2"),
+    ("design-density-nan", lambda tmp: gen_binary_design(5, 3, np.nan, 1), ValueError, "density must be finite"),
     ("design-density-negative", lambda tmp: gen_binary_design(5, 3, -0.1, 1), ValueError, "density must lie in [0, 1]"),
     ("design-density-above-1", lambda tmp: gen_binary_design(5, 3, 1.5, 1), ValueError, "density must lie in [0, 1]"),
-    ("logistic-data-rows", lambda tmp: gen_logistic_data(0, 3, 1), ValueError, "matrix dimensions must be positive"),
-    ("logistic-data-columns", lambda tmp: gen_logistic_data(5, -1, 1), ValueError, "matrix dimensions must be positive"),
+    ("logistic-data-rows", lambda tmp: gen_logistic_data(0, 3, 1), ValueError, "N must be at least 1, got 0"),
+    ("logistic-data-columns", lambda tmp: gen_logistic_data(5, -1, 1), ValueError, "n must be at least 1, got -1"),
     (
         "returns-header",
         lambda tmp: load_returns_csv(write(tmp, "r.csv", "3,2\n1,1\n")),
         ValueError,
         "returns CSV must start with a `T,n,seed` line",
     ),
-    ("simplex-dim", lambda tmp: Simplex(0), ValueError, "dimension must be >= 1"),
+    ("simplex-dim", lambda tmp: Simplex(0), ValueError, "dimension must be at least 1, got 0"),
     ("simplex-dim-float", lambda tmp: Simplex(2.5), ValueError, "dimension must be an integer, got 2.5"),
     ("simplex-dim-integral-float", lambda tmp: Simplex(2.0), ValueError, "dimension must be an integer, got 2.0"),
     ("l1-dim-bool", lambda tmp: L1Ball(True, 1.0), ValueError, "dimension must be an integer, got True"),
     ("nonneg-l1-dim-float", lambda tmp: NonnegL1Ball(3.0, 1.0), ValueError, "dimension must be an integer, got 3.0"),
-    ("l1-dim", lambda tmp: L1Ball(0, 1.0), ValueError, "dimension must be >= 1"),
+    ("l1-dim", lambda tmp: L1Ball(0, 1.0), ValueError, "dimension must be at least 1, got 0"),
     ("l1-radius", lambda tmp: L1Ball(2, 0.0), ValueError, "radius must be positive"),
     ("l1-radius-inf", lambda tmp: L1Ball(2, np.inf), ValueError, "radius must be finite"),
-    ("nonneg-l1-dim", lambda tmp: NonnegL1Ball(0, 1.0), ValueError, "dimension must be >= 1"),
+    ("nonneg-l1-dim", lambda tmp: NonnegL1Ball(0, 1.0), ValueError, "dimension must be at least 1, got 0"),
     ("nonneg-l1-radius", lambda tmp: NonnegL1Ball(2, -1.0), ValueError, "radius must be positive"),
     ("nonneg-l1-radius-nan", lambda tmp: NonnegL1Ball(2, np.nan), ValueError, "radius must be finite"),
     (
@@ -181,7 +181,7 @@ CASES = [
         "max_iter must be an integer, got True",
     ),
     ("lloo-sigma-zero", lambda tmp: lloo_run(0.0), ValueError, "sigma_f must be positive"),
-    ("lloo-sigma-nan", lambda tmp: lloo_run(np.nan), ValueError, "sigma_f must be positive"),
+    ("lloo-sigma-nan", lambda tmp: lloo_run(np.nan), ValueError, "sigma_f must be finite"),
     ("lloo-sigma-inf", lambda tmp: lloo_run(np.inf), ValueError, "sigma_f must be finite"),
     (
         "bench-unknown-kind",
@@ -207,6 +207,58 @@ CASES = [
         ValueError,
         "profile levels must be finite and nonnegative, got -0.001",
     ),
+    (
+        "bench-gap-tol-nan",
+        lambda tmp: run_suite({"problems": [{"kind": "portfolio", "T": 3, "n": 2}], "gap_tol": np.nan}, tmp / "out"),
+        ValueError,
+        "bench config 'gap_tol' must be finite",
+    ),
+]
+
+# Every scalar argument checked by one of core's rules, as (id, a call
+# with the value, the name its message gives, the rule) ...
+SCALAR_ARGS = [
+    ("config-eps", lambda v: RunConfig(epsilon=v, max_iter=10), "epsilon", "positive_real"),
+    ("config-max-iter", lambda v: RunConfig(epsilon=1e-3, max_iter=v), "max_iter", "positive_int"),
+    ("lloo-sigma", lloo_run, "sigma_f", "positive_real"),
+    ("simplex-dim", Simplex, "dimension", "positive_int"),
+    ("l1-dim", lambda v: L1Ball(v, 1.0), "dimension", "positive_int"),
+    ("nonneg-l1-dim", lambda v: NonnegL1Ball(v, 1.0), "dimension", "positive_int"),
+    ("l1-radius", lambda v: L1Ball(2, v), "radius", "positive_real"),
+    ("nonneg-l1-radius", lambda v: NonnegL1Ball(2, v), "radius", "positive_real"),
+    ("logistic-mu", lambda v: LogisticOracle([[1.0, 0.0]], [1.0], mu=v), "mu", "finite_real"),
+    ("logistic-gamma", lambda v: LogisticOracle([[1.0, 0.0]], [1.0], gamma=v), "gamma", "positive_real"),
+    ("portfolio-data-T", lambda v: gen_portfolio_data(v, 3, 1), "T", "positive_int"),
+    ("portfolio-data-n", lambda v: gen_portfolio_data(3, v, 1), "n", "positive_int"),
+    ("design-m", lambda v: gen_binary_design(v, 3, 0.2, 1), "m", "positive_int"),
+    ("design-n", lambda v: gen_binary_design(5, v, 0.2, 1), "n", "positive_int"),
+    ("design-density", lambda v: gen_binary_design(5, 3, v, 1), "density", "finite_real"),
+    ("logistic-data-N", lambda v: gen_logistic_data(v, 3, 1), "N", "positive_int"),
+    ("logistic-data-n", lambda v: gen_logistic_data(5, v, 1), "n", "positive_int"),
+]
+# ... and each rule's bad values, as (id, value, message after the name)
+_NOT_NUMBERS = [("str", "1"), ("none", None), ("list", [1]), ("bool", True), ("np-bool", np.bool_(True))]
+_FINITE = [(vid, v, f"must be a number, got {v!r}") for vid, v in _NOT_NUMBERS] + [
+    ("nan", np.nan, "must be finite"),
+    ("inf", np.inf, "must be finite"),
+    ("huge", 10**400, "must be finite"),
+]
+BAD_VALUES = {
+    "finite_real": _FINITE,
+    "positive_real": _FINITE + [("zero", 0.0, "must be positive"), ("negative", -1.0, "must be positive")],
+    "positive_int": [
+        (vid, v, f"must be an integer, got {v!r}")
+        for vid, v in _NOT_NUMBERS + [("nan", np.nan), ("inf", np.inf), ("float", 2.5)]
+    ]
+    + [("zero", 0, "must be at least 1, got 0"), ("negative", -1, "must be at least 1, got -1")],
+}
+# a pair already written above is not repeated; gamma=None asks for its default 1/N
+_SKIP = {case[0] for case in CASES} | {"logistic-gamma-none"}
+CASES += [
+    (f"{arg}-{vid}", lambda tmp, call=call, v=v: call(v), ValueError, f"{name} {message}")
+    for arg, call, name, rule in SCALAR_ARGS
+    for vid, v, message in BAD_VALUES[rule]
+    if f"{arg}-{vid}" not in _SKIP
 ]
 
 
