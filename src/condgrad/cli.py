@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import problems as prob
-from .core import positive_int, positive_real
+from .core import finite_real, integer, positive_int, positive_real
 from .profiles import RunRecord, build_profile_table, fraction_solved, iteration_ratio, time_ratio
 from .sets import lloo_simplex
 from .solvers import (
@@ -36,42 +36,13 @@ def _required(mapping, key, what):
     return mapping[key]
 
 
-def _number_field(mapping, key, kind, what, default=None):
-    """kind(mapping[key]) for kind int or float, `default` standing in for
-    an absent key when one is given.  A missing key, a value of a type
-    kind() refuses (a list or null), a string or an int it cannot read,
-    a bool and, for an int, a non-integral number are each a ValueError
-    naming the key; a numeric string such as "50" is read."""
-    value = _required(mapping, key, what) if default is None else mapping.get(key, default)
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    try:
-        return kind(value)
-    except TypeError:
-        raise ValueError(f"{what} {key!r} must be a number, got {value!r}") from None
-    except (ValueError, OverflowError) as exc:  # OverflowError: a JSON int beyond float
-        raise ValueError(f"{what} {key!r}: {exc}") from None
-
-
-def _size_field(spec, key, what):
-    """A problem size spec[key] as an int; below 1 is a ValueError naming the key."""
-    return positive_int(f"{what} {key!r}", _number_field(spec, key, int, what))
-
-
 def _eps_levels(values):
-    """The profile's relative-error levels as floats, each finite and >= 0;
-    an entry that is no number (a list, null, a bool, a word) is a ValueError naming `eps_grid`."""
-    try:
-        if any(isinstance(e, bool) for e in values):
-            raise TypeError
-        levels = [float(e) for e in values]
-    except (TypeError, ValueError):
-        raise ValueError(f"eps_grid entries must be numbers, got {values!r}") from None
-    except OverflowError:  # an int beyond float range
-        raise ValueError(f"profile levels must be finite and nonnegative, got {values!r}") from None
+    """The profile's relative-error levels as floats: each entry passes
+    `finite_real` and is >= 0, or a ValueError names `eps_grid entry`."""
+    levels = [finite_real("eps_grid entry", e) for e in values]
     for eps in levels:
-        if not 0.0 <= eps < np.inf:
-            raise ValueError(f"profile levels must be finite and nonnegative, got {eps!r}")
+        if eps < 0.0:
+            raise ValueError(f"eps_grid entry must be nonnegative, got {eps!r}")
     return levels
 
 
@@ -97,21 +68,25 @@ def build_problem(spec):
     unread = sorted((spec.keys() & _TABLE_KEYS) - _SPEC_KEYS[kind]["data" in spec])
     if unread:
         raise ValueError(f"{what} does not read {', '.join(map(repr, unread))}")
-    seed = _number_field(spec, "seed", int, what, 0)
+
+    def size(key):
+        return positive_int(f"{what} {key!r}", _required(spec, key, what))
+
+    seed = integer(f"{what} 'seed'", spec.get("seed", 0))
     if kind != "portfolio":
-        radius = _number_field(spec, "radius", float, what, prob.DEFAULT_RADIUS)
+        radius = positive_real(f"{what} 'radius'", spec.get("radius", prob.DEFAULT_RADIUS))
     if "data" in spec and kind == "portfolio":
         matrix, seed = prob.load_returns_csv(spec["data"])
     elif "data" in spec:
         with open(spec["data"]) as fh:
             matrix, labels = prob.parse_libsvm(fh)
     elif kind == "portfolio":
-        matrix = prob.gen_portfolio_data(_size_field(spec, "T", what), _size_field(spec, "n", what), seed)
+        matrix = prob.gen_portfolio_data(size("T"), size("n"), seed)
     elif kind == "poisson":
-        m, n = _size_field(spec, "m", what), _size_field(spec, "n", what)
-        matrix = prob.gen_binary_design(m, n, _number_field(spec, "density", float, what, 0.2), seed)
+        m, n = size("m"), size("n")
+        matrix = prob.gen_binary_design(m, n, finite_real(f"{what} 'density'", spec.get("density", 0.2)), seed)
     else:
-        matrix, labels = prob.gen_logistic_data(_size_field(spec, "N", what), _size_field(spec, "n", what), seed)
+        matrix, labels = prob.gen_logistic_data(size("N"), size("n"), seed)
     rows, cols = matrix.shape
     if kind == "portfolio":
         oracle, feasible_set = prob.portfolio_problem(matrix)
@@ -120,8 +95,8 @@ def build_problem(spec):
         oracle, feasible_set = prob.poisson_problem(matrix, np.ones(rows), radius)
         default = f"poisson_m{rows}_n{cols}_s{seed}"
     else:
-        gamma = None if spec.get("gamma") is None else _number_field(spec, "gamma", float, what)
-        mu = _number_field(spec, "mu", float, what, 0.0)
+        gamma = None if spec.get("gamma") is None else positive_real(f"{what} 'gamma'", spec["gamma"])
+        mu = finite_real(f"{what} 'mu'", spec.get("mu", 0.0))
         labels = np.where(labels > 0, 1.0, -1.0)
         oracle, feasible_set = prob.logistic_problem(matrix, labels, mu=mu, gamma=gamma, radius=radius)
         default = f"logistic_N{rows}_n{cols}_s{seed}"
@@ -149,10 +124,6 @@ def run_one(oracle, feasible_set, method, eps, max_iter):
 
 
 def cmd_solve(args):
-    for flag in ("T", "n", "samples"):
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise ValueError(f"--{flag} must be positive")
     spec = {"kind": args.problem}
     if args.data:
         spec["data"] = args.data
@@ -226,10 +197,8 @@ def run_suite(cfg, out_dir):
         if method in methods[:i]:
             raise ValueError(f"bench config names method {method!r} more than once")
     specs = _expand_problems(cfg)
-    max_iter = _number_field(cfg, "max_iter", int, "bench config", DEFAULT_MAX_ITER)
-    max_iter = positive_int("bench config 'max_iter'", max_iter)
-    gap_tol = _number_field(cfg, "gap_tol", float, "bench config", DEFAULT_GAP_TOL)
-    gap_tol = positive_real("bench config 'gap_tol'", gap_tol)
+    max_iter = positive_int("bench config 'max_iter'", cfg.get("max_iter", DEFAULT_MAX_ITER))
+    gap_tol = positive_real("bench config 'gap_tol'", cfg.get("gap_tol", DEFAULT_GAP_TOL))
     instances = [build_problem(spec) for spec in specs]
     # two problems of one name would write their runs to one trace file
     repeated = [name for name, count in Counter(name for name, _, _ in instances).items() if count > 1]
@@ -339,7 +308,13 @@ def cmd_bench(args):
 
 
 def cmd_profile(args):
-    eps_grid = DEFAULT_EPS_GRID if args.eps_grid is None else _eps_levels(args.eps_grid.split(","))
+    eps_grid = DEFAULT_EPS_GRID
+    if args.eps_grid is not None:
+        try:
+            eps_grid = [float(text) for text in args.eps_grid.split(",")]
+        except ValueError:
+            raise ValueError(f"--eps-grid entries must be numbers, got {args.eps_grid!r}") from None
+        eps_grid = _eps_levels(eps_grid)
     table = table_from_trace_dir(args.traces)
     text = format_profiles_csv(table, eps_grid)
     if args.out:

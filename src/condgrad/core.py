@@ -51,15 +51,20 @@ def positive_real(name, v):
     return v
 
 
-def positive_int(name, v):
-    """v as an int; a ValueError naming `name` unless v is an integer >= 1
-    (numpy's too): "must be an integer" for a bool, a float (2.0 too), a
-    string or None, "must be at least 1" below 1."""
+def integer(name, v):
+    """v as an int; a ValueError naming `name` unless v is an integer (numpy's
+    too): "must be an integer" for a bool, a float (2.0 too), a string or None."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def positive_int(name, v):
+    """`integer(name, v)`, if it is >= 1; else "must be at least 1"."""
+    v = integer(name, v)
     if v < 1:
         raise ValueError(f"{name} must be at least 1, got {v}")
-    return int(v)
+    return v
 
 
 class ScOracle:

@@ -15,7 +15,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from . import rng
-from .core import DomainError, InvariantError, OraclePoint, ScOracle, finite_real, positive_int, positive_real, vertex_direction
+from .core import DomainError, InvariantError, OraclePoint, ScOracle, finite_real, integer, positive_int, positive_real, vertex_direction
 from .sets import L1Ball, NonnegL1Ball, Simplex
 
 PORTFOLIO_CLAMP = 0.01
@@ -256,6 +256,9 @@ class PortfolioOracle(GlmOracle):
         self._set_matrix(returns)
         if not np.all(returns > 0.0):
             raise ValueError("returns matrix must be strictly positive")
+        # z = r . x on the simplex is at most the largest entry, and 1/z^2 is 0 where z^2 overflows
+        if not math.isfinite(self._amax * self._amax):
+            raise ValueError("returns matrix entries must be at most 1.34e154: the curvature 1/z^2 underflows above")
         self.M = 2.0
 
     @property
@@ -428,7 +431,7 @@ def gen_portfolio_data(T, n, seed):
     clamp keeps the log-utility objective defined unconditionally; it
     fires with probability ~ Phi(-10) per entry.
     """
-    T, n = positive_int("T", T), positive_int("n", n)
+    T, n, seed = positive_int("T", T), positive_int("n", n), integer("seed", seed)
     # 1 + 0.1 z, clamped, formed in the draw's own array
     z = rng.normals(seed, T * n)
     z *= 0.1
@@ -580,7 +583,7 @@ def gen_binary_design(m, n, density, seed):
     m, n = positive_int("m", m), positive_int("n", n)
     if not 0.0 <= finite_real("density", density) <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    u = rng.uniforms(seed, m * n).reshape(m, n)
+    u = rng.uniforms(integer("seed", seed), m * n).reshape(m, n)
     w = (u < density).astype(float)
     empty = np.flatnonzero(~w.any(axis=1))
     w[empty, empty % n] = 1.0
@@ -589,7 +592,7 @@ def gen_binary_design(m, n, density, seed):
 
 def gen_logistic_data(N, n, seed):
     """Synthetic classification data: normal features, separator labels."""
-    N, n = positive_int("N", N), positive_int("n", n)
+    N, n, seed = positive_int("N", N), positive_int("n", n), integer("seed", seed)
     feats = rng.normals(seed, N * n).reshape(N, n)
     plane = rng.normals(seed + 1, n)
     margins = feats @ plane

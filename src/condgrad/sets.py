@@ -81,15 +81,16 @@ class Simplex(FeasibleSet):
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        # x's smallest entry, or its first NaN, decides x >= -CONTAINS_TOL
-        return (
-            x.shape == (self.dim,)
-            and bool(x[x.argmin()] >= -CONTAINS_TOL)
-            and abs(float(x.dot(self._ones)) - 1.0) <= CONTAINS_TOL
-        )
+        return x.shape == (self.dim,) and _on_simplex(x, self._ones)
 
     def start_point(self):
         return np.full(self.dim, 1.0 / self.dim)
+
+
+def _on_simplex(x, ones):
+    """Whether a float vector x lies on the unit simplex up to CONTAINS_TOL; `ones` has x's length."""
+    # x's smallest entry, or its first NaN, decides x >= -CONTAINS_TOL
+    return bool(x[x.argmin()] >= -CONTAINS_TOL) and abs(float(x.dot(ones)) - 1.0) <= CONTAINS_TOL
 
 
 def lloo_simplex(x, r, c):
@@ -109,7 +110,7 @@ def lloo_simplex(x, r, c):
     if x.shape != c.shape or x.ndim != 1:
         raise ValueError("center and cost must be 1-D vectors of equal length")
     n = x.shape[0]
-    if not Simplex(n).contains(x):
+    if not _on_simplex(x, np.ones(n)):
         raise ValueError("lloo_simplex center must lie on the unit simplex")
     istar = _argmin_finite(c)
     if not r > 0:

@@ -193,7 +193,8 @@ def fw_solve(oracle, feasible_set, config, x0=None):
     analytic policy a failure to decrease by the model amount raises
     :class:`InvariantError`, and so does an analytic step leaving the
     domain.  A line-search or backtracking trial outside it has
-    f = +inf and is rejected.
+    f = +inf and is rejected.  A row whose f, gap or e is not finite, or
+    whose analytic alpha * e rounds to 1, raises ValueError naming the row.
     The iterate is the oracle's point (:meth:`ScOracle.point`); a gap
     below `epsilon` is accepted only as evaluated at a refreshed point.
     """
@@ -291,6 +292,8 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
             # a row that goes on steps toward the local oracle's point
             s = lloo(point.x, radius, point.gradient)
         e = dist_like(point, s)
+        if not (math.isfinite(f_k) and math.isfinite(gap) and math.isfinite(e)):
+            raise _not_finite(k, f=f_k, gap=gap, e=e)
 
         evals, required = None, math.inf
         if termination is not None:
@@ -301,7 +304,10 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
         elif policy == "line_search":
             alpha = exact_line_search(point, s)
         elif policy == "analytic":
-            alpha, decrease = analytic_step(gap, e, oracle.M)
+            try:
+                alpha, decrease = analytic_step(gap, e, oracle.M)
+            except ValueError as exc:  # the step's scale overflows: name the row
+                raise ValueError(f"row {k}: {exc}") from None
             required = f_k - decrease + DESCENT_SLACK * max(1.0, abs(f_k))
         elif policy == "backtracking":
             if init_lip is None:
@@ -333,7 +339,8 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
             raise InvariantError(f"{policy} step left the objective domain at iteration {k}")
         # only the analytic step guarantees a level; lloo gets no such check:
         # its step contracts the error bound gap0 * c_k, but f may wobble up
-        if nxt.f > required:
+        # an f that is not finite is the next row's error
+        if nxt.f > required and nxt.f < math.inf:
             raise InvariantError(
                 f"objective rose above the guaranteed level at iteration {k + 1}: "
                 f"{nxt.f} > {required}"
@@ -341,6 +348,12 @@ def _solve(oracle, feasible_set, config, x0, lloo=None, sigma_f=None):
         alpha_sum += alpha
         point = nxt
     return RunTrace(records, point.x, termination, config, init_lip)
+
+
+def _not_finite(k, **quantities):
+    """The ValueError of row k, naming the first of its quantities that is not finite."""
+    name, value = next((name, v) for name, v in quantities.items() if not math.isfinite(v))
+    return ValueError(f"row {k}: {name} is {value}, not finite; the problem's scale overflows floating point")
 
 
 def certificate_lower_bound(trace):

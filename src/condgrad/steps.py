@@ -44,11 +44,13 @@ def analytic_step(gap, e, M):
     if e == 0.0:
         # zero local norm of the direction: defensive, degenerate problems only
         return 1.0, gap
-    t = gap / (e * (gap + (4.0 / (M * M)) * e))
+    c = 4.0 / (M * M)
+    t = gap / (e * (gap + c * e))
     alpha = min(1.0, t)
     if not alpha * e < 1.0:
-        raise InvariantError(f"step {alpha} * e {e} >= 1; curvature model violated")
-    return alpha, alpha * gap - (4.0 / (M * M)) * omega_star(alpha * e)
+        # alpha e = gap / (gap + c e) < 1 rounds to 1 when c e vanishes beside the gap
+        raise ValueError(f"step {alpha} * e {e} rounds to 1: 4/M^2 = {c} is too small beside the gap {gap}")
+    return alpha, alpha * gap - c * omega_star(alpha * e)
 
 
 def exact_line_search(point, target):

@@ -148,11 +148,23 @@ class TestSolve:
 
 
 class TestBuildProblem:
-    def test_numbers_given_as_text_or_integral_floats(self):
-        name, oracle, _ = build_problem({"kind": "portfolio", "T": "10", "n": 4.0, "seed": "2"})
-        _, reference, _ = build_problem({"kind": "portfolio", "T": 10, "n": 4, "seed": 2})
-        assert name == "portfolio_n4_T10_s2"
-        assert np.array_equal(oracle.returns, reference.returns)
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "portfolio", "T": "10", "n": 4}, "portfolio problem spec 'T' must be an integer, got '10'"),
+            ({"kind": "portfolio", "T": 10, "n": 4.0}, "portfolio problem spec 'n' must be an integer, got 4.0"),
+            ({"kind": "portfolio", "T": 10, "n": 4, "seed": "2"}, "portfolio problem spec 'seed' must be an integer, got '2'"),
+            ({"kind": "portfolio", "T": 10, "n": 4, "seed": 2.0}, "portfolio problem spec 'seed' must be an integer, got 2.0"),
+            ({"kind": "poisson", "m": 5, "n": 3, "radius": "2"}, "poisson problem spec 'radius' must be a number, got '2'"),
+            ({"kind": "logistic", "N": 20, "n": 4, "gamma": "0.1"}, "logistic problem spec 'gamma' must be a number, got '0.1'"),
+        ],
+        ids=["T-text", "n-integral-float", "seed-text", "seed-integral-float", "radius-text", "gamma-text"],
+    )
+    def test_text_and_integral_floats_are_refused(self, spec, message):
+        # a JSON value meets the library's rule: a string or a float is no integer, a string no number
+        with pytest.raises(ValueError) as info:
+            build_problem(spec)
+        assert str(info.value) == message
 
     def test_keys_outside_the_table_pass_unread(self):
         spec = {"kind": "poisson", "m": 20, "n": 5, "name": "p", "shape": [20, 5], "note": "x"}
@@ -172,13 +184,6 @@ class TestBuildProblem:
         with pytest.raises(ValueError) as exc:
             build_problem(spec)
         assert str(exc.value) == message
-
-    def test_logistic_gamma_given_as_text(self):
-        spec = {"kind": "logistic", "N": 20, "n": 4}
-        _, oracle, _ = build_problem(dict(spec, gamma="0.1"))
-        _, reference, _ = build_problem(dict(spec, gamma=0.1))
-        assert type(oracle.gamma) is float and oracle.gamma == reference.gamma == 0.1
-        assert oracle.M == reference.M
 
     def test_logistic_from_libsvm_file(self, tmp_path):
         # the grid workload's logistic path: a LIBSVM file with labels {0, 1}
@@ -228,22 +233,22 @@ class TestUserErrors:
             (
                 ["solve", "--problem", "logistic", "--samples", "30", "--n", "5", "--method", "analytic"]
                 + ["--radius", "inf", "--out", "{tmp}/t.csv"],
-                "radius must be finite",
+                "logistic problem spec 'radius' must be finite",
             ),
             (["profile", "--traces", "{tmp}/empty"], "analytic__p2.csv: the trace has no rows"),
             (LOGISTIC + ["--eps", "inf"], "epsilon must be finite"),
             # argparse would read these negative values as option names
-            (LOGISTIC + ["--radius", "-inf"], "radius must be finite"),
-            (LOGISTIC + ["--radius", "-1e3"], "radius must be positive"),
-            (LOGISTIC + ["--radius=-inf"], "radius must be finite"),
+            (LOGISTIC + ["--radius", "-inf"], "logistic problem spec 'radius' must be finite"),
+            (LOGISTIC + ["--radius", "-1e3"], "logistic problem spec 'radius' must be positive"),
+            (LOGISTIC + ["--radius=-inf"], "logistic problem spec 'radius' must be finite"),
             (LOGISTIC + ["--eps", "-1e-3"], "epsilon must be positive"),
             (LOGISTIC + ["--eps", "-nan"], "epsilon must be finite"),
-            (["profile", "--traces", "{tmp}/empty", "--eps-grid=nan"], "profile levels must be finite and nonnegative"),
-            (["profile", "--traces", "{tmp}/empty", "--eps-grid=-1e-3"], "profile levels must be finite"),
-            (["bench", "--config", "{tmp}/levels.json"], "profile levels must be finite and nonnegative, got inf"),
+            (["profile", "--traces", "{tmp}/empty", "--eps-grid=nan"], "eps_grid entry must be finite"),
+            (["profile", "--traces", "{tmp}/empty", "--eps-grid=-1e-3"], "eps_grid entry must be nonnegative, got -0.001"),
+            (["bench", "--config", "{tmp}/levels.json"], "eps_grid entry must be finite"),
             (["bench", "--config", "{tmp}/seeds.json"], "bench config 'seeds' must be a list, got 3"),
             (["bench", "--config", "{tmp}/methods.json"], "bench config 'methods' must be a list, got 'analytic'"),
-            (["bench", "--config", "{tmp}/gamma.json"], "could not convert string to float: 'small'"),
+            (["bench", "--config", "{tmp}/gamma.json"], "logistic problem spec 'gamma' must be a number, got 'small'"),
             (
                 ["bench", "--config", "{tmp}/problems.json", "--out", "{tmp}/res"],
                 "bench config 'problems' entries must be objects, got 3",
@@ -254,7 +259,7 @@ class TestUserErrors:
             ),
             (
                 ["bench", "--config", "{tmp}/max_iter.json", "--out", "{tmp}/res"],
-                "bench config 'max_iter' must be a number, got [5]",
+                "bench config 'max_iter' must be an integer, got [5]",
             ),
             (["profile", "--traces", "{tmp}/late"], "analytic__p.csv, line 3: time_ns 4 is below the previous row's 5"),
             (
@@ -283,7 +288,7 @@ class TestUserErrors:
             ),
             (
                 ["bench", "--config", "{tmp}/T_word.json", "--out", "{tmp}/res"],
-                "portfolio problem spec 'T': invalid literal for int() with base 10: 'ten'\n",
+                "portfolio problem spec 'T' must be an integer, got 'ten'\n",
             ),
             (
                 ["bench", "--config", "{tmp}/portfolio_radius.json", "--out", "{tmp}/res"],
@@ -295,7 +300,7 @@ class TestUserErrors:
             ),
             (
                 ["bench", "--config", "{tmp}/radius_huge.json", "--out", "{tmp}/res"],
-                "poisson problem spec 'radius': int too large to convert to float\n",
+                "poisson problem spec 'radius' must be finite\n",
             ),
             (
                 ["bench", "--config", "{tmp}/T_0.json", "--out", "{tmp}/res"],
@@ -315,11 +320,11 @@ class TestUserErrors:
             ),
             (
                 ["bench", "--config", "{tmp}/eps_grid_nested.json", "--out", "{tmp}/res"],
-                "eps_grid entries must be numbers, got [[1]]\n",
+                "eps_grid entry must be a number, got [1]\n",
             ),
             (
                 ["bench", "--config", "{tmp}/eps_grid_null.json", "--out", "{tmp}/res"],
-                "eps_grid entries must be numbers, got [None]\n",
+                "eps_grid entry must be a number, got None\n",
             ),
             (["bench", "--config", "{tmp}/not_an_object.json"], "bench config must be a JSON object, got [1, 2]\n"),
             (["bench", "--config", "{tmp}/out_dir_number.json"], "bench config 'out_dir' must be a string, got 5\n"),
@@ -339,7 +344,7 @@ class TestUserErrors:
                 ["bench", "--config", "{tmp}/eps_grid_empty.json", "--out", "{tmp}/res"],
                 "bench config 'eps_grid' must not be empty\n",
             ),
-            (["profile", "--traces", "{tmp}/one", "--eps-grid", ""], "eps_grid entries must be numbers, got ['']\n"),
+            (["profile", "--traces", "{tmp}/one", "--eps-grid", ""], "--eps-grid entries must be numbers, got ''\n"),
             (
                 ["bench", "--config", "{tmp}/name_slash.json", "--out", "{tmp}/res"],
                 "portfolio problem spec 'name' must be a string without '/' or NUL, got 'a/b'\n",
@@ -400,11 +405,33 @@ class TestUserErrors:
             ),
             (
                 ["bench", "--config", "{tmp}/eps_grid_bool.json", "--out", "{tmp}/res"],
-                "eps_grid entries must be numbers, got [True, False]\n",
+                "eps_grid entry must be a number, got True\n",
             ),
             (
                 ["bench", "--config", "{tmp}/eps_grid_huge.json", "--out", "{tmp}/res"],
-                "profile levels must be finite and nonnegative, got [1" + "0" * 400 + "]\n",
+                "eps_grid entry must be finite\n",
+            ),
+            # a JSON value meets the library's rule: a string is no number,
+            # an integral float no integer
+            (
+                ["bench", "--config", "{tmp}/levels_text.json", "--out", "{tmp}/res"],
+                "eps_grid entry must be a number, got 'inf'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/radius_text.json", "--out", "{tmp}/res"],
+                "poisson problem spec 'radius' must be a number, got '2'\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/T_integral_float.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'T' must be an integer, got 10.0\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/max_iter_integral_float.json", "--out", "{tmp}/res"],
+                "bench config 'max_iter' must be an integer, got 50.0\n",
+            ),
+            (
+                ["bench", "--config", "{tmp}/seed_text.json", "--out", "{tmp}/res"],
+                "portfolio problem spec 'seed' must be an integer, got '1'\n",
             ),
         ],
         ids=[
@@ -472,13 +499,19 @@ class TestUserErrors:
             "bench-gap-tol-a-bool",
             "bench-eps-grid-bools",
             "bench-eps-grid-beyond-float",
+            "bench-level-text",
+            "bench-radius-text",
+            "bench-T-integral-float",
+            "bench-max-iter-integral-float",
+            "bench-seed-text",
         ],
     )
     def test_one_line_and_status_2(self, tmp_path, capsys, argv, message):
         portfolio = [{"kind": "portfolio", "T": 10, "n": 4}]
         configs = {
             "cfg": {"methods": ["analytic"]},
-            "levels": {"problems": portfolio, "eps_grid": [1e-2, "inf"]},
+            "levels": {"problems": portfolio, "eps_grid": [1e-2, float("inf")]},
+            "levels_text": {"problems": portfolio, "eps_grid": [1e-2, "inf"]},
             "seeds": {"problems": portfolio, "seeds": 3},
             "methods": {"problems": portfolio, "methods": "analytic"},
             "gamma": {"problems": [{"kind": "logistic", "N": 20, "n": 4, "gamma": "small"}]},
@@ -520,6 +553,10 @@ class TestUserErrors:
             "gap_tol_bool": {"problems": portfolio, "gap_tol": True},
             "eps_grid_bool": {"problems": portfolio, "eps_grid": [True, False]},
             "eps_grid_huge": {"problems": portfolio, "eps_grid": [10**400]},
+            "radius_text": {"problems": [{"kind": "poisson", "m": 5, "n": 3, "radius": "2"}]},
+            "T_integral_float": {"problems": [{"kind": "portfolio", "T": 10.0, "n": 4}]},
+            "max_iter_integral_float": {"problems": portfolio, "max_iter": 50.0},
+            "seed_text": {"problems": portfolio, "seeds": ["1"]},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -545,12 +582,19 @@ class TestUserErrors:
     @pytest.mark.parametrize("flag", ["--T", "--n", "--samples"])
     @pytest.mark.parametrize("problem", ["portfolio", "poisson", "logistic"])
     def test_size_below_one(self, tmp_path, capsys, problem, flag, value):
-        sizes = {"--T": "10", "--n": "4", "--samples": "10"}
+        # the problem's own size flags, and its spec key for each flag
+        rows = "m" if problem == "poisson" else "N"
+        keys = {"--T": "T", "--n": "n"} if problem == "portfolio" else {"--samples": rows, "--n": "n"}
+        sizes = dict.fromkeys(keys, "10")
         sizes[flag] = value
         argv = SOLVE + ["--problem", problem] + [a for item in sizes.items() for a in item]
         assert main([a.format(tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err == f"condgrad: error: {flag} must be positive\n"
+        if flag in keys:
+            # the size rule's one message, named by the spec key the flag sets
+            assert err == f"condgrad: error: {problem} problem spec {keys[flag]!r} must be at least 1, got {value}\n"
+        else:
+            assert err == f"condgrad: error: {flag} does not apply to a {problem} problem\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -618,7 +662,7 @@ class TestUserErrors:
 
         monkeypatch.setattr(cli, "run_one", no_run)
         cfg = {"problems": [{"kind": "portfolio", "T": 10, "n": 4}], "eps_grid": [0.0, -1e-3]}
-        with pytest.raises(ValueError, match="profile levels must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="eps_grid entry must be nonnegative"):
             cli.run_suite(cfg, tmp_path / "res")
         assert not (tmp_path / "res").exists()
 

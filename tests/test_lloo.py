@@ -63,6 +63,21 @@ class TestWorkedCases:
         with pytest.raises(ValueError):
             lloo_simplex(np.array([0.5, 0.5]), 0.1, np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize(
+        "x",
+        [[0.5, 0.5], [0.5, 0.5 + 0.9e-9], [0.5, 0.5 + 1.1e-9], [-0.9e-9, 1.0], [-1.1e-9, 1.0], [np.nan, 1.0]],
+    )
+    def test_center_rule_is_simplex_contains(self, monkeypatch, x):
+        # one membership rule, with its tolerance and without a set per call
+        x = np.array(x)
+        on_simplex = Simplex(2).contains(x)
+        monkeypatch.setattr(Simplex, "__init__", None)
+        if on_simplex:
+            lloo_simplex(x, 0.1, np.array([1.0, 2.0]))
+        else:
+            with pytest.raises(ValueError, match="^lloo_simplex center must lie on the unit simplex$"):
+                lloo_simplex(x, 0.1, np.array([1.0, 2.0]))
+
 
 class TestGuarantees:
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,11 +5,14 @@ feasible point strictly inside its domain (the generators of
 `test_glm.py`), then checks the guarantee the function gives there; the
 local oracle's full-budget point, a dense vertex, is also checked at the
 two benchmark sizes.  The
-last class checks the local-oracle run's linear contraction (C4) over
-whole runs on random portfolio instances.
+local-oracle run's linear contraction (C4) is checked over whole runs on
+random portfolio instances, and the last class runs every policy on
+instances scaled toward the ends of floating point.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +21,16 @@ from hypothesis import strategies as st
 
 from condgrad import lloo_simplex
 from condgrad.core import OraclePoint, dist_like, gap_and_target
-from condgrad.problems import gen_portfolio_data, portfolio_problem
-from condgrad.solvers import DESCENT_SLACK, RunConfig, estimate_sigma, lloo_fw_solve
+from condgrad.problems import (
+    gen_binary_design, gen_logistic_data, gen_portfolio_data, logistic_problem, poisson_problem, portfolio_problem
+)
+from condgrad.solvers import (
+    DESCENT_SLACK, POLICIES, RunConfig, estimate_sigma, fw_solve, lloo_fw_solve, read_trace_csv
+)
 from condgrad.steps import GAMMA_DOWN, GAMMA_UP, analytic_step, backtrack_step, exact_line_search
 
 from conftest import dense, vertices
-from test_glm import feasible_point, instances, make_instance
+from test_glm import KINDS, feasible_point, instances, make_instance
 from test_lloo import random_simplex_point, sample_ball_simplex
 
 
@@ -188,3 +195,42 @@ class TestLlooContraction:
         gap0 = trace.records[0].gap
         for r in trace.records:
             assert r.f - f_ref <= gap0 * r.contraction + 1e-9
+
+
+def scaled_instance(kind, seed, scale, radius, gamma):
+    """(oracle, feasible set) of a small instance of the family, its data
+    matrix times `scale`; `radius` and `gamma` apply where the family reads them."""
+    if kind == "portfolio":
+        return portfolio_problem(gen_portfolio_data(6, 4, seed) * scale)
+    if kind == "poisson":
+        return poisson_problem(gen_binary_design(8, 4, 0.3, seed) * scale, np.ones(8), radius)
+    feats, labels = gen_logistic_data(8, 4, seed)
+    return logistic_problem(feats * scale, labels, gamma=gamma, radius=radius)
+
+
+class TestFiniteRows:
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(KINDS),
+        st.sampled_from(POLICIES),
+        st.integers(min_value=0, max_value=2**16),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.none() | st.floats(min_value=-300.0, max_value=0.0),
+    )
+    def test_every_returned_trace_reads_back(self, kind, policy, seed, log_scale, log_radius, log_gamma):
+        # a run returns finite rows or raises a ValueError; numpy's overflow
+        # warnings are not the check
+        gamma = None if log_gamma is None else 10.0**log_gamma
+        with np.errstate(all="ignore"):
+            try:
+                oracle, fs = scaled_instance(kind, seed, 10.0**log_scale, 10.0**log_radius, gamma)
+                trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-6, max_iter=50, policy=policy))
+            except ValueError:
+                return
+        for r in trace.records:
+            assert math.isfinite(r.f) and math.isfinite(r.gap) and math.isfinite(r.alpha) and math.isfinite(r.e)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            trace.save_csv(path)
+            assert len(read_trace_csv(path)) == len(trace.records)

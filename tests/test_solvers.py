@@ -10,9 +10,11 @@ import pytest
 
 import condgrad
 from condgrad import lloo_simplex, solvers
-from condgrad.cli import DEFAULT_MAX_ITER, build_problem, run_one
+from condgrad.cli import DEFAULT_MAX_ITER, build_problem, run_one, run_suite
 from condgrad.core import DomainError, InvariantError, ScOracle, omega_star
-from condgrad.problems import gen_binary_design, gen_portfolio_data, poisson_problem, portfolio_problem
+from condgrad.problems import (
+    gen_binary_design, gen_logistic_data, gen_portfolio_data, logistic_problem, poisson_problem, portfolio_problem
+)
 from condgrad.sets import Simplex
 from condgrad.steps import analytic_step
 from condgrad.solvers import (
@@ -506,6 +508,78 @@ class TestLlooSolver:
         floor = lloo_rate_floor(lam_min, lam_max, np.sqrt(oracle.dim), oracle.M, diameter(fs))
         assert floor > 0.0
         assert all(r.alpha >= floor for r in trace.records if r.alpha > 0.0)
+
+
+class OverflowAwayFromStart(QuadOracle):
+    """A quadratic on the plane whose f overflows to +inf inside the domain
+    anywhere but at the simplex's centre."""
+
+    def value(self, x):
+        return super().value(x) if x[0] == 0.5 else np.inf
+
+
+class TestFiniteRows:
+    """Every row of a trace is finite, or the run raises a ValueError that
+    names the row and the quantity."""
+
+    @pytest.mark.parametrize(
+        "make, policy, message",
+        [
+            # (gamma/2)|x|^2 overflows: f would be inf from row 1 on
+            (
+                lambda: logistic_problem(*gen_logistic_data(5, 3, 0), radius=1e300),
+                "standard",
+                "row 0: e is inf, not finite; the problem's scale overflows floating point",
+            ),
+            # 1/z^2 overflows (a returns matrix times 1e300 is refused when built)
+            (
+                lambda: portfolio_problem(gen_portfolio_data(3, 3, 0) * 1e-300),
+                "standard",
+                "row 0: e is nan, not finite; the problem's scale overflows floating point",
+            ),
+            (
+                lambda: portfolio_problem(gen_portfolio_data(3, 3, 0) * 1e-300),
+                "line_search",
+                "row 0: e is nan, not finite; the problem's scale overflows floating point",
+            ),
+            # M = 4.4e150: alpha * e = gap / (gap + (4/M^2) e) rounds to 1
+            (
+                lambda: logistic_problem(*gen_logistic_data(50, 10, 0), gamma=1e-300),
+                "analytic",
+                "row 0: step 8.711216244967057e-152 * e 1.1479453291929865e+151 rounds to 1: "
+                "4/M^2 = 2.1125859261289853e-301 is too small beside the gap 2.6756870394369594",
+            ),
+        ],
+        ids=["logistic-radius-1e300", "portfolio-1e-300", "portfolio-1e-300-line-search", "logistic-gamma-1e-300"],
+    )
+    def test_scale_overflow_raises(self, make, policy, message):
+        with np.errstate(all="ignore"):
+            oracle, fs = make()
+            with pytest.raises(ValueError) as info:
+                fw_solve(oracle, fs, RunConfig(epsilon=1e-6, max_iter=100, policy=policy))
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("policy", ["standard", "analytic"])
+    def test_f_overflow_on_a_later_row_names_it(self, policy):
+        config = RunConfig(epsilon=1e-6, max_iter=10, policy=policy)
+        with pytest.raises(ValueError, match="^row 1: f is inf, not finite; "):
+            fw_solve(OverflowAwayFromStart([1.0, 2.0]), Simplex(2), config)
+
+    def test_grid_records_the_error_and_goes_on(self, tmp_path):
+        cfg = {
+            "problems": [
+                {"kind": "logistic", "N": 5, "n": 3, "radius": 1e300, "name": "huge"},
+                {"kind": "portfolio", "T": 10, "n": 4, "name": "desk"},
+            ],
+            "methods": ["analytic"],
+        }
+        with np.errstate(all="ignore"):
+            summary, table = run_suite(cfg, tmp_path)
+        huge, desk = summary["runs"]
+        assert huge["error_type"] == "ValueError" and huge["error"].startswith("row 0: e is inf")
+        assert desk["termination"] == "gap_below_eps"
+        assert table.problems == ["desk"]
 
 
 class TestTraceBookkeeping:

@@ -72,9 +72,12 @@ class TestAnalyticStep:
             assert decrease > 0.0
 
     def test_step_at_the_domain_edge_raises(self):
-        # t = 1 / (1 + 4e-20) rounds to 1, so alpha * e reaches 1
-        with pytest.raises(InvariantError, match=r"^step 1.0 \* e 1.0 >= 1; curvature model violated$"):
+        # t = 1 / (1 + 4e-20) rounds to 1, so alpha * e reaches 1: the
+        # problem's scale, not a bug, so a ValueError
+        with pytest.raises(ValueError) as info:
             analytic_step(1.0, 1.0, 1e10)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "step 1.0 * e 1.0 rounds to 1: 4/M^2 = 4e-20 is too small beside the gap 1.0"
 
     def test_model_decrease_formula(self):
         gap, e, M = 2.0, np.sqrt(10.0), 2.0

@@ -8,8 +8,10 @@ relative (``from .sets import _x``) or absolute (``from
 condgrad.sets import _x``).  Attribute access such as
 ``point._require_domain`` or ``prob._something`` is out of its scope.
 
-Only ``core`` imports ``numbers``: its ``finite_real``, ``positive_real``
-and ``positive_int`` state the type rules of scalar arguments once.
+Only ``core`` imports ``numbers`` or tests a value's number type with
+``isinstance`` (``bool``, ``int``, ``float``, a ``numbers`` or a numpy
+scalar class): its ``finite_real``, ``positive_real``, ``integer`` and
+``positive_int`` state the type rules of scalar arguments once.
 """
 
 import ast
@@ -81,3 +83,41 @@ def test_only_core_imports_numbers(path):
 )
 def test_the_import_check_reads_both_forms(source, found):
     assert imported_modules(source) == found
+
+
+_BUILTIN_NUMBERS = {"bool", "int", "float", "complex"}
+_NUMPY_NUMBERS = {"bool_", "number", "integer", "signedinteger", "unsignedinteger", "inexact", "floating", "float64", "int64"}
+
+
+def number_type_tests(source, filename="<source>"):
+    """(line, class) of every number class an ``isinstance`` call tests against."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        for cls in ast.walk(node.args[1]):
+            if isinstance(cls, ast.Name) and cls.id in _BUILTIN_NUMBERS:
+                found.append((node.lineno, cls.id))
+            elif isinstance(cls, ast.Attribute) and isinstance(cls.value, ast.Name) and (
+                cls.value.id == "numbers" or cls.value.id in ("np", "numpy") and cls.attr in _NUMPY_NUMBERS
+            ):
+                found.append((node.lineno, f"{cls.value.id}.{cls.attr}"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "core.py"))
+def test_only_core_tests_a_number_type(path):
+    assert number_type_tests((SRC / path).read_text(), path) == []
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("isinstance(v, bool)\n", [(1, "bool")]),
+        ("if isinstance(v, (int, float)):\n    pass\n", [(1, "int"), (1, "float")]),
+        ("isinstance(v, numbers.Real)\nisinstance(v, np.integer)\n", [(1, "numbers.Real"), (2, "np.integer")]),
+        ("isinstance(v, (str, tuple, np.ndarray))\nisinstance(v, dict)\n", []),
+    ],
+)
+def test_the_number_type_check_reads_names_and_attributes(source, found):
+    assert number_type_tests(source) == found

@@ -48,6 +48,13 @@ def write(tmp, name, text):
 CASES = [
     ("portfolio-1d", lambda tmp: PortfolioOracle([1.0, 2.0]), ValueError, "returns must be a T x n matrix"),
     (
+        # 1e300 * 1e300 overflows, so the curvature 1/z^2 would read as 0
+        "portfolio-entry-1e300",
+        lambda tmp: PortfolioOracle([[1e300, 1.0]]),
+        ValueError,
+        "returns matrix entries must be at most 1.34e154: the curvature 1/z^2 underflows above",
+    ),
+    (
         "poisson-count-shape",
         lambda tmp: PoissonOracle([[1.0, 0.0]], [1.0, 1.0]),
         ValueError,
@@ -199,13 +206,13 @@ CASES = [
         "bench-eps-grid-nan",
         lambda tmp: run_suite({"problems": [], "eps_grid": [0.1, float("nan")]}, tmp / "out"),
         ValueError,
-        "profile levels must be finite and nonnegative, got nan",
+        "eps_grid entry must be finite",
     ),
     (
         "bench-eps-grid-negative",
         lambda tmp: run_suite({"problems": [], "eps_grid": [-1e-3]}, tmp / "out"),
         ValueError,
-        "profile levels must be finite and nonnegative, got -0.001",
+        "eps_grid entry must be nonnegative, got -0.001",
     ),
     (
         "bench-gap-tol-nan",
@@ -235,6 +242,9 @@ SCALAR_ARGS = [
     ("design-density", lambda v: gen_binary_design(5, 3, v, 1), "density", "finite_real"),
     ("logistic-data-N", lambda v: gen_logistic_data(v, 3, 1), "N", "positive_int"),
     ("logistic-data-n", lambda v: gen_logistic_data(5, v, 1), "n", "positive_int"),
+    ("portfolio-data-seed", lambda v: gen_portfolio_data(3, 3, v), "seed", "integer"),
+    ("design-seed", lambda v: gen_binary_design(5, 3, 0.2, v), "seed", "integer"),
+    ("logistic-data-seed", lambda v: gen_logistic_data(5, 3, v), "seed", "integer"),
 ]
 # ... and each rule's bad values, as (id, value, message after the name)
 _NOT_NUMBERS = [("str", "1"), ("none", None), ("list", [1]), ("bool", True), ("np-bool", np.bool_(True))]
@@ -243,14 +253,15 @@ _FINITE = [(vid, v, f"must be a number, got {v!r}") for vid, v in _NOT_NUMBERS] 
     ("inf", np.inf, "must be finite"),
     ("huge", 10**400, "must be finite"),
 ]
+_INTEGER = [
+    (vid, v, f"must be an integer, got {v!r}")
+    for vid, v in _NOT_NUMBERS + [("nan", np.nan), ("inf", np.inf), ("float", 2.5), ("integral-float", 2.0)]
+]
 BAD_VALUES = {
     "finite_real": _FINITE,
     "positive_real": _FINITE + [("zero", 0.0, "must be positive"), ("negative", -1.0, "must be positive")],
-    "positive_int": [
-        (vid, v, f"must be an integer, got {v!r}")
-        for vid, v in _NOT_NUMBERS + [("nan", np.nan), ("inf", np.inf), ("float", 2.5)]
-    ]
-    + [("zero", 0, "must be at least 1, got 0"), ("negative", -1, "must be at least 1, got -1")],
+    "integer": _INTEGER,
+    "positive_int": _INTEGER + [("zero", 0, "must be at least 1, got 0"), ("negative", -1, "must be at least 1, got -1")],
 }
 # a pair already written above is not repeated; gamma=None asks for its default 1/N
 _SKIP = {case[0] for case in CASES} | {"logistic-gamma-none"}
