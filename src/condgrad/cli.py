@@ -179,7 +179,8 @@ def _expand_problems(cfg):
 
 
 def run_suite(cfg, out_dir):
-    """Execute a bench config; returns (summary dict, ProfileTable or None).
+    """Execute a bench config; returns the summary dict and the table that
+    `table_from_trace_dir` reads from the traces written (None without one).
 
     A run that raises, or whose trace file cannot be written, is listed
     in the summary with its `error` message and `error_type`; the
@@ -212,7 +213,6 @@ def run_suite(cfg, out_dir):
         stale.unlink()
 
     runs = []
-    records = []
     for name, oracle, feasible_set in instances:
         for method in methods:
             entry = {"method": method, "problem": name}
@@ -225,40 +225,28 @@ def run_suite(cfg, out_dir):
                 entry["error_type"] = type(exc).__name__
                 runs.append(entry)
                 continue
-            f_series = np.array([r.f for r in trace.records])
-            t_series = np.array([r.time_ns for r in trace.records])
+            last = trace.records[-1]
             entry.update(
                 termination=trace.termination,
                 iterations=len(trace.records) - 1,
-                final_f=float(trace.records[-1].f),
-                best_f=float(np.min(f_series)),
-                final_gap=float(trace.records[-1].gap),
+                final_f=float(last.f),
+                best_f=float(min(r.f for r in trace.records)),
+                final_gap=float(last.gap),
                 lower_bound=float(certificate_lower_bound(trace)),
-                wall_ns=int(t_series[-1]),
+                wall_ns=int(last.time_ns),
                 trace=path.name,
             )
             runs.append(entry)
-            records.append(RunRecord(method, name, f_series, t_series))
     summary = {"config": cfg, "runs": runs}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=1))
 
-    table = None
-    usable = _fully_covered_records(records)
-    if usable:
-        table = build_profile_table(usable)
-        (out_dir / "profiles.csv").write_text(format_profiles_csv(table, eps_grid))
-    else:
+    table = table_from_trace_dir(out_dir)
+    if table is None:
         # an earlier grid's table would read as this one's
         (out_dir / "profiles.csv").unlink(missing_ok=True)
+    else:
+        (out_dir / "profiles.csv").write_text(format_profiles_csv(table, eps_grid))
     return summary, table
-
-
-def _fully_covered_records(records):
-    """Drop methods that lack a trace on some problem (e.g. the simplex-only
-    local-oracle method on non-simplex problems)."""
-    problems = {r.problem for r in records}
-    runs = Counter(method for method, _ in {(r.method, r.problem) for r in records})
-    return [r for r in records if runs[r.method] == len(problems)]
 
 
 def format_profiles_csv(table, eps_grid):
@@ -278,20 +266,21 @@ def format_profiles_csv(table, eps_grid):
 
 
 def table_from_trace_dir(trace_dir):
-    """Rebuild a ProfileTable from `<method>__<problem>.csv` traces.
+    """The ProfileTable of the `<method>__<problem>.csv` traces in
+    `trace_dir`, or None when no method has a trace on every problem.
 
-    Methods without a trace on every problem in the directory are dropped,
-    mirroring what `bench` does when it writes profiles.csv.
+    A method without a trace on some problem (e.g. the simplex-only
+    local-oracle method on non-simplex problems) is dropped.
     """
     records = []
     for path in sorted(Path(trace_dir).glob("*__*.csv")):
         method, _, problem = path.stem.partition("__")
         cols = read_trace_csv(path)
         records.append(RunRecord(method, problem, cols["f"], cols["time_ns"]))
-    records = _fully_covered_records(records)
-    if not records:
-        raise ValueError(f"no complete method traces found under {trace_dir}")
-    return build_profile_table(records)
+    problems = {r.problem for r in records}
+    runs = Counter(r.method for r in records)
+    records = [r for r in records if runs[r.method] == len(problems)]
+    return build_profile_table(records) if records else None
 
 
 def cmd_bench(args):
@@ -316,6 +305,8 @@ def cmd_profile(args):
             raise ValueError(f"--eps-grid entries must be numbers, got {args.eps_grid!r}") from None
         eps_grid = _eps_levels(eps_grid)
     table = table_from_trace_dir(args.traces)
+    if table is None:
+        raise ValueError(f"no complete method traces found under {args.traces}")
     text = format_profiles_csv(table, eps_grid)
     if args.out:
         Path(args.out).write_text(text)

@@ -10,6 +10,7 @@ are fully deterministic.  The simplex also has a local linear oracle,
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -50,7 +51,8 @@ class FeasibleSet:
     value * e_i; a set whose vertices do not all lie on coordinate axes
     cannot use this surface.  A cost that is not a finite vector of shape
     (dim,) raises ValueError.  ``contains(x)`` returns a Python bool: x has
-    shape (dim,) and lies in the set up to ``CONTAINS_TOL``.
+    shape (dim,) and lies in the set up to ``CONTAINS_TOL``, times R on a
+    ball of radius R.
     """
 
     dim: int
@@ -142,6 +144,9 @@ class L1Ball(FeasibleSet):
     def __init__(self, dim, radius):
         super().__init__(dim)
         self.radius = positive_real("radius", radius)
+        # the slack scales with R, as one ulp of R does; a bound that
+        # overflows would admit an infinite x
+        self._high = min(self.radius + CONTAINS_TOL * self.radius, sys.float_info.max)
 
     def lmo(self, c):
         """Vertex +-R*e_i minimizing <c, .>: (i, +-R).
@@ -161,7 +166,7 @@ class L1Ball(FeasibleSet):
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and float(np.abs(x).dot(self._ones)) <= self.radius + CONTAINS_TOL
+            and float(np.abs(x).dot(self._ones)) <= self._high
         )
 
     def start_point(self):
@@ -176,6 +181,8 @@ class NonnegL1Ball(FeasibleSet):
     def __init__(self, dim, radius):
         super().__init__(dim)
         self.radius = positive_real("radius", radius)
+        self._low = -CONTAINS_TOL * self.radius
+        self._high = min(self.radius + CONTAINS_TOL * self.radius, sys.float_info.max)
 
     def lmo(self, c):
         """The origin (i, 0.0) or R*e_i (i, R), whichever minimizes <c, .>."""
@@ -187,8 +194,8 @@ class NonnegL1Ball(FeasibleSet):
         x = np.asarray(x, dtype=float)
         return (
             x.shape == (self.dim,)
-            and bool(x[x.argmin()] >= -CONTAINS_TOL)
-            and float(x.dot(self._ones)) <= self.radius + CONTAINS_TOL
+            and bool(x[x.argmin()] >= self._low)
+            and float(x.dot(self._ones)) <= self._high
         )
 
     def start_point(self):

@@ -108,6 +108,14 @@ def exact_line_search(point, target):
     return t
 
 
+def _direction_norm2(caller, v):
+    """v'v as a float; one that overflows is a ValueError naming it."""
+    vv = float(v.dot(v))
+    if not math.isfinite(vv):
+        raise ValueError(f"{caller}: v'v is {vv}, not finite; the problem's scale overflows floating point")
+    return vv
+
+
 def backtrack_step(point, target, gap, lipschitz):
     """Backtracking step toward `target` against the quadratic model: (alpha, mu, evals).
 
@@ -128,7 +136,7 @@ def backtrack_step(point, target, gap, lipschitz):
     if not gap > 0:
         raise ValueError("backtrack_step requires a positive gap")
     v = point.direction(target)
-    vv = float(v.dot(v))
+    vv = _direction_norm2("backtrack_step", v)
     if vv == 0.0:
         raise ValueError("backtrack_step requires a nonzero direction")
 
@@ -157,7 +165,7 @@ def init_lipschitz(point, s0):
     """
     point._require_domain("init_lipschitz")
     v = point.direction(s0)
-    vv = float(v.dot(v))
+    vv = _direction_norm2("init_lipschitz", v)
     if vv == 0.0:
         raise ValueError("init_lipschitz: target coincides with the start point")
     seed = point.norm_to(s0) ** 2

@@ -194,6 +194,21 @@ class TestContains:
         # every caller tests against CONTAINS_TOL, so no call can pass another
         assert str(inspect.signature(cls.contains)) == "(self, x)"
 
+    @pytest.mark.parametrize("cls", [L1Ball, NonnegL1Ball])
+    @pytest.mark.parametrize("radius", [8.86e45, 1e300])
+    def test_slack_scales_with_the_radius(self, cls, radius):
+        # one ulp of R exceeds an absolute slack of 1e-9 from R ~ 1e7 on:
+        # a step whose |x|_1 rounds one ulp above R is still inside
+        fs = cls(2, radius)
+        assert fs.contains(np.array([np.nextafter(radius, np.inf), 0.0]))
+        assert fs.contains(np.array([radius * (1.0 + 1e-10), 0.0]))
+        assert not fs.contains(np.array([radius * (1.0 + 1e-8), 0.0]))
+        if cls is NonnegL1Ball:
+            assert fs.contains(np.array([-1e-10 * radius, radius / 2.0]))
+            assert not fs.contains(np.array([-1e-8 * radius, radius / 2.0]))
+        # at the largest R, R + 1e-9 R overflows: the bound stays finite
+        assert cls(2, np.finfo(float).max).contains(np.array([np.inf, 0.0])) is False
+
     @pytest.mark.parametrize("fs", make_sets(3), ids=lambda fs: fs.kind)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("at", [0, 2])
@@ -210,7 +225,11 @@ class TestContains:
         # decision rests on the sum's last bits
         gen = np.random.default_rng(dim)
         for fs in make_sets(dim):
-            edges = [1.0 - CONTAINS_TOL, 1.0 + CONTAINS_TOL] if fs.kind == "simplex" else [fs.radius + CONTAINS_TOL]
+            if fs.kind == "simplex":
+                edges = [1.0 - CONTAINS_TOL, 1.0 + CONTAINS_TOL]
+            else:
+                # a ball's slack scales with its radius
+                edges = [fs.radius + CONTAINS_TOL * fs.radius]
             for _ in range(20):
                 u = gen.uniform(size=dim)
                 if fs.kind == "l1_ball":

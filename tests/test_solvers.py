@@ -549,8 +549,20 @@ class TestFiniteRows:
                 "row 0: step 8.711216244967057e-152 * e 1.1479453291929865e+151 rounds to 1: "
                 "4/M^2 = 2.1125859261289853e-301 is too small beside the gap 2.6756870394369594",
             ),
+            # v = s0 - x0 has entries near R = 1.17e170, so v'v overflows
+            (
+                lambda: poisson_problem(gen_binary_design(8, 4, 0.3, 46) * 3.9e-103, np.ones(8), radius=1.17e170),
+                "backtracking",
+                "init_lipschitz: v'v is inf, not finite; the problem's scale overflows floating point",
+            ),
         ],
-        ids=["logistic-radius-1e300", "portfolio-1e-300", "portfolio-1e-300-line-search", "logistic-gamma-1e-300"],
+        ids=[
+            "logistic-radius-1e300",
+            "portfolio-1e-300",
+            "portfolio-1e-300-line-search",
+            "logistic-gamma-1e-300",
+            "poisson-radius-1e170-backtracking",
+        ],
     )
     def test_scale_overflow_raises(self, make, policy, message):
         with np.errstate(all="ignore"):
@@ -559,6 +571,16 @@ class TestFiniteRows:
                 fw_solve(oracle, fs, RunConfig(epsilon=1e-6, max_iter=100, policy=policy))
         assert type(info.value) is ValueError
         assert str(info.value) == message
+
+    def test_step_one_ulp_outside_a_large_ball_goes_on(self):
+        # R = 8.86e45: a standard step's |x|_1 rounds one ulp above R,
+        # which a slack of 1e-9 R still admits
+        A, y = gen_logistic_data(8, 4, 49)
+        with np.errstate(all="ignore"):
+            oracle, fs = logistic_problem(A * 1.13e57, y, gamma=4.18e-35, radius=8.86e45)
+            trace = fw_solve(oracle, fs, RunConfig(epsilon=1e-10, max_iter=50, policy="standard"))
+        assert trace.termination == "max_iter" and len(trace.records) == 51
+        assert fs.contains(trace.final_x)
 
     @pytest.mark.parametrize("policy", ["standard", "analytic"])
     def test_f_overflow_on_a_later_row_names_it(self, policy):

@@ -372,6 +372,12 @@ class TestBacktrackStep:
         with pytest.raises(ValueError, match="Lipschitz estimate must be positive"):
             backtrack_step(quad2.point(np.zeros(2)), np.ones(2), gap=1.0, lipschitz=0.0)
 
+    def test_overflowing_direction_names_the_overflow(self, quad2):
+        # v'v = 2e400 is inf: the model's alpha would read 0
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+            backtrack_step(quad2.point(np.zeros(2)), np.full(2, 1e200), gap=1.0, lipschitz=1.0)
+        assert str(info.value) == "backtrack_step: v'v is inf, not finite; the problem's scale overflows floating point"
+
 
 class TestInitLipschitz:
     def test_identity_quadratic(self):

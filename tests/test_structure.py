@@ -1,4 +1,4 @@
-"""Two import rules of the library's modules.
+"""Structure rules of the library's modules.
 
 No module imports another module's private name.  A name that starts
 with one underscore belongs to its module: another condgrad module that
@@ -12,6 +12,10 @@ Only ``core`` imports ``numbers`` or tests a value's number type with
 ``isinstance`` (``bool``, ``int``, ``float``, a ``numbers`` or a numpy
 scalar class): its ``finite_real``, ``positive_real``, ``integer`` and
 ``positive_int`` state the type rules of scalar arguments once.
+
+``cli`` builds a profile table in one place: ``table_from_trace_dir``
+is the one function that calls ``RunRecord`` or ``build_profile_table``,
+so ``bench`` and ``profile`` read the same traces into the same table.
 """
 
 import ast
@@ -121,3 +125,43 @@ def test_only_core_tests_a_number_type(path):
 )
 def test_the_number_type_check_reads_names_and_attributes(source, found):
     assert number_type_tests(source) == found
+
+
+PROFILE_PRODUCERS = {"RunRecord", "build_profile_table"}
+
+
+def profile_producer_calls(source, filename="<source>"):
+    """(function, name) of every call of a PROFILE_PRODUCERS name, with the
+    top-level function or class it sits in (None at module level), sorted."""
+    found = []
+    for top in ast.parse(source, filename=filename).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in PROFILE_PRODUCERS:
+                found.append((owner, name))
+    return sorted(found, key=lambda pair: (pair[0] or "", pair[1]))
+
+
+def test_cli_builds_a_profile_table_in_one_place():
+    assert profile_producer_calls((SRC / "cli.py").read_text(), "cli.py") == [
+        ("table_from_trace_dir", "RunRecord"),
+        ("table_from_trace_dir", "build_profile_table"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(rs):\n    return build_profile_table([RunRecord(*r) for r in rs])\n",
+         [("f", "RunRecord"), ("f", "build_profile_table")]),
+        ("def g():\n    return profiles.build_profile_table([])\n", [("g", "build_profile_table")]),
+        ("table = build_profile_table(records)\n", [(None, "build_profile_table")]),
+        ("from .profiles import RunRecord, build_profile_table\nmake = RunRecord\n", []),
+    ],
+)
+def test_the_producer_check_reads_names_attributes_and_owners(source, found):
+    assert profile_producer_calls(source) == found
