@@ -11,6 +11,7 @@ image z = A x from one iterate to the next.
 import math
 import warnings
 from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -444,6 +445,9 @@ class ParseError(ValueError):
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+# `parse_libsvm` converts at most this many tokens (labels and feature
+# tokens) at a time; a line longer than that is one chunk of its own
+LIBSVM_CHUNK = 2048
 
 
 def parse_libsvm(stream):
@@ -455,25 +459,68 @@ def parse_libsvm(stream):
     '#' are skipped.  Returns (features, labels) with features dense
     N x n, n the largest index seen.
 
-    Each kept line is split once; then all labels, all indices and all
-    values are converted with one `float` or `int` map each and checked
-    as whole arrays.  A file that fails a conversion or a check goes to
-    `_reject_libsvm`, which names its first bad line.  A dense matrix
-    numpy refuses or cannot allocate is a ParseError naming the line that
+    Each kept line is split once.  The kept lines are converted in
+    chunks of whole lines holding at most `LIBSVM_CHUNK` tokens: a
+    chunk's labels, indices and values with one `float` or `int` map
+    each, checked as whole arrays.  A chunk that fails a conversion or a
+    check goes to `_reject_libsvm`, which names its first bad line; every
+    earlier chunk passed, so that is the file's first bad line.  Only each
+    chunk's arrays are kept, and the dense matrix is allocated once at
+    the end and filled chunk by chunk, so the text's tokens are never
+    held all at once: besides the matrix, a parse holds 16 bytes per
+    entry, 16 per line and one chunk's strings.  A dense matrix numpy
+    refuses or cannot allocate is a ParseError naming the line that
     holds the largest index.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
+    chunks = []
     linenos, label_tokens, counts, parts = [], [], [], []
+    size = 0  # the tokens of the lines since the last chunk
     for lineno, line in enumerate(stream, start=1):
         tokens = line.split()
         if tokens and not tokens[0].startswith("#"):
+            size += len(tokens)
+            if size > LIBSVM_CHUNK and linenos:
+                chunks.append(_convert_libsvm(linenos, label_tokens, counts, parts))
+                linenos, label_tokens, counts, parts = [], [], [], []
+                size = len(tokens)
             linenos.append(lineno)
             label_tokens.append(tokens[0])
             counts.append(len(tokens) - 1)
             # three entries per feature token: the index, ":" ("" when
             # absent) and the value
             parts += chain.from_iterable(map(str.partition, tokens[1:], repeat(":")))
+    chunks.append(_convert_libsvm(linenos, label_tokens, counts, parts))
+    del linenos, label_tokens, counts, parts  # the last chunk's strings go before the matrix comes
+    n_rows = sum(len(chunk_labels) for chunk_labels, *_ in chunks)
+    # max keeps the first of equal indices: the file's first line holding the largest
+    width, top_line = max((top for *_, top in chunks), key=itemgetter(0))
+    try:
+        features = np.zeros((n_rows, width))
+    except (ValueError, MemoryError):  # numpy refuses the size ("array is too big") or cannot allocate it
+        raise ParseError(
+            f"line {top_line}: index {width} makes the dense matrix "
+            f"{n_rows} x {width}, which numpy cannot allocate"
+        ) from None
+    labels = np.empty(n_rows)
+    first = 0
+    for chunk_labels, chunk_counts, idx, values, _ in chunks:
+        last = first + len(chunk_labels)
+        labels[first:last] = chunk_labels
+        features[np.repeat(np.arange(first, last), chunk_counts), idx - 1] = values
+        first = last
+    return features, labels
+
+
+def _convert_libsvm(linenos, label_tokens, counts, parts):
+    """Convert and check one chunk of `parse_libsvm`'s kept lines.
+
+    Returns (labels, counts, indices, values, (largest index, its first
+    line)), (0, 0) for a chunk without feature tokens; a chunk that
+    fails goes to `_reject_libsvm`.
+    """
+    counts = np.array(counts, dtype=np.int64)
     rows = np.repeat(np.arange(len(counts)), counts)
     try:
         labels = np.fromiter(map(float, label_tokens), float, len(counts))
@@ -491,16 +538,10 @@ def parse_libsvm(stream):
         )
     if not accepted:
         _reject_libsvm(linenos, label_tokens, counts, parts)
-    try:
-        features = np.zeros((len(counts), idx.max(initial=0)))
-    except (ValueError, MemoryError):  # numpy refuses the size ("array is too big") or cannot allocate it
-        top = idx.argmax()
-        raise ParseError(
-            f"line {linenos[rows[top]]}: index {idx[top]} makes the dense matrix "
-            f"{len(counts)} x {idx[top]}, which numpy cannot allocate"
-        ) from None
-    features[rows, idx - 1] = values
-    return features, labels
+    if not len(idx):
+        return labels, counts, idx, values, (0, 0)
+    top = idx.argmax()
+    return labels, counts, idx, values, (int(idx[top]), linenos[rows[top]])
 
 
 def _reject_libsvm(linenos, label_tokens, counts, parts):

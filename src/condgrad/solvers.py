@@ -11,7 +11,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,8 +35,10 @@ DESCENT_SLACK = 2.0**-40
 
 CSV_HEADER = "k,f,gap,alpha,e,L,time_ns"
 # one row of the trace CSV, without and with a backtracking estimate in `L`
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,,%d"
-_CSV_ROW_L = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,,%d\n"
+_CSV_ROW_L = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+# `RunTrace.save_csv` formats and writes this many rows at a time
+CSV_BLOCK = 1024
 # the columns `read_trace_csv` returns, named after the IterationRecord fields
 _CSV_COLUMNS = np.dtype(
     [("k", np.int64), ("f", float), ("gap", float), ("alpha", float), ("e", float),
@@ -80,32 +82,48 @@ class RunTrace:
     init_lipschitz: float | None = None
 
     def save_csv(self, path):
-        lines = [CSV_HEADER]
-        lines += [
-            _CSV_ROW % (r.k, r.f, r.gap, r.alpha, r.e, r.time_ns)
-            if r.lipschitz is None
-            else _CSV_ROW_L % (r.k, r.f, r.gap, r.alpha, r.e, r.lipschitz, r.time_ns)
-            for r in self.records
-        ]
+        """Write the trace as CSV: the header, then one row per record.
+
+        The rows are formatted and written `CSV_BLOCK` at a time, so a
+        write holds one block's text, not the whole file's.
+        """
+        records = self.records
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(CSV_HEADER + "\n")
+            for start in range(0, len(records), CSV_BLOCK):
+                fh.write("".join([
+                    _CSV_ROW % (r.k, r.f, r.gap, r.alpha, r.e, r.time_ns)
+                    if r.lipschitz is None
+                    else _CSV_ROW_L % (r.k, r.f, r.gap, r.alpha, r.e, r.lipschitz, r.time_ns)
+                    for r in records[start:start + CSV_BLOCK]
+                ]))
 
     def save_json(self, path):
-        """Write the trace as JSON; a row holds every record field, `lipschitz` as "L"."""
-        rows = [
-            {("L" if name == "lipschitz" else name): v for name, v in asdict(r).items()}
-            for r in self.records
-        ]
-        out = {
+        """Write the trace as JSON; a row holds every record field, `lipschitz` as "L".
+
+        The bytes are those `json.dump(..., indent=1)` writes for the
+        object {config, termination, final_x, iterations, init_lipschitz
+        (when set)}, but the rows are encoded and written one at a time.
+        """
+        encode = json.JSONEncoder(indent=1).encode
+        keys = [("L" if f.name == "lipschitz" else f.name, f.name) for f in fields(IterationRecord)]
+        head = encode({
             "config": asdict(self.config),
             "termination": self.termination,
             "final_x": [float(v) for v in np.asarray(self.final_x)],
-            "iterations": rows,
-        }
-        if self.init_lipschitz is not None:
-            out["init_lipschitz"] = self.init_lipschitz
+        })
         with open(path, "w") as fh:
-            json.dump(out, fh, indent=1)
+            fh.write(head[:-2] + ',\n "iterations": [')  # the head without its closing "\n}"
+            sep = "\n  "
+            for r in self.records:
+                row = {key: getattr(r, name) for key, name in keys}
+                # a row sits two levels deep: each of its lines two spaces further in
+                fh.write(sep + encode(row).replace("\n", "\n  "))
+                sep = ",\n  "
+            fh.write("\n ]" if self.records else "]")
+            if self.init_lipschitz is not None:
+                fh.write(',\n "init_lipschitz": ' + encode(self.init_lipschitz))
+            fh.write("\n}")
 
 
 def read_trace_csv(path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from condgrad import rng
+from condgrad import problems, rng
 from condgrad.core import DomainError
 from condgrad.problems import (
     PORTFOLIO_CLAMP,
@@ -687,6 +687,16 @@ class TestLibsvmBulkParse:
         make_input = functools.partial(INPUT_FORMS[form], text)
         assert _outcome(parse_libsvm, make_input) == _outcome(_reference_parse_libsvm, make_input)
 
+    @given(
+        text=libsvm_texts(corrupt=True), form=st.sampled_from(sorted(INPUT_FORMS)), chunk=st.integers(1, 4)
+    )
+    def test_any_chunking_gets_the_reference_outcome(self, text, form, chunk):
+        # chunks of 1-4 tokens put a chunk boundary between most lines
+        make_input = functools.partial(INPUT_FORMS[form], text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(problems, "LIBSVM_CHUNK", chunk)
+            assert _outcome(parse_libsvm, make_input) == _outcome(_reference_parse_libsvm, make_input)
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -755,6 +765,16 @@ class TestLibsvmBulkParse:
 
         parse_libsvm("+1 1:0.5\n")  # first-call work outside the count
         assert calls(300) == calls(3)
+
+    def test_memory_is_the_matrix_and_a_bounded_margin(self):
+        # 80,000 entries (a traced parse takes about 14 times as long): the
+        # matrix, 16 bytes per entry for its indices and values, and one
+        # chunk's strings
+        line = "+1 " + " ".join(f"{j}:{j}" for j in range(1, 501)) + "\n"
+        stream = io.StringIO(line * 160)
+        (back, _), peak = _traced_peak(parse_libsvm, stream)
+        assert back.tobytes() == np.tile(np.arange(1.0, 501.0), (160, 1)).tobytes()
+        assert peak < back.nbytes + 32 * back.size + 2**20
 
     def test_labels_round_trip_exactly(self):
         labels = np.array([0.1234567891, 3e6, -2.5e-310, 1.0, -1.0, 0.0])

@@ -115,3 +115,37 @@ def test_the_tool_prints_one_line_per_instance_with_inputs():
         ["grid", "portfolio_T50_n20_s7"],
     ]
     assert all(re.fullmatch("[0-9a-f]{64}", line.split()[-1]) for line in lines)
+
+
+def test_ladder_line_names_the_first_row_at_each_rung(tool, trace):
+    fields = tool.ladder_line("desk", "inst", "analytic", trace).split()
+    assert fields[:5] == ["desk", "inst", "analytic", trace.termination, str(len(trace.records) - 1)]
+    assert len(fields) == 8
+    for cell, rung in zip(fields[5:], (1e-2, 1e-4, 1e-6)):
+        label, k, time_ns = cell.split(":")
+        assert float(label) == rung
+        reached = [r for r in trace.records if r.gap <= rung * max(1.0, abs(r.f))]
+        assert reached, rung  # the run ends at gap 1e-8, below every rung
+        assert (int(k), int(time_ns)) == (reached[0].k, reached[0].time_ns)
+    assert fields[5] != fields[7]  # the rungs are reached at different rows
+
+
+def test_ladder_marks_a_rung_no_row_reaches(tool, trace):
+    first = trace.records[0]
+    assert first.gap > 1e-2 * max(1.0, abs(first.f))
+    fields = tool.ladder_line("desk", "inst", "analytic", dataclasses.replace(trace, records=[first])).split()
+    assert fields[5:] == ["1e-02:-:-", "1e-04:-:-", "1e-06:-:-"]
+
+
+def test_the_tool_prints_a_ladder_line_per_solve_under_a_cap():
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--seed", "3", "--workload", "desk", "--ladder", "--max-iter", "40"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    lines = run.stdout.splitlines()
+    assert len(lines) == 10
+    for line in lines:
+        fields = line.split()
+        assert fields[0] == "desk" and int(fields[4]) <= 40
+        assert [cell.split(":")[0] for cell in fields[5:]] == ["1e-02", "1e-04", "1e-06"]
+        assert all(re.fullmatch(r"\d+:\d+|-:-", cell.split(":", 1)[1]) for cell in fields[5:])

@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -796,6 +798,30 @@ class TestAffineInvariance:
         assert np.allclose(scaled.final_x * scale, base.final_x, atol=1e-9)
 
 
+def _reference_csv(trace):
+    """The trace CSV as one joined text."""
+    lines = ["k,f,gap,alpha,e,L,time_ns"]
+    for r in trace.records:
+        lipschitz = "" if r.lipschitz is None else "%.17g" % r.lipschitz
+        lines.append("%d,%.17g,%.17g,%.17g,%.17g,%s,%d" % (r.k, r.f, r.gap, r.alpha, r.e, lipschitz, r.time_ns))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(trace):
+    """The trace JSON as one `json.dumps` of the whole object."""
+    out = {
+        "config": asdict(trace.config),
+        "termination": trace.termination,
+        "final_x": [float(v) for v in trace.final_x],
+        "iterations": [
+            {("L" if name == "lipschitz" else name): v for name, v in asdict(r).items()} for r in trace.records
+        ],
+    }
+    if trace.init_lipschitz is not None:
+        out["init_lipschitz"] = trace.init_lipschitz
+    return json.dumps(out, indent=1)
+
+
 class TestTraceExport:
     def test_csv_round_trip(self, tmp_path, desk_portfolio):
         oracle, fs = desk_portfolio
@@ -854,6 +880,34 @@ class TestTraceExport:
         assert [row["evals"] for row in rows] == [r.evals for r in trace.records]
         assert [row["L"] for row in rows] == [r.lipschitz for r in trace.records]
         assert all(row["radius"] is None and row["contraction"] is None for row in rows)
+
+    @pytest.mark.parametrize("block", [solvers.CSV_BLOCK, 1, 3])
+    def test_files_are_the_whole_file_writers_bytes(self, tmp_path, desk_portfolio, monkeypatch, block):
+        # rows written in blocks, and JSON rows one at a time, make the bytes
+        # of one joined text and of one json.dump; row counts around the block
+        monkeypatch.setattr(solvers, "CSV_BLOCK", block)
+        oracle, fs = desk_portfolio
+        traces = [run_one(oracle, fs, method, 1e-9, 7) for method in METHODS]
+        traces[0] = replace(traces[0], records=traces[0].records[:3])
+        traces.append(replace(traces[1], records=[], final_x=np.array([])))
+        traces.append(replace(traces[1], init_lipschitz=np.float64(2.5)))
+        assert traces[3].init_lipschitz is not None  # backtracking
+        for trace in traces:
+            trace.save_csv(tmp_path / "trace.csv")
+            trace.save_json(tmp_path / "trace.json")
+            assert (tmp_path / "trace.csv").read_text() == _reference_csv(trace)
+            assert (tmp_path / "trace.json").read_text() == _reference_json(trace)
+
+    def test_csv_write_memory_is_bounded(self, tmp_path):
+        records = [IterationRecord(k, 1.0 + k * 1e-7, 1.0 / (k + 1), 0.5, 0.25, None, 1000 * k) for k in range(50_000)]
+        trace = RunTrace(records, np.full(3, 1 / 3), "max_iter", RunConfig(epsilon=1e-6, max_iter=49_999))
+        tracemalloc.start()
+        try:
+            trace.save_csv(tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one block's text; the file is 3 MB
 
     @pytest.mark.parametrize(
         "row, message",

@@ -35,10 +35,21 @@ workloads), so the same diff checks ingestion alone:
 
 The SHA-256 covers the instance's name, its data matrix (shape, dtype and
 bytes), its labels or counts, `M`, `gamma`, the set kind and the radius.
+
+`--ladder` prints, per solve, the rows and time it took to reach each
+relative gap rung instead:
+
+    workload instance method termination iterations 1e-02:k:time_ns 1e-04:k:time_ns 1e-06:k:time_ns
+
+where k is the first row with gap <= rung * max(1, |f|), f that row's
+value, and time_ns its time since the start of the solve; a rung no row
+reaches reads `-:-`.  The times come from one run and are noisy.
+`--max-iter N` caps every solve at N rows in place of the workload's cap.
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import numbers
 import os
@@ -48,6 +59,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("desk", "paper", "grid")
+LADDER_RUNGS = (1e-2, 1e-4, 1e-6)
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -94,6 +106,16 @@ def digest_line(workload, name, method, trace):
     )
 
 
+def ladder_line(workload, name, method, trace):
+    """The ladder line of one solve: its keys, termination and iterations,
+    then per rung the first row with gap <= rung * max(1, |f|) and its `time_ns`."""
+    cells = []
+    for rung in LADDER_RUNGS:
+        first = next((r for r in trace.records if r.gap <= rung * max(1.0, abs(r.f))), None)
+        cells.append(f"{rung:.0e}:-:-" if first is None else f"{rung:.0e}:{first.k}:{first.time_ns}")
+    return f"{workload} {name} {method} {trace.termination} {len(trace.records) - 1} " + " ".join(cells)
+
+
 def inputs_line(workload, name, oracle, feasible_set):
     """The line of one built instance: its keys, shape, set kind and a SHA-256
     over its name, matrix, labels or counts, M, gamma, set kind and radius."""
@@ -132,15 +154,16 @@ def built_inputs(workload, seed):
         return wl, workloads.build_all(workloads.write_inputs(wl, seed, tmp))
 
 
-def digest_lines(workload, seed):
-    """One line per solve of the workload on the seed's inputs."""
+def digest_lines(workload, seed, line=digest_line, max_iter=None):
+    """One `line` per solve of the workload on the seed's inputs, each
+    solve capped at `max_iter` rows (the workload's cap when None)."""
     from condgrad import cli
 
     wl, built = built_inputs(workload, seed)
     for name, method in wl.keys():
         oracle, feasible_set = built[name]
-        trace = cli.run_one(oracle, feasible_set, method, wl.gap, wl.max_iter)
-        yield digest_line(workload, name, method, trace)
+        trace = cli.run_one(oracle, feasible_set, method, wl.gap, max_iter or wl.max_iter)
+        yield line(workload, name, method, trace)
 
 
 def inputs_lines(workload, seed):
@@ -155,10 +178,20 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to import src/ and perfbench/ from")
-    parser.add_argument("--inputs", action="store_true", help="one line per built instance, no solves")
+    output = parser.add_mutually_exclusive_group()
+    output.add_argument("--inputs", action="store_true", help="one line per built instance, no solves")
+    output.add_argument("--ladder", action="store_true", help="per solve, the first row at each relative gap rung")
+    parser.add_argument("--max-iter", type=int, help="cap every solve at this many rows, not the workload's cap")
     args = parser.parse_args(argv)
+    if args.max_iter is not None and (args.inputs or args.max_iter < 1):
+        parser.error("--max-iter takes a positive count and needs solves (not --inputs)")
     use_checkout(args.root)
-    lines = inputs_lines if args.inputs else digest_lines
+    if args.inputs:
+        lines = inputs_lines
+    else:
+        lines = functools.partial(
+            digest_lines, line=ladder_line if args.ladder else digest_line, max_iter=args.max_iter
+        )
     for workload in args.workload or WORKLOADS:
         for line in lines(workload, args.seed):
             print(line, flush=True)
